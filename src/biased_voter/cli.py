@@ -29,6 +29,7 @@ from .harness import (ConfigError, ExperimentConfig, config_hash,
 from .kernel import fold_to_torus
 from .localfn import is_monotone, lemma1_check, parse_localfn_text, sigma_and_support, gap
 from .rangestats import effective_exponent
+from .stats import InvariantError
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -339,6 +340,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

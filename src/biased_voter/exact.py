@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import norm, poisson
 
-from .kernel import TorusKernel
+from .kernel import TorusKernel, bias_array
 
 __all__ = [
     "MAX_EXACT_SITES",
@@ -41,47 +41,6 @@ __all__ = [
 ]
 
 MAX_EXACT_SITES = 12
-
-
-def _beta_array(bias, tk: TorusKernel) -> np.ndarray:
-    """Per-site bias values in row-major site order."""
-    n = tk.n_sites
-    if isinstance(bias, np.ndarray) or isinstance(bias, (list, tuple)):
-        beta = np.asarray(bias, dtype=np.float64).reshape(-1)
-        if beta.shape[0] != n:
-            raise ValueError(f"bias array has {beta.shape[0]} entries, torus has {n}")
-        return beta
-    shape = (tk.side,) * tk.dim
-    beta = np.empty(n)
-    for flat in range(n):
-        site = np.unravel_index(flat, shape)
-        beta[flat] = bias.value(tuple(int(c) for c in site))
-    if np.any(beta < 0):
-        raise ValueError("bias values must be nonnegative")
-    return beta
-
-
-def _real_moves(tk: TorusKernel) -> list[tuple[tuple[int, ...], float]]:
-    """Folded displacements excluding the no-op at 0."""
-    zero = (0,) * tk.dim
-    return [(d, w) for d, w in sorted(tk.folded.items()) if d != zero and w > 0]
-
-
-def _partner_table(tk: TorusKernel) -> tuple[np.ndarray, np.ndarray]:
-    """(n_sites, n_moves) flat partner indices and the move weights."""
-    moves = _real_moves(tk)
-    if not moves:
-        raise ValueError("folded kernel has no real moves on this torus")
-    shape = (tk.side,) * tk.dim
-    n = tk.n_sites
-    coords = np.array(np.unravel_index(np.arange(n), shape)).T  # (n, d)
-    partners = np.empty((n, len(moves)), dtype=np.int64)
-    weights = np.empty(len(moves))
-    for j, (d, w) in enumerate(moves):
-        shifted = (coords + np.asarray(d)) % tk.side
-        partners[:, j] = np.ravel_multi_index(shifted.T, shape)
-        weights[j] = w
-    return partners, weights
 
 
 @dataclass(frozen=True)
@@ -114,8 +73,8 @@ def build_forward_generator(bias, tk: TorusKernel) -> GeneratorMatrix:
     n = tk.n_sites
     if n > MAX_EXACT_SITES:
         raise ValueError(f"exact generator limited to {MAX_EXACT_SITES} sites, got {n}")
-    beta = _beta_array(bias, tk)
-    partners, weights = _partner_table(tk)
+    beta = bias_array(bias, tk)
+    partners, weights = tk.partner_table
     states = np.arange(1 << n, dtype=np.int64)
     data, rows, cols = [], [], []
     for x in range(n):
@@ -148,8 +107,8 @@ def build_dual_matrix(bias, tk: TorusKernel) -> sparse.csr_matrix:
     n = tk.n_sites
     if n > MAX_EXACT_SITES:
         raise ValueError(f"exact dual limited to {MAX_EXACT_SITES} sites, got {n}")
-    beta = _beta_array(bias, tk)
-    partners, weights = _partner_table(tk)
+    beta = bias_array(bias, tk)
+    partners, weights = tk.partner_table
     move_total = weights.sum()
     states = np.arange(1 << n, dtype=np.int64)
     data, rows, cols = [], [], []

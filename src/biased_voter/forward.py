@@ -7,19 +7,26 @@ depend on the configuration, so events can be drawn directly in time order
 and one stream can drive several coupled copies. This realizes the exact
 flip rates: a 1-site flips at rate beta(x) plus the kernel mass on 0-valued
 partners, a 0-site at the kernel mass on 1-valued partners.
+
+Because the stream ignores the configuration, R replicas advance together
+as one (R, n_sites) opinion array: each step draws and applies the next
+event of every replica whose clock has not passed the target time, as one
+gather and one scatter. The single-trajectory classes are the R = 1 case of
+the same step.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import BiasField
-from .kernel import TorusKernel
+from .disorder import DisorderLaw, _draw_values
+from .kernel import TorusKernel, bias_array
 from .localfn import LocalFunction
-from .stats import Moments
+from .stats import InvariantError, Moments
 
 __all__ = [
     "Configuration",
@@ -37,6 +44,7 @@ __all__ = [
 
 RESAMPLE = "resample"
 KILL = "kill"
+CHUNK = 2048        # replicas per seed stream; fixed, so results ignore threads
 
 
 @dataclass
@@ -111,70 +119,91 @@ class EventLog:
         return len(self.events)
 
 
+class _Step(NamedTuple):
+    """The events of one step, one per replica whose clock was due."""
+
+    time: np.ndarray
+    site: np.ndarray
+    source: np.ndarray    # flat cell copied; the own cell for a kill or no-op
+    kill: np.ndarray
+    changed: np.ndarray   # whether the event changed the first opinion array
+
+
 class _EventStream:
-    """Draws the configuration-independent event stream for one torus."""
+    """The configuration-independent event streams of R tori, applied in place.
 
-    def __init__(self, bias, tk: TorusKernel, rng: np.random.Generator):
-        self.rng = rng
-        self.side = tk.side
-        self.dim = tk.dim
+    Uniformization: the events of each replica come at rate
+    n_sites * (1 + beta_max), beta_max the largest bias in ``beta``. An event
+    picks a uniform site x and a uniform v in [0, 1 + beta_max). If
+    v < beta_r(x), x is set to 0; if v - beta_max falls below the mass of the
+    real kernel moves, x copies the partner whose cumulative-weight bracket
+    holds it; otherwise nothing happens. Each kill then has rate beta_r(x) and
+    each resample the weight of its move, at O(1) cost per event.
+
+    ``layers`` are flat (R * n_sites) uint8 arrays, updated in place; all of
+    them see the same events, which is the monotone coupling. ``beta`` is one
+    field for every replica, shape (n_sites,), or one row per replica, shape
+    (R, n_sites).
+    """
+
+    def __init__(self, layers, beta, tk: TorusKernel, rng: np.random.Generator):
         n = tk.n_sites
-        shape = (tk.side,) * tk.dim
-        if isinstance(bias, BiasField):
-            try:
-                beta = np.array([bias.value(tuple(int(c) for c in np.unravel_index(i, shape)))
-                                 for i in range(n)])
-            except KeyError as exc:
-                raise ValueError(f"bias field does not cover torus site {exc}") from exc
-        else:
-            beta = np.asarray(bias, dtype=np.float64).reshape(-1)
-            if beta.shape[0] != n:
-                raise ValueError("bias array does not match torus size")
-        if np.any(beta < 0):
-            raise ValueError("bias values must be nonnegative")
-        self.beta = beta
-        self.total_rate = n + float(beta.sum())
-        weights = np.concatenate([np.ones(n), beta])
-        self.event_cum = np.cumsum(weights / weights.sum())
-        self.event_cum[-1] = 1.0
-        disp, cum = tk.sampling_arrays()
-        coords = np.array(np.unravel_index(np.arange(n), shape)).T
-        self.partner_cum = cum
-        # partner_table[x, j] = flat index of site x shifted by displacement j
-        self.partner_table = np.empty((n, disp.shape[0]), dtype=np.int64)
-        for j in range(disp.shape[0]):
-            shifted = (coords + disp[j]) % tk.side
-            self.partner_table[:, j] = np.ravel_multi_index(shifted.T, shape)
+        partners, weights = tk.partner_table
+        beta = np.asarray(beta, dtype=np.float64)
+        beta_max = float(beta.max(initial=0.0))
+        # bracket 0 is the kill zone, bracket j + 1 move j, the last the no-op
+        # zone; offsets[x, bracket] is the partner's flat index minus x
+        self.edges = beta_max + np.concatenate([[0.0], np.cumsum(weights)])
+        own = np.zeros((n, 1), dtype=np.int64)
+        self.offsets = np.hstack([own, partners - np.arange(n)[:, None], own]).reshape(-1)
+        self.width = weights.size + 2
+        self.beta = beta.reshape(-1)
+        self.per_replica = beta.ndim == 2
+        self.scale = 1.0 + beta_max
+        self.total_rate = n * self.scale
         self.n_sites = n
-        self.time = 0.0
-        self.next_time = self.time + rng.exponential(1.0 / self.total_rate)
+        replicas = layers[0].shape[0] // n
+        self.layers = layers
+        self.ones = [a.reshape(replicas, n).sum(axis=1, dtype=np.int64) for a in layers]
+        self.rng = rng
+        self.clock = rng.exponential(1.0 / self.total_rate, replicas)
 
-    def pop_if_before(self, t: float) -> Event | None:
-        """Consume the pending event if it happens before time t."""
-        if self.next_time > t:
+    def step(self, t: float) -> _Step | None:
+        """Apply the next event of every replica whose clock is at most t."""
+        rows = (self.clock <= t).nonzero()[0]
+        k = rows.size
+        if k == 0:
             return None
-        time = self.next_time
-        e = int(np.searchsorted(self.event_cum, self.rng.random()))
-        if e < self.n_sites:
-            j = int(np.searchsorted(self.partner_cum, self.rng.random()))
-            event = Event(time, e, RESAMPLE, int(self.partner_table[e, j]))
-        else:
-            event = Event(time, e - self.n_sites, KILL)
-        self.time = time
-        self.next_time = time + self.rng.exponential(1.0 / self.total_rate)
-        return event
+        u = self.rng.random((2, k))
+        site = (u[0] * self.n_sites).astype(np.intp)
+        v = u[1] * self.scale
+        cell = rows * self.n_sites + site
+        kill = v < self.beta[cell if self.per_replica else site]
+        source = cell + self.offsets[site * self.width + self.edges.searchsorted(v, side="right")]
+        news, flips = [], []
+        for layer, ones in zip(self.layers, self.ones):
+            old = layer[cell]
+            new = layer[source]
+            new[kill] = 0
+            flip = new != old
+            before = ones[rows]
+            # the all-zeros configuration is a trap for these dynamics
+            if (flip & (before == 0)).any():
+                raise InvariantError("absorbing state was left")
+            layer[cell] = new
+            ones[rows] = before + new - old
+            news.append(new)
+            flips.append(flip)
+        for low, high in zip(news, news[1:]):
+            if (low > high).any():
+                raise InvariantError("monotone coupling violated the sitewise order")
+        time = self.clock[rows]
+        self.clock[rows] = time + self.rng.exponential(1.0 / self.total_rate, k)
+        return _Step(time, site, source, kill, flips[0])
 
-
-def _apply_event(opinions: np.ndarray, event: Event) -> bool:
-    """Apply one event in place; return whether the configuration changed."""
-    if event.kind == KILL:
-        changed = opinions[event.site] != 0
-        opinions[event.site] = 0
-    else:
-        new = opinions[event.partner]
-        changed = opinions[event.site] != new
-        opinions[event.site] = new
-    return bool(changed)
+    def advance(self, t: float):
+        while self.step(t) is not None:
+            pass
 
 
 class ForwardSimulation:
@@ -190,38 +219,27 @@ class ForwardSimulation:
         if config.n_sites != tk.n_sites or config.dim != tk.dim:
             raise ValueError("configuration does not match the torus kernel")
         self.config = config.copy()
-        self.stream = _EventStream(bias, tk, rng)
+        self.stream = _EventStream([self.config.opinions], bias_array(bias, tk), tk, rng)
         self.log = log
-        self.ones_count = int(self.config.opinions.sum())
-
-    @property
-    def time(self) -> float:
-        return self.stream.time
+        self.time = 0.0
 
     def advance_to(self, t: float):
-        if t < self.stream.time:
+        if t < self.time:
             raise ValueError("cannot advance backwards")
-        while True:
-            event = self.stream.pop_if_before(t)
-            if event is None:
-                break
-            was_absorbed = self.ones_count == 0
-            changed = _apply_event(self.config.opinions, event)
-            if changed:
-                self.ones_count += 1 if self.config.opinions[event.site] else -1
-            # the all-zeros configuration is a trap for these dynamics
-            assert not (was_absorbed and self.ones_count != 0), \
-                "absorbing state was left"
-            if self.log is not None:
-                self.log.append(event)
-        self.stream.time = t
+        while (step := self.stream.step(t)) is not None:
+            site, partner = int(step.site[0]), int(step.source[0])  # one replica: cell = site
+            if self.log is None or not (step.kill[0] or partner != site):
+                continue     # nothing to record, or a no-op of the uniformized stream
+            kind, partner = (KILL, None) if step.kill[0] else (RESAMPLE, partner)
+            self.log.append(Event(float(step.time[0]), site, kind, partner))
+        self.time = t
 
 
 class CoupledForwardSimulation:
     """Two ordered trajectories driven by the identical event stream.
 
     Both copies see the same clocks and the same partner draws; each event
-    preserves the sitewise order, which is asserted after every event.
+    preserves the sitewise order, which is checked after every event.
     """
 
     def __init__(self, low: Configuration, high: Configuration, bias,
@@ -230,22 +248,13 @@ class CoupledForwardSimulation:
             raise ValueError("initial configurations must satisfy low <= high")
         self.low = low.copy()
         self.high = high.copy()
-        self.stream = _EventStream(bias, tk, rng)
-
-    @property
-    def time(self) -> float:
-        return self.stream.time
+        self.stream = _EventStream([self.low.opinions, self.high.opinions],
+                                   bias_array(bias, tk), tk, rng)
+        self.time = 0.0
 
     def advance_to(self, t: float):
-        while True:
-            event = self.stream.pop_if_before(t)
-            if event is None:
-                break
-            _apply_event(self.low.opinions, event)
-            _apply_event(self.high.opinions, event)
-            assert not np.any(self.low.opinions > self.high.opinions), \
-                "monotone coupling violated the sitewise order"
-        self.stream.time = t
+        self.stream.advance(t)
+        self.time = t
 
 
 def evolve(config: Configuration, bias, tk: TorusKernel, t: float,
@@ -268,12 +277,10 @@ def coupled_evolve(low: Configuration, high: Configuration, bias,
 def first_flip_site(config: Configuration, bias, tk: TorusKernel,
                     rng: np.random.Generator, t_max: float = np.inf) -> int | None:
     """Flat index of the site whose opinion changes first, for rate audits."""
-    opinions = config.opinions.copy()
-    stream = _EventStream(bias, tk, rng)
-    while stream.next_time <= t_max:
-        event = stream.pop_if_before(t_max)
-        if _apply_event(opinions, event):
-            return event.site
+    stream = _EventStream([config.opinions.copy()], bias_array(bias, tk), tk, rng)
+    while (step := stream.step(t_max)) is not None:
+        if step.changed[0]:
+            return int(step.site[0])
     return None
 
 
@@ -291,19 +298,18 @@ def _support_indices(f: LocalFunction, side: int, dim: int) -> list[int]:
 
 
 def _relaxation_chunk(args):
-    f, bias, tk, t_grid, start, stop, seed = args
-    idx = _support_indices(f, tk.side, tk.dim)
-    values = np.empty((stop - start, len(t_grid)))
-    for r in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        sim = ForwardSimulation(all_ones(tk.side, tk.dim), bias, tk, rng)
-        for j, t in enumerate(t_grid):
-            sim.advance_to(t)
-            mask = 0
-            for i, flat in enumerate(idx):
-                if sim.config.opinions[flat]:
-                    mask |= 1 << i
-            values[r - start, j] = f.value_on_mask(mask)
+    table, idx, bias, tk, t_grid, start, stop, seed = args
+    count, n = stop - start, tk.n_sites
+    rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
+    if isinstance(bias, DisorderLaw):
+        bias = _draw_values(bias, count * n, rng).reshape(count, n)
+    opinions = np.ones(count * n, dtype=np.uint8)
+    stream = _EventStream([opinions], bias, tk, rng)
+    bits = 1 << np.arange(len(idx), dtype=np.int64)
+    values = np.empty((count, len(t_grid)))
+    for j, t in enumerate(t_grid):
+        stream.advance(t)
+        values[:, j] = table[opinions.reshape(count, n)[:, idx] @ bits]
     return Moments.of(values)
 
 
@@ -312,9 +318,14 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
                        threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of E[f(eta_t)] - f(all zeros) from all ones.
 
+    ``bias`` is either one field (a ``BiasField`` or per-site array) that
+    every replica sees, the quenched case, or a ``DisorderLaw``, from which
+    each replica draws its own i.i.d. field, the annealed case.
+
     Returns (means, standard errors) over the time grid. Each replica is
-    one trajectory evaluated at every grid time; replica r uses the seed
-    stream (seed, r), so results do not depend on the thread count.
+    one trajectory evaluated at every grid time. Replicas run in chunks of
+    ``CHUNK``; the chunk starting at replica b uses the seed stream
+    (seed, b), so results do not depend on the thread count.
 
     For monotone f the all-ones start realizes the worst case over initial
     configurations (attractiveness); for non-monotone f the measured curve
@@ -325,9 +336,11 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
     t_grid = [float(t) for t in t_grid]
     if sorted(t_grid) != t_grid:
         raise ValueError("t_grid must be nondecreasing")
-    chunk = 2048
-    bounds = [(b, min(b + chunk, replicas)) for b in range(0, replicas, chunk)]
-    jobs = [(f, bias, tk, t_grid, b0, b1, seed) for b0, b1 in bounds]
+    idx = _support_indices(f, tk.side, tk.dim)
+    if not isinstance(bias, DisorderLaw):
+        bias = bias_array(bias, tk)
+    jobs = [(f.table, idx, bias, tk, t_grid, b, min(b + CHUNK, replicas), seed)
+            for b in range(0, replicas, CHUNK)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_relaxation_chunk, jobs))

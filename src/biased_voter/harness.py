@@ -28,20 +28,18 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import t as _student_t
 
-from .disorder import DisorderLaw, LazyBiasField, nu1, nu2, sample_field
+from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .dual import dual_curve
-from .forward import ForwardSimulation, all_ones
+from .forward import forward_relaxation
 from .kernel import Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone,
                       parse_localfn_text, sigma_and_support, site_indicator)
 from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
-from .stats import Moments
 from .walks import walk_curve
 
 __all__ = [
@@ -403,50 +401,10 @@ def _derived_seeds(seed: int, count: int) -> list[int]:
     return [int(x) % (2 ** 63) for x in state]
 
 
-def _forward_chunk(args):
-    f, law, tk, t_grid, b0, b1, seed = args
-    shape = (tk.side,) * tk.dim
-    torus_sites = [tuple(int(c) for c in np.unravel_index(i, shape))
-                   for i in range(tk.n_sites)]
-    values = np.empty((b1 - b0, len(t_grid)))
-    flat_support = []
-    for s in f.support:
-        flat_support.append(int(np.ravel_multi_index(tuple(c % tk.side for c in s), shape)))
-    if len(set(flat_support)) != len(flat_support):
-        raise ConfigError("observable support does not fit in the torus")
-    for r in range(b0, b1):
-        field_rng = np.random.default_rng(np.random.SeedSequence([seed, r, 1]))
-        bias = sample_field(law, torus_sites, field_rng, seed_info=(seed, r))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r, 0]))
-        sim = ForwardSimulation(all_ones(tk.side, tk.dim), bias, tk, rng)
-        for j, t in enumerate(t_grid):
-            sim.advance_to(t)
-            mask = 0
-            for i, flat in enumerate(flat_support):
-                if sim.config.opinions[flat]:
-                    mask |= 1 << i
-            values[r - b0, j] = f.value_on_mask(mask)
-    return Moments.of(values)
-
-
 def _run_forward(config: ExperimentConfig) -> list[CurveRecord]:
-    tk = config.build_torus()
-    f = config.observable_or_default()
-    chunk = 2048
-    bounds = [(b, min(b + chunk, config.replicas))
-              for b in range(0, config.replicas, chunk)]
-    jobs = [(f, config.law, tk, config.t_grid, b0, b1, config.seed)
-            for b0, b1 in bounds]
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            parts = list(pool.map(_forward_chunk, jobs))
-    else:
-        parts = [_forward_chunk(job) for job in jobs]
-    moments = Moments.zeros(len(config.t_grid))
-    for p in parts:
-        moments = moments.merge(p)
-    mean = moments.mean - f.value_all_zeros()
-    stderr = moments.stderr
+    mean, stderr = forward_relaxation(config.observable_or_default(), config.law,
+                                      config.build_torus(), config.t_grid,
+                                      config.replicas, config.seed, config.threads)
     return [CurveRecord(t=t, estimate=float(mean[j]), stderr=float(stderr[j]))
             for j, t in enumerate(config.t_grid)]
 

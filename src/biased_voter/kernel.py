@@ -10,6 +10,7 @@ attraction, index alpha = 2) and truncated power-law kernels in d = 1
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "char_fn",
     "verify_assumption",
     "fold_to_torus",
+    "bias_array",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -114,6 +116,28 @@ class TorusKernel:
         cum = np.cumsum([w for _, w in items])
         cum[-1] = 1.0
         return disp, cum
+
+    @cached_property
+    def partner_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n_sites, n_moves) flat partner indices and the move weights.
+
+        The moves are the folded displacements other than the no-op at 0, in
+        canonical (sorted) order; ``partners[x, j]`` is the flat index of
+        site x shifted by move j. Computed once per torus, read-only.
+        """
+        zero = (0,) * self.dim
+        moves = [(d, w) for d, w in sorted(self.folded.items()) if d != zero and w > 0]
+        if not moves:
+            raise ValueError("folded kernel has no real moves on this torus")
+        shape = (self.side,) * self.dim
+        coords = np.array(np.unravel_index(np.arange(self.n_sites), shape)).T  # (n, d)
+        partners = np.empty((self.n_sites, len(moves)), dtype=np.int64)
+        for j, (d, _) in enumerate(moves):
+            partners[:, j] = np.ravel_multi_index(((coords + np.asarray(d)) % self.side).T, shape)
+        weights = np.array([w for _, w in moves])
+        partners.setflags(write=False)
+        weights.setflags(write=False)
+        return partners, weights
 
 
 @dataclass(frozen=True)
@@ -215,3 +239,27 @@ def fold_to_torus(kernel: Kernel, side: int) -> TorusKernel:
         key = tuple(int(c) % side for c in x)
         folded[key] = folded.get(key, 0.0) + float(w)
     return TorusKernel(base=kernel, side=side, folded=folded)
+
+
+def bias_array(bias, tk: TorusKernel) -> np.ndarray:
+    """Per-site bias values of a torus in row-major site order.
+
+    ``bias`` is an array or list with one entry per site, or a field with a
+    ``value(site)`` method (a ``BiasField``). Every value must be finite and
+    nonnegative, whichever form it comes in.
+    """
+    n = tk.n_sites
+    if isinstance(bias, (np.ndarray, list, tuple)):
+        beta = np.asarray(bias, dtype=np.float64).reshape(-1)
+        if beta.shape[0] != n:
+            raise ValueError(f"bias array has {beta.shape[0]} entries, torus has {n}")
+    else:
+        shape = (tk.side,) * tk.dim
+        try:
+            beta = np.array([bias.value(tuple(int(c) for c in np.unravel_index(i, shape)))
+                             for i in range(n)], dtype=np.float64)
+        except KeyError as exc:
+            raise ValueError(f"bias field does not cover torus site {exc}") from exc
+    if not np.all(np.isfinite(beta) & (beta >= 0)):
+        raise ValueError("bias values must be finite and nonnegative")
+    return beta

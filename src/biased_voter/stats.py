@@ -5,7 +5,8 @@ and are merged with the pairwise update, which avoids the catastrophic
 cancellation of naive sum-of-squares accumulation: estimators whose path
 weight is deterministic really do report a vanishing standard error.
 Merging in a fixed batch order keeps results bitwise reproducible for any
-worker count.
+worker count. ``InvariantError`` is what an estimator raises when a pathwise
+identity it audits fails.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Moments"]
+__all__ = ["InvariantError", "Moments"]
+
+
+class InvariantError(RuntimeError):
+    """An audited invariant of a simulation engine failed (a bug, not bad input).
+
+    Raised explicitly rather than by ``assert``, so ``python -O`` keeps the
+    check; the command line maps it to exit code 3.
+    """
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, laplace
 from .kernel import Kernel
-from .stats import Moments
+from .stats import InvariantError, Moments
 
 __all__ = ["WalkCurveStats", "walk_curve"]
 
@@ -114,7 +114,7 @@ def _batch_moments(args):
     if logw is not None and floor_nu is not None and math.isfinite(floor_nu):
         floor = -floor_nu * range_counts - _FLOOR_TOL
         if not np.all(logw >= floor):
-            raise AssertionError(
+            raise InvariantError(
                 "annealed path weight fell below the mass-at-zero floor")
     moments = {"range": Moments.of(range_counts)}
     if logw is not None:

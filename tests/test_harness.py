@@ -1,9 +1,18 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biased_voter.cli import main as cli_main
+import biased_voter
+from biased_voter import forward, walks
+from biased_voter.cli import EXIT_INVARIANT, main as cli_main
+from biased_voter.exact import exact_dual_value
+from biased_voter.kernel import fold_to_torus, make_nn_kernel
 from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   fit_stretch_exponent, parse_config_text,
                                   parse_sites, parse_t_grid, read_curve_csv,
@@ -182,6 +191,23 @@ class TestRunPipelines:
         for r in records:
             assert abs(r.estimate - math.exp(-r.t)) < 4 * r.stderr + 1e-12
 
+    def test_forward_mode_annealed_matches_exact_average(self):
+        # each replica draws its own field: the curve is the law-weighted
+        # average of the exact quenched values over all 16 fields of a 4-ring
+        law = bernoulli_law(0.5, 1.0)
+        cfg = small_config(mode="forward", side=4, t_grid=(0.5, 2.0),
+                           replicas=40_000, law=law)
+        records = run(cfg)
+        tk = fold_to_torus(make_nn_kernel(1), 4)
+        (b0, p0), (b1, p1) = law.atoms
+        for r in records:
+            exact = 0.0
+            for bits in itertools.product((0, 1), repeat=4):
+                beta = np.where(np.array(bits) == 1, b1, b0)
+                weight = np.prod([p1 if b else p0 for b in bits])
+                exact += weight * exact_dual_value([(0,)], beta, tk, r.t)
+            assert abs(r.estimate - exact) < 4 * r.stderr, f"t={r.t}"
+
     def test_dual_quenched_mode(self):
         cfg = small_config(mode="dual-quenched", replicas=300,
                            sites=((0,),), disorder_seed=5)
@@ -265,6 +291,17 @@ class TestPersistence:
         write_records_csv(b, run(cfg3), cfg3)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_forward_determinism_across_thread_counts(self, tmp_path):
+        # 4200 replicas: two full 2048-replica chunks and a ragged tail
+        outputs = []
+        for threads in (1, 2, 1):
+            cfg = small_config(mode="forward", side=8, t_grid=(0.5, 2.0),
+                               replicas=4200, threads=threads)
+            path = tmp_path / f"fwd{len(outputs)}.csv"
+            write_records_csv(path, run(cfg), cfg)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestCLI:
     def test_simulate_dual_and_fit(self, tmp_path, capsys):
@@ -318,3 +355,52 @@ class TestCLI:
         assert code == 0
         header = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][0]
         assert header == "t,mean,stderr,replicas"
+
+
+FORWARD_ARGS = ["simulate-forward", "--dim", "1", "--L", "4", "--disorder",
+                "deterministic", "--b", "1", "--t-grid", "0.5,1", "--replicas", "20"]
+
+# corrupts the engine's per-replica ones count, so the first event that
+# changes an opinion breaks the absorbing-state invariant
+CORRUPT_ONES = """
+from biased_voter import forward
+init = forward._EventStream.__init__
+def corrupted(self, *args):
+    init(self, *args)
+    for ones in self.ones:
+        ones[:] = 0
+"""
+CORRUPTED_CLI = """
+import sys
+from biased_voter import cli
+forward._EventStream.__init__ = corrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestInvariantExitCode:
+    def test_forward_violation_exits_3(self, tmp_path, monkeypatch, capsys):
+        patch = {}
+        exec(CORRUPT_ONES, patch)
+        monkeypatch.setattr(forward._EventStream, "__init__", patch["corrupted"])
+        code = cli_main([*FORWARD_ARGS, "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_INVARIANT
+        assert "absorbing state was left" in capsys.readouterr().err
+
+    def test_walk_floor_violation_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(walks, "_FLOOR_TOL", -1.0)   # floor above every weight
+        code = cli_main(["sandwich", "--disorder", "bernoulli", "--q", "0.5",
+                         "--b", "1", "--observable", "site 0", "--t-grid", "5,10",
+                         "--replicas", "50", "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_INVARIANT
+
+    def test_forward_violation_exits_3_under_optimize(self, tmp_path):
+        # python -O strips asserts; the invariant checks must survive it
+        src = str(Path(biased_voter.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPT_ONES + CORRUPTED_CLI, *FORWARD_ARGS,
+             "--out", str(tmp_path / "f.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_INVARIANT, proc.stderr
+        assert "absorbing state was left" in proc.stderr

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from biased_voter.kernel import (Kernel, char_fn, fold_to_torus, make_nn_kernel,
-                                 make_power_kernel, verify_assumption)
+from biased_voter.disorder import BiasField
+from biased_voter.exact import build_dual_matrix, build_forward_generator
+from biased_voter.forward import ForwardSimulation, all_ones
+from biased_voter.kernel import (Kernel, bias_array, char_fn, fold_to_torus,
+                                 make_nn_kernel, make_power_kernel, verify_assumption)
 
 
 def weight_of(kernel, disp):
@@ -159,3 +162,29 @@ class TestKernelInvariants:
             Kernel(dim=2, displacements=[[1, 0], [-1, 0], [0, 1], [0, -1]],
                    weights=[0.25] * 4, alpha=2.0,
                    dmatrix=[[0.25, 0.5], [0.5, 0.25]])
+
+
+class TestBiasArray:
+    @pytest.mark.parametrize("form", ["array", "list", "field"])
+    @pytest.mark.parametrize("consumer", ["generator", "dual", "forward"])
+    def test_negative_bias_rejected_on_every_path(self, form, consumer):
+        tk = fold_to_torus(make_nn_kernel(1), 3)
+        values = [-1.0, 0.0, 0.0]
+        bias = {"array": np.array(values), "list": values,
+                "field": BiasField({(i,): v for i, v in enumerate(values)})}[form]
+        build = {"generator": lambda: build_forward_generator(bias, tk),
+                 "dual": lambda: build_dual_matrix(bias, tk),
+                 "forward": lambda: ForwardSimulation(all_ones(3, 1), bias, tk,
+                                                      np.random.default_rng(0))}[consumer]
+        with pytest.raises(ValueError, match="nonnegative"):
+            build()
+
+    def test_field_values_in_row_major_order(self):
+        tk = fold_to_torus(make_nn_kernel(2), 2)
+        field = BiasField({(i, j): 2.0 * i + j for i in range(2) for j in range(2)})
+        assert bias_array(field, tk).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_field_must_cover_torus(self):
+        tk = fold_to_torus(make_nn_kernel(1), 3)
+        with pytest.raises(ValueError, match="does not cover"):
+            bias_array(BiasField({(0,): 1.0}), tk)
