@@ -9,21 +9,22 @@ occupied sites. The two derived estimators are
 * quenched: mean of exp(-accumulated bias integral) for a fixed field, and
 * annealed: mean of prod_x laplace(law, l_t(x)), which integrates an i.i.d.
   bias law out analytically, so the disorder is never sampled.
+
+Both run on the batched walk engine of ``walks``, one walker per start site
+carrying a dual particle; ``DualSimulation`` is the event-by-event reference.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import BiasField, DisorderLaw, laplace, nu2
-from .kernel import Kernel, TorusKernel
+from .disorder import BiasField, DisorderLaw, nu2
+from .kernel import TorusKernel
 from .localfn import Site, _normalize_site
-from .stats import Moments
-from .walks import walk_curve
+from .stats import InvariantError
+from .walks import _death_times, _draw, _site_keys, _start_array, walk_curve
 
 __all__ = [
     "DualState",
@@ -38,7 +39,6 @@ __all__ = [
     "coupled_dual_walker_ranges",
 ]
 
-_FAST_TAIL_THRESHOLD = 64.0
 _OCCUPATION_TOL = 1e-9
 
 
@@ -70,29 +70,15 @@ class RangeTracker:
         self.visited.add(site)
 
 
-def _kernel_arrays(kernel) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Displacements, cumulative weights, and the torus side (None on Z^d)."""
-    if isinstance(kernel, TorusKernel):
-        disp, cum = kernel.sampling_arrays()
-        return disp, cum, kernel.side
-    cum = np.cumsum(kernel.weights)
-    cum[-1] = 1.0
-    return kernel.displacements, cum, None
-
-
 class DualSimulation:
-    """Event-driven dual trajectory supporting snapshots at increasing times.
-
-    When a single particle is left and a long stretch of time remains, the
-    remaining single-walk segment is generated from batched draws instead of
-    one event at a time; the law is unchanged.
-    """
+    """Event-driven dual trajectory supporting snapshots at increasing times."""
 
     def __init__(self, start, kernel, rng: np.random.Generator, bias: BiasField | None = None):
         sites = sorted({_normalize_site(s) for s in start})
         if not sites:
             raise ValueError("dual process needs a nonempty start set")
-        self.disp, self.cum, self.side = _kernel_arrays(kernel)
+        self.disp, self.cum = kernel.sampling_arrays()
+        self.side = kernel.side if isinstance(kernel, TorusKernel) else None
         self.dim = self.disp.shape[1]
         if any(len(s) != self.dim for s in sites):
             raise ValueError("start sites have the wrong dimension")
@@ -129,12 +115,7 @@ class DualSimulation:
     def advance_to(self, t: float):
         if t < self.time:
             raise ValueError("cannot advance backwards")
-        while True:
-            if len(self.particles) == 1 and t - self.time >= _FAST_TAIL_THRESHOLD:
-                self._single_particle_tail(t)
-                break
-            if self.next_time > t:
-                break
+        while self.next_time <= t:
             self._accrue(self.next_time - self.time)
             self.time = self.next_time
             self._jump_one()
@@ -142,8 +123,9 @@ class DualSimulation:
         self._accrue(t - self.time)
         self.time = t
         total = sum(self.local_times.values())
-        assert abs(total - self.occupation_integral) <= _OCCUPATION_TOL * max(1.0, total)
-        assert self.occupation_integral <= t * self.start_count + _OCCUPATION_TOL
+        if not (abs(total - self.occupation_integral) <= _OCCUPATION_TOL * max(1.0, total)
+                and self.occupation_integral <= t * self.start_count + _OCCUPATION_TOL):
+            raise InvariantError("dual occupation times do not add up to the elapsed time")
 
     def _jump_one(self):
         self.jumps += 1
@@ -165,45 +147,6 @@ class DualSimulation:
             self.occupied.add(y)
             self.visited.add(y)
             self.kill_rate += self._beta(y) - self._beta(x)
-
-    def _single_particle_tail(self, t: float):
-        """Run the remaining single-walk stretch from batched draws.
-
-        The pending event draw is discarded and the jump times are redrawn;
-        by memorylessness the law of the trajectory is unchanged. Occupation
-        times are aggregated per site with one sort instead of per event.
-        """
-        remaining = t - self.time
-        x = self.particles[0]
-        size = max(16, int(remaining + 6.0 * math.sqrt(remaining + 1.0) + 16.0))
-        cum_t = np.cumsum(self.rng.exponential(size=size))
-        while cum_t[-1] <= remaining:
-            extra = np.cumsum(self.rng.exponential(size=64))
-            cum_t = np.concatenate([cum_t, cum_t[-1] + extra])
-        k = int(np.searchsorted(cum_t, remaining, side="right"))
-        self.jumps += k
-        moves = self.disp[np.searchsorted(self.cum, self.rng.random(k))]
-        pos = np.concatenate([np.zeros((1, self.dim), dtype=np.int64),
-                              np.cumsum(moves, axis=0)]) + np.asarray(x, dtype=np.int64)
-        if self.side is not None:
-            pos %= self.side
-        arrivals = np.concatenate([[0.0], cum_t[:k]])
-        nxt = np.concatenate([cum_t[:k], [remaining]])
-        holds = nxt - arrivals
-        uniq, inv = np.unique(pos, axis=0, return_inverse=True)
-        lt = np.bincount(inv.ravel(), weights=holds, minlength=uniq.shape[0])
-        for row, dt in zip(uniq, lt):
-            site = tuple(int(c) for c in row)
-            self.local_times[site] = self.local_times.get(site, 0.0) + float(dt)
-            self.visited.add(site)
-            self.fk_integral += self._beta(site) * float(dt)
-        self.occupation_integral += float(holds.sum())
-        final = tuple(int(c) for c in pos[-1])
-        self.particles[0] = final
-        self.occupied = {final}
-        self.kill_rate = self._beta(final)
-        self.time = t
-        self.next_time = t + (float(cum_t[k]) - remaining)
 
     def state(self) -> DualState:
         return DualState(
@@ -235,35 +178,6 @@ class DualCurve:
     max_abs_position: int
 
 
-def _dual_chunk(args):
-    start, kernel, t_grid, mode, law, bias, seed, b0, b1 = args
-    nt = len(t_grid)
-    weights = np.empty((b1 - b0, nt))
-    ranges = np.zeros(nt)
-    particles = np.zeros(nt)
-    floor = nu2(law) if (mode == "annealed" and law is not None) else math.inf
-    max_abs = 0
-    for r in range(b0, b1):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        sim = DualSimulation(start, kernel, rng, bias=bias if mode == "quenched" else None)
-        for j, t in enumerate(t_grid):
-            sim.advance_to(t)
-            if mode == "quenched":
-                w = math.exp(-sim.fk_integral)
-            else:
-                logw = sum(math.log(laplace(law, lt)) for lt in sim.local_times.values())
-                if math.isfinite(floor):
-                    assert logw >= -floor * len(sim.visited) - 1e-9, \
-                        "annealed path weight fell below the mass-at-zero floor"
-                w = math.exp(logw)
-            weights[r - b0, j] = w
-            ranges[j] += len(sim.visited)
-            particles[j] += len(sim.particles)
-        for site in sim.visited:
-            max_abs = max(max_abs, max(abs(c) for c in site))
-    return Moments.of(weights), ranges, particles, max_abs
-
-
 def dual_curve(start, kernel, t_grid, replicas: int, seed: int, mode: str,
                law: DisorderLaw | None = None, bias: BiasField | None = None,
                threads: int = 1) -> DualCurve:
@@ -271,9 +185,8 @@ def dual_curve(start, kernel, t_grid, replicas: int, seed: int, mode: str,
 
     ``mode='quenched'`` weights each path by exp(-accumulated bias
     integral) for the supplied field; ``mode='annealed'`` weights it by the
-    product of per-site Laplace transforms of the occupation times. A
-    single-site start on Z^d in annealed mode is routed through the
-    vectorized walk engine (same law, much faster).
+    product of per-site Laplace transforms of the occupation times. Runs on
+    the walk engine with one rider per start site, Z^d or torus alike.
     """
     if mode not in ("quenched", "annealed"):
         raise ValueError("mode must be 'quenched' or 'annealed'")
@@ -281,40 +194,16 @@ def dual_curve(start, kernel, t_grid, replicas: int, seed: int, mode: str,
         raise ValueError("quenched mode requires a bias field")
     if mode == "annealed" and law is None:
         raise ValueError("annealed mode requires a disorder law")
-    if replicas < 2:
-        raise ValueError("at least 2 replicas are required")
-    start = sorted({_normalize_site(s) for s in start})
-    t_arr = np.asarray(sorted(float(t) for t in t_grid))
-
-    if mode == "annealed" and len(start) == 1 and isinstance(kernel, Kernel):
-        stats = walk_curve(kernel, t_arr, replicas, seed, law=law,
-                           floor_nu=nu2(law), threads=threads)
-        return DualCurve(
-            t_grid=stats.t_grid, replicas=replicas,
-            mean=stats.weight_mean, stderr=stats.weight_stderr,
-            mean_range=stats.range_mean,
-            mean_particles=np.ones_like(stats.range_mean),
-            max_abs_position=stats.max_abs_position)
-
-    chunk = 1024
-    bounds = [(b, min(b + chunk, replicas)) for b in range(0, replicas, chunk)]
-    jobs = [(start, kernel, t_arr, mode, law, bias, seed, b0, b1) for b0, b1 in bounds]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_dual_chunk, jobs))
-    else:
-        parts = [_dual_chunk(job) for job in jobs]
-    moments = Moments.zeros(t_arr.size)
-    for p in parts:
-        moments = moments.merge(p[0])
-    ranges = np.sum([p[1] for p in parts], axis=0)
-    particles = np.sum([p[2] for p in parts], axis=0)
-    max_abs = max(p[3] for p in parts)
-    n = replicas
+    quenched = mode == "quenched"
+    stats = walk_curve(kernel, t_grid, replicas, seed,
+                       law=None if quenched else law, bias=bias if quenched else None,
+                       floor_nu=None if quenched else nu2(law), threads=threads,
+                       starts=sorted({_normalize_site(s) for s in start}))
     return DualCurve(
-        t_grid=t_arr, replicas=n, mean=moments.mean, stderr=moments.stderr,
-        mean_range=ranges / n, mean_particles=particles / n,
-        max_abs_position=max_abs)
+        t_grid=stats.t_grid, replicas=replicas,
+        mean=stats.weight_mean, stderr=stats.weight_stderr,
+        mean_range=stats.range_mean, mean_particles=stats.particles_mean,
+        max_abs_position=stats.max_abs_position)
 
 
 def quenched_dual_expectation(A, bias: BiasField, kernel, t: float,
@@ -335,38 +224,18 @@ def annealed_dual_expectation(A, law: DisorderLaw, kernel, t: float,
     return float(curve.mean[0]), float(curve.stderr[0])
 
 
-def _single_walk_visited(start: Site, disp, cum, side, t: float,
-                         rng: np.random.Generator) -> set[Site]:
-    visited = {start}
-    x = start
-    remaining = t
-    size = max(4, int(t + 6.0 * math.sqrt(t + 1.0) + 16.0))
-    cum_t = np.cumsum(rng.exponential(size=size))
-    while cum_t[-1] <= remaining:
-        extra = np.cumsum(rng.exponential(size=64))
-        cum_t = np.concatenate([cum_t, cum_t[-1] + extra])
-    k = int(np.searchsorted(cum_t, remaining, side="right"))
-    moves = disp[np.searchsorted(cum, rng.random(k))]
-    for i in range(k):
-        if side is None:
-            x = tuple(int(c) + int(m) for c, m in zip(x, moves[i]))
-        else:
-            x = tuple((int(c) + int(m)) % side for c, m in zip(x, moves[i]))
-        visited.add(x)
-    return visited
+def _walker_paths(starts, kernel, t: float, rng: np.random.Generator):
+    """One replica of the walk engine: positions and arrival times, (k, m + 1)."""
+    starts = _start_array(kernel, [_normalize_site(s) for s in starts])
+    pos, cum_t = _draw(kernel, starts, t, 1, rng)
+    return pos, np.concatenate([np.zeros((len(starts), 1)), cum_t], axis=1)
 
 
 def independent_walkers_range(starts, kernel, t: float,
                               rng: np.random.Generator) -> RangeTracker:
     """Union of the visited sets of independent walks from distinct starts."""
-    sites = [_normalize_site(s) for s in starts]
-    if len(set(sites)) != len(sites):
-        raise ValueError("walker starts must be distinct")
-    disp, cum, side = _kernel_arrays(kernel)
-    tracker = RangeTracker()
-    for s in sites:
-        tracker.visited |= _single_walk_visited(s, disp, cum, side, t, rng)
-    return tracker
+    pos, arrivals = _walker_paths(starts, kernel, t, rng)
+    return RangeTracker(set(map(tuple, pos[arrivals <= t].tolist())))
 
 
 def coupled_dual_walker_ranges(starts, kernel, t: float,
@@ -376,38 +245,14 @@ def coupled_dual_walker_ranges(starts, kernel, t: float,
     Each dual particle rides one walker; when a carried particle lands on a
     site already holding another one, the rider is dropped (coalescence).
     The dual visited set is then a subset of the walkers' visited set on
-    every path, which is asserted.
+    every path, which is checked.
     """
-    sites = [_normalize_site(s) for s in starts]
-    if len(set(sites)) != len(sites):
-        raise ValueError("walker starts must be distinct")
-    disp, cum, side = _kernel_arrays(kernel)
-    n = len(sites)
-    pos = list(sites)
-    carries = [True] * n
-    dual_sites = set(sites)
-    walker_visited = set(sites)
-    dual_visited = set(sites)
-    time = 0.0
-    while True:
-        time += rng.exponential(1.0 / n)
-        if time > t:
-            break
-        i = int(rng.random() * n)
-        move = disp[int(np.searchsorted(cum, rng.random()))]
-        x = pos[i]
-        if side is None:
-            y = tuple(int(c) + int(m) for c, m in zip(x, move))
-        else:
-            y = tuple((int(c) + int(m)) % side for c, m in zip(x, move))
-        pos[i] = y
-        walker_visited.add(y)
-        if carries[i] and y != x:
-            dual_sites.discard(x)
-            if y in dual_sites:
-                carries[i] = False
-            else:
-                dual_sites.add(y)
-                dual_visited.add(y)
-    assert dual_visited <= walker_visited
-    return len(dual_visited), len(walker_visited)
+    pos, arrivals = _walker_paths(starts, kernel, t, rng)
+    skey = _site_keys(pos)[0]
+    death = _death_times(arrivals[:, 1:], skey, len(pos), t)
+    seen = arrivals <= t
+    walker = set(skey[seen].tolist())
+    dual = set(skey[seen & (arrivals < death[:, None])].tolist())
+    if not dual <= walker:
+        raise InvariantError("dual range left the walker range")
+    return len(dual), len(walker)

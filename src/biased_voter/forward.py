@@ -17,7 +17,6 @@ the same step.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ import numpy as np
 from .disorder import DisorderLaw, _draw_values
 from .kernel import TorusKernel, bias_array
 from .localfn import LocalFunction
-from .stats import InvariantError, Moments
+from .stats import InvariantError, Moments, map_batches
 
 __all__ = [
     "Configuration",
@@ -276,8 +275,17 @@ def coupled_evolve(low: Configuration, high: Configuration, bias,
 
 def first_flip_site(config: Configuration, bias, tk: TorusKernel,
                     rng: np.random.Generator, t_max: float = np.inf) -> int | None:
-    """Flat index of the site whose opinion changes first, for rate audits."""
-    stream = _EventStream([config.opinions.copy()], bias_array(bias, tk), tk, rng)
+    """Flat index of the site whose opinion changes first, for rate audits.
+
+    None when nothing flips by ``t_max``, at once when no event can change
+    the configuration: no 1-site has positive bias and no partner pair
+    disagrees.
+    """
+    beta = bias_array(bias, tk)
+    ones = config.opinions.astype(bool)
+    if not np.any(beta[ones] > 0) and np.all(ones[tk.partner_table[0]] == ones[:, None]):
+        return None
+    stream = _EventStream([config.opinions.copy()], beta, tk, rng)
     while (step := stream.step(t_max)) is not None:
         if step.changed[0]:
             return int(step.site[0])
@@ -341,12 +349,7 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
         bias = bias_array(bias, tk)
     jobs = [(f.table, idx, bias, tk, t_grid, b, min(b + CHUNK, replicas), seed)
             for b in range(0, replicas, CHUNK)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_relaxation_chunk, jobs))
-    else:
-        parts = [_relaxation_chunk(job) for job in jobs]
     moments = Moments.zeros(len(t_grid))
-    for p in parts:
+    for p in map_batches(_relaxation_chunk, jobs, threads):
         moments = moments.merge(p)
     return moments.mean - f.value_all_zeros(), moments.stderr

@@ -24,6 +24,7 @@ __all__ = [
     "verify_assumption",
     "fold_to_torus",
     "bias_array",
+    "bias_values",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -80,6 +81,12 @@ class Kernel:
     @property
     def support(self) -> list[tuple[tuple[int, ...], float]]:
         return [(tuple(x), float(w)) for x, w in zip(self.displacements, self.weights)]
+
+    def sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Displacements and cumulative weights, for ``searchsorted`` draws."""
+        cum = np.cumsum(self.weights)
+        cum[-1] = 1.0
+        return self.displacements, cum
 
 
 @dataclass(frozen=True)
@@ -241,6 +248,25 @@ def fold_to_torus(kernel: Kernel, side: int) -> TorusKernel:
     return TorusKernel(base=kernel, side=side, folded=folded)
 
 
+def bias_values(bias, sites) -> np.ndarray:
+    """Values of a field (a ``value(site)`` method) at ``sites``, checked.
+
+    Every value must be finite and nonnegative, and the field must cover
+    every site; anything else raises ``ValueError``.
+    """
+    try:
+        beta = np.array([bias.value(s) for s in sites], dtype=np.float64)
+    except KeyError as exc:
+        raise ValueError(f"bias field does not cover site {exc}") from exc
+    return _checked(beta)
+
+
+def _checked(beta: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(beta) & (beta >= 0)):
+        raise ValueError("bias values must be finite and nonnegative")
+    return beta
+
+
 def bias_array(bias, tk: TorusKernel) -> np.ndarray:
     """Per-site bias values of a torus in row-major site order.
 
@@ -248,18 +274,9 @@ def bias_array(bias, tk: TorusKernel) -> np.ndarray:
     ``value(site)`` method (a ``BiasField``). Every value must be finite and
     nonnegative, whichever form it comes in.
     """
-    n = tk.n_sites
-    if isinstance(bias, (np.ndarray, list, tuple)):
-        beta = np.asarray(bias, dtype=np.float64).reshape(-1)
-        if beta.shape[0] != n:
-            raise ValueError(f"bias array has {beta.shape[0]} entries, torus has {n}")
-    else:
-        shape = (tk.side,) * tk.dim
-        try:
-            beta = np.array([bias.value(tuple(int(c) for c in np.unravel_index(i, shape)))
-                             for i in range(n)], dtype=np.float64)
-        except KeyError as exc:
-            raise ValueError(f"bias field does not cover torus site {exc}") from exc
-    if not np.all(np.isfinite(beta) & (beta >= 0)):
-        raise ValueError("bias values must be finite and nonnegative")
-    return beta
+    if not isinstance(bias, (np.ndarray, list, tuple)):
+        return bias_values(bias, np.ndindex((tk.side,) * tk.dim))
+    beta = np.asarray(bias, dtype=np.float64).reshape(-1)
+    if beta.shape[0] != tk.n_sites:
+        raise ValueError(f"bias array has {beta.shape[0]} entries, torus has {tk.n_sites}")
+    return _checked(beta)

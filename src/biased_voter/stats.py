@@ -5,12 +5,14 @@ and are merged with the pairwise update, which avoids the catastrophic
 cancellation of naive sum-of-squares accumulation: estimators whose path
 weight is deterministic really do report a vanishing standard error.
 Merging in a fixed batch order keeps results bitwise reproducible for any
-worker count. ``InvariantError`` is what an estimator raises when a pathwise
+worker count; ``map_batches`` runs the batch jobs of every engine in that
+order. ``InvariantError`` is what an estimator raises when a pathwise
 identity it audits fails.
 """
 
 from __future__ import annotations
 
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,3 +68,15 @@ class Moments:
     @property
     def stderr(self) -> np.ndarray:
         return np.sqrt(self.variance / self.n)
+
+
+def map_batches(fn, jobs, threads: int = 1) -> list:
+    """``[fn(job) for job in jobs]``, in ``threads`` worker processes when > 1.
+
+    Results come back in job order whatever the worker count, so merging
+    them in that order is reproducible.
+    """
+    if threads > 1:
+        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]

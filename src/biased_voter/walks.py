@@ -1,30 +1,37 @@
-"""Vectorized statistics of single continuous-time random walks on Z^d.
+"""Vectorized continuous-time random walks and the coalescing dual they carry.
 
-A walk jumps at rate 1 with displacements drawn from a kernel. For a batch
-of independent walks this module accumulates, at every grid time, the number
-of distinct visited sites and (optionally) the log of the annealed weight
-prod_x E[exp(-bias * l_t(x))], where l_t(x) is the occupation time of site x
-and the expectation integrates an i.i.d. bias law out site by site.
+Each replica runs k independent rate-1 walkers from k distinct start sites,
+with displacements drawn from a kernel on Z^d (or from its folding onto a
+torus, positions taken mod the side). For k > 1 every walker carries one
+particle of the coalescing dual: a rider dies when its walker jumps onto a
+site held by another live rider, so the live riders move as the coalescing
+dual does. At every grid time a batch is reduced, per replica, to the range
+(distinct sites visited by live riders), the number of live riders and,
+optionally, the log of a path weight, with l_t(x) the time live riders spent
+at site x:
 
-Walks are processed in fixed-size batches with per-batch seed streams, so
-results are bitwise independent of the worker count.
+* annealed: sum_x log E[exp(-bias * l_t(x))], an i.i.d. bias law integrated
+  out site by site;
+* quenched: -sum_x bias(x) l_t(x) for one fixed field.
+
+Replicas are processed in batches of BATCH_SIZE // k with per-batch seed
+streams, so results are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .disorder import DisorderLaw, laplace
-from .kernel import Kernel
-from .stats import InvariantError, Moments
+from .kernel import TorusKernel, bias_array, bias_values
+from .stats import InvariantError, Moments, map_batches
 
 __all__ = ["WalkCurveStats", "walk_curve"]
 
-BATCH_SIZE = 2048
+BATCH_SIZE = 2048   # walkers per batch: BATCH_SIZE // k replicas of k walkers
 _FLOOR_TOL = 1e-9
 
 
@@ -36,140 +43,231 @@ class WalkCurveStats:
     replicas: int
     range_mean: np.ndarray
     range_stderr: np.ndarray
-    weight_mean: np.ndarray | None      # annealed weight, when a law was given
+    weight_mean: np.ndarray | None      # path weight, when a law or a field was given
     weight_stderr: np.ndarray | None
     exp_means: dict[float, np.ndarray]  # nu -> mean of exp(-nu * |R_t|)
     exp_stderrs: dict[float, np.ndarray]
     max_abs_position: int               # largest coordinate magnitude seen
+    particles_mean: np.ndarray          # live riders per replica
 
 
-def _sampling_arrays(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    cum = np.cumsum(kernel.weights)
-    cum[-1] = 1.0
-    return kernel.displacements, cum
+def _start_array(kernel, starts) -> np.ndarray:
+    """The k start sites as a (k, d) array; the origin when ``starts`` is None."""
+    if starts is None:
+        return np.zeros((1, kernel.dim), dtype=np.int64)
+    sites = [tuple(s) for s in starts]
+    if not sites:
+        raise ValueError("walks need a nonempty start set")
+    if any(len(s) != kernel.dim for s in sites):
+        raise ValueError("start sites have the wrong dimension")
+    arr = np.array(sites, dtype=np.int64)
+    if isinstance(kernel, TorusKernel):
+        arr %= kernel.side
+    if len(np.unique(arr, axis=0)) != len(arr):
+        raise ValueError("walker starts must be distinct")
+    return arr
 
 
-def _simulate_batch(kernel: Kernel, t_grid: np.ndarray, count: int,
-                    rng: np.random.Generator, law: DisorderLaw | None):
-    """Per-walker range counts and log annealed weights at every grid time."""
-    t_max = float(t_grid[-1])
-    disp, cum = _sampling_arrays(kernel)
-    d = kernel.dim
+def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (count * k, m + 1, d) and jump times (count * k, m) of the walkers.
 
+    Row r is walker r % k of replica r // k; every row jumps past t_max.
+    """
+    disp, cum = kernel.sampling_arrays()
+    rows, d = count * len(starts), kernel.dim
     m0 = max(4, int(t_max + 6.0 * math.sqrt(t_max + 1.0) + 16.0))
-    cum_t = np.cumsum(rng.exponential(size=(count, m0)), axis=1)
+    cum_t = np.cumsum(rng.exponential(size=(rows, m0)), axis=1)
     while cum_t[:, -1].min() <= t_max:
-        extra = np.cumsum(rng.exponential(size=(count, 64)), axis=1)
+        extra = np.cumsum(rng.exponential(size=(rows, 64)), axis=1)
         cum_t = np.hstack([cum_t, cum_t[:, -1:] + extra])
     m = cum_t.shape[1]
 
-    idx = np.searchsorted(cum, rng.random((count, m)))
+    idx = np.searchsorted(cum, rng.random((rows, m)))
     pos = np.concatenate(
-        [np.zeros((count, 1, d), dtype=np.int64), np.cumsum(disp[idx], axis=1)], axis=1)
-    arrivals = np.concatenate([np.zeros((count, 1)), cum_t], axis=1).ravel()
-    nexts = np.concatenate([cum_t, np.full((count, 1), np.inf)], axis=1).ravel()
+        [np.zeros((rows, 1, d), dtype=np.int64), np.cumsum(disp[idx], axis=1)], axis=1)
+    if starts.any():
+        pos += np.tile(starts, (count, 1))[:, None, :]
+    if isinstance(kernel, TorusKernel):
+        pos %= kernel.side
+    return pos, cum_t
 
+
+def _site_keys(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major key of every position in the bounding box; its corner and spans."""
     mins = pos.min(axis=(0, 1))
-    maxs = pos.max(axis=(0, 1))
-    max_abs = int(max(abs(int(mins.min())), abs(int(maxs.max()))))
-    spans = (maxs - mins + 1).astype(np.int64)
-    n_keys = 1
-    for s in spans:
-        n_keys *= int(s)
-    if count * n_keys >= 1 << 62:
-        raise RuntimeError("site key space overflow; reduce batch size")
+    spans = (pos.max(axis=(0, 1)) - mins + 1).astype(np.int64)
     rel = pos - mins
     skey = rel[..., 0].astype(np.int64)
-    for a in range(1, d):
+    for a in range(1, pos.shape[-1]):
         skey = skey * spans[a] + rel[..., a]
-    keys = (np.arange(count, dtype=np.int64)[:, None] * n_keys + skey).ravel()
+    return skey, mins, spans
+
+
+def _death_times(cum_t: np.ndarray, skey: np.ndarray, k: int, t_max: float) -> np.ndarray:
+    """Coalescence time of every rider; inf while it lives through t_max.
+
+    One sweep over each replica's jumps in time order: a live rider whose
+    walker jumps onto a site held by another live rider dies at that jump.
+    A replica leaves the sweep once it is down to one rider or its next jump
+    falls past t_max.
+    """
+    rows, m = cum_t.shape
+    count = rows // k
+    times = cum_t.reshape(count, k * m)
+    order = np.argsort(times, axis=1)
+    due = np.count_nonzero(times <= t_max, axis=1)   # jumps of each replica by t_max
+    held = skey[:, 0].reshape(count, k).copy()   # site of each live rider, -1 once dead
+    live = np.full(count, k)
+    death = np.full(rows, np.inf)
+    active = np.flatnonzero(live > 1)
+    for s in range(due.max()):
+        active = active[due[active] > s]
+        if active.size == 0:
+            break
+        jump = order[active, s]
+        w, j = np.divmod(jump, m)
+        row = active * k + w
+        x, y = held[active, w], skey[row, j + 1]
+        hit = (x >= 0) & (y != x) & (held[active] == y[:, None]).any(axis=1)
+        held[active, w] = np.where((x < 0) | hit, -1, y)
+        if hit.any():
+            death[row[hit]] = times[active[hit], jump[hit]]
+            live[active[hit]] -= 1
+            active = active[live[active] > 1]
+    return death
+
+
+def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
+                    rng: np.random.Generator, law: DisorderLaw | None = None, bias=None):
+    """Per-replica range counts, live riders and log path weights at every grid time.
+
+    ``bias`` is a field, or on a torus the checked per-site array; live
+    riders are None for a single walker.
+    """
+    k = len(starts)
+    t_max = float(t_grid[-1])
+    pos, cum_t = _draw(kernel, starts, t_max, count, rng)
+    rows = pos.shape[0]
+    skey, mins, spans = _site_keys(pos)
+    max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
+    n_keys = math.prod(int(s) for s in spans)
+    if count * n_keys >= 1 << 62:
+        raise RuntimeError("site key space overflow; reduce batch size")
+
+    arrivals = np.concatenate([np.zeros((rows, 1)), cum_t], axis=1)
+    nexts = np.concatenate([cum_t, np.full((rows, 1), np.inf)], axis=1)
+    keys = np.arange(rows, dtype=np.int64)[:, None] // k * n_keys + skey
+    particles = None
+    if k > 1:   # keep only the positions riders hold by t_max, cut at their deaths
+        death = _death_times(cum_t, skey, k, t_max)[:, None]
+        particles = (death > t_grid).reshape(count, k, t_grid.size).sum(axis=1)
+        held = (arrivals < death) & (arrivals <= t_max)
+        np.minimum(nexts, death, out=nexts)
+        arrivals, nexts, keys = arrivals[held], nexts[held], keys[held]
+    arrivals, nexts, keys = arrivals.ravel(), nexts.ravel(), keys.ravel()
 
     uniq, inverse = np.unique(keys, return_inverse=True)
     inverse = inverse.ravel()
     n_pairs = uniq.size
-    walker_of = (uniq // n_keys).astype(np.int64)
+    replica_of = (uniq // n_keys).astype(np.int64)
     started = arrivals == 0.0
+    if bias is not None:
+        sites, site_of = np.unique(uniq % n_keys, return_inverse=True)
+        coords = np.stack(np.unravel_index(sites, spans), axis=-1) + mins
+        if isinstance(kernel, TorusKernel):
+            beta = bias[np.ravel_multi_index(coords.T, (kernel.side,) * kernel.dim)]
+        else:
+            beta = bias_values(bias, map(tuple, coords.tolist()))
+        beta = beta[site_of.ravel()]
 
-    nt = t_grid.size
-    range_counts = np.empty((count, nt), dtype=np.int64)
-    logw = np.empty((count, nt)) if law is not None else None
+    range_counts = np.empty((count, t_grid.size), dtype=np.int64)
+    weighted = law is not None or bias is not None
+    logw = np.empty((count, t_grid.size)) if weighted else None
     for j, tj in enumerate(t_grid):
         hold = np.minimum(nexts, tj) - arrivals
         np.clip(hold, 0.0, None, out=hold)
         visited_pairs = np.zeros(n_pairs, dtype=bool)
         visited_pairs[inverse[started | (arrivals < tj)]] = True
         range_counts[:, j] = np.bincount(
-            walker_of[visited_pairs], minlength=count)
-        if law is not None:
+            replica_of[visited_pairs], minlength=count)
+        if logw is not None:
             lt = np.bincount(inverse, weights=hold, minlength=n_pairs)
-            logw[:, j] = np.bincount(
-                walker_of, weights=np.log(laplace(law, lt)), minlength=count)
-    return range_counts, logw, max_abs
+            terms = np.log(laplace(law, lt)) if law is not None else -beta * lt
+            logw[:, j] = np.bincount(replica_of, weights=terms, minlength=count)
+    return range_counts, particles, logw, max_abs
 
 
 def _batch_moments(args):
-    kernel, t_grid, seed, batch_index, count, law, exponents, floor_nu = args
+    kernel, t_grid, starts, seed, batch_index, count, law, bias, exponents, floor_nu = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
-    range_counts, logw, max_abs = _simulate_batch(kernel, t_grid, count, rng, law)
+    range_counts, particles, logw, max_abs = _simulate_batch(
+        kernel, t_grid, starts, count, rng, law, bias)
     if logw is not None and floor_nu is not None and math.isfinite(floor_nu):
         floor = -floor_nu * range_counts - _FLOOR_TOL
         if not np.all(logw >= floor):
             raise InvariantError(
                 "annealed path weight fell below the mass-at-zero floor")
     moments = {"range": Moments.of(range_counts)}
+    if particles is not None:
+        moments["particles"] = Moments.of(particles)
     if logw is not None:
-        assert np.all(logw <= 1e-12), "annealed path weight left (0, 1]"
+        if not np.all(logw <= 1e-12):
+            raise InvariantError("path weight left (0, 1]")
         moments["weight"] = Moments.of(np.exp(logw))
     for nu in exponents:
         moments[("exp", nu)] = Moments.of(np.exp(-nu * range_counts))
     return moments, max_abs
 
 
-def walk_curve(kernel: Kernel, t_grid, replicas: int, seed: int,
+def walk_curve(kernel, t_grid, replicas: int, seed: int,
                law: DisorderLaw | None = None, exponents=(),
-               floor_nu: float | None = None, threads: int = 1) -> WalkCurveStats:
-    """Moments of range functionals of `replicas` independent walks.
+               floor_nu: float | None = None, threads: int = 1,
+               starts=None, bias=None) -> WalkCurveStats:
+    """Moments of range functionals and path weights over `replicas` replicas.
 
-    ``exponents`` lists nu values for which mean/stderr of exp(-nu |R_t|)
-    are wanted; ``law`` switches on the annealed weight; ``floor_nu`` (the
-    mass-at-zero rate of the law) enables the pathwise check that every
-    annealed weight is at least exp(-floor_nu |R_t|).
+    ``kernel`` is a ``Kernel`` on Z^d or a ``TorusKernel``. ``starts`` lists
+    the distinct start sites of a replica's walkers (default: the origin);
+    with more than one, the walkers carry the coalescing dual (see the
+    module docstring). ``exponents`` lists nu values for which mean/stderr
+    of exp(-nu |R_t|) are wanted. ``law`` switches on the annealed weight
+    and ``bias`` (a field, or on a torus a per-site array) the quenched one;
+    ``floor_nu`` (the mass-at-zero rate of the law) enables the pathwise
+    check that every annealed weight is at least exp(-floor_nu |R_t|).
     """
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
+    if law is not None and bias is not None:
+        raise ValueError("pass a disorder law or a bias field, not both")
+    starts = _start_array(kernel, starts)
+    if bias is not None and isinstance(kernel, TorusKernel):
+        bias = bias_array(bias, kernel)
     t_arr = np.asarray(sorted(float(t) for t in t_grid))
     exponents = tuple(float(x) for x in exponents)
-    n_batches = (replicas + BATCH_SIZE - 1) // BATCH_SIZE
-    jobs = []
-    for b in range(n_batches):
-        count = min(BATCH_SIZE, replicas - b * BATCH_SIZE)
-        jobs.append((kernel, t_arr, seed, b, count, law, exponents, floor_nu))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_batch_moments, jobs))
-    else:
-        parts = [_batch_moments(job) for job in jobs]
+    per_batch = max(1, BATCH_SIZE // len(starts))
+    jobs = [(kernel, t_arr, starts, seed, b, min(per_batch, replicas - b * per_batch),
+             law, bias, exponents, floor_nu)
+            for b in range((replicas + per_batch - 1) // per_batch)]
 
-    nt = t_arr.size
     totals: dict = {}
     max_abs = 0
-    for moments, batch_max in parts:
+    for moments, batch_max in map_batches(_batch_moments, jobs, threads):
         max_abs = max(max_abs, batch_max)
         for key, m in moments.items():
             totals[key] = totals[key].merge(m) if key in totals else m
-    del nt
 
     range_mean, range_stderr = totals["range"].mean, totals["range"].stderr
     weight_mean = weight_stderr = None
-    if law is not None:
+    if "weight" in totals:
         weight_mean, weight_stderr = totals["weight"].mean, totals["weight"].stderr
     exp_means, exp_stderrs = {}, {}
     for nu in exponents:
         exp_means[nu] = totals[("exp", nu)].mean
         exp_stderrs[nu] = totals[("exp", nu)].stderr
+    particles = totals["particles"].mean if "particles" in totals else np.ones_like(range_mean)
     return WalkCurveStats(
         t_grid=t_arr, replicas=replicas,
         range_mean=range_mean, range_stderr=range_stderr,
         weight_mean=weight_mean, weight_stderr=weight_stderr,
         exp_means=exp_means, exp_stderrs=exp_stderrs,
-        max_abs_position=max_abs)
+        max_abs_position=max_abs, particles_mean=particles)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from biased_voter.dual import (DualSimulation, annealed_dual_expectation,
                                quenched_dual_expectation)
 from biased_voter.exact import exact_dual_value
 from biased_voter.forward import forward_relaxation
-from biased_voter.kernel import fold_to_torus, make_nn_kernel
+from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from biased_voter.localfn import LocalFunction
 
 NN1 = make_nn_kernel(1)
@@ -74,10 +75,11 @@ class TestDualEvolve:
     @pytest.mark.slow
     def test_coalescence_at_large_time(self):
         # adjacent walkers in one dimension almost surely meet
+        # (the batched riders of dual_curve: the event loop is too slow here)
         t, n = 1000.0, 10_000
-        hits = sum(len(dual_evolve([(0,), (1,)], NN1, t, rng_for(8, r)).particles) == 1
-                   for r in range(n))
-        p = hits / n
+        curve = dual_curve([(0,), (1,)], NN1, [t], n, 8, "annealed",
+                           law=deterministic_law(0.0))
+        p = 2.0 - float(curve.mean_particles[0])
         exact = coalescence_probability(t)
         se = math.sqrt(exact * (1 - exact) / n)
         assert p > 0.9
@@ -236,6 +238,22 @@ class TestDualCurve:
         with pytest.raises(ValueError):
             dual_curve([(0,)], NN1, [1.0], 10, 0, "annealed")
 
+    def test_range_and_particles_match_event_reference(self):
+        # the riders' range and live count against the event-by-event dual
+        start, ts, n, batched = [(0,), (1,), (3,)], [1.0, 5.0], 4000, 20_000
+        curve = dual_curve(start, NN1, ts, batched, 36, "annealed",
+                           law=deterministic_law(0.0))
+        ranges, particles = np.empty((n, 2)), np.empty((n, 2))
+        for r in range(n):
+            sim = DualSimulation(start, NN1, rng_for(37, r))
+            for j, t in enumerate(ts):
+                sim.advance_to(t)
+                ranges[r, j], particles[r, j] = len(sim.visited), len(sim.particles)
+        for ref, got in ((ranges, curve.mean_range), (particles, curve.mean_particles)):
+            # the batched run has n / batched times the reference's variance
+            se = ref.std(axis=0, ddof=1) * math.sqrt(1 / n + 1 / batched)
+            assert np.all(np.abs(ref.mean(axis=0) - got) < 4 * se)
+
     def test_threads_do_not_change_results(self):
         law = bernoulli_law(0.5, 1.0)
         a = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, "annealed", law=law)
@@ -244,3 +262,76 @@ class TestDualCurve:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
         assert np.array_equal(a.mean_range, b.mean_range)
+
+
+class TestRidersAgainstExact:
+    """Multi-site dual runs on a 4-site torus against the killed-dual semigroup."""
+
+    SIDE = 4
+    TIMES = (0.5, 2.0)
+
+    @pytest.mark.parametrize("kernel, start", [
+        (NN1, [(0,), (1,)]),
+        (NN1, [(0,), (2,)]),
+        (NN1, [(0,), (1,), (3,)]),
+        # folded onto the torus, this kernel puts mass on displacement 0: such
+        # a jump leaves the rider where it is and must not kill it
+        (make_power_kernel(1.0, 4), [(0,), (1,), (3,)]),
+    ], ids=["nn-01", "nn-02", "nn-013", "no-op-013"])
+    def test_quenched_matches_exact(self, kernel, start):
+        tk = fold_to_torus(kernel, self.SIDE)
+        beta = rng_for(30).uniform(0.0, 2.0, self.SIDE)
+        field = BiasField({(i,): float(beta[i]) for i in range(self.SIDE)})
+        curve = dual_curve(start, tk, self.TIMES, 40_000, 31, "quenched", bias=field)
+        for j, t in enumerate(self.TIMES):
+            target = exact_dual_value(start, beta, tk, t)
+            assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], f"t={t}"
+
+    def test_annealed_matches_exact_field_average(self):
+        tk = fold_to_torus(NN1, self.SIDE)
+        law = bernoulli_law(0.5, 1.0)
+        start = [(0,), (1,)]
+        curve = dual_curve(start, tk, self.TIMES, 40_000, 32, "annealed", law=law)
+        for j, t in enumerate(self.TIMES):
+            target = 0.0
+            for bits in itertools.product(range(len(law.atoms)), repeat=self.SIDE):
+                beta = np.array([law.atoms[i][0] for i in bits])
+                weight = np.prod([law.atoms[i][1] for i in bits])
+                target += weight * exact_dual_value(start, beta, tk, t)
+            assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], f"t={t}"
+
+    def test_particles_coalesce_on_the_torus(self):
+        tk = fold_to_torus(NN1, self.SIDE)
+        curve = dual_curve([(0,), (1,), (3,)], tk, [0.0, 1.0, 50.0], 500, 33,
+                           "annealed", law=deterministic_law(0.0))
+        assert curve.mean_particles[0] == 3.0
+        assert curve.mean_particles[1] < 3.0
+        assert curve.mean_particles[2] == 1.0
+        assert np.array_equal(curve.mean, np.ones(3))
+
+    def test_starts_colliding_on_the_torus_rejected(self):
+        tk = fold_to_torus(NN1, self.SIDE)
+        with pytest.raises(ValueError, match="distinct"):
+            dual_curve([(0,), (4,)], tk, [1.0], 10, 0, "annealed",
+                       law=deterministic_law(0.0))
+
+
+class TestQuenchedBiasChecks:
+    """The engine reads each bias value once per batch and checks it."""
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_bad_values_rejected_on_z(self, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            quenched_dual_expectation([(0,), (2,)], ConstantField(value), NN1, 1.0, 10, 0)
+
+    def test_missing_site_rejected_on_z(self):
+        with pytest.raises(ValueError, match="does not cover"):
+            quenched_dual_expectation([(0,)], BiasField({(0,): 1.0}), NN1, 5.0, 10, 0)
+
+    @pytest.mark.parametrize("values", [{(0,): -1.0, (1,): 0.0, (2,): 0.0},
+                                        {(0,): math.nan, (1,): 0.0, (2,): 0.0},
+                                        {(0,): 1.0, (1,): 0.0}])
+    def test_bad_fields_rejected_on_torus(self, values):
+        tk = fold_to_torus(NN1, 3)
+        with pytest.raises(ValueError):
+            quenched_dual_expectation([(0,)], BiasField(values), tk, 1.0, 10, 0)

@@ -122,6 +122,14 @@ class TestRateAudit:
             se = math.sqrt(probs[x] * (1 - probs[x]) / n)
             assert abs(counts[x] / n - probs[x]) < 4 * se, f"site {x}"
 
+    @pytest.mark.parametrize("config, beta", [(all_zeros(4, 1), 1.0), (all_ones(4, 1), 0.0)],
+                             ids=["all_zeros", "all_ones_unbiased"])
+    def test_first_flip_none_when_nothing_can_change(self, config, beta):
+        # no kill hits a 1 and no resample copies a differing opinion, so the
+        # default t_max = inf must not wait for a flip
+        tk = fold_to_torus(NN1, 4)
+        assert first_flip_site(config, np.full(4, beta), tk, rng_for(10)) is None
+
 
 class TestForwardRelaxation:
     def test_time_zero_is_exact(self):

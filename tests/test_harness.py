@@ -302,6 +302,18 @@ class TestPersistence:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_multi_site_dual_determinism_across_thread_counts(self, tmp_path):
+        # three riders per replica: 682-replica batches, two full and a ragged tail
+        outputs = []
+        for threads in (1, 2, 1):
+            cfg = small_config(mode="dual-quenched", observable=None,
+                               sites=((0,), (1,), (3,)), disorder_seed=11,
+                               replicas=1500, threads=threads)
+            path = tmp_path / f"dual{len(outputs)}.csv"
+            write_records_csv(path, run(cfg), cfg)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestCLI:
     def test_simulate_dual_and_fit(self, tmp_path, capsys):
@@ -377,6 +389,17 @@ forward._EventStream.__init__ = corrupted
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+DUAL_ARGS = ["simulate-dual", "--mode", "annealed", "--sites", "0;1", "--disorder",
+             "bernoulli", "--q", "0.5", "--b", "1", "--t-grid", "0.5,1", "--replicas", "20"]
+
+# a Laplace transform above 1 makes annealed path weights leave (0, 1]
+INFLATED_LAPLACE = """
+import sys
+from biased_voter import cli, walks
+def inflated(law, u):
+    return 1.5 + 0.0 * u
+"""
+
 
 class TestInvariantExitCode:
     def test_forward_violation_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -404,3 +427,22 @@ class TestInvariantExitCode:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == EXIT_INVARIANT, proc.stderr
         assert "absorbing state was left" in proc.stderr
+
+    def test_walk_weight_violation_exits_3(self, tmp_path, monkeypatch, capsys):
+        patch = {}
+        exec(INFLATED_LAPLACE, patch)
+        monkeypatch.setattr(walks, "laplace", patch["inflated"])
+        code = cli_main([*DUAL_ARGS, "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_INVARIANT
+        assert "path weight left (0, 1]" in capsys.readouterr().err
+
+    def test_walk_weight_violation_exits_3_under_optimize(self, tmp_path):
+        src = str(Path(biased_voter.__file__).resolve().parent.parent)
+        script = INFLATED_LAPLACE + "walks.laplace = inflated\nsys.exit(cli.main(sys.argv[1:]))\n"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, *DUAL_ARGS,
+             "--out", str(tmp_path / "d.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_INVARIANT, proc.stderr
+        assert "path weight left (0, 1]" in proc.stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biased_voter.disorder import BiasField
+from biased_voter.dual import quenched_dual_expectation
 from biased_voter.exact import build_dual_matrix, build_forward_generator
 from biased_voter.forward import ForwardSimulation, all_ones
 from biased_voter.kernel import (Kernel, bias_array, char_fn, fold_to_torus,
@@ -140,6 +141,15 @@ class TestFolding:
         with pytest.raises(ValueError):
             fold_to_torus(make_nn_kernel(1), 1)
 
+    @pytest.mark.parametrize("kernel", [make_power_kernel(1.3, 7),
+                                        fold_to_torus(make_power_kernel(1.3, 7), 6)],
+                             ids=["z", "torus"])
+    def test_sampling_arrays_are_cumulative_weights(self, kernel):
+        disp, cum = kernel.sampling_arrays()
+        assert disp.shape == (cum.size, 1)
+        assert cum[-1] == 1.0
+        assert np.all(np.diff(cum) >= 0)
+
 
 class TestKernelInvariants:
     def test_zero_mass_rejected(self):
@@ -166,7 +176,7 @@ class TestKernelInvariants:
 
 class TestBiasArray:
     @pytest.mark.parametrize("form", ["array", "list", "field"])
-    @pytest.mark.parametrize("consumer", ["generator", "dual", "forward"])
+    @pytest.mark.parametrize("consumer", ["generator", "dual", "forward", "mc_dual"])
     def test_negative_bias_rejected_on_every_path(self, form, consumer):
         tk = fold_to_torus(make_nn_kernel(1), 3)
         values = [-1.0, 0.0, 0.0]
@@ -175,7 +185,9 @@ class TestBiasArray:
         build = {"generator": lambda: build_forward_generator(bias, tk),
                  "dual": lambda: build_dual_matrix(bias, tk),
                  "forward": lambda: ForwardSimulation(all_ones(3, 1), bias, tk,
-                                                      np.random.default_rng(0))}[consumer]
+                                                      np.random.default_rng(0)),
+                 "mc_dual": lambda: quenched_dual_expectation([(0,)], bias, tk, 1.0,
+                                                              10, 0)}[consumer]
         with pytest.raises(ValueError, match="nonnegative"):
             build()
 
