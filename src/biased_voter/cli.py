@@ -1,9 +1,11 @@
 """Command-line entry points for the experiment pipelines.
 
 Subcommands: ``simulate-forward``, ``simulate-dual``, ``range``, ``exact``,
-``fit``, ``sandwich``, ``localfn``. Every experiment subcommand accepts a
-``--config`` file in the ``key = value`` grammar plus flag overrides, and
-writes CSV whose header embeds the full config and its hash.
+``fit``, ``sandwich``, ``localfn``. Every experiment subcommand reads its
+run description from a ``--config`` file in the ``key = value`` grammar, then
+from every flag given, which wins over the file's key, and takes the mode
+from the subcommand; it writes CSV whose header embeds the full config and
+its hash.
 
 Exit codes: 0 success, 2 hypothesis failure (the disorder law does not
 satisfy a bound curve's precondition), 3 invariant violation (an audited
@@ -13,20 +15,18 @@ identity or ordering failed beyond tolerance).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .exact import (exact_dual_values_all, exact_range_functional_curve_1d,
                     product_indicator_vector, semigroup_apply,
                     build_forward_generator)
-from .harness import (ConfigError, ExperimentConfig, config_hash,
-                      fit_stretch_exponent, parse_config_text, parse_sites,
-                      parse_t_grid, read_curve_csv, run, sandwich_report,
-                      write_records_csv, write_sandwich_csv)
-from .kernel import fold_to_torus
+from .harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
+                      build_config, fit_stretch_exponent, make_kernel,
+                      parse_t_grid, parse_window, read_config_items, read_curve_csv,
+                      run, sandwich_report, write_records_csv, write_sandwich_csv,
+                      write_table)
 from .localfn import is_monotone, lemma1_check, parse_localfn_text, sigma_and_support, gap
 from .rangestats import effective_exponent
 from .stats import InvariantError
@@ -38,118 +38,58 @@ EXIT_INVARIANT = 3
 
 def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="config file in key = value form")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--replicas", type=int)
+    sub.add_argument("--seed")
+    sub.add_argument("--replicas")
     sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads")
 
 
 def _model_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--L", type=int, dest="side")
+    sub.add_argument("--dim")
+    sub.add_argument("--L")
     sub.add_argument("--kernel", choices=("nn", "power"))
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--cutoff", type=int)
+    sub.add_argument("--alpha")
+    sub.add_argument("--cutoff")
     sub.add_argument("--disorder", choices=("bernoulli", "deterministic", "table"))
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--b", type=float)
+    sub.add_argument("--q")
+    sub.add_argument("--b")
     sub.add_argument("--atoms", help="table disorder: 'b:p, b:p, ...'")
     sub.add_argument("--observable", help="'site <coords>' or 'file <path>'")
     sub.add_argument("--t-grid", dest="t_grid",
                      help="a:b:n log-spaced, lin:a:b:n, or comma list")
 
 
-def _build_config(args, mode: str) -> ExperimentConfig:
-    """Config file first, then flag overrides, then validation."""
+def _build_config(args) -> ExperimentConfig:
+    """The config file's keys, then every flag given, then the subcommand's mode.
+
+    Flags keep their text, so one builder casts file and flag values alike
+    and names the ``file:line`` or the flag of a bad one.
+    """
+    items = {}
     if args.config:
         with open(args.config) as fh:
-            base = parse_config_text(fh.read(), name=args.config)
-        base = replace(base, mode=mode)
-    else:
-        lines = [f"mode = {mode}"]
-        if getattr(args, "t_grid", None):
-            lines.append(f"t_grid = {args.t_grid}")
-        if args.replicas is not None:
-            lines.append(f"replicas = {args.replicas}")
-        for key, raw in (("disorder", getattr(args, "disorder", None)),
-                         ("q", getattr(args, "q", None)),
-                         ("b", getattr(args, "b", None)),
-                         ("atoms", getattr(args, "atoms", None)),
-                         ("observable", getattr(args, "observable", None)),
-                         ("kernel", getattr(args, "kernel", None)),
-                         ("alpha", getattr(args, "alpha", None)),
-                         ("cutoff", getattr(args, "cutoff", None)),
-                         ("dim", getattr(args, "dim", None)),
-                         ("L", getattr(args, "side", None)),
-                         ("nu", getattr(args, "nu", None)),
-                         ("sites", getattr(args, "sites", None)),
-                         ("seed", getattr(args, "seed", None)),
-                         ("threads", getattr(args, "threads", None)),
-                         ("fit_window", getattr(args, "window", None)),
-                         ("disorder_seed", getattr(args, "disorder_seed", None))):
-            if raw is not None:
-                lines.append(f"{key} = {raw}")
-        return parse_config_text("\n".join(lines), name="<flags>")
-    # flag overrides on top of the file
-    updates = {}
-    if getattr(args, "t_grid", None):
-        updates["t_grid"] = parse_t_grid(args.t_grid)
-    if args.replicas is not None:
-        updates["replicas"] = args.replicas
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    for attr, key in (("dim", "dim"), ("side", "side"), ("alpha", "alpha"),
-                      ("cutoff", "cutoff"), ("nu", "nu"),
-                      ("disorder_seed", "disorder_seed")):
-        if getattr(args, attr, None) is not None:
-            updates[key] = getattr(args, attr)
-    if getattr(args, "kernel", None) is not None:
-        updates["kernel_name"] = args.kernel
-    if getattr(args, "sites", None):
-        updates["sites"] = parse_sites(args.sites)
-    if getattr(args, "window", None):
-        a, _, b = args.window.partition(":")
-        updates["fit_window"] = (float(a), float(b))
-    config = replace(base, **updates)
-    config.validate()
-    return config
+            items = read_config_items(fh.read(), args.config)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key, None)
+        if value is not None and key != "mode":
+            flag = "--window" if key == "fit_window" else "--" + key.replace("_", "-")
+            items[key] = (value, flag)
+    # simulate-dual's --mode names the dual half of the mode
+    mode = args.mode if args.mode in MODES else f"dual-{args.mode}"
+    items["mode"] = (mode, args.command)
+    return build_config(items, args.config or "<flags>")
 
 
-def _emit(path, writer):
-    if path:
-        writer(path)
-    else:
-        writer(sys.stdout)
-
-
-def _cmd_simulate_forward(args) -> int:
-    config = _build_config(args, "forward")
-    records = run(config)
-    _emit(args.out, lambda dst: write_records_csv(dst, records, config))
-    return EXIT_OK
-
-
-def _cmd_simulate_dual(args) -> int:
-    mode = "dual-quenched" if args.mode == "quenched" else "dual-annealed"
-    config = _build_config(args, mode)
-    records = run(config)
-    _emit(args.out, lambda dst: write_records_csv(dst, records, config))
-    return EXIT_OK
-
-
-def _cmd_range(args) -> int:
-    config = _build_config(args, "range")
-    records = run(config)
-    _emit(args.out, lambda dst: write_records_csv(dst, records, config))
+def _cmd_run(args) -> int:
+    config = _build_config(args)
+    write_records_csv(args.out, run(config), config)
     return EXIT_OK
 
 
 def _cmd_sandwich(args) -> int:
-    config = _build_config(args, "dual-annealed")
+    config = _build_config(args)
     report = sandwich_report(config)
-    _emit(args.out, lambda dst: write_sandwich_csv(dst, report, config))
+    write_sandwich_csv(args.out, report, config)
     print(f"target exponent d/(d+alpha) = {report.gamma_target:.6f}", file=sys.stderr)
     for name, g in (("estimate", report.gamma_estimate),
                     ("lower", report.gamma_lower), ("upper", report.gamma_upper)):
@@ -169,10 +109,7 @@ def _cmd_sandwich(args) -> int:
 
 def _cmd_fit(args) -> int:
     ts, ms = read_curve_csv(args.input)
-    window = None
-    if args.window:
-        a, _, b = args.window.partition(":")
-        window = (float(a), float(b))
+    window = parse_window(args.window) if args.window else None
     gamma, ci = fit_stretch_exponent(zip(ts, ms), window)
     print(f"gamma = {gamma!r}")
     print(f"ci_halfwidth = {ci!r}")
@@ -186,21 +123,14 @@ def _cmd_exact(args) -> int:
 
 
 def _exact_duality(args) -> int:
-    dim = args.dim or 1
-    side = args.side or 3
-    n = side ** dim
+    tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
+    n = tk.n_sites
     if n > 12:
         print(f"torus with {n} sites exceeds the exact limit of 12", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    from .kernel import make_nn_kernel, make_power_kernel
-    if (args.kernel or "nn") == "nn":
-        kern = make_nn_kernel(dim)
-    else:
-        kern = make_power_kernel(args.alpha, args.cutoff or 100)
-    tk = fold_to_torus(kern, side)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     times = parse_t_grid(args.t_grid) if args.t_grid else (0.1, 1.0, 10.0)
-    lines = ["field,t,max_abs_diff,pass"]
+    rows = []
     worst = 0.0
     for fidx in range(args.fields):
         beta = rng.uniform(0.0, 2.0, size=n)
@@ -213,13 +143,8 @@ def _exact_duality(args) -> int:
                 fwd = semigroup_apply(gen, g, t)[(1 << n) - 1]
                 diff = max(diff, abs(float(fwd) - float(dual_vals[mask])))
             worst = max(worst, diff)
-            lines.append(f"{fidx},{float(t)!r},{float(diff)!r},{int(diff <= args.tol)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append((fidx, float(t), diff, diff <= args.tol))
+    write_table(args.out, ("field", "t", "max_abs_diff", "pass"), rows)
     status = "PASS" if worst <= args.tol else "FAIL"
     print(f"duality gate: {status} (worst |forward - dual| = {worst:.3e}, "
           f"tolerance {args.tol:g})", file=sys.stderr)
@@ -234,16 +159,8 @@ def _exact_range(args) -> int:
         float(x) for x in np.geomspace(100, 2000, 13))
     values = exact_range_functional_curve_1d(args.nu, times, args.width_cap)
     slopes = dict(effective_exponent(list(zip(times, values))))
-    lines = ["t,value,local_exponent"]
-    for t, v in zip(times, values):
-        s = slopes.get(float(t))
-        lines.append(f"{float(t)!r},{float(v)!r},{'' if s is None else repr(float(s))}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_table(args.out, ("t", "value", "local_exponent"),
+                ((float(t), float(v), slopes.get(float(t))) for t, v in zip(times, values)))
     decreasing = bool(np.all(np.diff(values) < 0))
     print(f"range functional: strictly decreasing in t: {decreasing}",
           file=sys.stderr)
@@ -279,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="forward dynamics on a torus, disorder sampled per replica")
     _common_flags(p)
     _model_flags(p)
-    p.set_defaults(func=_cmd_simulate_forward)
+    p.set_defaults(func=_cmd_run, mode="forward")
 
     p = subs.add_parser("simulate-dual",
                         help="coalescing dual estimator (quenched or annealed)")
@@ -287,29 +204,29 @@ def build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     p.add_argument("--mode", choices=("quenched", "annealed"), default="annealed")
     p.add_argument("--sites", help="start set, e.g. '0;1' or '0,0;1,0'")
-    p.add_argument("--disorder-seed", type=int, dest="disorder_seed")
-    p.set_defaults(func=_cmd_simulate_dual)
+    p.add_argument("--disorder-seed", dest="disorder_seed")
+    p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("range", help="Monte Carlo range functional of one walk")
     _common_flags(p)
     _model_flags(p)
-    p.add_argument("--nu", type=float)
-    p.set_defaults(func=_cmd_range)
+    p.add_argument("--nu")
+    p.set_defaults(func=_cmd_run, mode="range")
 
     p = subs.add_parser("exact", help="exact small-system oracles")
     p.add_argument("--what", choices=("duality", "range"), required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--L", type=int, dest="side")
-    p.add_argument("--kernel", choices=("nn", "power"))
+    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--L", type=int, default=3)
+    p.add_argument("--kernel", choices=("nn", "power"), default="nn")
     p.add_argument("--alpha", type=float)
-    p.add_argument("--cutoff", type=int)
+    p.add_argument("--cutoff", type=int, default=100)
     p.add_argument("--fields", type=int, default=5,
                    help="number of random bias fields for the duality gate")
     p.add_argument("--t-grid", dest="t_grid")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--nu", type=float)
     p.add_argument("--width-cap", type=int, dest="width_cap", default=400)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact)
 
@@ -322,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="two-sided bound audit of the annealed relaxation")
     _common_flags(p)
     _model_flags(p)
-    p.add_argument("--sites")
-    p.add_argument("--window", help="fit window a:b")
-    p.set_defaults(func=_cmd_sandwich)
+    p.add_argument("--window", dest="fit_window", help="fit window a:b")
+    p.set_defaults(func=_cmd_sandwich, mode="dual-annealed")
 
     p = subs.add_parser("localfn", help="inspect a local observable file")
     p.add_argument("--check", required=True, help="observable text file")

@@ -26,8 +26,8 @@ byte-identical CSV.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,15 +48,21 @@ __all__ = [
     "CurveRecord",
     "RecordList",
     "SandwichReport",
+    "CONFIG_KEYS",
+    "read_config_items",
+    "build_config",
     "parse_config_text",
     "parse_t_grid",
     "parse_sites",
+    "parse_window",
+    "make_kernel",
     "config_hash",
     "run",
     "fit_stretch_exponent",
     "sandwich_report",
     "write_records_csv",
     "write_sandwich_csv",
+    "write_table",
     "read_curve_csv",
 ]
 
@@ -104,13 +110,7 @@ class ExperimentConfig:
             raise ConfigError("t_grid times must be nonnegative")
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError("seed must be a nonnegative 63-bit integer")
-        if self.kernel_name not in ("nn", "power"):
-            raise ConfigError(f"kernel must be 'nn' or 'power', got {self.kernel_name!r}")
-        if self.kernel_name == "power":
-            if self.dim != 1:
-                raise ConfigError("power-law kernels are one-dimensional")
-            if self.alpha is None:
-                raise ConfigError("power kernel needs alpha in (0, 2)")
+        _check_kernel(self.kernel_name, self.dim, self.alpha)
         if self.mode == "range":
             if self.nu is None or self.nu < 0:
                 raise ConfigError("range mode needs nu >= 0")
@@ -118,6 +118,9 @@ class ExperimentConfig:
             if self.law is None:
                 raise ConfigError(f"mode {self.mode!r} needs a disorder law")
         if self.mode == "dual-annealed" and self.observable is not None:
+            if self.sites:
+                raise ConfigError("the bound pipeline starts from the observable's "
+                                  "support; give sites or an observable, not both")
             if not is_monotone(self.observable):
                 raise ConfigError("the bound pipeline needs a monotone observable")
             if gap(self.observable) <= 0:
@@ -130,12 +133,10 @@ class ExperimentConfig:
             raise ConfigError("threads must be at least 1")
 
     def build_kernel(self) -> Kernel:
-        if self.kernel_name == "nn":
-            return make_nn_kernel(self.dim)
-        return make_power_kernel(self.alpha, self.cutoff)
+        return make_kernel(self.kernel_name, self.dim, self.alpha, self.cutoff)
 
     def build_torus(self) -> TorusKernel:
-        return fold_to_torus(self.build_kernel(), self.side)
+        return make_kernel(self.kernel_name, self.dim, self.alpha, self.cutoff, self.side)
 
     @property
     def alpha_effective(self) -> float:
@@ -186,6 +187,29 @@ class ExperimentConfig:
         return items
 
 
+def _check_kernel(name: str, dim: int, alpha: float | None):
+    if name not in ("nn", "power"):
+        raise ConfigError(f"kernel must be 'nn' or 'power', got {name!r}")
+    if name == "power":
+        if dim != 1:
+            raise ConfigError("power-law kernels are one-dimensional")
+        if alpha is None:
+            raise ConfigError("power kernel needs alpha in (0, 2)")
+
+
+def make_kernel(name: str, dim: int, alpha: float | None, cutoff: int,
+                side: int | None = None) -> Kernel | TorusKernel:
+    """The kernel rule of experiments and exact oracles alike.
+
+    ``nn`` is the nearest-neighbor walk in ``dim`` dimensions, ``power`` the
+    one-dimensional power law of index ``alpha`` truncated at ``cutoff``.
+    With ``side`` the kernel comes folded onto that torus.
+    """
+    _check_kernel(name, dim, alpha)
+    kern = make_nn_kernel(dim) if name == "nn" else make_power_kernel(alpha, cutoff)
+    return kern if side is None else fold_to_torus(kern, side)
+
+
 def config_hash(config: ExperimentConfig) -> str:
     text = "\n".join(f"{k} = {v}" for k, v in config.canonical_items())
     return hashlib.sha256(text.encode()).hexdigest()
@@ -232,6 +256,14 @@ def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def parse_window(text: str) -> tuple[float, float]:
+    """A fit window ``a:b``."""
+    a, sep, b = text.strip().partition(":")
+    if not sep:
+        raise ConfigError(f"expected a fit window a:b, got {text!r}")
+    return float(a), float(b)
+
+
 def _parse_observable(text: str) -> LocalFunction:
     text = text.strip()
     if text.startswith("site "):
@@ -242,114 +274,105 @@ def _parse_observable(text: str) -> LocalFunction:
     raise ConfigError(f"observable must be 'site <coords>' or 'file <path>', got {text!r}")
 
 
-def _parse_law(kind: str, fields: dict) -> DisorderLaw:
+def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
+    atoms = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if chunk:
+            b, _, p = chunk.partition(":")
+            atoms.append((float(b), float(p)))
+    return tuple(atoms)
+
+
+def _make_law(kind: str, q, b, atoms) -> DisorderLaw:
     if kind == "bernoulli":
-        if "q" not in fields or "b" not in fields:
+        if q is None or b is None:
             raise ConfigError("bernoulli disorder needs q and b")
-        q, b = float(fields["q"]), float(fields["b"])
         return DisorderLaw(atoms=((0.0, q), (b, 1.0 - q)))
     if kind == "deterministic":
-        if "b" not in fields:
+        if b is None:
             raise ConfigError("deterministic disorder needs b")
-        return DisorderLaw(atoms=((float(fields["b"]), 1.0),))
+        return DisorderLaw(atoms=((b, 1.0),))
     if kind == "table":
-        if "atoms" not in fields:
+        if atoms is None:
             raise ConfigError("table disorder needs atoms = b:p, b:p, ...")
-        atoms = []
-        for chunk in fields["atoms"].split(","):
-            chunk = chunk.strip()
-            if chunk:
-                b, _, p = chunk.partition(":")
-                atoms.append((float(b), float(p)))
-        return DisorderLaw(atoms=tuple(atoms))
+        return DisorderLaw(atoms=atoms)
     raise ConfigError(f"disorder must be bernoulli, deterministic or table, got {kind!r}")
 
 
-_CONFIG_KEYS = {
+CONFIG_KEYS = (
     "mode", "dim", "L", "kernel", "alpha", "cutoff", "disorder", "q", "b",
     "atoms", "observable", "sites", "t_grid", "replicas", "seed", "nu",
     "lam", "threads", "fit_window", "disorder_seed",
-}
+)
 
 
-def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
-    """Parse the ``key = value`` grammar; errors carry the offending line."""
-    raw: dict[str, str] = {}
-    lines: dict[str, int] = {}
+def read_config_items(text: str, name: str = "<config>") -> dict[str, tuple[str, str]]:
+    """Read the ``key = value`` lines into key -> (value, origin ``name:line``)."""
+    items: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
+        origin = f"{name}:{lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"{name}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{origin}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{name}:{lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"{name}:{lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-        lines[key] = lineno
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{origin}: unknown key {key!r}")
+        if key in items:
+            raise ConfigError(f"{origin}: duplicate key {key!r}")
+        items[key] = (value.strip(), origin)
+    return items
 
-    def fail(key, msg):
-        raise ConfigError(f"{name}:{lines.get(key, 0)}: {msg}")
 
+def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> ExperimentConfig:
+    """Cast and validate config items, each a key -> (text value, origin).
+
+    A bad value fails with its origin (``file:line`` or the flag); a config
+    whose values read but that is invalid as a whole fails with ``name``.
+    """
     def get(key, cast, default=None):
-        if key not in raw:
+        if key not in items:
             return default
+        value, origin = items[key]
         try:
-            return cast(raw[key])
-        except ConfigError:
-            raise
+            return cast(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{origin}: {exc}") from exc
         except ValueError as exc:
-            fail(key, f"bad value for {key!r}: {exc}")
+            raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
 
-    if "mode" not in raw:
-        raise ConfigError(f"{name}: missing required key 'mode'")
-    if "t_grid" not in raw:
-        raise ConfigError(f"{name}: missing required key 't_grid'")
-    if "replicas" not in raw:
-        raise ConfigError(f"{name}: missing required key 'replicas'")
-
+    for key in ("mode", "t_grid", "replicas"):
+        if key not in items:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    q, b, atoms = get("q", float), get("b", float), get("atoms", _parse_atoms)
     law = None
-    if "disorder" in raw:
+    if "disorder" in items:
         try:
-            law = _parse_law(raw["disorder"], raw)
-        except ConfigError as exc:
-            fail("disorder", str(exc))
-        except ValueError as exc:
-            fail("disorder", str(exc))
-    observable = None
-    if "observable" in raw:
-        try:
-            observable = _parse_observable(raw["observable"])
-        except ConfigError as exc:
-            fail("observable", str(exc))
-
-    window = None
-    if "fit_window" in raw:
-        parts = raw["fit_window"].replace(":", ",").split(",")
-        if len(parts) != 2:
-            fail("fit_window", "expected 'a:b'")
-        window = (float(parts[0]), float(parts[1]))
-
+            law = _make_law(items["disorder"][0], q, b, atoms)
+        except ValueError as exc:     # the law is bad: name every line it reads
+            origins = ", ".join(items[k][1] for k in ("disorder", "q", "b", "atoms")
+                                if k in items)
+            raise ConfigError(f"{origins}: {exc}") from exc
     config = ExperimentConfig(
-        mode=raw["mode"],
+        mode=items["mode"][0],
         t_grid=get("t_grid", parse_t_grid),
         replicas=get("replicas", int),
         seed=get("seed", int, 0),
         dim=get("dim", int, 1),
         side=get("L", int, 16),
-        kernel_name=raw.get("kernel", "nn"),
+        kernel_name=get("kernel", str, "nn"),
         alpha=get("alpha", float),
         cutoff=get("cutoff", int, 100),
         law=law,
-        observable=observable,
+        observable=get("observable", _parse_observable),
         sites=get("sites", parse_sites),
         nu=get("nu", float),
         lam=get("lam", float),
         threads=get("threads", int, 1),
-        fit_window=window,
+        fit_window=get("fit_window", parse_window),
         disorder_seed=get("disorder_seed", int),
     )
     try:
@@ -357,6 +380,11 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
     except ConfigError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     return config
+
+
+def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
+    """Parse the ``key = value`` grammar; errors carry the offending line."""
+    return build_config(read_config_items(text, name), name)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +415,11 @@ class CurveRecord:
     local_exponent: float | None = None
 
 
-def _audit(estimate, stderr, lower, lower_se, upper, upper_se) -> bool:
-    ok = True
-    if lower is not None:
-        ok &= lower - estimate <= SIGMA_BAND * math.sqrt(stderr ** 2 + (lower_se or 0.0) ** 2)
-    if upper is not None:
-        ok &= estimate - upper <= SIGMA_BAND * math.sqrt(stderr ** 2 + (upper_se or 0.0) ** 2)
-    return bool(ok)
+def _sandwich_ok(r: CurveRecord) -> bool:
+    def band(se):
+        return SIGMA_BAND * math.sqrt(r.stderr ** 2 + se ** 2)
+    return (r.lower_bound - r.estimate <= band(r.lower_stderr)
+            and r.estimate - r.upper_bound <= band(r.upper_stderr))
 
 
 def _derived_seeds(seed: int, count: int) -> list[int]:
@@ -401,46 +427,43 @@ def _derived_seeds(seed: int, count: int) -> list[int]:
     return [int(x) % (2 ** 63) for x in state]
 
 
+def _records(t_grid, mean, stderr, max_abs_position=None, **columns) -> RecordList:
+    """One record per grid time; ``columns`` are per-time optional fields."""
+    def cell(v):
+        return None if v is None else float(v)
+    records = RecordList(
+        CurveRecord(t=float(t), estimate=float(mean[j]), stderr=float(stderr[j]),
+                    **{k: cell(v[j]) for k, v in columns.items()})
+        for j, t in enumerate(t_grid))
+    records.max_abs_position = max_abs_position
+    return records
+
+
 def _run_forward(config: ExperimentConfig) -> list[CurveRecord]:
     mean, stderr = forward_relaxation(config.observable_or_default(), config.law,
                                       config.build_torus(), config.t_grid,
                                       config.replicas, config.seed, config.threads)
-    return [CurveRecord(t=t, estimate=float(mean[j]), stderr=float(stderr[j]))
-            for j, t in enumerate(config.t_grid)]
+    return _records(config.t_grid, mean, stderr)
 
 
-def _run_dual_quenched(config: ExperimentConfig) -> list[CurveRecord]:
-    kern = config.build_kernel()
-    dseed = config.disorder_seed if config.disorder_seed is not None else config.seed
-    bias = LazyBiasField(config.law, dseed)
-    curve = dual_curve(config.start_sites(), kern, config.t_grid, config.replicas,
-                       config.seed, "quenched", bias=bias, threads=config.threads)
-    records = RecordList(
-        CurveRecord(t=float(t), estimate=float(curve.mean[j]),
-                    stderr=float(curve.stderr[j]),
-                    mean_range=float(curve.mean_range[j]),
-                    mean_particles=float(curve.mean_particles[j]))
-        for j, t in enumerate(curve.t_grid))
-    records.max_abs_position = curve.max_abs_position
-    return records
+def _run_dual(config: ExperimentConfig) -> list[CurveRecord]:
+    """Plain dual estimator on the start set: one lazy field, or the law."""
+    if config.mode == "dual-quenched":
+        dseed = config.disorder_seed if config.disorder_seed is not None else config.seed
+        disorder = {"bias": LazyBiasField(config.law, dseed)}
+    else:
+        disorder = {"law": config.law}
+    curve = dual_curve(config.start_sites(), config.build_kernel(), config.t_grid,
+                       config.replicas, config.seed, config.mode.removeprefix("dual-"),
+                       threads=config.threads, **disorder)
+    return _records(curve.t_grid, curve.mean, curve.stderr, curve.max_abs_position,
+                    mean_range=curve.mean_range, mean_particles=curve.mean_particles)
 
 
-def _run_dual_annealed(config: ExperimentConfig) -> list[CurveRecord]:
+def _run_bounds(config: ExperimentConfig) -> list[CurveRecord]:
+    """Annealed estimate of the observable plus its two bound curves."""
     kern = config.build_kernel()
     law = config.law
-    if config.observable is None:
-        # plain annealed estimator on the start set, no bound curves
-        curve = dual_curve(config.start_sites(), kern, config.t_grid,
-                           config.replicas, config.seed, "annealed", law=law,
-                           threads=config.threads)
-        records = RecordList(
-            CurveRecord(t=float(t), estimate=float(curve.mean[j]),
-                        stderr=float(curve.stderr[j]),
-                        mean_range=float(curve.mean_range[j]),
-                        mean_particles=float(curve.mean_particles[j]))
-            for j, t in enumerate(curve.t_grid))
-        records.max_abs_position = curve.max_abs_position
-        return records
     f = config.observable
     coeffs = hat_coeffs(f)
     sigma, support = sigma_and_support(f)
@@ -491,19 +514,12 @@ def _run_dual_annealed(config: ExperimentConfig) -> list[CurveRecord]:
         lower = np.zeros(len(config.t_grid))
         lower_se = np.zeros(len(config.t_grid))
 
-    records = RecordList()
-    records.max_abs_position = stats.max_abs_position
-    for j, t in enumerate(config.t_grid):
-        records.append(CurveRecord(
-            t=float(t),
-            estimate=float(est[j]), stderr=float(est_se[j]),
-            lower_bound=float(lower[j]), lower_stderr=float(lower_se[j]),
-            upper_bound=float(upper[j]), upper_stderr=float(upper_se[j]),
-            sandwich_ok=_audit(float(est[j]), float(est_se[j]),
-                               float(lower[j]), float(lower_se[j]),
-                               float(upper[j]), float(upper_se[j])),
-            mean_range=float(mean_range[j]),
-            mean_particles=float(mean_particles[j])))
+    records = _records(config.t_grid, est, est_se, stats.max_abs_position,
+                       lower_bound=lower, lower_stderr=lower_se,
+                       upper_bound=upper, upper_stderr=upper_se,
+                       mean_range=mean_range, mean_particles=mean_particles)
+    for r in records:
+        r.sandwich_ok = _sandwich_ok(r)
     return records
 
 
@@ -515,14 +531,9 @@ def _run_range(config: ExperimentConfig) -> list[CurveRecord]:
     slopes = {}
     if np.all((curve.mean > 0.0) & (curve.mean < 1.0)) and len(curve.t_grid) >= 3:
         slopes = dict(effective_exponent(list(zip(curve.t_grid, curve.mean))))
-    records = RecordList(
-        CurveRecord(t=float(t), estimate=float(curve.mean[j]),
-                    stderr=float(curve.stderr[j]),
-                    mean_range=float(curve.mean_range[j]),
-                    local_exponent=slopes.get(float(t)))
-        for j, t in enumerate(curve.t_grid))
-    records.max_abs_position = curve.max_abs_position
-    return records
+    return _records(curve.t_grid, curve.mean, curve.stderr, curve.max_abs_position,
+                    mean_range=curve.mean_range,
+                    local_exponent=[slopes.get(float(t)) for t in curve.t_grid])
 
 
 def run(config: ExperimentConfig) -> list[CurveRecord]:
@@ -530,11 +541,11 @@ def run(config: ExperimentConfig) -> list[CurveRecord]:
     config.validate()
     if config.mode == "forward":
         return _run_forward(config)
-    if config.mode == "dual-quenched":
-        return _run_dual_quenched(config)
-    if config.mode == "dual-annealed":
-        return _run_dual_annealed(config)
-    return _run_range(config)
+    if config.mode == "range":
+        return _run_range(config)
+    if config.mode == "dual-annealed" and config.observable is not None:
+        return _run_bounds(config)
+    return _run_dual(config)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +635,7 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     hyp_lower = law.mass_at_zero > 0.0
     records = run(config)
 
-    window = config.fit_window
-    if window is None:
-        tmax = max(config.t_grid)
-        window = (tmax / 10.0, tmax)
+    window = config.fit_window     # None: the fit's own default, the last decade
     ts = [r.t for r in records]
     g_est = _try_fit(ts, [r.estimate for r in records], window)
     g_up = _try_fit(ts, [r.upper_bound for r in records], window) if hyp_upper else None
@@ -642,11 +650,12 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     lam = config.lam
     if lam is None and config.kernel_name == "nn" and 1 <= config.dim <= 3:
         lam = lambda_nn(config.dim)
+    sigma, support = sigma_and_support(config.observable)
     constants = {
         "nu1": n1, "nu2": n2, "m1": math.exp(-n1),
-        "sigma_f": sigma_and_support(config.observable)[0],
+        "sigma_f": sigma,
         "gap_f": gap(config.observable),
-        "support_size": len(sigma_and_support(config.observable)[1]),
+        "support_size": len(support),
         "lambda": lam,
         "c_upper": dv_constant(config.dim, config.alpha_effective, lam, n1) if lam else None,
         "c_lower": (dv_constant(config.dim, config.alpha_effective, lam, n2)
@@ -697,14 +706,14 @@ _MODE_COLUMNS = {
 }
 
 
-def _record_row(record: CurveRecord, columns, replicas) -> list[str]:
+def _record_row(record: CurveRecord, columns, replicas) -> list:
     mapping = {
         "t": record.t, "mean": record.estimate, "stderr": record.stderr,
         "replicas": replicas, "mean_range": record.mean_range,
         "mean_particles": record.mean_particles,
         "local_exponent": record.local_exponent,
     }
-    return [_fmt(mapping[c]) for c in columns]
+    return [mapping[c] for c in columns]
 
 
 def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig):
@@ -719,46 +728,40 @@ def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig
     max_pos = getattr(records, "max_abs_position", None)
     if max_pos is not None:
         extra.append(f"# max_walk_displacement = {max_pos}")
-    buf = io.StringIO()
-    for line in _header_lines(config, extra):
-        buf.write(line + "\n")
-    buf.write(",".join(columns) + "\n")
-    for r in records:
-        buf.write(",".join(_record_row(r, columns, config.replicas)) + "\n")
-    _write_text(path, buf.getvalue())
+    write_table(path, columns, (_record_row(r, columns, config.replicas) for r in records),
+                _header_lines(config, extra))
 
 
 def write_sandwich_csv(path, report: SandwichReport, config: ExperimentConfig):
-    extra = [
-        f"# gamma_target = {_fmt(report.gamma_target)}",
-        f"# gamma_estimate = {_fmt(report.gamma_estimate[0]) if report.gamma_estimate else ''}"
-        f" ci = {_fmt(report.gamma_estimate[1]) if report.gamma_estimate else ''}",
-        f"# gamma_lower = {_fmt(report.gamma_lower[0]) if report.gamma_lower else ''}"
-        f" ci = {_fmt(report.gamma_lower[1]) if report.gamma_lower else ''}",
-        f"# gamma_upper = {_fmt(report.gamma_upper[0]) if report.gamma_upper else ''}"
-        f" ci = {_fmt(report.gamma_upper[1]) if report.gamma_upper else ''}",
-        f"# hypothesis_upper_ok = {_fmt(report.hypothesis_upper_ok)}",
-        f"# hypothesis_lower_ok = {_fmt(report.hypothesis_lower_ok)}",
-        f"# ordering_ok = {_fmt(report.ordering_ok)}",
-        f"# gamma_bracket_ok = {_fmt(report.gamma_bracket_ok)}",
-    ]
+    extra = [f"# gamma_target = {_fmt(report.gamma_target)}"]
+    for name, g in (("estimate", report.gamma_estimate), ("lower", report.gamma_lower),
+                    ("upper", report.gamma_upper)):
+        value, ci = g or (None, None)
+        extra.append(f"# gamma_{name} = {_fmt(value)} ci = {_fmt(ci)}")
+    for name in ("hypothesis_upper_ok", "hypothesis_lower_ok", "ordering_ok",
+                 "gamma_bracket_ok"):
+        extra.append(f"# {name} = {_fmt(getattr(report, name))}")
     for k, v in sorted(report.constants.items()):
         extra.append(f"# constant {k} = {_fmt(v)}")
     columns = ("t", "estimate", "stderr", "lower", "lower_stderr",
                "upper", "upper_stderr", "sandwich_ok")
-    buf = io.StringIO()
-    for line in _header_lines(config, extra):
-        buf.write(line + "\n")
-    buf.write(",".join(columns) + "\n")
-    for r in report.records:
-        row = [r.t, r.estimate, r.stderr, r.lower_bound, r.lower_stderr,
-               r.upper_bound, r.upper_stderr, r.sandwich_ok]
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _write_text(path, buf.getvalue())
+    rows = ((r.t, r.estimate, r.stderr, r.lower_bound, r.lower_stderr,
+             r.upper_bound, r.upper_stderr, r.sandwich_ok) for r in report.records)
+    write_table(path, columns, rows, _header_lines(config, extra))
 
 
-def _write_text(path, text: str):
-    if hasattr(path, "write"):
+def write_table(path, columns, rows, header=()):
+    """Write ``header`` lines, the column names, then one CSV line per row.
+
+    ``path`` is a file path, an open text stream, or None (or empty) for
+    stdout. Cells are formatted alike in every output: floats by ``repr``,
+    None and NaN empty, booleans 1 and 0.
+    """
+    lines = [*header, ",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]
+    text = "\n".join(lines) + "\n"
+    if not path:
+        sys.stdout.write(text)
+    elif hasattr(path, "write"):
         path.write(text)
     else:
         with open(path, "w", newline="") as fh:
