@@ -3,18 +3,19 @@
 The forward expectation of a product indicator from the all-ones start
 equals the expectation of exp(-accumulated bias) along the coalescing dual
 started from the indicator's sites. On a 3-site ring both sides can be
-computed exactly; the script then confirms that the two Monte Carlo routes
-(event-driven forward dynamics, weighted dual walks) land on the same
-number.
+computed exactly for every subset at once: ``duality_gap`` evolves the
+all-ones configuration to the law of eta_t by one adjoint uniformization,
+reads every product-indicator expectation off its superset sums, and
+compares them with the killed-dual semigroup. The script then confirms
+that the two Monte Carlo routes (event-driven forward dynamics, weighted
+dual walks) land on the same number.
 """
 
 import numpy as np
 
-from biased_voter import (BiasField, exact_dual_value, fold_to_torus,
-                          forward_relaxation, make_nn_kernel,
+from biased_voter import (BiasField, duality_gap, exact_dual_value,
+                          fold_to_torus, forward_relaxation, make_nn_kernel,
                           quenched_dual_expectation, site_indicator)
-from biased_voter.exact import (build_forward_generator,
-                                product_indicator_vector, semigroup_apply)
 
 side = 3
 kernel = make_nn_kernel(1)
@@ -25,17 +26,8 @@ field = BiasField({(i,): float(beta[i]) for i in range(side)})
 print(f"ring of {side} sites, bias field {np.round(beta, 3)}")
 
 print("\n== exact identity, every subset ==")
-gen = build_forward_generator(beta, tk)
 for t in (0.5, 2.0):
-    dual_vals = np.asarray([exact_dual_value([m for m in range(side) if mask >> m & 1],
-                                             beta, tk, t)
-                            for mask in range(1 << side)])
-    worst = 0.0
-    for mask in range(1, 1 << side):
-        g = product_indicator_vector(side, mask)
-        fwd = semigroup_apply(gen, g, t)[(1 << side) - 1]
-        worst = max(worst, abs(float(fwd) - dual_vals[mask]))
-    print(f"t={t}: max |forward - dual| over subsets = {worst:.2e}")
+    print(f"t={t}: max |forward - dual| over subsets = {duality_gap(beta, tk, t):.2e}")
 
 print("\n== the same number from the two simulators ==")
 t = 1.0

@@ -43,5 +43,5 @@ print(f"ordering holds at every time: {report.ordering_ok}")
 print(f"exponent bracket holds: {report.gamma_bracket_ok}")
 
 out = sys.argv[1] if len(sys.argv) > 1 else "sandwich_demo.csv"
-write_sandwich_csv(out, report, config)
+write_sandwich_csv(out, report)
 print(f"\nfull curve written to {out}")

@@ -14,11 +14,10 @@ from .dual import (DualCurve, DualSimulation, DualState, RangeTracker,
                    annealed_dual_expectation, coupled_dual_walker_ranges,
                    dual_curve, dual_evolve, independent_walkers_range,
                    quenched_dual_expectation)
-from .exact import (GeneratorMatrix, RangeChainState, build_dual_matrix,
-                    build_forward_generator, exact_dual_value,
-                    exact_dual_values_all, exact_forward_value,
-                    exact_range_functional_1d, exact_range_functional_curve_1d,
-                    product_indicator_vector, range_chain_transitions,
+from .exact import (build_dual_matrix, build_forward_generator, duality_gap,
+                    exact_dual_value, exact_dual_values_all,
+                    exact_forward_values_all, exact_range_functional_1d,
+                    exact_range_functional_curve_1d, product_indicator_vector,
                     semigroup_apply)
 from .forward import (Configuration, CoupledForwardSimulation, Event, EventLog,
                       ForwardSimulation, all_ones, all_zeros, coupled_evolve,

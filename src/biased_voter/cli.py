@@ -19,9 +19,7 @@ import sys
 
 import numpy as np
 
-from .exact import (exact_dual_values_all, exact_range_functional_curve_1d,
-                    product_indicator_vector, semigroup_apply,
-                    build_forward_generator)
+from .exact import duality_gap, exact_range_functional_curve_1d
 from .harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
                       build_config, fit_stretch_exponent, make_kernel,
                       parse_t_grid, parse_window, read_config_items, read_curve_csv,
@@ -87,9 +85,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sandwich(args) -> int:
-    config = _build_config(args)
-    report = sandwich_report(config)
-    write_sandwich_csv(args.out, report, config)
+    report = sandwich_report(_build_config(args))
+    write_sandwich_csv(args.out, report)
     print(f"target exponent d/(d+alpha) = {report.gamma_target:.6f}", file=sys.stderr)
     for name, g in (("estimate", report.gamma_estimate),
                     ("lower", report.gamma_lower), ("upper", report.gamma_upper)):
@@ -124,24 +121,14 @@ def _cmd_exact(args) -> int:
 
 def _exact_duality(args) -> int:
     tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
-    n = tk.n_sites
-    if n > 12:
-        print(f"torus with {n} sites exceeds the exact limit of 12", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     rng = np.random.default_rng(args.seed)
     times = parse_t_grid(args.t_grid) if args.t_grid else (0.1, 1.0, 10.0)
     rows = []
     worst = 0.0
     for fidx in range(args.fields):
-        beta = rng.uniform(0.0, 2.0, size=n)
-        gen = build_forward_generator(beta, tk)
+        beta = rng.uniform(0.0, 2.0, size=tk.n_sites)
         for t in times:
-            dual_vals = exact_dual_values_all(beta, tk, t)
-            diff = 0.0
-            for mask in range(1, 1 << n):
-                g = product_indicator_vector(n, mask)
-                fwd = semigroup_apply(gen, g, t)[(1 << n) - 1]
-                diff = max(diff, abs(float(fwd) - float(dual_vals[mask])))
+            diff = duality_gap(beta, tk, t)
             worst = max(worst, diff)
             rows.append((fidx, float(t), diff, diff <= args.tol))
     write_table(args.out, ("field", "t", "max_abs_diff", "pass"), rows)

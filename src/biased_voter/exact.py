@@ -16,59 +16,37 @@ position relative to the visited interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.stats import norm, poisson
 
 from .kernel import TorusKernel, bias_array
+from .localfn import _subset_sums
+from .stats import InvariantError
 
 __all__ = [
     "MAX_EXACT_SITES",
-    "GeneratorMatrix",
-    "RangeChainState",
     "build_forward_generator",
     "build_dual_matrix",
     "semigroup_apply",
     "exact_dual_value",
     "exact_dual_values_all",
-    "exact_forward_value",
+    "exact_forward_values_all",
+    "duality_gap",
     "product_indicator_vector",
     "exact_range_functional_1d",
     "exact_range_functional_curve_1d",
-    "range_chain_transitions",
 ]
 
 MAX_EXACT_SITES = 12
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Exact flip-rate generator over all 2^n_sites configurations.
-
-    Off-diagonal entry (s, s^x) is the flip rate of site x in configuration
-    s; rows sum to zero.
-    """
-
-    n_sites: int
-    matrix: sparse.csr_matrix
-
-    def __post_init__(self):
-        rows = np.abs(np.asarray(self.matrix.sum(axis=1)).ravel())
-        if rows.max() > 1e-12 * max(1.0, abs(self.matrix.data).max() if self.matrix.nnz else 1.0):
-            raise ValueError("generator rows must sum to zero")
-
-    @property
-    def n_states(self) -> int:
-        return 1 << self.n_sites
-
-
-def build_forward_generator(bias, tk: TorusKernel) -> GeneratorMatrix:
+def build_forward_generator(bias, tk: TorusKernel) -> sparse.csr_matrix:
     """Rate matrix of the biased voter dynamics on a torus of <= 12 sites.
 
-    The flip rate of site x in configuration s is beta(x) when s(x) = 1 plus
-    the folded kernel mass on disagreeing partners.
+    States are configurations (bit masks). Off-diagonal entry (s, s^x) is the
+    flip rate of site x in s: beta(x) when s(x) = 1 plus the folded kernel
+    mass on disagreeing partners. Rows sum to zero.
     """
     n = tk.n_sites
     if n > MAX_EXACT_SITES:
@@ -93,7 +71,10 @@ def build_forward_generator(bias, tk: TorusKernel) -> GeneratorMatrix:
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(1 << n, 1 << n)).tocsr()
     diag = -np.asarray(mat.sum(axis=1)).ravel()
     mat = (mat + sparse.diags(diag)).tocsr()
-    return GeneratorMatrix(n_sites=n, matrix=mat)
+    row_sums = np.abs(np.asarray(mat.sum(axis=1)).ravel())
+    if row_sums.max() > 1e-12 * max(1.0, np.abs(mat.data).max()):
+        raise InvariantError("forward generator rows must sum to zero")
+    return mat
 
 
 def build_dual_matrix(bias, tk: TorusKernel) -> sparse.csr_matrix:
@@ -126,9 +107,8 @@ def build_dual_matrix(bias, tk: TorusKernel) -> sparse.csr_matrix:
     cols = np.concatenate(cols)
     data = np.concatenate(data)
     mat = sparse.coo_matrix((data, (rows, cols)), shape=(1 << n, 1 << n)).tocsr()
-    counts = np.array([int(s).bit_count() for s in states], dtype=np.float64)
-    kill = np.array([float(beta[[i for i in range(n) if s >> i & 1]].sum()) for s in states])
-    diag = -counts * move_total - kill
+    bits = ((states[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    diag = -bits.sum(axis=1) * move_total - bits @ beta
     return (mat + sparse.diags(diag)).tocsr()
 
 
@@ -140,16 +120,20 @@ def semigroup_apply(generator, g, t: float, tol: float = 1e-12) -> np.ndarray:
     P = I + M/L is substochastic, so ||P^k g||_inf <= ||g||_inf and the
     neglected Poisson tail mass bounds the truncation error by
     tail * ||g||_inf < tol.
+
+    The transpose of a generator also qualifies: P^T contracts in l1 rather
+    than sup norm, and for a point mass ||g||_1 = ||g||_inf = 1, so the same
+    stopping rule bounds the l1 error of the evolved law.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    mat = generator.matrix if isinstance(generator, GeneratorMatrix) else generator
     g = np.asarray(g, dtype=np.float64).copy()
-    diag = mat.diagonal()
+    diag = generator.diagonal()
     lam = float(np.max(-diag)) if diag.size else 0.0
     if t == 0.0 or lam <= 0.0:
         return g
-    p = sparse.identity(mat.shape[0], format="csr") + mat.multiply(1.0 / lam)
+    p = (sparse.identity(generator.shape[0], format="csr")
+         + generator.multiply(1.0 / lam))
     mu = lam * t
     n_max = int(mu + 12.0 * np.sqrt(mu + 1.0) + 60.0)
     pmf = poisson.pmf(np.arange(n_max + 1), mu)
@@ -200,45 +184,30 @@ def product_indicator_vector(n_sites: int, subset_mask: int) -> np.ndarray:
     return ((states & subset_mask) == subset_mask).astype(np.float64)
 
 
-def exact_forward_value(g, bias, tk: TorusKernel, t: float,
-                        start_mask: int | None = None) -> float:
-    """Exact forward expectation E^start[g(eta_t)] on a tiny torus.
+def exact_forward_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
+    """E[H(eta_t, A)] from the all-ones start for every subset A, as a vector.
 
-    ``g`` is a vector indexed by configuration mask; the default start is
-    the all-ones configuration.
+    One adjoint uniformization evolves the all-ones point mass to the law of
+    eta_t; superset sums of that law give every product-indicator
+    expectation at once.
     """
+    n = tk.n_sites
     gen = build_forward_generator(bias, tk)
-    if start_mask is None:
-        start_mask = (1 << gen.n_sites) - 1
-    return float(semigroup_apply(gen, g, t)[start_mask])
+    start = np.zeros(1 << n)
+    start[-1] = 1.0
+    law = semigroup_apply(gen.T.tocsr(), start, t)
+    return _subset_sums(law[::-1], n)[::-1]
+
+
+def duality_gap(bias, tk: TorusKernel, t: float) -> float:
+    """Max over nonempty A of |forward - killed dual| at time t."""
+    diff = exact_forward_values_all(bias, tk, t) - exact_dual_values_all(bias, tk, t)
+    return float(np.max(np.abs(diff[1:])))
 
 
 # ---------------------------------------------------------------------------
 # Exact 1-d range functional
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RangeChainState:
-    """Lumped state of a 1-d nearest-neighbor walk: visited-interval width
-    and the walker's offset from its left end."""
-
-    offset: int
-    width: int
-
-    def __post_init__(self):
-        if not 0 <= self.offset < self.width:
-            raise ValueError("offset must lie in [0, width)")
-
-
-def range_chain_transitions(state: RangeChainState):
-    """Jump targets of the lumped chain: (new state, rate, widens)."""
-    j, w = state.offset, state.width
-    left = (RangeChainState(j - 1, w), 0.5, False) if j > 0 \
-        else (RangeChainState(0, w + 1), 0.5, True)
-    right = (RangeChainState(j + 1, w), 0.5, False) if j < w - 1 \
-        else (RangeChainState(w, w + 1), 0.5, True)
-    return [left, right]
 
 
 def _check_width_cap(t: float, width_cap: int):

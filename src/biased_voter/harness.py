@@ -592,6 +592,7 @@ def fit_stretch_exponent(curve, window: tuple[float, float] | None = None
 class SandwichReport:
     """Two-sided bound audit plus exponent fits for one annealed experiment."""
 
+    config: ExperimentConfig        # as run: annealed mode, default observable filled in
     records: list[CurveRecord]
     hypothesis_upper_ok: bool       # some mass off zero bias
     hypothesis_lower_ok: bool       # some mass at zero bias
@@ -662,6 +663,7 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
                     if lam and math.isfinite(n2) else None),
     }
     return SandwichReport(
+        config=config,
         records=records,
         hypothesis_upper_ok=hyp_upper,
         hypothesis_lower_ok=hyp_lower,
@@ -732,7 +734,8 @@ def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig
                 _header_lines(config, extra))
 
 
-def write_sandwich_csv(path, report: SandwichReport, config: ExperimentConfig):
+def write_sandwich_csv(path, report: SandwichReport):
+    """Write the audit under a header embedding the config the report ran."""
     extra = [f"# gamma_target = {_fmt(report.gamma_target)}"]
     for name, g in (("estimate", report.gamma_estimate), ("lower", report.gamma_lower),
                     ("upper", report.gamma_upper)):
@@ -747,7 +750,7 @@ def write_sandwich_csv(path, report: SandwichReport, config: ExperimentConfig):
                "upper", "upper_stderr", "sandwich_ok")
     rows = ((r.t, r.estimate, r.stderr, r.lower_bound, r.lower_stderr,
              r.upper_bound, r.upper_stderr, r.sandwich_ok) for r in report.records)
-    write_table(path, columns, rows, _header_lines(config, extra))
+    write_table(path, columns, rows, _header_lines(report.config, extra))
 
 
 def write_table(path, columns, rows, header=()):

@@ -39,25 +39,21 @@ def _normalize_site(site) -> Site:
     return tuple(int(c) for c in site)
 
 
-def _subset_sums(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Zeta transform: out[A] = sum over subsets B of A of values[B]."""
-    out = values.copy()
-    for i in range(nbits):
-        bit = 1 << i
-        for mask in range(1 << nbits):
-            if mask & bit:
-                out[mask] += out[mask ^ bit]
-    return out
+def _subset_sums(values: np.ndarray, nbits: int, inverse: bool = False) -> np.ndarray:
+    """Zeta transform out[A] = sum over subsets B of A of values[B].
 
-
-def _mobius(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of the zeta transform over the subset lattice."""
+    With ``inverse`` it is the Mobius inversion, the signed sum
+    sum_B (-1)^{|A - B|} values[B]. Bit i of a mask is axis nbits-1-i of
+    the (2,)*nbits cube, so each bit is one vectorized half-cube update.
+    """
     out = values.copy()
+    cube = out.reshape((2,) * nbits)
     for i in range(nbits):
-        bit = 1 << i
-        for mask in range(1 << nbits):
-            if mask & bit:
-                out[mask] -= out[mask ^ bit]
+        halves = np.moveaxis(cube, nbits - 1 - i, 0)
+        if inverse:
+            halves[1] -= halves[0]
+        else:
+            halves[1] += halves[0]
     return out
 
 
@@ -167,7 +163,7 @@ def hat_coeffs(f: LocalFunction) -> dict[frozenset, float]:
     sum_A fhat(A) H(eta, A) = f(eta) is exact for every restriction.
     """
     n = f.n_sites
-    coeffs = _mobius(f.table, n)
+    coeffs = _subset_sums(f.table, n, inverse=True)
     out = {}
     for mask in range(1 << n):
         sites = frozenset(f.support[i] for i in range(n) if mask & (1 << i))
@@ -178,7 +174,7 @@ def hat_coeffs(f: LocalFunction) -> dict[frozenset, float]:
 def sigma_and_support(f: LocalFunction) -> tuple[float, frozenset]:
     """Sum of |fhat(A)| over nonempty A, and the recomputed minimal support."""
     n = f.n_sites
-    coeffs = _mobius(f.table, n)
+    coeffs = _subset_sums(f.table, n, inverse=True)
     sigma = float(np.sum(np.abs(coeffs[1:]))) if n > 0 else 0.0
     minimal = set()
     for i in range(n):
@@ -213,7 +209,7 @@ def lemma1_check(f: LocalFunction) -> bool:
     n = f.n_sites
     if n > 12:
         raise ValueError("criterion enumeration limited to supports of <= 12 sites")
-    coeffs = _mobius(f.table, n)
+    coeffs = _subset_sums(f.table, n, inverse=True)
     z = _subset_sums(coeffs, n)
     for b2 in range(1 << n):
         b1 = b2
@@ -291,7 +287,7 @@ def lemma2_verify(x: dict, y_singletons: dict, tol: float = 1e-9) -> Lemma2Repor
 def gap(f: LocalFunction) -> float:
     """Sum of fhat(A) over nonempty A; equals f(all ones) - f(all zeros)."""
     n = f.n_sites
-    coeffs = _mobius(f.table, n)
+    coeffs = _subset_sums(f.table, n, inverse=True)
     return float(np.sum(coeffs) - coeffs[0])
 
 

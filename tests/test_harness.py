@@ -277,7 +277,7 @@ class TestPersistence:
                            replicas=600)
         report = sandwich_report(cfg)
         out = tmp_path / "sandwich.csv"
-        write_sandwich_csv(out, report, cfg)
+        write_sandwich_csv(out, report)
         text = out.read_text()
         assert "# gamma_target = " in text
         assert "sandwich_ok" in text.splitlines()[-len(report.records) - 1]
@@ -340,10 +340,27 @@ class TestCLI:
                          "--seed", "11", "--out", str(tmp_path / "s.csv")])
         assert code == 0
 
+    def test_sandwich_default_observable_in_header(self, tmp_path):
+        # the header and hash describe the config the audit ran, so leaving
+        # out the default observable writes the same file as naming it
+        args = ["sandwich", "--disorder", "bernoulli", "--q", "0.5", "--b", "1",
+                "--t-grid", "5,10", "--replicas", "50", "--seed", "5"]
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        cli_main([*args, "--out", str(implicit)])
+        cli_main([*args, "--observable", "site 0", "--out", str(explicit)])
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert "# observable = 0|0.0,1.0" in implicit.read_text()
+
     def test_exact_duality_gate(self, tmp_path):
         code = cli_main(["exact", "--what", "duality", "--L", "3",
                          "--fields", "2", "--out", str(tmp_path / "d.csv")])
         assert code == 0
+
+    def test_exact_duality_beyond_site_limit(self, tmp_path, capsys):
+        code = cli_main(["exact", "--what", "duality", "--L", "13",
+                         "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "limited to 12 sites" in capsys.readouterr().err
 
     def test_localfn_check(self, tmp_path, capsys):
         f = tmp_path / "f.txt"
