@@ -16,6 +16,7 @@ carrying a dual particle; ``DualSimulation`` is the event-by-event reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,35 +225,40 @@ def annealed_dual_expectation(A, law: DisorderLaw, kernel, t: float,
     return float(curve.mean[0]), float(curve.stderr[0])
 
 
-def _walker_paths(starts, kernel, t: float, rng: np.random.Generator):
-    """One replica of the walk engine: positions and arrival times, (k, m + 1)."""
+def _walker_paths(starts, kernel, t: float, count: int, rng: np.random.Generator):
+    """``count`` replicas of the walk engine: positions and arrival times, (count * k, m + 1)."""
     starts = _start_array(kernel, [_normalize_site(s) for s in starts])
-    pos, cum_t = _draw(kernel, starts, t, 1, rng)
-    return pos, np.concatenate([np.zeros((len(starts), 1)), cum_t], axis=1)
+    pos, cum_t = _draw(kernel, starts, t, count, rng)
+    return pos, np.concatenate([np.zeros((len(pos), 1)), cum_t], axis=1)
 
 
 def independent_walkers_range(starts, kernel, t: float,
                               rng: np.random.Generator) -> RangeTracker:
     """Union of the visited sets of independent walks from distinct starts."""
-    pos, arrivals = _walker_paths(starts, kernel, t, rng)
+    pos, arrivals = _walker_paths(starts, kernel, t, 1, rng)
     return RangeTracker(set(map(tuple, pos[arrivals <= t].tolist())))
 
 
-def coupled_dual_walker_ranges(starts, kernel, t: float,
-                               rng: np.random.Generator) -> tuple[int, int]:
-    """Dual range and independent-walker range on shared randomness.
+def coupled_dual_walker_ranges(starts, kernel, t: float, replicas: int,
+                               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Dual range and independent-walker range of each replica on shared randomness.
 
     Each dual particle rides one walker; when a carried particle lands on a
     site already holding another one, the rider is dropped (coalescence).
     The dual visited set is then a subset of the walkers' visited set on
-    every path, which is checked.
+    every path, which is checked replica by replica.
     """
-    pos, arrivals = _walker_paths(starts, kernel, t, rng)
-    skey = _site_keys(pos)[0]
-    death = _death_times(arrivals[:, 1:], skey, len(pos), t)
+    pos, arrivals = _walker_paths(starts, kernel, t, replicas, rng)
+    k = len(pos) // replicas
+    skey, _, spans = _site_keys(pos)
+    death = _death_times(arrivals[:, 1:], skey, k, t)
+    n_keys = math.prod(int(s) for s in spans)
+    keys = skey + (np.arange(len(pos)) // k * n_keys)[:, None]   # replica-major (replica, site)
     seen = arrivals <= t
-    walker = set(skey[seen].tolist())
-    dual = set(skey[seen & (arrivals < death[:, None])].tolist())
-    if not dual <= walker:
-        raise InvariantError("dual range left the walker range")
-    return len(dual), len(walker)
+    walker = np.unique(keys[seen])
+    dual = np.unique(keys[seen & (arrivals < death[:, None])])
+    outside = dual[~np.isin(dual, walker)]
+    if outside.size:
+        raise InvariantError(f"dual range left the walker range in replica {outside[0] // n_keys}")
+    return (np.bincount(dual // n_keys, minlength=replicas),
+            np.bincount(walker // n_keys, minlength=replicas))

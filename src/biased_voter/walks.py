@@ -138,40 +138,71 @@ def _death_times(cum_t: np.ndarray, skey: np.ndarray, k: int, t_max: float) -> n
     return death
 
 
+def _pair_ids(keys: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for keys in [0, key_space).
+
+    A dense bitmap over the key space when it holds no more entries than
+    ``keys``, a sort otherwise (wide boxes: 2-d and power-kernel walks).
+    """
+    if key_space <= keys.size:
+        present = np.zeros(key_space, dtype=bool)
+        present[keys] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, inverse.ravel()
+
+
 def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
                     rng: np.random.Generator, law: DisorderLaw | None = None, bias=None):
     """Per-replica range counts, live riders and log path weights at every grid time.
 
     ``bias`` is a field, or on a torus the checked per-site array; live
     riders are None for a single walker.
+
+    Interval c of a walker row is its stay at position c, from the c-th
+    jump (time 0 for the start) to the next one. Each held interval is
+    reduced once: a (replica, site) pair is in the range from the first grid
+    index past any of its arrivals (starts count at index 0), and its local
+    time gets each interval's hold up to that index there, plus one
+    increment per grid time an interval runs across; a cumulative sum over
+    grid indices then gives l_t at every grid time.
     """
     k = len(starts)
+    n_grid = t_grid.size
     t_max = float(t_grid[-1])
     pos, cum_t = _draw(kernel, starts, t_max, count, rng)
-    rows = pos.shape[0]
+    rows, m = cum_t.shape
     skey, mins, spans = _site_keys(pos)
+    del pos
     max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
     n_keys = math.prod(int(s) for s in spans)
     if count * n_keys >= 1 << 62:
         raise RuntimeError("site key space overflow; reduce batch size")
 
-    arrivals = np.concatenate([np.zeros((rows, 1)), cum_t], axis=1)
-    nexts = np.concatenate([cum_t, np.full((rows, 1), np.inf)], axis=1)
-    keys = np.arange(rows, dtype=np.int64)[:, None] // k * n_keys + skey
+    # first grid index past each interval's arrival; G when it arrives at or after t_max
+    first = np.zeros((rows, m), dtype=np.min_scalar_type(n_grid))
+    first[:, 1:] = np.searchsorted(t_grid, cum_t[:, :-1], side="right")
+    held = first < n_grid
     particles = None
-    if k > 1:   # keep only the positions riders hold by t_max, cut at their deaths
-        death = _death_times(cum_t, skey, k, t_max)[:, None]
-        particles = (death > t_grid).reshape(count, k, t_grid.size).sum(axis=1)
-        held = (arrivals < death) & (arrivals <= t_max)
-        np.minimum(nexts, death, out=nexts)
-        arrivals, nexts, keys = arrivals[held], nexts[held], keys[held]
-    arrivals, nexts, keys = arrivals.ravel(), nexts.ravel(), keys.ravel()
-
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.ravel()
+    if k > 1:   # cut every rider at its death, one of its own walker's jump times
+        death = _death_times(cum_t, skey, k, t_max)
+        particles = (death[:, None] > t_grid).reshape(count, k, n_grid).sum(axis=1)
+        held[:, 1:] &= cum_t[:, :-1] < death[:, None]
+    skey += (np.arange(rows, dtype=np.int64) // k * n_keys)[:, None]
+    uniq, inverse = _pair_ids(skey[:, :m][held], count * n_keys)
+    del skey
     n_pairs = uniq.size
-    replica_of = (uniq // n_keys).astype(np.int64)
-    started = arrivals == 0.0
+    replica_of = uniq // n_keys
+    first_held = first[held]
+    del first
+
+    pair_first = np.full(n_pairs, n_grid, dtype=first_held.dtype)
+    np.minimum.at(pair_first, inverse, first_held)
+    range_counts = np.bincount(replica_of * n_grid + pair_first, minlength=count * n_grid)
+    range_counts = range_counts.reshape(count, n_grid).cumsum(axis=1)
+    if law is None and bias is None:
+        return range_counts, particles, None, max_abs
+
     if bias is not None:
         sites, site_of = np.unique(uniq % n_keys, return_inverse=True)
         coords = np.stack(np.unravel_index(sites, spans), axis=-1) + mins
@@ -181,20 +212,45 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
             beta = bias_values(bias, map(tuple, coords.tolist()))
         beta = beta[site_of.ravel()]
 
-    range_counts = np.empty((count, t_grid.size), dtype=np.int64)
-    weighted = law is not None or bias is not None
-    logw = np.empty((count, t_grid.size)) if weighted else None
-    for j, tj in enumerate(t_grid):
-        hold = np.minimum(nexts, tj) - arrivals
-        np.clip(hold, 0.0, None, out=hold)
-        visited_pairs = np.zeros(n_pairs, dtype=bool)
-        visited_pairs[inverse[started | (arrivals < tj)]] = True
-        range_counts[:, j] = np.bincount(
-            replica_of[visited_pairs], minlength=count)
-        if logw is not None:
-            lt = np.bincount(inverse, weights=hold, minlength=n_pairs)
-            terms = np.log(laplace(law, lt)) if law is not None else -beta * lt
-            logw[:, j] = np.bincount(replica_of, weights=terms, minlength=count)
+    # hold of every held interval up to its first grid time, deposited there;
+    # held intervals are a prefix of every row, so flattened, each arrives
+    # when the one before it ends, or at time 0 at the start of a row
+    n_held = np.count_nonzero(held, axis=1)
+    row_start = np.cumsum(n_held) - n_held
+    nexts = cum_t[held]
+    arrivals = np.concatenate([[0.0], nexts[:-1]])
+    arrivals[row_start] = 0.0
+    hold = np.minimum(nexts, t_grid[first_held]) - arrivals
+    del nexts, arrivals
+    # the interval of each row that runs across grid time j - 1 adds its hold up to time j
+    across = np.array([np.searchsorted(row, t_grid[:-1]) for row in cum_t]).reshape(rows, -1)
+    kept = across < n_held[:, None]
+    step = np.minimum(np.take_along_axis(cum_t, across, axis=1), t_grid[1:]) - t_grid[:-1]
+    del cum_t
+    deposit_at = np.concatenate(
+        [first_held, np.broadcast_to(np.arange(1, n_grid), across.shape)[kept]]).astype(np.intp)
+    deposit_pair = np.concatenate(
+        [inverse, inverse[(row_start[:, None] + across)[kept]]])
+    deposit = np.concatenate([hold, step[kept]])
+    del first_held, inverse, hold
+
+    # l_t table over (grid index, pair), a block of grid indices at a time so
+    # that a block holds no more entries than there are held intervals
+    logw = np.empty((count, n_grid))
+    lt = np.zeros(n_pairs)
+    block = max(1, deposit.size // n_pairs)
+    for lo in range(0, n_grid, block):
+        hi = min(n_grid, lo + block)
+        sel = slice(None) if block >= n_grid else (deposit_at >= lo) & (deposit_at < hi)
+        table = np.bincount((deposit_at[sel] - lo) * n_pairs + deposit_pair[sel],
+                            weights=deposit[sel], minlength=(hi - lo) * n_pairs)
+        table = table.reshape(hi - lo, n_pairs)
+        table[0] += lt
+        np.cumsum(table, axis=0, out=table)
+        lt = table[-1].copy()
+        terms = np.log(laplace(law, table)) if law is not None else -beta * table
+        for j in range(lo, hi):
+            logw[:, j] = np.bincount(replica_of, weights=terms[j - lo], minlength=count)
     return range_counts, particles, logw, max_abs
 
 

@@ -209,10 +209,10 @@ class TestWalkersAndCoupling:
     def test_dual_range_dominated_by_walkers(self):
         # shared-randomness coupling: the coalescing set visits no more
         # sites than the independent walkers it rides on
-        for r in range(10_000):
-            dual_count, walker_count = coupled_dual_walker_ranges(
-                [(0,), (1,), (3,)], NN1, 5.0, rng_for(26, r))
-            assert dual_count <= walker_count
+        dual_count, walker_count = coupled_dual_walker_ranges(
+            [(0,), (1,), (3,)], NN1, 5.0, 10_000, rng_for(26))
+        assert dual_count.shape == walker_count.shape == (10_000,)
+        assert np.all(dual_count <= walker_count)
 
     def test_two_dimensional_walkers(self):
         tracker = independent_walkers_range([(0, 0), (2, 2)], NN2, 10.0, rng_for(27))
