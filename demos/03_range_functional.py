@@ -2,7 +2,7 @@
 
 The number of distinct sites a walk visits controls the relaxation rate of
 the whole model. Plain Monte Carlo is reliable at moderate times and is
-checked against the exact lumped-chain solver; at large times the solver
+checked against the exact closed-form solver; at large times the solver
 takes over and shows the local exponent of -log F(t) drifting down toward
 d/(d+alpha) = 1/3, with the amplitude heading for the closed-form rate
 constant.

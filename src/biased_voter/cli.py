@@ -80,7 +80,8 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    write_records_csv(args.out, run(config), config)
+    records, max_abs_position = run(config)
+    write_records_csv(args.out, records, config, max_abs_position)
     return EXIT_OK
 
 
@@ -212,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", dest="t_grid")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--nu", type=float)
-    p.add_argument("--width-cap", type=int, dest="width_cap", default=400)
+    p.add_argument("--width-cap", type=int, dest="width_cap", default=400,
+                   help="largest interval length summed exactly by the range "
+                        "oracle; an error names the cap when its remainder "
+                        "bound exceeds 1e-12 of the value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact)

@@ -7,18 +7,19 @@ Three exact computations back the Monte Carlo machinery:
 * the coalescing dual chain on subsets of such a torus, killed at the rate
   given by the total bias carried by the occupied sites;
 * the distinct-sites functional E^0 exp(-nu |R_t|) of the one-dimensional
-  nearest-neighbor walk, computed from the lumped (offset, width) chain.
+  nearest-neighbor walk, in closed form.
 
-The lumping in the third item works because the law of the visited set of a
-1-d nearest-neighbor walk depends on the path only through the walker's
-position relative to the visited interval.
+The closed form in the third item works because the visited set of a 1-d
+nearest-neighbor walk is an interval: summing over the intervals that hold
+it turns the functional into survival probabilities of the walk killed
+outside an interval, which a sine series gives exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import norm, poisson
+from scipy.special import gammaln, ive, pdtrc, xlogy
 
 from .kernel import TorusKernel, bias_array
 from .localfn import _subset_sums
@@ -136,7 +137,8 @@ def semigroup_apply(generator, g, t: float, tol: float = 1e-12) -> np.ndarray:
          + generator.multiply(1.0 / lam))
     mu = lam * t
     n_max = int(mu + 12.0 * np.sqrt(mu + 1.0) + 60.0)
-    pmf = poisson.pmf(np.arange(n_max + 1), mu)
+    ks = np.arange(n_max + 1)
+    pmf = np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)   # Poisson(mu) weights
     gnorm = float(np.max(np.abs(g))) or 1.0
     acc = pmf[0] * g
     v = g
@@ -210,74 +212,53 @@ def duality_gap(bias, tk: TorusKernel, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_width_cap(t: float, width_cap: int):
-    """Gaussian surrogate for P(width at time t > cap) < 1e-12.
-
-    Uses the Brownian asymptotics for the visited-interval width (mean
-    sqrt(8t/pi), variance (4 log 2 - 8/pi) t). Heuristic rather than a
-    large-deviation bound, but paths that do exceed the cap carry weight at
-    most exp(-nu*(cap+1)), so the discarded mass is doubly negligible for
-    the nu used in practice.
-    """
-    mean = np.sqrt(8.0 * t / np.pi)
-    sd = np.sqrt((4.0 * np.log(2.0) - 8.0 / np.pi) * t)
-    if sd == 0.0:
-        return
-    if norm.sf((width_cap - mean) / sd) >= 1e-12:
-        raise ValueError(
-            f"width_cap={width_cap} too small for t={t}: widen the cap "
-            f"(visited width is about {mean:.1f} +- {sd:.1f})")
-
-
-def _width_mass_series(nu: float, width_cap: int, n_steps: int) -> np.ndarray:
-    """Total weighted mass S_k = E[exp(-nu * width) after k jumps].
-
-    Evolves the weighted occupation panel phi[w, j] of the lumped chain one
-    embedded jump at a time; width increments multiply the weight by
-    exp(-nu). Mass beyond the cap is discarded.
-    """
-    decay = np.exp(-nu)
-    cap = width_cap
-    phi = np.zeros((cap + 1, cap + 1))
-    phi[1, 0] = decay  # the start site is already visited
-    interior_right = np.zeros((cap + 1, cap + 1), dtype=bool)
-    for w in range(1, cap + 1):
-        interior_right[w, : max(w - 1, 0)] = True
-    diag_rows = np.arange(1, cap)
-    series = np.empty(n_steps + 1)
-    series[0] = phi.sum()
-    for k in range(1, n_steps + 1):
-        new = np.zeros_like(phi)
-        new[:, :-1] += 0.5 * phi[:, 1:]
-        new[:, 1:] += 0.5 * np.where(interior_right, phi, 0.0)[:, :-1]
-        new[2:, 0] += 0.5 * decay * phi[1:-1, 0]
-        new[diag_rows + 1, diag_rows] += 0.5 * decay * phi[diag_rows, diag_rows - 1]
-        phi = new
-        series[k] = phi.sum()
-    return series
+def _mean_range_1d(t: np.ndarray) -> np.ndarray:
+    """E|R_t| of the rate-1 nearest-neighbor walk: e^-t [(1+2t) I0(t) + 2t I1(t)]."""
+    return (1.0 + 2.0 * t) * ive(0, t) + 2.0 * t * ive(1, t)
 
 
 def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.ndarray:
     """E^0 exp(-nu |R_t|) for the 1-d nearest-neighbor walk on a time grid.
 
-    Exact up to the documented truncations: the Poisson tail of the jump
-    count (below 1e-12 of the value) and the width cap (checked against the
-    largest grid time). F(0) = exp(-nu) since the start site counts.
+    With q = e^-nu and W = |R_t|, summation by parts gives
+    F(t) = (1-q)^2 sum_{n>=1} q^n N_n(t), where N_n = E(n+1-W)^+ counts the
+    length-n intervals holding the range. The sine series of the walk killed
+    outside an interval gives N_n exactly for n <= width_cap; beyond it
+    N_n = (n+1-E W) + E(W-n-1)^+ is summed in closed form from E W. The
+    neglected remainder r obeys 0 <= r <= (1-q) q^(cap+1) E(J-cap)^+ with
+    J ~ Poisson(t) the jump count, since W - 1 <= J; a ValueError is raised
+    when that bound exceeds 1e-12 of F at some grid time.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
+    if width_cap < 1:
+        raise ValueError("width_cap must be at least 1")
     t_arr = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_arr < 0):
         raise ValueError("times must be nonnegative")
-    t_max = float(t_arr.max()) if t_arr.size else 0.0
-    _check_width_cap(t_max, width_cap)
-    n_steps = int(t_max + 12.0 * np.sqrt(t_max + 1.0) + 60.0)
-    series = _width_mass_series(nu, width_cap, n_steps)
-    ks = np.arange(n_steps + 1)
-    out = np.empty(t_arr.shape)
-    for i, t in enumerate(t_arr.ravel()):
-        out.ravel()[i] = float(np.dot(poisson.pmf(ks, t), series))
-    return out
+    q = np.exp(-nu)
+    cap = int(width_cap)
+    # one term per interval length n <= cap and odd mode j <= n
+    n, j = np.meshgrid(np.arange(1, cap + 1), np.arange(1, cap + 1, 2), indexing="ij")
+    keep = j <= n
+    n, j = n[keep], j[keep]
+    theta = np.pi * j / (2.0 * n + 2.0)
+    coef = (1.0 - q) ** 2 * q ** n * 2.0 / (n + 1.0) / np.tan(theta) ** 2
+    rate = 2.0 * np.sin(theta) ** 2
+    ts = t_arr.ravel()
+    head = np.array([coef @ np.exp(-t * rate) for t in ts])
+    tail = (1.0 - q) * q ** (cap + 1) * (cap + 2.0 + q / (1.0 - q) - _mean_range_1d(ts))
+    out = head + tail
+    # E(J-cap)^+ = t P(J >= cap) - cap P(J > cap), since k P(J=k) = t P(J=k-1)
+    excess = np.maximum(ts * pdtrc(cap - 1, ts) - cap * pdtrc(cap, ts), 0.0)
+    bound = (1.0 - q) * q ** (cap + 1) * excess
+    bad = np.flatnonzero(bound > 1e-12 * out)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"width_cap={cap} too small for t={ts[i]}: the truncation bound "
+            f"{bound[i]:.3g} exceeds 1e-12 of the sum {out[i]:.3g}")
+    return out.reshape(t_arr.shape)
 
 
 def exact_range_functional_1d(nu: float, t: float, width_cap: int) -> float:

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .dual import dual_curve
@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "CurveRecord",
-    "RecordList",
     "SandwichReport",
     "CONFIG_KEYS",
     "read_config_items",
@@ -392,12 +391,6 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-class RecordList(list):
-    """Records plus run-level metadata (largest dual-walk coordinate seen)."""
-
-    max_abs_position: int | None = None
-
-
 @dataclass
 class CurveRecord:
     """One grid time of an experiment, with optional bound curves."""
@@ -427,26 +420,23 @@ def _derived_seeds(seed: int, count: int) -> list[int]:
     return [int(x) % (2 ** 63) for x in state]
 
 
-def _records(t_grid, mean, stderr, max_abs_position=None, **columns) -> RecordList:
+def _records(t_grid, mean, stderr, **columns) -> list[CurveRecord]:
     """One record per grid time; ``columns`` are per-time optional fields."""
     def cell(v):
         return None if v is None else float(v)
-    records = RecordList(
-        CurveRecord(t=float(t), estimate=float(mean[j]), stderr=float(stderr[j]),
-                    **{k: cell(v[j]) for k, v in columns.items()})
-        for j, t in enumerate(t_grid))
-    records.max_abs_position = max_abs_position
-    return records
+    return [CurveRecord(t=float(t), estimate=float(mean[j]), stderr=float(stderr[j]),
+                        **{k: cell(v[j]) for k, v in columns.items()})
+            for j, t in enumerate(t_grid)]
 
 
-def _run_forward(config: ExperimentConfig) -> list[CurveRecord]:
+def _run_forward(config: ExperimentConfig) -> tuple[list[CurveRecord], None]:
     mean, stderr = forward_relaxation(config.observable_or_default(), config.law,
                                       config.build_torus(), config.t_grid,
                                       config.replicas, config.seed, config.threads)
-    return _records(config.t_grid, mean, stderr)
+    return _records(config.t_grid, mean, stderr), None
 
 
-def _run_dual(config: ExperimentConfig) -> list[CurveRecord]:
+def _run_dual(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
     """Plain dual estimator on the start set: one lazy field, or the law."""
     if config.mode == "dual-quenched":
         dseed = config.disorder_seed if config.disorder_seed is not None else config.seed
@@ -456,11 +446,12 @@ def _run_dual(config: ExperimentConfig) -> list[CurveRecord]:
     curve = dual_curve(config.start_sites(), config.build_kernel(), config.t_grid,
                        config.replicas, config.seed, config.mode.removeprefix("dual-"),
                        threads=config.threads, **disorder)
-    return _records(curve.t_grid, curve.mean, curve.stderr, curve.max_abs_position,
-                    mean_range=curve.mean_range, mean_particles=curve.mean_particles)
+    return (_records(curve.t_grid, curve.mean, curve.stderr, mean_range=curve.mean_range,
+                     mean_particles=curve.mean_particles),
+            curve.max_abs_position)
 
 
-def _run_bounds(config: ExperimentConfig) -> list[CurveRecord]:
+def _run_bounds(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
     """Annealed estimate of the observable plus its two bound curves."""
     kern = config.build_kernel()
     law = config.law
@@ -514,16 +505,15 @@ def _run_bounds(config: ExperimentConfig) -> list[CurveRecord]:
         lower = np.zeros(len(config.t_grid))
         lower_se = np.zeros(len(config.t_grid))
 
-    records = _records(config.t_grid, est, est_se, stats.max_abs_position,
-                       lower_bound=lower, lower_stderr=lower_se,
+    records = _records(config.t_grid, est, est_se, lower_bound=lower, lower_stderr=lower_se,
                        upper_bound=upper, upper_stderr=upper_se,
                        mean_range=mean_range, mean_particles=mean_particles)
     for r in records:
         r.sandwich_ok = _sandwich_ok(r)
-    return records
+    return records, stats.max_abs_position
 
 
-def _run_range(config: ExperimentConfig) -> list[CurveRecord]:
+def _run_range(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
     kern = config.build_kernel()
     curve = mc_range_functional(kern, config.nu, config.t_grid,
                                 config.replicas, config.seed,
@@ -531,13 +521,17 @@ def _run_range(config: ExperimentConfig) -> list[CurveRecord]:
     slopes = {}
     if np.all((curve.mean > 0.0) & (curve.mean < 1.0)) and len(curve.t_grid) >= 3:
         slopes = dict(effective_exponent(list(zip(curve.t_grid, curve.mean))))
-    return _records(curve.t_grid, curve.mean, curve.stderr, curve.max_abs_position,
-                    mean_range=curve.mean_range,
-                    local_exponent=[slopes.get(float(t)) for t in curve.t_grid])
+    return (_records(curve.t_grid, curve.mean, curve.stderr, mean_range=curve.mean_range,
+                     local_exponent=[slopes.get(float(t)) for t in curve.t_grid]),
+            curve.max_abs_position)
 
 
-def run(config: ExperimentConfig) -> list[CurveRecord]:
-    """Execute one experiment; see the module docstring for the pipelines."""
+def run(config: ExperimentConfig) -> tuple[list[CurveRecord], int | None]:
+    """Execute one experiment; see the module docstring for the pipelines.
+
+    Returns the records and the largest walk coordinate seen (None for a
+    forward run), which ``write_records_csv`` puts in the header.
+    """
     config.validate()
     if config.mode == "forward":
         return _run_forward(config)
@@ -584,7 +578,7 @@ def fit_stretch_exponent(curve, window: tuple[float, float] | None = None
     resid = y - (ybar + slope * (x - xbar))
     dof = len(sel) - 2
     s2 = float((resid ** 2).sum()) / dof
-    half = float(_student_t.ppf(0.5 + CI_LEVEL / 2.0, dof) * math.sqrt(s2 / sxx))
+    half = float(stdtrit(dof, 0.5 + CI_LEVEL / 2.0) * math.sqrt(s2 / sxx))
     return slope, half
 
 
@@ -634,7 +628,7 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     n2 = nu2(law)
     hyp_upper = law.mass_at_zero < 1.0   # bias present with positive probability
     hyp_lower = law.mass_at_zero > 0.0
-    records = run(config)
+    records, _ = run(config)
 
     window = config.fit_window     # None: the fit's own default, the last decade
     ts = [r.t for r in records]
@@ -718,18 +712,18 @@ def _record_row(record: CurveRecord, columns, replicas) -> list:
     return [mapping[c] for c in columns]
 
 
-def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig):
+def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig,
+                      max_abs_position: int | None = None):
     """Write per-mode CSV columns under a header embedding the config hash.
 
-    Dual and range runs also record the largest walk coordinate seen, which
+    Dual and range runs also pass the largest walk coordinate seen, which
     is what a forward cross-check needs to pick a torus side with
     negligible wrap probability.
     """
     columns = _MODE_COLUMNS[config.mode]
     extra = []
-    max_pos = getattr(records, "max_abs_position", None)
-    if max_pos is not None:
-        extra.append(f"# max_walk_displacement = {max_pos}")
+    if max_abs_position is not None:
+        extra.append(f"# max_walk_displacement = {max_abs_position}")
     write_table(path, columns, (_record_row(r, columns, config.replicas) for r in records),
                 _header_lines(config, extra))
 

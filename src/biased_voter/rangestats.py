@@ -91,6 +91,7 @@ class RangeCurve:
     mean: np.ndarray        # E exp(-nu |R_t|)
     stderr: np.ndarray
     mean_range: np.ndarray  # E |R_t|
+    range_stderr: np.ndarray
     replicas: int
     max_abs_position: int
 
@@ -111,6 +112,7 @@ def mc_range_functional(kernel: Kernel, nu: float, t_grid, replicas: int,
         mean=stats.exp_means[nu],
         stderr=stats.exp_stderrs[nu],
         mean_range=stats.range_mean,
+        range_stderr=stats.range_stderr,
         replicas=replicas,
         max_abs_position=stats.max_abs_position)
 

@@ -260,7 +260,8 @@ def test_criterion_10_determinism(tmp_path):
     for threads in (1, 3, 1):
         config = ExperimentConfig(**base, threads=threads)
         path = tmp_path / f"t{threads}_{len(outputs)}.csv"
-        write_records_csv(path, run(config), config)
+        records, max_pos = run(config)
+        write_records_csv(path, records, config, max_pos)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     # thread count is not part of the result identity

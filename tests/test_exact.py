@@ -2,17 +2,73 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import norm, poisson
 
-from biased_voter.exact import (build_dual_matrix, build_forward_generator,
-                                duality_gap, exact_dual_value,
-                                exact_dual_values_all, exact_forward_values_all,
+from biased_voter.exact import (_mean_range_1d, build_dual_matrix,
+                                build_forward_generator, duality_gap,
+                                exact_dual_value, exact_dual_values_all,
+                                exact_forward_values_all,
                                 exact_range_functional_1d,
                                 exact_range_functional_curve_1d,
                                 product_indicator_vector, semigroup_apply)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
-from biased_voter.rangestats import effective_exponent
+from biased_voter.rangestats import (dv_constant, effective_exponent, lambda_nn,
+                                     mc_range_functional)
 
 NN1 = make_nn_kernel(1)
+
+
+# Reference solver for E^0 exp(-nu |R_t|): the lumped (offset, width) chain
+# stepped one embedded jump at a time, mixed with Poisson jump-count weights,
+# and its Gaussian width check. The closed form is checked against it.
+
+def reference_width_check(t, width_cap):
+    """Raise ValueError unless P(width > cap) < 1e-12 for a Brownian surrogate."""
+    mean = np.sqrt(8.0 * t / np.pi)
+    sd = np.sqrt((4.0 * np.log(2.0) - 8.0 / np.pi) * t)
+    if sd > 0.0 and norm.sf((width_cap - mean) / sd) >= 1e-12:
+        raise ValueError(f"width_cap={width_cap} too small for t={t}")
+
+
+def reference_range_panel(nu, t_grid, width_cap):
+    """Panel phi[w, j] (width w, offset j) per jump; width gains weigh exp(-nu)."""
+    t_arr = np.asarray(t_grid, dtype=np.float64)
+    t_max = float(t_arr.max())
+    reference_width_check(t_max, width_cap)
+    n_steps = int(t_max + 12.0 * np.sqrt(t_max + 1.0) + 60.0)
+    decay = np.exp(-nu)
+    cap = width_cap
+    phi = np.zeros((cap + 1, cap + 1))
+    phi[1, 0] = decay  # the start site is already visited
+    interior_right = np.zeros((cap + 1, cap + 1), dtype=bool)
+    for w in range(1, cap + 1):
+        interior_right[w, : max(w - 1, 0)] = True
+    diag_rows = np.arange(1, cap)
+    series = np.empty(n_steps + 1)
+    series[0] = phi.sum()
+    for k in range(1, n_steps + 1):
+        new = np.zeros_like(phi)
+        new[:, :-1] += 0.5 * phi[:, 1:]
+        new[:, 1:] += 0.5 * np.where(interior_right, phi, 0.0)[:, :-1]
+        new[2:, 0] += 0.5 * decay * phi[1:-1, 0]
+        new[diag_rows + 1, diag_rows] += 0.5 * decay * phi[diag_rows, diag_rows - 1]
+        phi = new
+        series[k] = phi.sum()
+    ks = np.arange(n_steps + 1)
+    return np.array([np.dot(poisson.pmf(ks, t), series) for t in t_arr])
+
+
+def passing_cap(nu, t):
+    """Smallest cap, in steps of 5, that both width checks accept."""
+    cap = 5
+    while True:
+        try:
+            reference_width_check(t, cap)
+            exact_range_functional_1d(nu, t, cap)
+            return cap
+        except ValueError:
+            cap += 5
 
 
 class TestForwardGenerator:
@@ -139,6 +195,34 @@ class TestRangeFunctional:
     def test_width_cap_guard(self):
         with pytest.raises(ValueError, match="width_cap"):
             exact_range_functional_1d(1.0, 2000.0, 50)
+
+    def test_cap_below_one_rejected(self):
+        # at cap 0 the remainder bound would read P(J > -1) and be no bound
+        with pytest.raises(ValueError, match="width_cap"):
+            exact_range_functional_1d(0.5, 3.0, 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(nu=st.floats(0.2, 3.0), t=st.floats(0.0, 300.0), slack=st.integers(0, 20))
+    def test_closed_form_matches_panel(self, nu, t, slack):
+        cap = passing_cap(nu, t) + slack
+        grid = [t / 3.0, t]
+        got = exact_range_functional_curve_1d(nu, grid, cap)
+        want = reference_range_panel(nu, grid, cap)
+        assert np.all(np.abs(got - want) <= 1e-11 * want)
+
+    def test_mean_range_matches_monte_carlo(self):
+        ts = [1.0, 10.0, 100.0]
+        curve = mc_range_functional(NN1, 1.0, ts, 20_000, seed=12)
+        exact = _mean_range_1d(np.array(ts))
+        assert np.all(np.abs(curve.mean_range - exact) <= 4.0 * curve.range_stderr)
+
+    def test_donsker_varadhan_approach(self):
+        # -log F / t^(1/3) climbs toward the rate constant c(1) = 3.2175
+        ts = np.array([1e4, 1e5, 1e6])
+        rate = -np.log(exact_range_functional_curve_1d(1.0, ts, 420)) / ts ** (1.0 / 3.0)
+        assert rate == pytest.approx([2.938, 3.063, 3.135], abs=1e-3)
+        assert np.all(np.diff(rate) > 0)
+        assert rate[-1] < dv_constant(1, 2.0, lambda_nn(1), 1.0)
 
     def test_local_exponent_decreasing_at_large_times(self, exact_series_nu1):
         ts, values = exact_series_nu1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import biased_voter
-from biased_voter import forward, walks
+from biased_voter import forward, harness, walks
 from biased_voter.cli import EXIT_INVARIANT, main as cli_main
 from biased_voter.exact import exact_dual_value
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
@@ -144,6 +144,31 @@ class TestFit:
         gamma, ci = fit_stretch_exponent(zip(ts, values), window=(100, 2000))
         assert 0.30 <= gamma <= 0.42
 
+    def test_ci_halfwidth_matches_student_t_ppf(self, monkeypatch):
+        # the fit reads its quantile from scipy.special.stdtrit; it is the
+        # same float as scipy.stats.t.ppf for every dof, and so is every
+        # half-width (a fit needs 5 points, so dof >= 3 there)
+        from scipy.stats import t as student_t
+        p = 0.5 + harness.CI_LEVEL / 2.0
+        for dof in range(1, 201):
+            assert harness.stdtrit(dof, p) == student_t.ppf(p, dof)
+        rng = np.random.default_rng(8)
+        curves = []
+        for dof in range(3, 201):
+            ts = np.geomspace(10, 1000, dof + 2)
+            noisy = np.exp(-0.05 * ts ** 0.4) * (1.0 + 0.01 * rng.standard_normal(ts.size))
+            curves.append(list(zip(ts, noisy)))
+        got = [fit_stretch_exponent(c, window=(10, 1000))[1] for c in curves]
+        calls = []
+
+        def ppf(dof, p):
+            calls.append(dof)
+            return student_t.ppf(p, dof)
+        monkeypatch.setattr(harness, "stdtrit", ppf)
+        want = [fit_stretch_exponent(c, window=(10, 1000))[1] for c in curves]
+        assert calls == list(range(3, 201))
+        assert got == want
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 5"):
             fit_stretch_exponent([(1, 0.5), (2, 0.4), (3, 0.3), (4, 0.2)])
@@ -157,7 +182,7 @@ class TestRunPipelines:
         b = 0.8
         cfg = small_config(law=deterministic_law(b), t_grid=(0.5, 2.0, 5.0),
                            replicas=200)
-        records = run(cfg)
+        records, _ = run(cfg)
         for r in records:
             assert abs(r.estimate - math.exp(-b * r.t)) < 1e-12
             assert r.stderr < 1e-12
@@ -165,7 +190,7 @@ class TestRunPipelines:
 
     def test_all_mass_at_zero_is_constant_one(self):
         cfg = small_config(law=deterministic_law(0.0), replicas=100)
-        records = run(cfg)
+        records, _ = run(cfg)
         for r in records:
             assert r.estimate == 1.0
             assert r.stderr == 0.0
@@ -173,7 +198,7 @@ class TestRunPipelines:
     def test_sandwich_holds_on_small_run(self):
         cfg = small_config(t_grid=tuple(float(t) for t in np.geomspace(10, 300, 8)),
                            replicas=4000)
-        records = run(cfg)
+        records, _ = run(cfg)
         for r in records:
             assert r.sandwich_ok
             assert r.lower_bound <= r.estimate + 4 * math.sqrt(
@@ -187,7 +212,7 @@ class TestRunPipelines:
     def test_forward_mode(self):
         cfg = small_config(mode="forward", side=6, t_grid=(0.5, 1.5),
                            replicas=2000, law=deterministic_law(1.0))
-        records = run(cfg)
+        records, _ = run(cfg)
         for r in records:
             assert abs(r.estimate - math.exp(-r.t)) < 4 * r.stderr + 1e-12
 
@@ -197,7 +222,7 @@ class TestRunPipelines:
         law = bernoulli_law(0.5, 1.0)
         cfg = small_config(mode="forward", side=4, t_grid=(0.5, 2.0),
                            replicas=40_000, law=law)
-        records = run(cfg)
+        records, _ = run(cfg)
         tk = fold_to_torus(make_nn_kernel(1), 4)
         (b0, p0), (b1, p1) = law.atoms
         for r in records:
@@ -211,20 +236,20 @@ class TestRunPipelines:
     def test_dual_quenched_mode(self):
         cfg = small_config(mode="dual-quenched", replicas=300,
                            sites=((0,),), disorder_seed=5)
-        records = run(cfg)
+        records, _ = run(cfg)
         assert all(0.0 < r.estimate <= 1.0 for r in records)
         assert all(r.mean_particles == 1.0 for r in records)
 
     def test_dual_annealed_without_observable_is_plain_estimator(self):
         cfg = small_config(observable=None, sites=((0,), (1,)), replicas=300)
-        records = run(cfg)
+        records, _ = run(cfg)
         assert all(r.upper_bound is None for r in records)
         assert all(0.0 < r.estimate <= 1.0 for r in records)
 
     def test_range_mode(self):
         cfg = ExperimentConfig(mode="range", t_grid=(1.0, 5.0, 20.0),
                                replicas=2000, seed=1, nu=1.0)
-        records = run(cfg)
+        records, _ = run(cfg)
         assert all(r.estimate > 0 for r in records)
         assert records[1].local_exponent is not None
         assert records[0].local_exponent is None  # endpoint has no slope
@@ -263,7 +288,7 @@ class TestSandwichReport:
 class TestPersistence:
     def test_csv_roundtrip(self, tmp_path):
         cfg = small_config(replicas=300)
-        records = run(cfg)
+        records, _ = run(cfg)
         out = tmp_path / "curve.csv"
         write_records_csv(out, records, cfg)
         text = out.read_text()
@@ -286,9 +311,11 @@ class TestPersistence:
         cfg = small_config(replicas=2100, threads=1)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_records_csv(a, run(cfg), cfg)
+        records, max_pos = run(cfg)
+        write_records_csv(a, records, cfg, max_pos)
         cfg3 = ExperimentConfig(**{**cfg.__dict__, "threads": 3})
-        write_records_csv(b, run(cfg3), cfg3)
+        records, max_pos = run(cfg3)
+        write_records_csv(b, records, cfg3, max_pos)
         assert a.read_bytes() == b.read_bytes()
 
     def test_forward_determinism_across_thread_counts(self, tmp_path):
@@ -298,7 +325,8 @@ class TestPersistence:
             cfg = small_config(mode="forward", side=8, t_grid=(0.5, 2.0),
                                replicas=4200, threads=threads)
             path = tmp_path / f"fwd{len(outputs)}.csv"
-            write_records_csv(path, run(cfg), cfg)
+            records, max_pos = run(cfg)
+            write_records_csv(path, records, cfg, max_pos)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -310,12 +338,23 @@ class TestPersistence:
                                sites=((0,), (1,), (3,)), disorder_seed=11,
                                replicas=1500, threads=threads)
             path = tmp_path / f"dual{len(outputs)}.csv"
-            write_records_csv(path, run(cfg), cfg)
+            records, max_pos = run(cfg)
+            write_records_csv(path, records, cfg, max_pos)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCLI:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs most of the CLI's start-up; nothing may import it
+        src = str(Path(biased_voter.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, biased_voter.cli; assert 'scipy.stats' not in sys.modules"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
     def test_simulate_dual_and_fit(self, tmp_path, capsys):
         out = tmp_path / "dual.csv"
         code = cli_main(["simulate-dual", "--mode", "annealed", "--sites", "0",
