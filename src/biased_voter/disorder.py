@@ -63,10 +63,6 @@ class DisorderLaw:
     def mass_at_zero(self) -> float:
         return float(sum(p for b, p in self.atoms if b == 0.0))
 
-    @property
-    def max_bias(self) -> float:
-        return float(max(b for b, _ in self.atoms))
-
 
 def bernoulli_law(q: float, b: float) -> DisorderLaw:
     """Bias 0 with probability q, bias b with probability 1 - q."""

@@ -11,13 +11,13 @@ partners, a 0-site at the kernel mass on 1-valued partners.
 Because the stream ignores the configuration, R replicas advance together
 as one (R, n_sites) opinion array: each step draws and applies the next
 event of every replica whose clock has not passed the target time, as one
-gather and one scatter. The single-trajectory classes are the R = 1 case of
-the same step.
+gather and one scatter. Sites are in row-major order: the site
+(c_0, ..., c_{d-1}) has flat index ((c_0 * L + c_1) * L + ...), i.e. axis 0
+varies slowest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -27,100 +27,15 @@ from .kernel import TorusKernel, bias_array
 from .localfn import LocalFunction
 from .stats import InvariantError, Moments, map_batches
 
-__all__ = [
-    "Configuration",
-    "Event",
-    "EventLog",
-    "ForwardSimulation",
-    "CoupledForwardSimulation",
-    "all_ones",
-    "all_zeros",
-    "evolve",
-    "coupled_evolve",
-    "forward_relaxation",
-    "first_flip_site",
-]
+__all__ = ["ForwardSimulation", "forward_relaxation", "first_flip_sites"]
 
-RESAMPLE = "resample"
-KILL = "kill"
 CHUNK = 2048        # replicas per seed stream; fixed, so results ignore threads
-
-
-@dataclass
-class Configuration:
-    """Opinions on a d-dimensional torus, one bit per site.
-
-    ``opinions`` is a flat uint8 array in row-major site order: the site
-    (c_0, ..., c_{d-1}) has flat index ((c_0 * L + c_1) * L + ...), i.e.
-    axis 0 varies slowest.
-    """
-
-    side: int
-    dim: int
-    opinions: np.ndarray
-
-    def __post_init__(self):
-        self.opinions = np.asarray(self.opinions, dtype=np.uint8).reshape(-1)
-        if self.opinions.shape[0] != self.side ** self.dim:
-            raise ValueError("opinion array does not match torus size")
-        if np.any(self.opinions > 1):
-            raise ValueError("opinions must be 0 or 1")
-
-    @property
-    def n_sites(self) -> int:
-        return self.side ** self.dim
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.side, self.dim, self.opinions.copy())
-
-    def site_index(self, site) -> int:
-        coords = tuple(int(c) % self.side for c in site)
-        return int(np.ravel_multi_index(coords, (self.side,) * self.dim))
-
-    def get(self, site) -> int:
-        return int(self.opinions[self.site_index(site)])
-
-    def as_mask(self) -> int:
-        """Configuration as a bit mask (bit i = opinion of flat site i)."""
-        return int(np.dot(self.opinions.astype(object), 1 << np.arange(self.n_sites, dtype=object)))
-
-
-def all_ones(side: int, dim: int) -> Configuration:
-    return Configuration(side, dim, np.ones(side ** dim, dtype=np.uint8))
-
-
-def all_zeros(side: int, dim: int) -> Configuration:
-    return Configuration(side, dim, np.zeros(side ** dim, dtype=np.uint8))
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    site: int
-    kind: str                 # RESAMPLE or KILL
-    partner: int | None = None  # flat partner index, resample events only
-
-
-@dataclass
-class EventLog:
-    """Time-ordered record of the graphical construction."""
-
-    events: list[Event] = field(default_factory=list)
-
-    def append(self, event: Event):
-        if self.events and event.time <= self.events[-1].time:
-            raise ValueError("event times must be strictly increasing")
-        if (event.kind == RESAMPLE) != (event.partner is not None):
-            raise ValueError("partner must be present exactly for resample events")
-        self.events.append(event)
-
-    def __len__(self):
-        return len(self.events)
 
 
 class _Step(NamedTuple):
     """The events of one step, one per replica whose clock was due."""
 
+    row: np.ndarray       # the replicas that were due
     time: np.ndarray
     site: np.ndarray
     source: np.ndarray    # flat cell copied; the own cell for a kill or no-op
@@ -198,7 +113,7 @@ class _EventStream:
                 raise InvariantError("monotone coupling violated the sitewise order")
         time = self.clock[rows]
         self.clock[rows] = time + self.rng.exponential(1.0 / self.total_rate, k)
-        return _Step(time, site, source, kill, flips[0])
+        return _Step(rows, time, site, source, kill, flips[0])
 
     def advance(self, t: float):
         while self.step(t) is not None:
@@ -206,90 +121,61 @@ class _EventStream:
 
 
 class ForwardSimulation:
-    """One trajectory of the dynamics, advanced event by event.
+    """R replicas of the dynamics on one torus, advanced together on one stream.
 
-    Snapshots at increasing times reuse the same trajectory (the pending
-    event is held across calls), which is what the relaxation estimator
-    needs to evaluate a whole time grid on one replica.
+    ``start`` is an (R, n_sites) 0/1 array, one replica per row, or a
+    sequence of such arrays ordered sitewise low <= high; every layer sees
+    the same events (the monotone coupling), and the order is checked after
+    every event. ``bias`` is one field for every replica or one row per
+    replica, shape (R, n_sites). ``layers`` holds the opinions, shape
+    (layers, R, n_sites), updated in place; advancing to increasing times
+    continues the same trajectories.
     """
 
-    def __init__(self, config: Configuration, bias, tk: TorusKernel,
-                 rng: np.random.Generator, log: EventLog | None = None):
-        if config.n_sites != tk.n_sites or config.dim != tk.dim:
-            raise ValueError("configuration does not match the torus kernel")
-        self.config = config.copy()
-        self.stream = _EventStream([self.config.opinions], bias_array(bias, tk), tk, rng)
-        self.log = log
+    def __init__(self, start, bias, tk: TorusKernel, rng: np.random.Generator):
+        start = np.asarray(start)
+        if start.ndim == 2:
+            start = start[None]
+        if start.ndim != 3 or start.shape[2] != tk.n_sites:
+            raise ValueError(f"start rows must hold one opinion per site, {tk.n_sites} in all")
+        if not np.isin(start, (0, 1)).all():
+            raise ValueError("opinions must be 0 or 1")
+        if (start[:-1] > start[1:]).any():
+            raise ValueError("start layers must be ordered sitewise low <= high")
+        self.layers = start.astype(np.uint8)
+        beta = bias_array(bias, tk, replicas=start.shape[1])
+        self.stream = _EventStream(list(self.layers.reshape(len(start), -1)), beta, tk, rng)
         self.time = 0.0
 
     def advance_to(self, t: float):
         if t < self.time:
             raise ValueError("cannot advance backwards")
-        while (step := self.stream.step(t)) is not None:
-            site, partner = int(step.site[0]), int(step.source[0])  # one replica: cell = site
-            if self.log is None or not (step.kill[0] or partner != site):
-                continue     # nothing to record, or a no-op of the uniformized stream
-            kind, partner = (KILL, None) if step.kill[0] else (RESAMPLE, partner)
-            self.log.append(Event(float(step.time[0]), site, kind, partner))
-        self.time = t
-
-
-class CoupledForwardSimulation:
-    """Two ordered trajectories driven by the identical event stream.
-
-    Both copies see the same clocks and the same partner draws; each event
-    preserves the sitewise order, which is checked after every event.
-    """
-
-    def __init__(self, low: Configuration, high: Configuration, bias,
-                 tk: TorusKernel, rng: np.random.Generator):
-        if np.any(low.opinions > high.opinions):
-            raise ValueError("initial configurations must satisfy low <= high")
-        self.low = low.copy()
-        self.high = high.copy()
-        self.stream = _EventStream([self.low.opinions, self.high.opinions],
-                                   bias_array(bias, tk), tk, rng)
-        self.time = 0.0
-
-    def advance_to(self, t: float):
         self.stream.advance(t)
         self.time = t
 
 
-def evolve(config: Configuration, bias, tk: TorusKernel, t: float,
-           rng: np.random.Generator, log: EventLog | None = None) -> Configuration:
-    """Sample the configuration at time t from the given start."""
-    sim = ForwardSimulation(config, bias, tk, rng, log=log)
-    sim.advance_to(t)
-    return sim.config
+def first_flip_sites(start, bias, tk: TorusKernel, rng: np.random.Generator,
+                     t_max: float = np.inf) -> np.ndarray:
+    """Flat index of the first site whose opinion changes, per row, for rate audits.
 
-
-def coupled_evolve(low: Configuration, high: Configuration, bias,
-                   tk: TorusKernel, t: float,
-                   rng: np.random.Generator) -> tuple[Configuration, Configuration]:
-    """Evolve an ordered pair under the common event stream."""
-    sim = CoupledForwardSimulation(low, high, bias, tk, rng)
-    sim.advance_to(t)
-    return sim.low, sim.high
-
-
-def first_flip_site(config: Configuration, bias, tk: TorusKernel,
-                    rng: np.random.Generator, t_max: float = np.inf) -> int | None:
-    """Flat index of the site whose opinion changes first, for rate audits.
-
-    None when nothing flips by ``t_max``, at once when no event can change
-    the configuration: no 1-site has positive bias and no partner pair
-    disagrees.
+    ``start`` is an (R, n_sites) 0/1 array and ``bias`` as for
+    ``ForwardSimulation``. A row reads -1 when nothing flips by ``t_max``,
+    and at once when no event can change it: no 1-site has positive bias and
+    no partner pair disagrees.
     """
-    beta = bias_array(bias, tk)
-    ones = config.opinions.astype(bool)
-    if not np.any(beta[ones] > 0) and np.all(ones[tk.partner_table[0]] == ones[:, None]):
-        return None
-    stream = _EventStream([config.opinions.copy()], beta, tk, rng)
+    sim = ForwardSimulation(start, bias, tk, rng)
+    stream, ones = sim.stream, sim.layers[0].astype(bool)
+    beta = stream.beta.reshape(-1, tk.n_sites)
+    live = (((beta > 0) & ones).any(axis=1)
+            | (ones[:, tk.partner_table[0]] != ones[:, :, None]).any(axis=(1, 2)))
+    sites = np.full(len(ones), -1)
+    # a parked row leaves the stream: nan <= t is false even for t = inf
+    stream.clock[~live] = np.nan
     while (step := stream.step(t_max)) is not None:
-        if step.changed[0]:
-            return int(step.site[0])
-    return None
+        rows = step.row[step.changed]
+        sites[rows] = step.site[step.changed]
+        stream.clock[rows] = np.nan
+    return sites
 
 
 def _support_indices(f: LocalFunction, side: int, dim: int) -> list[int]:

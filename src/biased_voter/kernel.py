@@ -267,16 +267,21 @@ def _checked(beta: np.ndarray) -> np.ndarray:
     return beta
 
 
-def bias_array(bias, tk: TorusKernel) -> np.ndarray:
+def bias_array(bias, tk: TorusKernel, replicas: int | None = None) -> np.ndarray:
     """Per-site bias values of a torus in row-major site order.
 
     ``bias`` is an array or list with one entry per site, or a field with a
-    ``value(site)`` method (a ``BiasField``). Every value must be finite and
-    nonnegative, whichever form it comes in.
+    ``value(site)`` method (a ``BiasField``). With ``replicas`` given, an
+    array of shape (replicas, n_sites) is one field per replica and keeps
+    that shape. Every value must be finite and nonnegative, whichever form
+    it comes in.
     """
     if not isinstance(bias, (np.ndarray, list, tuple)):
         return bias_values(bias, np.ndindex((tk.side,) * tk.dim))
-    beta = np.asarray(bias, dtype=np.float64).reshape(-1)
+    beta = np.asarray(bias, dtype=np.float64)
+    if beta.shape == (replicas, tk.n_sites):
+        return _checked(beta)
+    beta = beta.reshape(-1)
     if beta.shape[0] != tk.n_sites:
         raise ValueError(f"bias array has {beta.shape[0]} entries, torus has {tk.n_sites}")
     return _checked(beta)

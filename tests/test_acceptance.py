@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from biased_voter.disorder import BiasField, bernoulli_law, deterministic_law, nu1, nu2
+from biased_voter.disorder import (BiasField, _draw_values, bernoulli_law,
+                                 deterministic_law, nu1, nu2)
 from biased_voter.dual import annealed_dual_expectation, quenched_dual_expectation
 from biased_voter.exact import duality_gap, exact_dual_value
-from biased_voter.forward import Configuration, CoupledForwardSimulation, forward_relaxation
+from biased_voter.forward import ForwardSimulation, forward_relaxation
 from biased_voter.harness import (ExperimentConfig, config_hash, run,
                                   sandwich_report, write_records_csv)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
@@ -186,20 +187,16 @@ def test_criterion_07_sandwich_at_scale():
 
 def test_criterion_08_attractiveness():
     """Order preservation at every internal event for 1000 coupled pairs."""
-    side = 8
+    side, pairs = 8, 1000
     tk = fold_to_torus(NN1, side)
-    law = bernoulli_law(0.5, 1.0)
-    from biased_voter.disorder import sample_field
-    for r in range(1000):
-        rng = rng_for(808, r)
-        high = (rng.random(side) < 0.7).astype(np.uint8)
-        low = (high & (rng.random(side) < 0.6)).astype(np.uint8)
-        field = sample_field(law, [(i,) for i in range(side)], rng)
-        sim = CoupledForwardSimulation(Configuration(side, 1, low),
-                                       Configuration(side, 1, high),
-                                       field, tk, rng)
-        sim.advance_to(10.0)  # order asserted after every event
-        assert np.all(sim.low.opinions <= sim.high.opinions)
+    rng = rng_for(808)
+    # one two-layer stream, one replica and one field per pair
+    high = (rng.random((pairs, side)) < 0.7).astype(np.uint8)
+    low = high & (rng.random((pairs, side)) < 0.6)
+    beta = _draw_values(bernoulli_law(0.5, 1.0), pairs * side, rng).reshape(pairs, side)
+    sim = ForwardSimulation([low, high], beta, tk, rng)
+    sim.advance_to(10.0)  # order asserted after every event
+    assert np.all(sim.layers[0] <= sim.layers[1])
     report(8, "sitewise order preserved at every event for 1000 ordered "
               "pairs on L=8 to t=10")
 

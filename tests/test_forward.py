@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from biased_voter.disorder import bernoulli_law, sample_field
-from biased_voter.forward import (Configuration, Event, EventLog,
-                                  CoupledForwardSimulation, all_ones, all_zeros,
-                                  coupled_evolve, evolve, first_flip_site,
+from biased_voter.disorder import _draw_values, bernoulli_law
+from biased_voter.forward import (ForwardSimulation, _EventStream, first_flip_sites,
                                   forward_relaxation)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
 from biased_voter.localfn import LocalFunction, site_indicator
@@ -18,16 +16,22 @@ def rng_for(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+def evolve(start, bias, tk, t, rng):
+    sim = ForwardSimulation(start, bias, tk, rng)
+    sim.advance_to(t)
+    return sim.layers
+
+
 class TestAbsorbingStates:
     def test_all_ones_absorbing_without_bias(self):
         tk = fold_to_torus(NN1, 6)
-        out = evolve(all_ones(6, 1), np.zeros(6), tk, 20.0, rng_for(1))
-        assert out.opinions.tolist() == [1] * 6
+        out, = evolve(np.ones((1, 6)), np.zeros(6), tk, 20.0, rng_for(1))
+        assert out.tolist() == [[1] * 6]
 
     def test_all_zeros_absorbing_with_any_bias(self):
         tk = fold_to_torus(NN1, 6)
-        out = evolve(all_zeros(6, 1), np.full(6, 3.0), tk, 20.0, rng_for(2))
-        assert out.opinions.tolist() == [0] * 6
+        out, = evolve(np.zeros((1, 6)), np.full(6, 3.0), tk, 20.0, rng_for(2))
+        assert out.tolist() == [[0] * 6]
 
 
 class TestTwoSiteMasterEquation:
@@ -36,11 +40,8 @@ class TestTwoSiteMasterEquation:
         tk = fold_to_torus(NN1, 2)
         t = 0.7
         n = 20_000
-        total = 0
-        for r in range(n):
-            out = evolve(Configuration(2, 1, [1, 0]), np.zeros(2), tk, t, rng_for(3, r))
-            total += int(out.opinions[0])
-        mean = total / n
+        out, = evolve(np.tile([1, 0], (n, 1)), np.zeros(2), tk, t, rng_for(3))
+        mean = out[:, 0].mean()
         exact = 0.5 * (1 + math.exp(-2 * t))
         stderr = math.sqrt(exact * (1 - exact) / n)
         assert abs(mean - exact) < 4 * stderr
@@ -49,54 +50,74 @@ class TestTwoSiteMasterEquation:
 class TestCoupling:
     def test_equal_inputs_stay_equal(self):
         tk = fold_to_torus(NN1, 5)
-        start = Configuration(5, 1, [1, 0, 1, 0, 0])
-        low, high = coupled_evolve(start, start.copy(), np.full(5, 0.5), tk, 5.0, rng_for(4))
-        assert np.array_equal(low.opinions, high.opinions)
+        start = np.array([[1, 0, 1, 0, 0]])
+        low, high = evolve([start, start], np.full(5, 0.5), tk, 5.0, rng_for(4))
+        assert np.array_equal(low, high)
 
     def test_zero_start_keeps_order(self):
         tk = fold_to_torus(NN1, 5)
-        low, high = coupled_evolve(all_zeros(5, 1), all_ones(5, 1),
-                                   np.full(5, 0.5), tk, 5.0, rng_for(5))
-        assert low.opinions.tolist() == [0] * 5
-        assert np.all(low.opinions <= high.opinions)
+        low, high = evolve([np.zeros((1, 5)), np.ones((1, 5))],
+                           np.full(5, 0.5), tk, 5.0, rng_for(5))
+        assert low.tolist() == [[0] * 5]
+        assert np.all(low <= high)
 
-    def test_violating_precondition_rejected(self):
+    @pytest.mark.parametrize("start, t, match", [
+        ([np.ones((1, 3)), np.zeros((1, 3))], 1.0, "low <= high"),
+        (np.ones((2, 4)), 1.0, "one opinion per site"),
+        ([[1, 2, 0]], 1.0, "0 or 1"),
+        ([[1, -1, 0]], 1.0, "0 or 1"),
+        (np.ones((2, 3)), -1.0, "backwards"),
+    ], ids=["unordered_layers", "wrong_row_length", "opinion_2", "opinion_minus_1",
+            "advance_backwards"])
+    def test_violating_precondition_rejected(self, start, t, match):
         tk = fold_to_torus(NN1, 3)
-        with pytest.raises(ValueError):
-            coupled_evolve(all_ones(3, 1), all_zeros(3, 1), np.zeros(3), tk, 1.0, rng_for(6))
+        with pytest.raises(ValueError, match=match):
+            ForwardSimulation(start, np.zeros(3), tk, rng_for(6)).advance_to(t)
 
     def test_random_ordered_pairs_stay_ordered(self):
         tk = fold_to_torus(NN1, 8)
-        law = bernoulli_law(0.5, 1.0)
-        for r in range(100):
-            rng = rng_for(7, r)
-            high_bits = (rng.random(8) < 0.7).astype(np.uint8)
-            low_bits = (high_bits & (rng.random(8) < 0.6)).astype(np.uint8)
-            field = sample_field(law, [(i,) for i in range(8)], rng)
-            low, high = coupled_evolve(Configuration(8, 1, low_bits),
-                                       Configuration(8, 1, high_bits),
-                                       field, tk, 3.0, rng)
-            assert np.all(low.opinions <= high.opinions)
+        rng = rng_for(7)
+        high = (rng.random((100, 8)) < 0.7).astype(np.uint8)
+        low = high & (rng.random((100, 8)) < 0.6)
+        beta = _draw_values(bernoulli_law(0.5, 1.0), 800, rng).reshape(100, 8)
+        low, high = evolve([low, high], beta, tk, 3.0, rng)
+        assert np.all(low <= high)
 
 
-class TestEventLog:
-    def test_times_strictly_increasing(self):
-        log = EventLog()
-        tk = fold_to_torus(NN1, 4)
-        evolve(all_ones(4, 1), np.full(4, 1.0), tk, 2.0, rng_for(8), log=log)
-        times = [e.time for e in log.events]
-        assert len(times) > 0
-        assert all(a < b for a, b in zip(times, times[1:]))
-
-    def test_partner_only_on_resamples(self):
-        log = EventLog()
-        with pytest.raises(ValueError):
-            log.append(Event(1.0, 0, "kill", partner=2))
-        with pytest.raises(ValueError):
-            log.append(Event(1.0, 0, "resample", partner=None))
-        log.append(Event(1.0, 0, "resample", partner=1))
-        with pytest.raises(ValueError):
-            log.append(Event(1.0, 1, "kill"))  # not increasing
+class TestEventStreamStep:
+    def test_kill_resample_and_noop_decoding(self):
+        # a ring of 5 with distinct biases: every due row's event is a kill
+        # (cell set to 0), a resample (copy of a kernel partner) or a no-op
+        side, replicas = 5, 40
+        tk = fold_to_torus(NN1, side)
+        beta = np.array([0.0, 0.4, 1.0, 2.5, 0.7])
+        partners = tk.partner_table[0]
+        rng = rng_for(8)
+        layer = (rng.random(replicas * side) < 0.8).astype(np.uint8)
+        stream = _EventStream([layer], beta, tk, rng)
+        last = np.full(replicas, -np.inf)
+        seen = set()
+        before = layer.copy()
+        while (step := stream.step(3.0)) is not None:
+            cell = step.row * side + step.site
+            resample = ~step.kill & (step.source != cell)
+            noop = ~step.kill & (step.source == cell)
+            assert np.all(layer[cell[step.kill]] == 0)
+            assert np.all(beta[step.site[step.kill]] > 0)
+            offset = step.source[resample] - step.row[resample] * side
+            assert np.all((partners[step.site[resample]] == offset[:, None]).any(axis=1))
+            assert np.array_equal(layer[cell[resample]], before[step.source[resample]])
+            assert np.array_equal(layer[cell[noop]], before[cell[noop]])
+            untouched = np.ones(layer.size, dtype=bool)
+            untouched[cell] = False
+            assert np.array_equal(layer[untouched], before[untouched])
+            assert np.all(step.time > last[step.row])
+            last[step.row] = step.time
+            seen |= {kind for kind, mask in (("kill", step.kill), ("resample", resample),
+                                             ("noop", noop)) if mask.any()}
+            before = layer.copy()
+        assert seen == {"kill", "resample", "noop"}
+        assert np.all(last > 0)
 
 
 class TestRateAudit:
@@ -106,29 +127,43 @@ class TestRateAudit:
         side = 4
         tk = fold_to_torus(NN1, side)
         beta = np.array([0.7, 0.0, 1.9, 0.3])
-        config = Configuration(side, 1, [1, 0, 1, 1])
+        config = np.array([1, 0, 1, 1])
         rates = np.empty(side)
         for x in range(side):
             partners = [(x - 1) % side, (x + 1) % side]
-            agree = sum(0.5 * (config.opinions[p] != config.opinions[x]) for p in partners)
-            rates[x] = beta[x] * config.opinions[x] + agree
+            agree = sum(0.5 * (config[p] != config[x]) for p in partners)
+            rates[x] = beta[x] * config[x] + agree
         probs = rates / rates.sum()
         n = 100_000
-        counts = np.zeros(side)
-        for r in range(n):
-            site = first_flip_site(config, beta, tk, rng_for(9, r))
-            counts[site] += 1
+        sites = first_flip_sites(np.tile(config, (n, 1)), beta, tk, rng_for(9))
+        assert np.all(sites >= 0)
+        counts = np.bincount(sites, minlength=side)
         for x in range(side):
             se = math.sqrt(probs[x] * (1 - probs[x]) / n)
             assert abs(counts[x] / n - probs[x]) < 4 * se, f"site {x}"
 
-    @pytest.mark.parametrize("config, beta", [(all_zeros(4, 1), 1.0), (all_ones(4, 1), 0.0)],
-                             ids=["all_zeros", "all_ones_unbiased"])
-    def test_first_flip_none_when_nothing_can_change(self, config, beta):
+    @pytest.mark.parametrize("start, beta, flips", [
+        ([[0, 0, 0, 0]], 1.0, [False]),
+        ([[1, 1, 1, 1]], 0.0, [False]),
+        ([[1, 1, 1, 1], [1, 0, 1, 1]], 0.0, [False, True]),
+    ], ids=["all_zeros", "all_ones_unbiased", "frozen_next_to_live"])
+    def test_first_flip_none_when_nothing_can_change(self, start, beta, flips):
         # no kill hits a 1 and no resample copies a differing opinion, so the
-        # default t_max = inf must not wait for a flip
+        # default t_max = inf must not wait for a flip in a frozen row
         tk = fold_to_torus(NN1, 4)
-        assert first_flip_site(config, np.full(4, beta), tk, rng_for(10)) is None
+        sites = first_flip_sites(start, np.full(4, beta), tk, rng_for(10))
+        assert (sites >= 0).tolist() == flips
+
+    def test_first_flip_stops_at_t_max(self):
+        # flip rates 0.5, 1, 0.5, 0 sum to 2: a row flips by t_max = 0.1 with
+        # probability 1 - exp(-0.2), and reads -1 otherwise
+        tk = fold_to_torus(NN1, 4)
+        n, t_max = 2000, 0.1
+        sites = first_flip_sites(np.tile([1, 0, 1, 1], (n, 1)), np.zeros(4), tk,
+                                 rng_for(12), t_max=t_max)
+        assert set(sites.tolist()) == {-1, 0, 1, 2}
+        p = 1 - math.exp(-2 * t_max)
+        assert abs(np.mean(sites >= 0) - p) < 4 * math.sqrt(p * (1 - p) / n)
 
 
 class TestForwardRelaxation:
@@ -190,16 +225,16 @@ class TestForwardRelaxation:
 class TestDeterminism:
     def test_evolve_reproducible(self):
         tk = fold_to_torus(NN1, 6)
-        a = evolve(all_ones(6, 1), np.full(6, 0.8), tk, 4.0, rng_for(10))
-        b = evolve(all_ones(6, 1), np.full(6, 0.8), tk, 4.0, rng_for(10))
-        assert np.array_equal(a.opinions, b.opinions)
+        a = evolve(np.ones((3, 6)), np.full(6, 0.8), tk, 4.0, rng_for(10))
+        b = evolve(np.ones((3, 6)), np.full(6, 0.8), tk, 4.0, rng_for(10))
+        assert np.array_equal(a, b)
 
     def test_snapshots_match_single_run(self):
-        # advancing in two hops equals advancing once with the same stream
+        # advancing in two hops equals advancing once with the same stream;
+        # with several rows the draws interleave by hop, so one row here
         tk = fold_to_torus(NN1, 6)
-        from biased_voter.forward import ForwardSimulation
-        sim = ForwardSimulation(all_ones(6, 1), np.full(6, 0.8), tk, rng_for(11))
+        sim = ForwardSimulation(np.ones((1, 6)), np.full(6, 0.8), tk, rng_for(11))
         sim.advance_to(1.0)
         sim.advance_to(3.0)
-        direct = evolve(all_ones(6, 1), np.full(6, 0.8), tk, 3.0, rng_for(11))
-        assert np.array_equal(sim.config.opinions, direct.opinions)
+        direct = evolve(np.ones((1, 6)), np.full(6, 0.8), tk, 3.0, rng_for(11))
+        assert np.array_equal(sim.layers, direct)

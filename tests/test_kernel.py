@@ -4,7 +4,7 @@ import pytest
 from biased_voter.disorder import BiasField
 from biased_voter.dual import quenched_dual_expectation
 from biased_voter.exact import build_dual_matrix, build_forward_generator
-from biased_voter.forward import ForwardSimulation, all_ones
+from biased_voter.forward import ForwardSimulation
 from biased_voter.kernel import (Kernel, bias_array, char_fn, fold_to_torus,
                                  make_nn_kernel, make_power_kernel, verify_assumption)
 
@@ -184,12 +184,16 @@ class TestBiasArray:
                 "field": BiasField({(i,): v for i, v in enumerate(values)})}[form]
         build = {"generator": lambda: build_forward_generator(bias, tk),
                  "dual": lambda: build_dual_matrix(bias, tk),
-                 "forward": lambda: ForwardSimulation(all_ones(3, 1), bias, tk,
+                 "forward": lambda: ForwardSimulation(np.ones((1, 3)), bias, tk,
                                                       np.random.default_rng(0)),
                  "mc_dual": lambda: quenched_dual_expectation([(0,)], bias, tk, 1.0,
                                                               10, 0)}[consumer]
         with pytest.raises(ValueError, match="nonnegative"):
             build()
+        if consumer == "forward":   # per-replica rows go through the same check
+            rows = np.array([[0.0, 0.0, 0.0], values])
+            with pytest.raises(ValueError, match="nonnegative"):
+                ForwardSimulation(np.ones((2, 3)), rows, tk, np.random.default_rng(0))
 
     def test_field_values_in_row_major_order(self):
         tk = fold_to_torus(make_nn_kernel(2), 2)
