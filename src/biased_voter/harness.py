@@ -256,8 +256,10 @@ def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def parse_window(text: str) -> tuple[float, float]:
-    """A fit window ``a:b``."""
+    """A fit window ``a:b``, or ``a,b`` as the CSV header writes it."""
     a, sep, b = text.strip().partition(":")
+    if not sep:
+        a, sep, b = text.strip().partition(",")
     if not sep:
         raise ConfigError(f"expected a fit window a:b, got {text!r}")
     return float(a), float(b)
@@ -270,6 +272,10 @@ def _parse_observable(text: str) -> LocalFunction:
     if text.startswith("file "):
         with open(text[5:].strip()) as fh:
             return parse_localfn_text(fh.read())
+    if "|" in text:   # the CSV header's form: sorted support sites | table
+        sites, _, table = text.partition("|")
+        return LocalFunction(parse_sites(sites) if sites.strip() else (),
+                             [float(v) for v in table.split(",")])
     raise ConfigError(f"observable must be 'site <coords>' or 'file <path>', got {text!r}")
 
 
@@ -331,7 +337,10 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
 
     A bad value fails with its origin (``file:line`` or the flag); a config
     whose values read but that is invalid as a whole fails with ``name``.
+    An empty value leaves its key unset, as the CSV header writes unset keys.
     """
+    items = {key: item for key, item in items.items() if item[0]}
+
     def get(key, cast, default=None):
         if key not in items:
             return default
@@ -349,8 +358,14 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
     q, b, atoms = get("q", float), get("b", float), get("atoms", _parse_atoms)
     law = None
     if "disorder" in items:
+        kind = items["disorder"][0]
+        if ":" in kind:   # the CSV header's form: the atoms b:p b:p themselves
+            if atoms is not None:
+                raise ConfigError(f"{items['disorder'][1]}, {items['atoms'][1]}: "
+                                  "give the atoms once")
+            kind, atoms = "table", get("disorder", lambda v: _parse_atoms(v.replace(" ", ",")))
         try:
-            law = _make_law(items["disorder"][0], q, b, atoms)
+            law = _make_law(kind, q, b, atoms)
         except ValueError as exc:     # the law is bad: name every line it reads
             origins = ", ".join(items[k][1] for k in ("disorder", "q", "b", "atoms")
                                 if k in items)

@@ -33,6 +33,7 @@ __all__ = ["WalkCurveStats", "walk_curve"]
 
 BATCH_SIZE = 2048   # walkers per batch: BATCH_SIZE // k replicas of k walkers
 _FLOOR_TOL = 1e-9
+_SWEEP_CHUNK = 64    # events in the first chunk of the coalescence sweep; later chunks double
 
 
 @dataclass
@@ -107,34 +108,70 @@ def _site_keys(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _death_times(cum_t: np.ndarray, skey: np.ndarray, k: int, t_max: float) -> np.ndarray:
     """Coalescence time of every rider; inf while it lives through t_max.
 
-    One sweep over each replica's jumps in time order: a live rider whose
-    walker jumps onto a site held by another live rider dies at that jump.
-    A replica leaves the sweep once it is down to one rider or its next jump
-    falls past t_max.
+    A live rider whose walker jumps onto a site held by another live rider
+    dies at that jump. So only the first meeting of each pair of riders
+    matters: if both live then, the jumper dies, and the pair never meets
+    again while both are alive. Each replica's jumps are taken in time
+    order, in chunks of _SWEEP_CHUNK events doubling from there, over the
+    replicas that still hold two live riders and a jump by t_max. Within a
+    chunk every walker's site after every event is one gather; a pair of
+    riders live at the chunk's start meets at the first event that puts
+    their walkers on one site, and the meetings are applied in time order.
     """
     rows, m = cum_t.shape
     count = rows // k
     times = cum_t.reshape(count, k * m)
     order = np.argsort(times, axis=1)
     due = np.count_nonzero(times <= t_max, axis=1)   # jumps of each replica by t_max
-    held = skey[:, 0].reshape(count, k).copy()   # site of each live rider, -1 once dead
-    live = np.full(count, k)
+    flat_keys, width = skey.ravel(), skey.shape[1]
+    alive = np.ones((count, k), dtype=bool)
+    jumps = np.zeros((count, k), dtype=np.int64)     # jumps of each walker so far
     death = np.full(rows, np.inf)
-    active = np.flatnonzero(live > 1)
-    for s in range(due.max()):
-        active = active[due[active] > s]
-        if active.size == 0:
-            break
-        jump = order[active, s]
-        w, j = np.divmod(jump, m)
-        row = active * k + w
-        x, y = held[active, w], skey[row, j + 1]
-        hit = (x >= 0) & (y != x) & (held[active] == y[:, None]).any(axis=1)
-        held[active, w] = np.where((x < 0) | hit, -1, y)
-        if hit.any():
-            death[row[hit]] = times[active[hit], jump[hit]]
-            live[active[hit]] -= 1
-            active = active[live[active] > 1]
+    first, second = np.triu_indices(k, 1)
+    active = np.flatnonzero(due > 0)
+    start, length = 0, _SWEEP_CHUNK
+    while active.size:
+        # a chunk's arrays, about k + 4 of (replicas, events), together hold at
+        # most half as many entries as cum_t: the sweep stays below the
+        # reduction's peak memory
+        length = min(length, max(1, rows * m // (2 * active.size * (k + 4))))
+        stop = min(start + length, int(due[active].max()))
+        event = order[active, start:stop]
+        walker = event // m
+        in_time = np.arange(start, stop) < due[active, None]
+        sites = []
+        for v in range(k):
+            moved = np.cumsum(walker == v, axis=1)
+            base = (active * k + v) * width + jumps[active, v]
+            sites.append(flat_keys[base[:, None] + moved])
+            jumps[active, v] += moved[:, -1]
+
+        # each pair's meeting as an event index into the chunk; stop - start if none
+        span = stop - start
+        meet = np.full((active.size, first.size), span)
+        for p in range(first.size):
+            both = alive[active, first[p]] & alive[active, second[p]]
+            if both.any():
+                same = (sites[first[p]] == sites[second[p]]) & in_time
+                at = same.argmax(axis=1)
+                found = both & same[np.arange(active.size), at]
+                meet[found, p] = at[found]
+        del sites
+        # in time order; meetings at one event share their jumper, so ties are in any order
+        for p in np.argsort(meet, axis=1).T:
+            at = meet[np.arange(active.size), p]
+            met = at < span
+            if not met.any():
+                break
+            hit = met & alive[active, first[p]] & alive[active, second[p]]
+            replica, at = active[hit], at[hit]
+            jumper = walker[hit, at]
+            alive[replica, jumper] = False
+            death[replica * k + jumper] = times[replica, event[hit, at]]
+
+        start = stop
+        length *= 2
+        active = active[(alive[active].sum(axis=1) > 1) & (due[active] > start)]
     return death
 
 
@@ -194,7 +231,6 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     n_pairs = uniq.size
     replica_of = uniq // n_keys
     first_held = first[held]
-    del first
 
     pair_first = np.full(n_pairs, n_grid, dtype=first_held.dtype)
     np.minimum.at(pair_first, inverse, first_held)
@@ -202,6 +238,15 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     range_counts = range_counts.reshape(count, n_grid).cumsum(axis=1)
     if law is None and bias is None:
         return range_counts, particles, None, max_abs
+    # the interval of each row that runs across grid time t_i, i < G - 1, is
+    # the row's count of jumps before t_i; with a row offset, the first grid
+    # indices past the jumps are sorted when flattened, so one search counts all
+    key = np.min_scalar_type(rows * (n_grid + 1))
+    offset = np.arange(rows, dtype=key)[:, None] * (n_grid + 1)
+    across = np.searchsorted(
+        (offset + first[:, 1:]).ravel(), (offset + np.arange(n_grid - 1, dtype=key)).ravel(),
+        side="right").reshape(rows, -1) - np.arange(rows)[:, None] * (m - 1)
+    del first, offset
 
     if bias is not None:
         sites, site_of = np.unique(uniq % n_keys, return_inverse=True)
@@ -222,8 +267,7 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     arrivals[row_start] = 0.0
     hold = np.minimum(nexts, t_grid[first_held]) - arrivals
     del nexts, arrivals
-    # the interval of each row that runs across grid time j - 1 adds its hold up to time j
-    across = np.array([np.searchsorted(row, t_grid[:-1]) for row in cum_t]).reshape(rows, -1)
+    # the interval that runs across grid time j - 1 adds its hold up to time j
     kept = across < n_held[:, None]
     step = np.minimum(np.take_along_axis(cum_t, across, axis=1), t_grid[1:]) - t_grid[:-1]
     del cum_t

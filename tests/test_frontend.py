@@ -108,7 +108,7 @@ class TestSitesWithObservable:
 class TestValueErrorsNameTheLine:
     @pytest.mark.parametrize("line", [
         "fit_window = a:b",
-        "fit_window = 1,2",
+        "fit_window = 1",
         "observable = site x",
     ])
     def test_bad_value_is_line_precise(self, line):

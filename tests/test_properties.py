@@ -1,12 +1,15 @@
-"""Property tests of the exact oracles, the subset-lattice transform and
-the moment merge, over randomly drawn inputs."""
+"""Property tests of the exact oracles, the subset-lattice transform, the
+moment merge and the CSV header's config, over randomly drawn inputs."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from biased_voter.disorder import DisorderLaw
 from biased_voter.exact import (build_forward_generator, duality_gap,
                                 exact_forward_values_all,
                                 product_indicator_vector, semigroup_apply)
+from biased_voter.harness import (ExperimentConfig, _header_lines, config_hash,
+                                  parse_config_text)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from biased_voter.localfn import LocalFunction, _subset_sums, hat_coeffs
 from biased_voter.stats import Moments
@@ -119,3 +122,48 @@ def test_moments_merge_associative_and_order_free(parts, order):
     pooled = np.concatenate(parts)
     if len(pooled):
         assert_same(left, Moments.of(pooled))
+
+
+positive = st.floats(0.01, 1e4)
+
+
+@st.composite
+def configs(draw):
+    """Valid experiment configs with every optional key set or unset."""
+    mode = draw(st.sampled_from(["forward", "dual-quenched", "dual-annealed", "range"]))
+    kernel_name = draw(st.sampled_from(["nn", "power"]))
+    dim = 1 if kernel_name == "power" else draw(st.integers(1, 3))
+    alpha = draw(st.floats(0.1, 1.9) if kernel_name == "power" else st.none() | st.floats(0.1, 1.9))
+    site = st.tuples(*[st.integers(-5, 5)] * dim)
+    law = None
+    if mode != "range" or draw(st.booleans()):
+        probs = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
+        biases = draw(st.lists(st.floats(0.0, 4.0), min_size=probs.size, max_size=probs.size))
+        law = DisorderLaw(atoms=tuple(zip(biases, (probs / probs.sum()).tolist())))
+    observable = sites = None
+    if mode != "range" and draw(st.booleans()):
+        support = draw(st.lists(site, min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(support), max_size=len(support)))
+        table = [sum(w for i, w in enumerate(weights) if mask >> i & 1)
+                 for mask in range(1 << len(support))]
+        observable = LocalFunction(support, table)   # monotone and not constant
+    if mode.startswith("dual") and not (mode == "dual-annealed" and observable):
+        sites = draw(st.none() | st.lists(site, min_size=1, max_size=3, unique=True).map(tuple))
+    grid = sorted(draw(st.lists(positive, min_size=1, max_size=4, unique=True)))
+    window = draw(st.none() | st.tuples(positive, positive))
+    return ExperimentConfig(
+        mode=mode, t_grid=tuple(grid), replicas=draw(st.integers(2, 10 ** 6)),
+        seed=draw(st.integers(0, 2 ** 63 - 1)), dim=dim, side=draw(st.integers(2, 40)),
+        kernel_name=kernel_name, alpha=alpha, cutoff=draw(st.integers(1, 500)), law=law,
+        observable=observable, sites=sites,
+        nu=draw(st.floats(0.0, 5.0) if mode == "range" else st.none() | st.floats(0.0, 5.0)),
+        lam=draw(st.none() | st.floats(0.01, 5.0)), threads=draw(st.integers(1, 4)),
+        fit_window=window, disorder_seed=draw(st.none() | st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs())
+def test_csv_header_reads_back_as_its_config(config):
+    config.validate()
+    header = [line[2:] for line in _header_lines(config) if " = " in line]
+    assert config_hash(parse_config_text("\n".join(header), "header")) == config_hash(config)

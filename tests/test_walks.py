@@ -1,5 +1,5 @@
-"""The walk engine's one-pass reduction against the per-grid-time loop it
-replaced, its pair-id step, and its memory footprint."""
+"""The walk engine's one-pass reduction and coalescence sweep against the
+loops they replaced, its pair-id step, and its memory footprint."""
 
 import math
 import tracemalloc
@@ -15,7 +15,36 @@ from biased_voter.kernel import (TorusKernel, bias_values, fold_to_torus,
 NN1 = make_nn_kernel(1)
 NN2 = make_nn_kernel(2)
 POWER = make_power_kernel(0.8, 30)
+TORUS5 = fold_to_torus(POWER, 5)   # displacements of +-5, +-10, ... fold to no-op jumps
 SANDWICH_GRID = np.geomspace(10.0, 1000.0, 12)
+
+
+def reference_death_times(cum_t, skey, k, t_max):
+    """The coalescence sweep as one numpy step per jump, in time order."""
+    rows, m = cum_t.shape
+    count = rows // k
+    times = cum_t.reshape(count, k * m)
+    order = np.argsort(times, axis=1)
+    due = np.count_nonzero(times <= t_max, axis=1)   # jumps of each replica by t_max
+    held = skey[:, 0].reshape(count, k).copy()   # site of each live rider, -1 once dead
+    live = np.full(count, k)
+    death = np.full(rows, np.inf)
+    active = np.flatnonzero(live > 1)
+    for s in range(due.max()):
+        active = active[due[active] > s]
+        if active.size == 0:
+            break
+        jump = order[active, s]
+        w, j = np.divmod(jump, m)
+        row = active * k + w
+        x, y = held[active, w], skey[row, j + 1]
+        hit = (x >= 0) & (y != x) & (held[active] == y[:, None]).any(axis=1)
+        held[active, w] = np.where((x < 0) | hit, -1, y)
+        if hit.any():
+            death[row[hit]] = times[active[hit], jump[hit]]
+            live[active[hit]] -= 1
+            active = active[live[active] > 1]
+    return death
 
 
 def reference_batch(kernel, t_grid, starts, count, rng, law=None, bias=None):
@@ -32,7 +61,7 @@ def reference_batch(kernel, t_grid, starts, count, rng, law=None, bias=None):
     keys = np.arange(rows, dtype=np.int64)[:, None] // k * n_keys + skey
     particles = None
     if k > 1:
-        death = walks._death_times(cum_t, skey, k, t_max)[:, None]
+        death = reference_death_times(cum_t, skey, k, t_max)[:, None]
         particles = (death > t_grid).reshape(count, k, t_grid.size).sum(axis=1)
         held = (arrivals < death) & (arrivals <= t_max)
         np.minimum(nexts, death, out=nexts)
@@ -125,6 +154,36 @@ def test_reduction_matches_per_grid_time_loop(case):
     assert got[3] == want[3]
 
 
+@st.composite
+def sweep_cases(draw):
+    """A kernel, 2 to 6 distinct starts, a replica count, a seed and a t_max
+    that is short, or long enough for k walkers to cross the first three
+    chunk boundaries (64 + 128 + 256 events) of the sweep."""
+    kernel = draw(st.sampled_from([NN1, NN2, TORUS5, POWER]))
+    k = draw(st.integers(2, 5 if kernel is TORUS5 else 6))
+    wrap = (lambda s: tuple(x % 5 for x in s)) if kernel is TORUS5 else tuple
+    starts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * kernel.dim),
+                           min_size=k, max_size=k, unique_by=wrap))
+    count = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    t_max = draw(st.floats(0.5, 30.0) | st.floats(250.0, 400.0))
+    return kernel, walks._start_array(kernel, starts), count, seed, t_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sweep_cases())
+@example(case=(NN1, walks._start_array(NN1, [(0,), (1,), (3,)]), 16, 0, 0.05))  # most replicas never jump
+@example(case=(NN2, walks._start_array(NN2, [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]),
+               4, 1, 300.0))   # riders live on across many chunks
+def test_death_times_match_per_jump_sweep(case):
+    kernel, starts, count, seed, t_max = case
+    pos, cum_t = walks._draw(kernel, starts, t_max, count, rng_for(seed))
+    skey = walks._site_keys(pos)[0]
+    k = len(starts)
+    assert np.array_equal(walks._death_times(cum_t, skey, k, t_max),
+                          reference_death_times(cum_t, skey, k, t_max))
+
+
 @settings(max_examples=80, deadline=None)
 @given(key_space=st.integers(1, 400), size=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
 @example(key_space=50, size=400, seed=0)    # the bitmap
@@ -151,16 +210,19 @@ def test_wide_boxes_take_the_sorted_pair_ids():
 
 
 def test_annealed_batch_peak_memory():
-    """The traced peak of one 2048-walker annealed batch to t = 1000 stays below
+    """The traced peak of a 2048-walker annealed batch to t = 1000 stays below
     8 x (rows x m x 8 bytes), m the drawn jumps per walker: 11.2 x with the
-    per-grid-time loop, 5.5 x with the one-pass reduction."""
+    per-grid-time loop, 5.5 x with the one-pass reduction for one walker per
+    replica, and 4.1 x for k = 3 and k = 8 with the chunked coalescence sweep."""
     law = bernoulli_law(0.5, 1.0)
-    starts = walks._start_array(NN1, None)
-    rows, m = walks._draw(NN1, starts, SANDWICH_GRID[-1], walks.BATCH_SIZE, rng_for(3))[1].shape
-    tracemalloc.start()
-    try:
-        walks._simulate_batch(NN1, SANDWICH_GRID, starts, walks.BATCH_SIZE, rng_for(3), law)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * rows * m * 8
+    for k in (1, 3, 8):
+        starts = walks._start_array(NN1, [(2 * i,) for i in range(k)])
+        count = walks.BATCH_SIZE // k
+        rows, m = walks._draw(NN1, starts, SANDWICH_GRID[-1], count, rng_for(3))[1].shape
+        tracemalloc.start()
+        try:
+            walks._simulate_batch(NN1, SANDWICH_GRID, starts, count, rng_for(3), law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows * m * 8, k
