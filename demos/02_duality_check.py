@@ -13,9 +13,9 @@ dual walks) land on the same number.
 
 import numpy as np
 
-from biased_voter import (BiasField, duality_gap, exact_dual_value,
+from biased_voter import (BiasField, dual_curve, duality_gap, exact_dual_value,
                           fold_to_torus, forward_relaxation, make_nn_kernel,
-                          quenched_dual_expectation, site_indicator)
+                          site_indicator)
 
 side = 3
 kernel = make_nn_kernel(1)
@@ -35,8 +35,7 @@ replicas = 40_000
 target = exact_dual_value([(0,)], beta, tk, t)
 fwd_mean, fwd_se = forward_relaxation(site_indicator(0), field, tk, [t],
                                       replicas, seed=1)
-dual_mean, dual_se = quenched_dual_expectation([(0,)], field, tk, t,
-                                               replicas, seed=2)
+dual = dual_curve([(0,)], tk, [t], replicas, seed=2, bias=field)
 print(f"exact value              : {target:.6f}")
 print(f"forward Monte Carlo      : {fwd_mean[0]:.6f} +- {fwd_se[0]:.6f}")
-print(f"weighted dual Monte Carlo: {dual_mean:.6f} +- {dual_se:.6f}")
+print(f"weighted dual Monte Carlo: {dual.mean[0]:.6f} +- {dual.stderr[0]:.6f}")

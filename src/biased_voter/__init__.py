@@ -9,7 +9,7 @@ with g = d/(d+alpha).
 """
 
 from .disorder import BiasField, bernoulli_law, deterministic_law, laplace, nu1, nu2
-from .dual import quenched_dual_expectation
+from .dual import dual_curve
 from .exact import duality_gap, exact_dual_value, exact_range_functional_curve_1d
 from .forward import forward_relaxation
 from .kernel import char_fn, fold_to_torus, make_nn_kernel, make_power_kernel, verify_assumption

@@ -35,7 +35,6 @@ __all__ = [
     "exact_forward_values_all",
     "duality_gap",
     "product_indicator_vector",
-    "exact_range_functional_1d",
     "exact_range_functional_curve_1d",
 ]
 
@@ -259,8 +258,3 @@ def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.nda
             f"width_cap={cap} too small for t={ts[i]}: the truncation bound "
             f"{bound[i]:.3g} exceeds 1e-12 of the sum {out[i]:.3g}")
     return out.reshape(t_arr.shape)
-
-
-def exact_range_functional_1d(nu: float, t: float, width_cap: int) -> float:
-    """Single-time version of the exact 1-d range functional."""
-    return float(exact_range_functional_curve_1d(nu, [t], width_cap)[0])

@@ -96,6 +96,10 @@ class ExperimentConfig:
     fit_window: tuple[float, float] | None = None
     disorder_seed: int | None = None
 
+    def __post_init__(self):
+        if self.sites:   # the start set is a set: one order, so one config hash
+            object.__setattr__(self, "sites", tuple(sorted(self.sites)))
+
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -244,7 +248,7 @@ def parse_t_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
-    """Semicolon-separated sites, each a comma-separated integer tuple."""
+    """Semicolon-separated distinct sites, each a comma-separated integer tuple."""
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -252,6 +256,8 @@ def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
             out.append(tuple(int(c) for c in chunk.split(",")))
     if not out:
         raise ConfigError(f"no sites in {text!r}")
+    if len(set(out)) != len(out):
+        raise ConfigError(f"repeated site in {text!r}")
     return tuple(out)
 
 
@@ -459,8 +465,7 @@ def _run_dual(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
     else:
         disorder = {"law": config.law}
     curve = dual_curve(config.start_sites(), config.build_kernel(), config.t_grid,
-                       config.replicas, config.seed, config.mode.removeprefix("dual-"),
-                       threads=config.threads, **disorder)
+                       config.replicas, config.seed, threads=config.threads, **disorder)
     return (_records(curve.t_grid, curve.mean, curve.stderr, mean_range=curve.mean_range,
                      mean_particles=curve.mean_particles),
             curve.max_abs_position)
@@ -484,9 +489,7 @@ def _run_bounds(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
     if lam_size == 1 and len(nonempty) == 1:
         # single-walker route: estimate and bounds share the same paths
         stats = walk_curve(kern, config.t_grid, config.replicas, config.seed,
-                           law=law, exponents=exponents,
-                           floor_nu=n2 if math.isfinite(n2) else None,
-                           threads=config.threads)
+                           law=law, exponents=exponents, threads=config.threads)
         coeff = coeffs[nonempty[0]]
         est = coeff * stats.weight_mean
         est_se = abs(coeff) * stats.weight_stderr
@@ -499,7 +502,7 @@ def _run_bounds(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
         mean_range = np.zeros(len(config.t_grid))
         for i, A in enumerate(nonempty):
             curve = dual_curve(sorted(A), kern, config.t_grid, config.replicas,
-                               seeds[i], "annealed", law=law, threads=config.threads)
+                               seeds[i], law=law, threads=config.threads)
             est += coeffs[A] * curve.mean
             var += (coeffs[A] * curve.stderr) ** 2
             mean_range = np.maximum(mean_range, curve.mean_range)
@@ -701,6 +704,10 @@ def _fmt(value) -> str:
 
 
 def _header_lines(config: ExperimentConfig, extra: list[str] = ()) -> list[str]:
+    """The config as ``# key = value`` lines; the other lines take ``# name: value``.
+
+    So the ``key = value`` lines of any output's header read back as its config.
+    """
     lines = [f"# biased-voter {config.mode}",
              f"# config-hash: {config_hash(config)}"]
     for k, v in config.canonical_items():
@@ -738,23 +745,23 @@ def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig
     columns = _MODE_COLUMNS[config.mode]
     extra = []
     if max_abs_position is not None:
-        extra.append(f"# max_walk_displacement = {max_abs_position}")
+        extra.append(f"# max_walk_displacement: {max_abs_position}")
     write_table(path, columns, (_record_row(r, columns, config.replicas) for r in records),
                 _header_lines(config, extra))
 
 
 def write_sandwich_csv(path, report: SandwichReport):
     """Write the audit under a header embedding the config the report ran."""
-    extra = [f"# gamma_target = {_fmt(report.gamma_target)}"]
+    extra = [f"# gamma_target: {_fmt(report.gamma_target)}"]
     for name, g in (("estimate", report.gamma_estimate), ("lower", report.gamma_lower),
                     ("upper", report.gamma_upper)):
         value, ci = g or (None, None)
-        extra.append(f"# gamma_{name} = {_fmt(value)} ci = {_fmt(ci)}")
+        extra.append(f"# gamma_{name}: {_fmt(value)} ci: {_fmt(ci)}")
     for name in ("hypothesis_upper_ok", "hypothesis_lower_ok", "ordering_ok",
                  "gamma_bracket_ok"):
-        extra.append(f"# {name} = {_fmt(getattr(report, name))}")
+        extra.append(f"# {name}: {_fmt(getattr(report, name))}")
     for k, v in sorted(report.constants.items()):
-        extra.append(f"# constant {k} = {_fmt(v)}")
+        extra.append(f"# constant {k}: {_fmt(v)}")
     columns = ("t", "estimate", "stderr", "lower", "lower_stderr",
                "upper", "upper_stderr", "sandwich_ok")
     rows = ((r.t, r.estimate, r.stderr, r.lower_bound, r.lower_stderr,

@@ -24,7 +24,6 @@ from .kernel import Kernel
 from .walks import walk_curve
 
 __all__ = [
-    "DVConstant",
     "RangeCurve",
     "lambda_nn",
     "dv_constant",
@@ -58,31 +57,6 @@ def dv_constant(d: int, alpha: float, lam: float, nu: float) -> float:
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     return (d + alpha) * ((lam / d) ** d * (nu / alpha) ** alpha) ** (1.0 / (d + alpha))
-
-
-@dataclass(frozen=True)
-class DVConstant:
-    """Rate-constant bundle for one kernel class: dimension, index, eigenvalue."""
-
-    d: int
-    alpha: float
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("the eigenvalue must be positive")
-
-    @classmethod
-    def nearest_neighbor(cls, d: int) -> "DVConstant":
-        return cls(d=d, alpha=2.0, lam=lambda_nn(d))
-
-    def of_nu(self, nu: float) -> float:
-        return dv_constant(self.d, self.alpha, self.lam, nu)
-
-    @property
-    def exponent(self) -> float:
-        """Predicted stretch exponent d/(d+alpha)."""
-        return self.d / (self.d + self.alpha)
 
 
 @dataclass

@@ -299,12 +299,13 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
 
 
 def _batch_moments(args):
-    kernel, t_grid, starts, seed, batch_index, count, law, bias, exponents, floor_nu = args
+    kernel, t_grid, starts, seed, batch_index, count, law, bias, exponents = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
     range_counts, particles, logw, max_abs = _simulate_batch(
         kernel, t_grid, starts, count, rng, law, bias)
-    if logw is not None and floor_nu is not None and math.isfinite(floor_nu):
-        floor = -floor_nu * range_counts - _FLOOR_TOL
+    if law is not None and law.mass_at_zero > 0.0:
+        # laplace(law, l) >= mass_at_zero at every visited site
+        floor = math.log(law.mass_at_zero) * range_counts - _FLOOR_TOL
         if not np.all(logw >= floor):
             raise InvariantError(
                 "annealed path weight fell below the mass-at-zero floor")
@@ -321,8 +322,7 @@ def _batch_moments(args):
 
 
 def walk_curve(kernel, t_grid, replicas: int, seed: int,
-               law: DisorderLaw | None = None, exponents=(),
-               floor_nu: float | None = None, threads: int = 1,
+               law: DisorderLaw | None = None, exponents=(), threads: int = 1,
                starts=None, bias=None) -> WalkCurveStats:
     """Moments of range functionals and path weights over `replicas` replicas.
 
@@ -331,9 +331,9 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     with more than one, the walkers carry the coalescing dual (see the
     module docstring). ``exponents`` lists nu values for which mean/stderr
     of exp(-nu |R_t|) are wanted. ``law`` switches on the annealed weight
-    and ``bias`` (a field, or on a torus a per-site array) the quenched one;
-    ``floor_nu`` (the mass-at-zero rate of the law) enables the pathwise
-    check that every annealed weight is at least exp(-floor_nu |R_t|).
+    and ``bias`` (a field, or on a torus a per-site array) the quenched one.
+    Every annealed weight of a law with mass at zero is checked, path by
+    path, to be at least mass_at_zero ** |R_t|.
     """
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
@@ -346,7 +346,7 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     exponents = tuple(float(x) for x in exponents)
     per_batch = max(1, BATCH_SIZE // len(starts))
     jobs = [(kernel, t_arr, starts, seed, b, min(per_batch, replicas - b * per_batch),
-             law, bias, exponents, floor_nu)
+             law, bias, exponents)
             for b in range((replicas + per_batch - 1) // per_batch)]
 
     totals: dict = {}

@@ -13,7 +13,7 @@ import pytest
 
 from biased_voter.disorder import (BiasField, _draw_values, bernoulli_law,
                                  deterministic_law, nu1, nu2)
-from biased_voter.dual import annealed_dual_expectation, quenched_dual_expectation
+from biased_voter.dual import dual_curve
 from biased_voter.exact import duality_gap, exact_dual_value
 from biased_voter.forward import ForwardSimulation, forward_relaxation
 from biased_voter.harness import (ExperimentConfig, config_hash, run,
@@ -76,8 +76,8 @@ def test_criterion_02_monte_carlo_vs_exact():
 
     for t in times:
         target = exact_dual_value([(0,)], beta, tk, t)
-        mean, se = quenched_dual_expectation([(0,)], field, tk, t, replicas, seed=204)
-        assert abs(mean - target) < 4 * se, f"dual at t={t}"
+        curve = dual_curve([(0,)], tk, [t], replicas, 204, bias=field)
+        assert abs(curve.mean[0] - target) < 4 * curve.stderr[0], f"dual at t={t}"
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     report(2, f"forward and dual within 4 stderr of the exact semigroup at "
@@ -97,13 +97,10 @@ def test_criterion_03_constant_bias_closed_form():
 
     for t in (0.8, 2.5):
         target = math.exp(-b * t)
-        mean, se = quenched_dual_expectation([(0,)], Constant(), NN1, t, 500, seed=301)
-        assert abs(mean - target) <= 1e-12
-        assert se <= 1e-12
-        mean, se = annealed_dual_expectation([(0,)], deterministic_law(b), NN1,
-                                             t, 500, seed=302)
-        assert abs(mean - target) <= 1e-12
-        assert se <= 1e-12
+        for curve in (dual_curve([(0,)], NN1, [t], 500, 301, bias=Constant()),
+                      dual_curve([(0,)], NN1, [t], 500, 302, law=deterministic_law(b))):
+            assert abs(curve.mean[0] - target) <= 1e-12
+            assert curve.stderr[0] <= 1e-12
     report(3, "quenched and annealed estimators return exp(-bt) with zero "
               "sample variance for constant bias")
 

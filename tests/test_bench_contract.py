@@ -1,0 +1,37 @@
+"""The package names that the benchmark in ``bench/`` reads are still there.
+
+``bench/tracer.py`` wraps package functions and methods by name, and
+``bench/workloads.py`` imports from the package, so renaming or deleting one
+of those names breaks the benchmark without a failure in ``tests/``. This
+resolves every traced per-layer metric of ``BENCHMARK.json`` through the
+tracer and imports the workloads, in a fresh interpreter (installing the
+tracer rebinds the package's functions) that writes no bytecode under
+``bench/``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import run, tracer
+spec = json.load(open({spec!r}))
+traced = tracer.Tracer()
+traced.install()
+for layer in spec["per_layer"]:
+    if layer["name"] not in run.RUN_LEVEL_LAYERS:
+        traced.metric(layer["name"])
+import workloads
+"""
+
+
+def test_benchmark_names_resolve():
+    script = SCRIPT.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"),
+                           spec=str(ROOT / "BENCHMARK.json"))
+    proc = subprocess.run([sys.executable, "-B", "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -7,14 +7,12 @@ from scipy.special import ive
 
 from biased_voter.disorder import (BiasField, LazyBiasField, bernoulli_law,
                                    deterministic_law, laplace, sample_field)
-from biased_voter.dual import (DualSimulation, annealed_dual_expectation,
-                               coupled_dual_walker_ranges, dual_curve,
-                               dual_evolve, independent_walkers_range,
-                               quenched_dual_expectation)
+from biased_voter.dual import DualSimulation, dual_curve
 from biased_voter.exact import exact_dual_value
 from biased_voter.forward import forward_relaxation
 from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from biased_voter.localfn import LocalFunction
+from biased_voter.walks import walk_curve
 
 NN1 = make_nn_kernel(1)
 NN2 = make_nn_kernel(2)
@@ -22,6 +20,19 @@ NN2 = make_nn_kernel(2)
 
 def rng_for(*key):
     return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+def dual_at(start, kernel, t, replicas, seed, **disorder):
+    """Mean and stderr of the dual weight at one time."""
+    curve = dual_curve(start, kernel, [t], replicas, seed, **disorder)
+    return float(curve.mean[0]), float(curve.stderr[0])
+
+
+def advanced(start, kernel, t, rng):
+    """The event-by-event reference dual at time t."""
+    sim = DualSimulation(start, kernel, rng)
+    sim.advance_to(t)
+    return sim
 
 
 def coalescence_probability(t):
@@ -32,19 +43,19 @@ def coalescence_probability(t):
 
 class TestDualEvolve:
     def test_single_particle_never_coalesces(self):
-        st = dual_evolve([(0,)], NN1, 7.0, rng_for(1))
-        assert len(st.particles) == 1
-        assert st.occupation_total() == pytest.approx(7.0, abs=1e-9)
+        sim = advanced([(0,)], NN1, 7.0, rng_for(1))
+        assert len(sim.particles) == 1
+        assert sum(sim.local_times.values()) == pytest.approx(7.0, abs=1e-9)
 
     def test_time_zero(self):
-        st = dual_evolve([(0,), (3,)], NN1, 0.0, rng_for(2))
-        assert st.particles == frozenset({(0,), (3,)})
-        assert st.occupation_total() == 0.0
-        assert st.fk_integral == 0.0
+        sim = advanced([(0,), (3,)], NN1, 0.0, rng_for(2))
+        assert set(sim.particles) == sim.visited == {(0,), (3,)}
+        assert sum(sim.local_times.values()) == 0.0
+        assert sim.jumps == 0
 
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError):
-            dual_evolve([], NN1, 1.0, rng_for(3))
+            DualSimulation([], NN1, rng_for(3))
 
     def test_particle_count_nonincreasing(self):
         sim = DualSimulation([(0,), (1,), (5,)], NN1, rng_for(4))
@@ -55,8 +66,8 @@ class TestDualEvolve:
             last = len(sim.particles)
 
     def test_occupation_bounded_by_start_count(self):
-        st = dual_evolve([(0,), (1,), (2,)], NN1, 11.0, rng_for(5))
-        assert st.occupation_total() <= 3 * 11.0 + 1e-9
+        sim = advanced([(0,), (1,), (2,)], NN1, 11.0, rng_for(5))
+        assert sum(sim.local_times.values()) <= 3 * 11.0 + 1e-9
 
     def test_range_bounded_by_jump_count(self):
         sim = DualSimulation([(0,)], NN1, rng_for(6))
@@ -65,7 +76,7 @@ class TestDualEvolve:
 
     def test_coalescence_fraction_matches_first_passage(self):
         t, n = 10.0, 4000
-        hits = sum(len(dual_evolve([(0,), (1,)], NN1, t, rng_for(7, r)).particles) == 1
+        hits = sum(len(advanced([(0,), (1,)], NN1, t, rng_for(7, r)).particles) == 1
                    for r in range(n))
         p = hits / n
         exact = coalescence_probability(t)
@@ -77,8 +88,7 @@ class TestDualEvolve:
         # adjacent walkers in one dimension almost surely meet
         # (the batched riders of dual_curve: the event loop is too slow here)
         t, n = 1000.0, 10_000
-        curve = dual_curve([(0,), (1,)], NN1, [t], n, 8, "annealed",
-                           law=deterministic_law(0.0))
+        curve = dual_curve([(0,), (1,)], NN1, [t], n, 8, law=deterministic_law(0.0))
         p = 2.0 - float(curve.mean_particles[0])
         exact = coalescence_probability(t)
         se = math.sqrt(exact * (1 - exact) / n)
@@ -98,14 +108,12 @@ class ConstantField(BiasField):
 class TestQuenched:
     def test_constant_bias_zero_variance(self):
         b, t = 0.9, 2.5
-        mean, stderr = quenched_dual_expectation([(0,)], ConstantField(b), NN1,
-                                                 t, 300, seed=9)
+        mean, stderr = dual_at([(0,)], NN1, t, 300, 9, bias=ConstantField(b))
         assert abs(mean - math.exp(-b * t)) < 1e-12
         assert stderr < 1e-12
 
     def test_zero_bias_weight_is_one(self):
-        mean, stderr = quenched_dual_expectation([(0,), (2,)], ConstantField(0.0),
-                                                 NN1, 4.0, 200, seed=10)
+        mean, stderr = dual_at([(0,), (2,)], NN1, 4.0, 200, 10, bias=ConstantField(0.0))
         assert mean == 1.0
         assert stderr == 0.0
 
@@ -115,7 +123,7 @@ class TestQuenched:
         rng = rng_for(11)
         beta = rng.uniform(0.0, 2.0, side)
         field = BiasField({(i,): float(beta[i]) for i in range(side)})
-        mean, stderr = quenched_dual_expectation([(0,)], field, tk, t, n, seed=12)
+        mean, stderr = dual_at([(0,)], tk, t, n, 12, bias=field)
         target = exact_dual_value([(0,)], beta, tk, t)
         assert abs(mean - target) < 4 * stderr
 
@@ -127,31 +135,27 @@ class TestQuenched:
                              rng_for(13))
         f = LocalFunction([(0,), (1,)], [0, 0, 0, 1])
         fwd_mean, fwd_se = forward_relaxation(f, field, tk, [t], 20_000, seed=14)
-        dual_mean, dual_se = quenched_dual_expectation([(0,), (1,)], field, tk,
-                                                       t, 20_000, seed=15)
+        dual_mean, dual_se = dual_at([(0,), (1,)], tk, t, 20_000, 15, bias=field)
         z = abs(fwd_mean[0] - dual_mean) / math.sqrt(fwd_se[0] ** 2 + dual_se ** 2)
         assert z < 4
 
 
 class TestAnnealed:
     def test_all_mass_at_zero_is_exactly_one(self):
-        mean, stderr = annealed_dual_expectation([(0,), (1,)], deterministic_law(0.0),
-                                                 NN1, 5.0, 200, seed=16)
+        mean, stderr = dual_at([(0,), (1,)], NN1, 5.0, 200, 16, law=deterministic_law(0.0))
         assert mean == 1.0
         assert stderr == 0.0
 
     def test_deterministic_law_is_pathwise_exact(self):
         b, t = 1.1, 3.0
-        mean, stderr = annealed_dual_expectation([(0,)], deterministic_law(b),
-                                                 NN1, t, 300, seed=17)
+        mean, stderr = dual_at([(0,)], NN1, t, 300, 17, law=deterministic_law(b))
         assert abs(mean - math.exp(-b * t)) < 1e-12
         assert stderr < 1e-12
 
     def test_multi_particle_deterministic_law(self):
         # slow path (two particles): weight is exp(-b * total occupation)
         b, t = 0.6, 2.0
-        curve = dual_curve([(0,), (4,)], NN1, [t], 500, 18, "annealed",
-                           law=deterministic_law(b))
+        curve = dual_curve([(0,), (4,)], NN1, [t], 500, 18, law=deterministic_law(b))
         assert curve.mean_particles[0] <= 2.0
         assert 0.0 < curve.mean[0] < 1.0
 
@@ -160,14 +164,12 @@ class TestAnnealed:
         # integrate the disorder analytically vs sampling 200 explicit fields
         law = bernoulli_law(0.5, 1.0)
         t = 20.0
-        ann_mean, ann_se = annealed_dual_expectation([(0,)], law, NN1, t,
-                                                     100_000, seed=19)
+        ann_mean, ann_se = dual_at([(0,)], NN1, t, 100_000, 19, law=law)
         n_fields, n_rep = 200, 500
         field_means = []
         for i in range(n_fields):
             bias = LazyBiasField(law, disorder_seed=1000 + i)
-            m, _ = quenched_dual_expectation([(0,)], bias, NN1, t, n_rep,
-                                             seed=20_000 + i)
+            m, _ = dual_at([(0,)], NN1, t, n_rep, 20_000 + i, bias=bias)
             field_means.append(m)
         q_mean = float(np.mean(field_means))
         q_se = float(np.std(field_means, ddof=1) / math.sqrt(n_fields))
@@ -180,13 +182,12 @@ class TestAnnealed:
         # against the same functional computed from raw dual states
         law = bernoulli_law(0.4, 1.5)
         t = 3.0
-        fast_mean, fast_se = annealed_dual_expectation([(0,)], law, NN1, t,
-                                                       40_000, seed=21)
+        fast_mean, fast_se = dual_at([(0,)], NN1, t, 40_000, 21, law=law)
         n = 20_000
         weights = np.empty(n)
         for r in range(n):
-            st = dual_evolve([(0,)], NN1, t, rng_for(22, r))
-            weights[r] = np.prod([laplace(law, lt) for lt in st.local_times.values()])
+            sim = advanced([(0,)], NN1, t, rng_for(22, r))
+            weights[r] = np.prod([laplace(law, lt) for lt in sim.local_times.values()])
         slow_mean = weights.mean()
         slow_se = weights.std(ddof=1) / math.sqrt(n)
         z = abs(fast_mean - slow_mean) / math.sqrt(fast_se ** 2 + slow_se ** 2)
@@ -195,35 +196,29 @@ class TestAnnealed:
 
 class TestWalkersAndCoupling:
     def test_duplicate_starts_rejected(self):
-        with pytest.raises(ValueError):
-            independent_walkers_range([(0,), (0,)], NN1, 1.0, rng_for(23))
+        with pytest.raises(ValueError, match="distinct"):
+            dual_curve([(0,), (0,)], NN1, [1.0], 10, 23, law=deterministic_law(0.0))
+        with pytest.raises(ValueError, match="distinct"):
+            walk_curve(NN1, [1.0], 10, 23, starts=[(0,), (0,)])
 
     def test_time_zero_counts_starts(self):
-        tracker = independent_walkers_range([(0,), (5,), (9,)], NN1, 0.0, rng_for(24))
-        assert tracker.count == 3
+        curve = dual_curve([(0,), (5,), (9,)], NN1, [0.0], 10, 24, law=deterministic_law(0.0))
+        assert curve.mean_range[0] == 3.0
 
     def test_single_walker_range_reasonable(self):
-        tracker = independent_walkers_range([(0,)], NN1, 50.0, rng_for(25))
-        assert 1 <= tracker.count <= 200
-
-    def test_dual_range_dominated_by_walkers(self):
-        # shared-randomness coupling: the coalescing set visits no more
-        # sites than the independent walkers it rides on
-        dual_count, walker_count = coupled_dual_walker_ranges(
-            [(0,), (1,), (3,)], NN1, 5.0, 10_000, rng_for(26))
-        assert dual_count.shape == walker_count.shape == (10_000,)
-        assert np.all(dual_count <= walker_count)
+        stats = walk_curve(NN1, [50.0], 10, 25)
+        assert 1 <= stats.range_mean[0] <= 200
 
     def test_two_dimensional_walkers(self):
-        tracker = independent_walkers_range([(0, 0), (2, 2)], NN2, 10.0, rng_for(27))
-        assert tracker.count >= 2
+        stats = walk_curve(NN2, [0.0, 10.0], 10, 27, starts=[(0, 0), (2, 2)])
+        assert stats.range_mean[0] == 2.0
+        assert stats.range_mean[1] >= 2.0
 
 
 class TestDualCurve:
     def test_curve_shapes_and_particle_means(self):
         law = bernoulli_law(0.5, 1.0)
-        curve = dual_curve([(0,), (1,)], NN1, [0.5, 2.0, 8.0], 400, 28,
-                           "annealed", law=law)
+        curve = dual_curve([(0,), (1,)], NN1, [0.5, 2.0, 8.0], 400, 28, law=law)
         assert curve.mean.shape == (3,)
         assert np.all(np.diff(curve.mean_range) >= 0)
         assert np.all(curve.mean_particles <= 2.0)
@@ -231,18 +226,20 @@ class TestDualCurve:
         assert curve.max_abs_position >= 1
 
     def test_quenched_requires_bias(self):
-        with pytest.raises(ValueError):
-            dual_curve([(0,)], NN1, [1.0], 10, 0, "quenched")
+        # the mode follows from the disorder given: neither is an error
+        with pytest.raises(ValueError, match="exactly one"):
+            dual_curve([(0,)], NN1, [1.0], 10, 0)
 
     def test_annealed_requires_law(self):
-        with pytest.raises(ValueError):
-            dual_curve([(0,)], NN1, [1.0], 10, 0, "annealed")
+        # and a law with a field is an error, not a silent choice
+        with pytest.raises(ValueError, match="exactly one"):
+            dual_curve([(0,)], NN1, [1.0], 10, 0, law=deterministic_law(0.0),
+                       bias=ConstantField(0.0))
 
     def test_range_and_particles_match_event_reference(self):
         # the riders' range and live count against the event-by-event dual
         start, ts, n, batched = [(0,), (1,), (3,)], [1.0, 5.0], 4000, 20_000
-        curve = dual_curve(start, NN1, ts, batched, 36, "annealed",
-                           law=deterministic_law(0.0))
+        curve = dual_curve(start, NN1, ts, batched, 36, law=deterministic_law(0.0))
         ranges, particles = np.empty((n, 2)), np.empty((n, 2))
         for r in range(n):
             sim = DualSimulation(start, NN1, rng_for(37, r))
@@ -256,9 +253,8 @@ class TestDualCurve:
 
     def test_threads_do_not_change_results(self):
         law = bernoulli_law(0.5, 1.0)
-        a = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, "annealed", law=law)
-        b = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, "annealed",
-                       law=law, threads=3)
+        a = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, law=law)
+        b = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, law=law, threads=3)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
         assert np.array_equal(a.mean_range, b.mean_range)
@@ -282,7 +278,7 @@ class TestRidersAgainstExact:
         tk = fold_to_torus(kernel, self.SIDE)
         beta = rng_for(30).uniform(0.0, 2.0, self.SIDE)
         field = BiasField({(i,): float(beta[i]) for i in range(self.SIDE)})
-        curve = dual_curve(start, tk, self.TIMES, 40_000, 31, "quenched", bias=field)
+        curve = dual_curve(start, tk, self.TIMES, 40_000, 31, bias=field)
         for j, t in enumerate(self.TIMES):
             target = exact_dual_value(start, beta, tk, t)
             assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], f"t={t}"
@@ -291,7 +287,7 @@ class TestRidersAgainstExact:
         tk = fold_to_torus(NN1, self.SIDE)
         law = bernoulli_law(0.5, 1.0)
         start = [(0,), (1,)]
-        curve = dual_curve(start, tk, self.TIMES, 40_000, 32, "annealed", law=law)
+        curve = dual_curve(start, tk, self.TIMES, 40_000, 32, law=law)
         for j, t in enumerate(self.TIMES):
             target = 0.0
             for bits in itertools.product(range(len(law.atoms)), repeat=self.SIDE):
@@ -303,7 +299,7 @@ class TestRidersAgainstExact:
     def test_particles_coalesce_on_the_torus(self):
         tk = fold_to_torus(NN1, self.SIDE)
         curve = dual_curve([(0,), (1,), (3,)], tk, [0.0, 1.0, 50.0], 500, 33,
-                           "annealed", law=deterministic_law(0.0))
+                           law=deterministic_law(0.0))
         assert curve.mean_particles[0] == 3.0
         assert curve.mean_particles[1] < 3.0
         assert curve.mean_particles[2] == 1.0
@@ -312,8 +308,7 @@ class TestRidersAgainstExact:
     def test_starts_colliding_on_the_torus_rejected(self):
         tk = fold_to_torus(NN1, self.SIDE)
         with pytest.raises(ValueError, match="distinct"):
-            dual_curve([(0,), (4,)], tk, [1.0], 10, 0, "annealed",
-                       law=deterministic_law(0.0))
+            dual_curve([(0,), (4,)], tk, [1.0], 10, 0, law=deterministic_law(0.0))
 
 
 class TestQuenchedBiasChecks:
@@ -322,11 +317,11 @@ class TestQuenchedBiasChecks:
     @pytest.mark.parametrize("value", [-1.0, math.nan])
     def test_bad_values_rejected_on_z(self, value):
         with pytest.raises(ValueError, match="nonnegative"):
-            quenched_dual_expectation([(0,), (2,)], ConstantField(value), NN1, 1.0, 10, 0)
+            dual_at([(0,), (2,)], NN1, 1.0, 10, 0, bias=ConstantField(value))
 
     def test_missing_site_rejected_on_z(self):
         with pytest.raises(ValueError, match="does not cover"):
-            quenched_dual_expectation([(0,)], BiasField({(0,): 1.0}), NN1, 5.0, 10, 0)
+            dual_at([(0,)], NN1, 5.0, 10, 0, bias=BiasField({(0,): 1.0}))
 
     @pytest.mark.parametrize("values", [{(0,): -1.0, (1,): 0.0, (2,): 0.0},
                                         {(0,): math.nan, (1,): 0.0, (2,): 0.0},
@@ -334,4 +329,4 @@ class TestQuenchedBiasChecks:
     def test_bad_fields_rejected_on_torus(self, values):
         tk = fold_to_torus(NN1, 3)
         with pytest.raises(ValueError):
-            quenched_dual_expectation([(0,)], BiasField(values), tk, 1.0, 10, 0)
+            dual_at([(0,)], tk, 1.0, 10, 0, bias=BiasField(values))

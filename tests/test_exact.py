@@ -9,7 +9,6 @@ from biased_voter.exact import (_mean_range_1d, build_dual_matrix,
                                 build_forward_generator, duality_gap,
                                 exact_dual_value, exact_dual_values_all,
                                 exact_forward_values_all,
-                                exact_range_functional_1d,
                                 exact_range_functional_curve_1d,
                                 product_indicator_vector, semigroup_apply)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
@@ -65,7 +64,7 @@ def passing_cap(nu, t):
     while True:
         try:
             reference_width_check(t, cap)
-            exact_range_functional_1d(nu, t, cap)
+            exact_range_functional_curve_1d(nu, [t], cap)
             return cap
         except ValueError:
             cap += 5
@@ -174,13 +173,13 @@ class TestExactDual:
 class TestRangeFunctional:
     def test_at_zero(self):
         for nu in (0.25, 1.0, 3.0):
-            assert exact_range_functional_1d(nu, 0.0, 30) == pytest.approx(
+            assert exact_range_functional_curve_1d(nu, [0.0], 30)[0] == pytest.approx(
                 math.exp(-nu), abs=1e-12)
 
     def test_first_jump_expansion(self):
         # F(t) = e^-nu - t e^-nu (1 - e^-nu) + O(t^2)
         nu, t = 1.0, 0.01
-        val = exact_range_functional_1d(nu, t, 30)
+        val = exact_range_functional_curve_1d(nu, [t], 30)[0]
         first_order = math.exp(-nu) * (1.0 - t * (1.0 - math.exp(-nu)))
         assert abs(val - first_order) < 1e-4
 
@@ -194,12 +193,12 @@ class TestRangeFunctional:
 
     def test_width_cap_guard(self):
         with pytest.raises(ValueError, match="width_cap"):
-            exact_range_functional_1d(1.0, 2000.0, 50)
+            exact_range_functional_curve_1d(1.0, [2000.0], 50)
 
     def test_cap_below_one_rejected(self):
         # at cap 0 the remainder bound would read P(J > -1) and be no bound
         with pytest.raises(ValueError, match="width_cap"):
-            exact_range_functional_1d(0.5, 3.0, 0)
+            exact_range_functional_curve_1d(0.5, [3.0], 0)
 
     @settings(max_examples=20, deadline=None)
     @given(nu=st.floats(0.2, 3.0), t=st.floats(0.0, 300.0), slack=st.integers(0, 20))
@@ -237,4 +236,4 @@ class TestRangeChain:
         nu, t = 0.7, 0.008
         decay = math.exp(-nu)
         series = math.exp(-t) * (decay + t * decay ** 2)
-        assert exact_range_functional_1d(nu, t, 30) == pytest.approx(series, abs=5e-5)
+        assert exact_range_functional_curve_1d(nu, [t], 30)[0] == pytest.approx(series, abs=5e-5)

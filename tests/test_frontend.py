@@ -105,6 +105,61 @@ class TestSitesWithObservable:
         assert code == 2
 
 
+LAW_FLAGS = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1", "--replicas", "20"]
+
+
+class TestHeadersReadBack:
+    """Every output's ``# key = value`` header lines read back as its config;
+    the other header lines take the ``# name: value`` form."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-forward", "--L", "4", "--t-grid", "0.5,1", *LAW_FLAGS],
+        ["simulate-dual", "--mode", "quenched", "--sites", "0;1", "--t-grid", "1,2", *LAW_FLAGS],
+        ["simulate-dual", "--mode", "annealed", "--sites", "0;1", "--t-grid", "1,2", *LAW_FLAGS],
+        ["simulate-dual", "--mode", "annealed", "--observable", "site 0", "--t-grid", "1,2",
+         *LAW_FLAGS],
+        ["range", "--nu", "1", "--t-grid", "1,2", "--replicas", "20"],
+        ["sandwich", "--observable", "site 0", "--t-grid", "10:100:6", "--window", "10:100",
+         *LAW_FLAGS],
+    ], ids=["forward", "quenched", "annealed", "bounds", "range", "sandwich"])
+    def test_full_header_reads_back_to_its_hash(self, tmp_path, argv):
+        out = tmp_path / "o.csv"
+        cli.main([*argv, "--out", str(out)])
+        lines = [ln[2:] for ln in out.read_text().splitlines() if ln.startswith("# ")]
+        config = parse_config_text("\n".join(ln for ln in lines if " = " in ln), str(out))
+        assert f"config-hash: {config_hash(config)}" in lines
+        assert all(" = " in ln or ": " in ln for ln in lines[1:])
+
+
+class TestStartSet:
+    def run_dual(self, tmp_path, sites) -> Path:
+        out = tmp_path / f"{sites}.csv"
+        code = cli.main(["simulate-dual", "--mode", "quenched", "--sites", sites,
+                         "--t-grid", "1,2", *LAW_FLAGS, "--out", str(out)])
+        assert code == 0
+        return out
+
+    def test_order_of_the_sites_is_not_part_of_the_run(self, tmp_path):
+        sorted_out, shuffled_out = self.run_dual(tmp_path, "0;1"), self.run_dual(tmp_path, "1;0")
+        assert header(sorted_out)["sites"] == "0;1"   # sorted input keeps its line, so its hash
+        assert shuffled_out.read_bytes() == sorted_out.read_bytes()
+        code_built = ExperimentConfig(mode="dual-quenched", t_grid=(1.0,), replicas=2,
+                                      law=bernoulli_law(0.5, 1.0), sites=((3,), (0,)))
+        assert code_built.sites == ((0,), (3,))
+
+    def test_repeated_site_names_the_flag(self, tmp_path, capsys):
+        code = cli.main(["simulate-dual", "--mode", "quenched", "--sites", "0;0;1",
+                         "--t-grid", "1,2", *LAW_FLAGS, "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "config error: --sites: repeated site" in capsys.readouterr().err
+
+    def test_repeated_site_names_the_line(self):
+        text = "mode = dual-annealed\ndisorder = deterministic\nb = 1\nsites = 1;0;1\n" \
+               "t_grid = 1,2\nreplicas = 10\n"
+        with pytest.raises(ConfigError, match="c.cfg:4: repeated site"):
+            parse_config_text(text, name="c.cfg")
+
+
 class TestValueErrorsNameTheLine:
     @pytest.mark.parametrize("line", [
         "fit_window = a:b",

@@ -20,6 +20,7 @@ from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   write_sandwich_csv)
 from biased_voter.disorder import bernoulli_law, deterministic_law
 from biased_voter.localfn import site_indicator
+from biased_voter.stats import InvariantError
 
 BERNOULLI_CONFIG = """
 # two-sided measurement at desk scale
@@ -204,10 +205,12 @@ class TestRunPipelines:
             assert r.lower_bound <= r.estimate + 4 * math.sqrt(
                 r.stderr ** 2 + r.lower_stderr ** 2)
 
-    def test_pathwise_floor_audited_inside_estimator(self):
-        # the annealed engine asserts weight >= exp(-nu2 |R|) on every path;
-        # reaching here without an AssertionError is the check
-        run(small_config(replicas=2000))
+    def test_pathwise_floor_audited_inside_estimator(self, monkeypatch):
+        # every annealed walk run checks weight >= mass_at_zero ** |R_t| on
+        # every path, unasked: a floor above every weight must trip it
+        monkeypatch.setattr(walks, "_FLOOR_TOL", -1.0)
+        with pytest.raises(InvariantError, match="floor"):
+            walks.walk_curve(make_nn_kernel(1), [1, 5], 50, 0, law=bernoulli_law(0.5, 1))
 
     def test_forward_mode(self):
         cfg = small_config(mode="forward", side=6, t_grid=(0.5, 1.5),
@@ -304,8 +307,11 @@ class TestPersistence:
         out = tmp_path / "sandwich.csv"
         write_sandwich_csv(out, report)
         text = out.read_text()
-        assert "# gamma_target = " in text
+        assert f"# gamma_target: {report.gamma_target!r}" in text
         assert "sandwich_ok" in text.splitlines()[-len(report.records) - 1]
+        config_lines = [ln[2:] for ln in text.splitlines() if ln.startswith("# ") and " = " in ln]
+        read_back = parse_config_text("\n".join(config_lines), str(out))
+        assert f"# config-hash: {config_hash(read_back)}" in text
 
     def test_determinism_across_thread_counts(self, tmp_path):
         cfg = small_config(replicas=2100, threads=1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from biased_voter.disorder import BiasField
-from biased_voter.dual import quenched_dual_expectation
+from biased_voter.dual import dual_curve
 from biased_voter.exact import build_dual_matrix, build_forward_generator
 from biased_voter.forward import ForwardSimulation
 from biased_voter.kernel import (Kernel, bias_array, char_fn, fold_to_torus,
@@ -186,8 +186,7 @@ class TestBiasArray:
                  "dual": lambda: build_dual_matrix(bias, tk),
                  "forward": lambda: ForwardSimulation(np.ones((1, 3)), bias, tk,
                                                       np.random.default_rng(0)),
-                 "mc_dual": lambda: quenched_dual_expectation([(0,)], bias, tk, 1.0,
-                                                              10, 0)}[consumer]
+                 "mc_dual": lambda: dual_curve([(0,)], tk, [1.0], 10, 0, bias=bias)}[consumer]
         with pytest.raises(ValueError, match="nonnegative"):
             build()
         if consumer == "forward":   # per-replica rows go through the same check

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from biased_voter.exact import exact_range_functional_1d
+from biased_voter.exact import exact_range_functional_curve_1d
 from biased_voter.kernel import make_nn_kernel
-from biased_voter.rangestats import (DVConstant, dv_constant,
-                                     effective_exponent, lambda_nn,
+from biased_voter.rangestats import (dv_constant, effective_exponent, lambda_nn,
                                      mc_range_functional)
 
 NN1 = make_nn_kernel(1)
@@ -93,11 +92,6 @@ class TestDVConstant:
         with pytest.raises(ValueError):
             dv_constant(1, 2.0, 1.0, -0.5)
 
-    def test_bundle(self):
-        c = DVConstant.nearest_neighbor(1)
-        assert c.exponent == pytest.approx(1.0 / 3.0)
-        assert c.of_nu(2.0) > c.of_nu(1.0)
-
 
 class TestMCRangeFunctional:
     def test_time_zero(self):
@@ -115,7 +109,7 @@ class TestMCRangeFunctional:
         for nu in (0.5, 1.0):
             curve = mc_range_functional(NN1, nu, [10.0, 50.0], 100_000, seed=3)
             for j, t in enumerate((10.0, 50.0)):
-                target = exact_range_functional_1d(nu, t, 120)
+                target = exact_range_functional_curve_1d(nu, [t], 120)[0]
                 assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], (nu, t)
 
     def test_d2_mean_range_against_pinned_reference(self):

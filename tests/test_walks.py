@@ -1,5 +1,6 @@
 """The walk engine's one-pass reduction and coalescence sweep against the
-loops they replaced, its pair-id step, and its memory footprint."""
+loops they replaced, the dual range inside the walker range, its pair-id
+step, and its memory footprint."""
 
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from biased_voter import walks
 from biased_voter.disorder import bernoulli_law, laplace
 from biased_voter.kernel import (TorusKernel, bias_values, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
+from biased_voter.stats import InvariantError
 
 NN1 = make_nn_kernel(1)
 NN2 = make_nn_kernel(2)
@@ -90,6 +92,31 @@ def reference_batch(kernel, t_grid, starts, count, rng, law=None, bias=None):
     return range_counts, particles, logw, max_abs
 
 
+def coupled_dual_walker_ranges(starts, kernel, t, replicas, rng):
+    """Dual range and independent-walker range of each replica on shared randomness.
+
+    Each dual particle rides one walker; when a carried particle lands on a
+    site already holding another one, the rider is dropped (coalescence).
+    The dual visited set is then a subset of the walkers' visited set on
+    every path, which is checked replica by replica.
+    """
+    pos, cum_t = walks._draw(kernel, walks._start_array(kernel, starts), t, replicas, rng)
+    arrivals = np.concatenate([np.zeros((len(pos), 1)), cum_t], axis=1)
+    k = len(pos) // replicas
+    skey, _, spans = walks._site_keys(pos)
+    death = walks._death_times(cum_t, skey, k, t)
+    n_keys = math.prod(int(s) for s in spans)
+    keys = skey + (np.arange(len(pos)) // k * n_keys)[:, None]   # replica-major (replica, site)
+    seen = arrivals <= t
+    walker = np.unique(keys[seen])
+    dual = np.unique(keys[seen & (arrivals < death[:, None])])
+    outside = dual[~np.isin(dual, walker)]
+    if outside.size:
+        raise InvariantError(f"dual range left the walker range in replica {outside[0] // n_keys}")
+    return (np.bincount(dual // n_keys, minlength=replicas),
+            np.bincount(walker // n_keys, minlength=replicas))
+
+
 class SiteHashField:
     """A deterministic nonnegative field on Z^d."""
 
@@ -152,6 +179,16 @@ def test_reduction_matches_per_grid_time_loop(case):
     else:
         assert np.all(np.abs(got[2] - want[2]) <= 1e-12 * np.maximum(1.0, np.abs(want[2])))
     assert got[3] == want[3]
+
+
+def test_dual_range_dominated_by_walkers():
+    # shared-randomness coupling: the coalescing set visits no more
+    # sites than the independent walkers it rides on
+    rng = np.random.default_rng(np.random.SeedSequence([26]))
+    dual_count, walker_count = coupled_dual_walker_ranges(
+        [(0,), (1,), (3,)], NN1, 5.0, 10_000, rng)
+    assert dual_count.shape == walker_count.shape == (10_000,)
+    assert np.all(dual_count <= walker_count)
 
 
 @st.composite
