@@ -134,10 +134,6 @@ class BiasField:
     def value(self, site: tuple[int, ...]) -> float:
         return self.values[site]
 
-    @classmethod
-    def constant(cls, b: float, sites) -> "BiasField":
-        return cls({tuple(s): float(b) for s in sites}, seed_info="constant")
-
 
 class LazyBiasField(BiasField):
     """Bias field on all of Z^d, materialized site by site on first access.

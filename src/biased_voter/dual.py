@@ -35,9 +35,11 @@ class DualSimulation:
     """Event-driven dual trajectory supporting snapshots at increasing times."""
 
     def __init__(self, start, kernel, rng: np.random.Generator):
-        sites = sorted({_normalize_site(s) for s in start})
+        sites = sorted(_normalize_site(s) for s in start)
         if not sites:
             raise ValueError("dual process needs a nonempty start set")
+        if len(set(sites)) != len(sites):
+            raise ValueError("walker starts must be distinct")
         self.disp, self.cum = kernel.sampling_arrays()
         self.side = kernel.side if isinstance(kernel, TorusKernel) else None
         self.dim = self.disp.shape[1]

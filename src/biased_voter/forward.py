@@ -197,13 +197,12 @@ def _relaxation_chunk(args):
     rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
     if isinstance(bias, DisorderLaw):
         bias = _draw_values(bias, count * n, rng).reshape(count, n)
-    opinions = np.ones(count * n, dtype=np.uint8)
-    stream = _EventStream([opinions], bias, tk, rng)
+    sim = ForwardSimulation(np.ones((count, n), dtype=np.uint8), bias, tk, rng)
     bits = 1 << np.arange(len(idx), dtype=np.int64)
     values = np.empty((count, len(t_grid)))
     for j, t in enumerate(t_grid):
-        stream.advance(t)
-        values[:, j] = table[opinions.reshape(count, n)[:, idx] @ bits]
+        sim.advance_to(t)
+        values[:, j] = table[sim.layers[0][:, idx] @ bits]
     return Moments.of(values)
 
 

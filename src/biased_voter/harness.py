@@ -2,18 +2,20 @@
 
 An experiment is described by a plain-text ``key = value`` config (or an
 ``ExperimentConfig`` built in code) and produces one curve record per grid
-time. The disorder-averaged relaxation is measured through the annealed
-dual route: for an observable with expansion f = sum_A fhat(A) H(., A) the
-estimate at time t is sum over nonempty A of fhat(A) times the annealed
-dual expectation started from A. The two bound curves are
+time. Both dual modes estimate an observable with expansion
+f = sum_A fhat(A) H(., A) as sum over nonempty A of fhat(A) times the dual
+expectation started from A, annealed (the law integrated out) or quenched
+(one lazy field): one walk run over one draw, in which the walkers of each A
+coalesce among themselves. Given ``sites`` or no observable, the start set
+is the one term. An annealed run with an observable also gets two bound
+curves,
 
     upper(t) = Sigma(f) * |support(f)| * E[ exp(-nu1 |R_t|) ]
     lower(t) = gap(f) * E[ exp(-nu2 |R_t|) ] ** |support(f)|
 
-with |R_t| the visited-site count of a single walk. For single-site
-observables the same walker paths provide the estimate and both bounds
-(shared range samples), which removes most of the relative noise between
-the three curves. The upper bound is an asymptotic-regime curve: at times
+with |R_t| the visited-site count of the first support site's own walk in
+the same draw, which removes most of the relative noise between the three
+curves. The upper bound is an asymptotic-regime curve: at times
 of order one it can dip below the estimate (its derivation replaces
 occupation times by visit counts), so audits are meaningful on the grids
 actually used here, t >= O(10).
@@ -34,7 +36,6 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
-from .dual import dual_curve
 from .forward import forward_relaxation
 from .kernel import Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone,
@@ -128,6 +129,9 @@ class ExperimentConfig:
                 raise ConfigError("the bound pipeline needs a monotone observable")
             if gap(self.observable) <= 0:
                 raise ConfigError("the bound pipeline needs a non-constant observable")
+        if (self.mode == "dual-quenched" and not self.sites
+                and not self.observable_or_default().support):
+            raise ConfigError("a constant observable has no dual to start")
         if self.mode == "forward":
             for s in self.observable_or_default().support:
                 if len(s) != self.dim:
@@ -154,13 +158,6 @@ class ExperimentConfig:
         if self.observable is not None:
             return self.observable
         return site_indicator((0,) * self.dim)
-
-    def start_sites(self) -> tuple[tuple[int, ...], ...]:
-        if self.sites:
-            return self.sites
-        if self.observable is not None and self.observable.support:
-            return tuple(self.observable.support)
-        return ((0,) * self.dim,)
 
     def canonical_items(self) -> list[tuple[str, str]]:
         items = [
@@ -436,11 +433,6 @@ def _sandwich_ok(r: CurveRecord) -> bool:
             and r.estimate - r.upper_bound <= band(r.upper_stderr))
 
 
-def _derived_seeds(seed: int, count: int) -> list[int]:
-    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
-    return [int(x) % (2 ** 63) for x in state]
-
-
 def _records(t_grid, mean, stderr, **columns) -> list[CurveRecord]:
     """One record per grid time; ``columns`` are per-time optional fields."""
     def cell(v):
@@ -458,76 +450,38 @@ def _run_forward(config: ExperimentConfig) -> tuple[list[CurveRecord], None]:
 
 
 def _run_dual(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
-    """Plain dual estimator on the start set: one lazy field, or the law."""
-    if config.mode == "dual-quenched":
-        dseed = config.disorder_seed if config.disorder_seed is not None else config.seed
-        disorder = {"bias": LazyBiasField(config.law, dseed)}
+    """One walk over the observable's expansion: one lazy field, or the law.
+
+    The expansion is the start set with coefficient 1 when ``sites`` is
+    given or there is no observable, else every nonempty A with fhat(A) != 0.
+    An annealed run with an observable also gets the two bound curves.
+    """
+    law, f = config.law, config.observable
+    if config.sites or f is None:
+        starts = {config.sites or ((0,) * config.dim,): 1.0}
     else:
-        disorder = {"law": config.law}
-    curve = dual_curve(config.start_sites(), config.build_kernel(), config.t_grid,
-                       config.replicas, config.seed, threads=config.threads, **disorder)
-    return (_records(curve.t_grid, curve.mean, curve.stderr, mean_range=curve.mean_range,
-                     mean_particles=curve.mean_particles),
-            curve.max_abs_position)
-
-
-def _run_bounds(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
-    """Annealed estimate of the observable plus its two bound curves."""
-    kern = config.build_kernel()
-    law = config.law
-    f = config.observable
-    coeffs = hat_coeffs(f)
-    sigma, support = sigma_and_support(f)
-    gap_f = gap(f)
-    lam_size = len(support)
-    n1 = nu1(law)
-    n2 = nu2(law)
-    exponents = [n1] + ([n2] if math.isfinite(n2) else [])
-
-    nonempty = sorted((A for A in coeffs if A and coeffs[A] != 0.0),
-                      key=lambda A: sorted(A))
-    if lam_size == 1 and len(nonempty) == 1:
-        # single-walker route: estimate and bounds share the same paths
-        stats = walk_curve(kern, config.t_grid, config.replicas, config.seed,
-                           law=law, exponents=exponents, threads=config.threads)
-        coeff = coeffs[nonempty[0]]
-        est = coeff * stats.weight_mean
-        est_se = abs(coeff) * stats.weight_stderr
-        mean_range = stats.range_mean
-        mean_particles = np.ones_like(mean_range)
-    else:
-        seeds = _derived_seeds(config.seed, len(nonempty) + 1)
-        est = np.zeros(len(config.t_grid))
-        var = np.zeros(len(config.t_grid))
-        mean_range = np.zeros(len(config.t_grid))
-        for i, A in enumerate(nonempty):
-            curve = dual_curve(sorted(A), kern, config.t_grid, config.replicas,
-                               seeds[i], law=law, threads=config.threads)
-            est += coeffs[A] * curve.mean
-            var += (coeffs[A] * curve.stderr) ** 2
-            mean_range = np.maximum(mean_range, curve.mean_range)
-        est_se = np.sqrt(var)
-        mean_particles = np.full(len(config.t_grid), float("nan"))
-        stats = walk_curve(kern, config.t_grid, config.replicas, seeds[-1],
-                           exponents=exponents, threads=config.threads)
-
-    upper = sigma * lam_size * stats.exp_means[n1]
-    upper_se = sigma * lam_size * stats.exp_stderrs[n1]
-    if math.isfinite(n2):
-        base = stats.exp_means[n2]
-        base_se = stats.exp_stderrs[n2]
-        lower = gap_f * base ** lam_size
-        lower_se = gap_f * lam_size * base ** max(lam_size - 1, 0) * base_se
-    else:
-        # no mass at zero bias: the floor degenerates to zero information
-        lower = np.zeros(len(config.t_grid))
-        lower_se = np.zeros(len(config.t_grid))
-
-    records = _records(config.t_grid, est, est_se, lower_bound=lower, lower_stderr=lower_se,
-                       upper_bound=upper, upper_stderr=upper_se,
-                       mean_range=mean_range, mean_particles=mean_particles)
-    for r in records:
-        r.sandwich_ok = _sandwich_ok(r)
+        starts = {tuple(sorted(A)): c for A, c in hat_coeffs(f).items() if A and c != 0.0}
+    dseed = config.seed if config.disorder_seed is None else config.disorder_seed
+    disorder = ({"bias": LazyBiasField(law, dseed)} if config.mode == "dual-quenched"
+                else {"law": law})
+    bounds = config.mode == "dual-annealed" and f is not None
+    n1, n2 = nu1(law), nu2(law)
+    stats = walk_curve(config.build_kernel(), config.t_grid, config.replicas, config.seed,
+                       exponents=(n1, n2) if bounds else (), threads=config.threads,
+                       starts=starts, **disorder)
+    columns = dict(mean_range=stats.range_mean, mean_particles=stats.particles_mean)
+    if bounds:   # with no mass at zero bias, nu2 = inf and the lower curve is 0
+        sigma, support = sigma_and_support(f)
+        gap_f, lam_size = gap(f), len(support)
+        base, base_se = stats.exp_means[n2], stats.exp_stderrs[n2]
+        columns.update(upper_bound=sigma * lam_size * stats.exp_means[n1],
+                       upper_stderr=sigma * lam_size * stats.exp_stderrs[n1],
+                       lower_bound=gap_f * base ** lam_size,
+                       lower_stderr=gap_f * lam_size * base ** max(lam_size - 1, 0) * base_se)
+    records = _records(config.t_grid, stats.weight_mean, stats.weight_stderr, **columns)
+    if bounds:
+        for r in records:
+            r.sandwich_ok = _sandwich_ok(r)
     return records, stats.max_abs_position
 
 
@@ -555,8 +509,6 @@ def run(config: ExperimentConfig) -> tuple[list[CurveRecord], int | None]:
         return _run_forward(config)
     if config.mode == "range":
         return _run_range(config)
-    if config.mode == "dual-annealed" and config.observable is not None:
-        return _run_bounds(config)
     return _run_dual(config)
 
 
@@ -642,8 +594,7 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
         config = replace(config, observable=site_indicator((0,) * config.dim))
     config.validate()
     law = config.law
-    n1 = nu1(law)
-    n2 = nu2(law)
+    n1, n2 = nu1(law), nu2(law)
     hyp_upper = law.mass_at_zero < 1.0   # bias present with positive probability
     hyp_lower = law.mass_at_zero > 0.0
     records, _ = run(config)
@@ -675,10 +626,8 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
                     if lam and math.isfinite(n2) else None),
     }
     return SandwichReport(
-        config=config,
-        records=records,
-        hypothesis_upper_ok=hyp_upper,
-        hypothesis_lower_ok=hyp_lower,
+        config=config, records=records,
+        hypothesis_upper_ok=hyp_upper, hypothesis_lower_ok=hyp_lower,
         gamma_target=config.target_exponent,
         gamma_estimate=g_est, gamma_lower=g_low, gamma_upper=g_up,
         ordering_ok=all(r.sandwich_ok is not False for r in records),

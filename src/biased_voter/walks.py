@@ -14,6 +14,10 @@ at site x:
   out site by site;
 * quenched: -sum_x bias(x) l_t(x) for one fixed field.
 
+An observable sum_A c_A H(., A) over subsets A of the start set takes one
+draw: each A's riders coalesce among themselves only, a replica's weight is
+sum_A c_A w_A, and the stderr of that sum counts the terms' covariances.
+
 Replicas are processed in batches of BATCH_SIZE // k with per-batch seed
 streams, so results are bitwise independent of the worker count.
 """
@@ -21,6 +25,7 @@ streams, so results are bitwise independent of the worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,20 @@ def _start_array(kernel, starts) -> np.ndarray:
     if len(np.unique(arr, axis=0)) != len(arr):
         raise ValueError("walker starts must be distinct")
     return arr
+
+
+def _expansion(kernel, starts) -> tuple[np.ndarray, list[tuple[tuple[int, ...], float]]]:
+    """The (k, d) start array and the terms (walker indices, coefficient):
+    for a site list its whole set with 1, for a mapping one term per subset
+    over the sorted union of the subsets."""
+    if not isinstance(starts, Mapping):
+        arr = _start_array(kernel, starts)
+        return arr, [(tuple(range(len(arr))), 1.0)]
+    subsets = [(_start_array(kernel, sub).tolist(), float(c)) for sub, c in starts.items()]
+    union = sorted({tuple(s) for sub, _ in subsets for s in sub})
+    index = {s: i for i, s in enumerate(union)}
+    return (_start_array(kernel, union),
+            [(tuple(sorted(index[tuple(s)] for s in sub)), c) for sub, c in subsets])
 
 
 def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
@@ -190,11 +209,44 @@ def _pair_ids(keys: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
-                    rng: np.random.Generator, law: DisorderLaw | None = None, bias=None):
+                    rng: np.random.Generator, law: DisorderLaw | None, bias, subsets: dict):
+    """One draw of k walkers per replica, reduced once per subset of them.
+
+    ``subsets`` maps tuples of walker indices, whose riders coalesce among
+    themselves only, to whether their path weight is wanted. Returns
+    ``_reduce``'s output per subset and the largest coordinate magnitude.
+    The whole start set goes last and is handed the draw itself, so that
+    its reduction frees it as it goes.
+    """
+    k, whole = len(starts), tuple(range(len(starts)))
+    pos, cum_t = _draw(kernel, starts, float(t_grid[-1]), count, rng)
+    skey, mins, spans = _site_keys(pos)
+    del pos
+    max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
+    if count * math.prod(int(s) for s in spans) >= 1 << 62:
+        raise RuntimeError("site key space overflow; reduce batch size")
+    reduced = {}
+    for walkers, weighted in sorted(subsets.items(), key=lambda item: item[0] == whole):
+        if walkers == whole:
+            draw = [cum_t, skey, mins, spans]
+            del cum_t, skey
+        else:
+            rows = (np.arange(count)[:, None] * k + walkers).ravel()
+            draw = [cum_t[rows], skey[rows], mins, spans]
+        reduced[walkers] = _reduce(kernel, t_grid, draw, len(walkers),
+                                   *((law, bias) if weighted else (None, None)))
+    return reduced, max_abs
+
+
+def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | None, bias):
     """Per-replica range counts, live riders and log path weights at every grid time.
 
-    ``bias`` is a field, or on a torus the checked per-site array; live
-    riders are None for a single walker.
+    ``draw`` is [jump times, site keys, box corner, box spans] of k walkers
+    per replica, row r being walker r % k of replica r // k; it is emptied,
+    so the arrays are freed as the reduction goes. ``bias`` is a field, or
+    on a torus the checked per-site array; live riders are None for a single
+    walker. An annealed weight of a law with mass at zero is checked to be
+    at least mass_at_zero ** |R_t|, and every weight to be at most 1.
 
     Interval c of a walker row is its stay at position c, from the c-th
     jump (time 0 for the start) to the next one. Each held interval is
@@ -204,17 +256,12 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     increment per grid time an interval runs across; a cumulative sum over
     grid indices then gives l_t at every grid time.
     """
-    k = len(starts)
+    cum_t, skey, mins, spans = draw
+    draw.clear()
     n_grid = t_grid.size
-    t_max = float(t_grid[-1])
-    pos, cum_t = _draw(kernel, starts, t_max, count, rng)
     rows, m = cum_t.shape
-    skey, mins, spans = _site_keys(pos)
-    del pos
-    max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
+    count = rows // k
     n_keys = math.prod(int(s) for s in spans)
-    if count * n_keys >= 1 << 62:
-        raise RuntimeError("site key space overflow; reduce batch size")
 
     # first grid index past each interval's arrival; G when it arrives at or after t_max
     first = np.zeros((rows, m), dtype=np.min_scalar_type(n_grid))
@@ -222,7 +269,7 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     held = first < n_grid
     particles = None
     if k > 1:   # cut every rider at its death, one of its own walker's jump times
-        death = _death_times(cum_t, skey, k, t_max)
+        death = _death_times(cum_t, skey, k, float(t_grid[-1]))
         particles = (death[:, None] > t_grid).reshape(count, k, n_grid).sum(axis=1)
         held[:, 1:] &= cum_t[:, :-1] < death[:, None]
     skey += (np.arange(rows, dtype=np.int64) // k * n_keys)[:, None]
@@ -237,7 +284,7 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     range_counts = np.bincount(replica_of * n_grid + pair_first, minlength=count * n_grid)
     range_counts = range_counts.reshape(count, n_grid).cumsum(axis=1)
     if law is None and bias is None:
-        return range_counts, particles, None, max_abs
+        return range_counts, particles, None
     # the interval of each row that runs across grid time t_i, i < G - 1, is
     # the row's count of jumps before t_i; with a row offset, the first grid
     # indices past the jumps are sorted when flattened, so one search counts all
@@ -295,29 +342,33 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
         terms = np.log(laplace(law, table)) if law is not None else -beta * table
         for j in range(lo, hi):
             logw[:, j] = np.bincount(replica_of, weights=terms[j - lo], minlength=count)
-    return range_counts, particles, logw, max_abs
+    if law is not None and law.mass_at_zero > 0.0:
+        # laplace(law, l) >= mass_at_zero at every visited site
+        if not np.all(logw >= math.log(law.mass_at_zero) * range_counts - _FLOOR_TOL):
+            raise InvariantError("annealed path weight fell below the mass-at-zero floor")
+    if not np.all(logw <= 1e-12):
+        raise InvariantError("path weight left (0, 1]")
+    return range_counts, particles, logw
 
 
 def _batch_moments(args):
-    kernel, t_grid, starts, seed, batch_index, count, law, bias, exponents = args
+    kernel, t_grid, starts, terms, seed, batch_index, count, law, bias, exponents = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
-    range_counts, particles, logw, max_abs = _simulate_batch(
-        kernel, t_grid, starts, count, rng, law, bias)
-    if law is not None and law.mass_at_zero > 0.0:
-        # laplace(law, l) >= mass_at_zero at every visited site
-        floor = math.log(law.mass_at_zero) * range_counts - _FLOOR_TOL
-        if not np.all(logw >= floor):
-            raise InvariantError(
-                "annealed path weight fell below the mass-at-zero floor")
+    whole = tuple(range(len(starts)))
+    subsets = dict.fromkeys((walkers for walkers, _ in terms), True)
+    if exponents:   # the bound curves read the first start's own walk
+        subsets.setdefault((0,), False)
+    subsets.setdefault(whole, False)
+    reduced, max_abs = _simulate_batch(kernel, t_grid, starts, count, rng, law, bias, subsets)
+    range_counts, particles, _ = reduced[whole]
     moments = {"range": Moments.of(range_counts)}
     if particles is not None:
         moments["particles"] = Moments.of(particles)
-    if logw is not None:
-        if not np.all(logw <= 1e-12):
-            raise InvariantError("path weight left (0, 1]")
-        moments["weight"] = Moments.of(np.exp(logw))
+    if law is not None or bias is not None:
+        moments["weight"] = Moments.of(
+            sum(coeff * np.exp(reduced[walkers][2]) for walkers, coeff in terms))
     for nu in exponents:
-        moments[("exp", nu)] = Moments.of(np.exp(-nu * range_counts))
+        moments[("exp", nu)] = Moments.of(np.exp(-nu * reduced[(0,)][0]))
     return moments, max_abs
 
 
@@ -329,23 +380,27 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     ``kernel`` is a ``Kernel`` on Z^d or a ``TorusKernel``. ``starts`` lists
     the distinct start sites of a replica's walkers (default: the origin);
     with more than one, the walkers carry the coalescing dual (see the
-    module docstring). ``exponents`` lists nu values for which mean/stderr
-    of exp(-nu |R_t|) are wanted. ``law`` switches on the annealed weight
-    and ``bias`` (a field, or on a torus a per-site array) the quenched one.
-    Every annealed weight of a law with mass at zero is checked, path by
-    path, to be at least mass_at_zero ** |R_t|.
+    module docstring). Or ``starts`` maps subsets A of sites to c_A: one
+    walker starts from each site of their union, and the weight is the
+    per-replica sum of c_A w_A, w_A that of the dual from A on the same
+    draw; range and live riders are those of the union. ``exponents`` lists
+    nu values for which mean/stderr of exp(-nu |R_t|) are wanted, |R_t| the
+    range of the first start's own walk. ``law`` switches on the annealed
+    weight and ``bias`` (a field, or on a torus a per-site array) the
+    quenched one. Every annealed weight of a law with mass at zero is
+    checked, path by path, to be at least mass_at_zero ** |R_t|.
     """
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
     if law is not None and bias is not None:
         raise ValueError("pass a disorder law or a bias field, not both")
-    starts = _start_array(kernel, starts)
+    starts, terms = _expansion(kernel, starts)
     if bias is not None and isinstance(kernel, TorusKernel):
         bias = bias_array(bias, kernel)
     t_arr = np.asarray(sorted(float(t) for t in t_grid))
     exponents = tuple(float(x) for x in exponents)
     per_batch = max(1, BATCH_SIZE // len(starts))
-    jobs = [(kernel, t_arr, starts, seed, b, min(per_batch, replicas - b * per_batch),
+    jobs = [(kernel, t_arr, starts, terms, seed, b, min(per_batch, replicas - b * per_batch),
              law, bias, exponents)
             for b in range((replicas + per_batch - 1) // per_batch)]
 
@@ -356,18 +411,14 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
         for key, m in moments.items():
             totals[key] = totals[key].merge(m) if key in totals else m
 
-    range_mean, range_stderr = totals["range"].mean, totals["range"].stderr
-    weight_mean = weight_stderr = None
-    if "weight" in totals:
-        weight_mean, weight_stderr = totals["weight"].mean, totals["weight"].stderr
-    exp_means, exp_stderrs = {}, {}
-    for nu in exponents:
-        exp_means[nu] = totals[("exp", nu)].mean
-        exp_stderrs[nu] = totals[("exp", nu)].stderr
-    particles = totals["particles"].mean if "particles" in totals else np.ones_like(range_mean)
+    weight = totals.get("weight")
     return WalkCurveStats(
         t_grid=t_arr, replicas=replicas,
-        range_mean=range_mean, range_stderr=range_stderr,
-        weight_mean=weight_mean, weight_stderr=weight_stderr,
-        exp_means=exp_means, exp_stderrs=exp_stderrs,
-        max_abs_position=max_abs, particles_mean=particles)
+        range_mean=totals["range"].mean, range_stderr=totals["range"].stderr,
+        weight_mean=None if weight is None else weight.mean,
+        weight_stderr=None if weight is None else weight.stderr,
+        exp_means={nu: totals[("exp", nu)].mean for nu in exponents},
+        exp_stderrs={nu: totals[("exp", nu)].stderr for nu in exponents},
+        max_abs_position=max_abs,
+        particles_mean=(totals["particles"].mean if "particles" in totals
+                        else np.ones_like(totals["range"].mean)))

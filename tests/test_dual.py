@@ -57,6 +57,11 @@ class TestDualEvolve:
         with pytest.raises(ValueError):
             DualSimulation([], NN1, rng_for(3))
 
+    def test_repeated_start_rejected(self):
+        # as on the walk engine: a repeated site is an error, not one particle
+        with pytest.raises(ValueError, match="distinct"):
+            DualSimulation([(0,), (0,)], NN1, rng_for(3))
+
     def test_particle_count_nonincreasing(self):
         sim = DualSimulation([(0,), (1,), (5,)], NN1, rng_for(4))
         last = 3

@@ -18,8 +18,9 @@ from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   parse_sites, parse_t_grid, read_curve_csv,
                                   run, sandwich_report, write_records_csv,
                                   write_sandwich_csv)
-from biased_voter.disorder import bernoulli_law, deterministic_law
-from biased_voter.localfn import site_indicator
+from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law
+from biased_voter.dual import dual_curve
+from biased_voter.localfn import hat_coeffs, parse_localfn_text, site_indicator
 from biased_voter.stats import InvariantError
 
 BERNOULLI_CONFIG = """
@@ -101,6 +102,9 @@ class TestParsing:
             small_config(observable=LocalFunction([(0,)], [1.0, 0.0])).validate()
         with pytest.raises(ConfigError, match="nu"):
             ExperimentConfig(mode="range", t_grid=(1.0,), replicas=10).validate()
+        with pytest.raises(ConfigError, match="constant"):
+            small_config(mode="dual-quenched",
+                         observable=LocalFunction([(0,)], [1.0, 1.0])).validate()
 
     def test_hash_is_stable_and_sensitive(self):
         a = config_hash(small_config())
@@ -248,6 +252,32 @@ class TestRunPipelines:
         records, _ = run(cfg)
         assert all(r.upper_bound is None for r in records)
         assert all(0.0 < r.estimate <= 1.0 for r in records)
+
+    def test_quenched_observable_runs_its_expansion(self, tmp_path):
+        # f = sum_A fhat(A) H(., A): OR and AND share a support but not a dual
+        flags = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1", "--disorder-seed", "9",
+                 "--t-grid", "1,4,10", "--replicas", "4000", "--seed", "5"]
+        outputs = {}
+        for name, table in (("or", "0 0\n1 1\n2 1\n3 1\n"), ("and", "0 0\n1 0\n2 0\n3 1\n")):
+            text = "sites = 0;1\n" + table
+            (tmp_path / f"{name}.txt").write_text(text)
+            out = tmp_path / f"{name}.csv"
+            code = cli_main(["simulate-dual", "--mode", "quenched", "--observable",
+                             f"file {tmp_path / name}.txt", *flags, "--out", str(out)])
+            assert code == 0
+            outputs[name] = out.read_bytes()
+            rows = [ln.split(",") for ln in out.read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            mean, se = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+            ref, var = 0.0, se ** 2
+            for i, (A, c) in enumerate(sorted(hat_coeffs(parse_localfn_text(text)).items(),
+                                              key=lambda item: sorted(item[0]))):
+                if A and c != 0.0:
+                    curve = dual_curve(sorted(A), make_nn_kernel(1), [1.0, 4.0, 10.0], 4000,
+                                       20 + i, bias=LazyBiasField(bernoulli_law(0.5, 1.0), 9))
+                    ref, var = ref + c * curve.mean, var + (c * curve.stderr) ** 2
+            assert np.all(np.abs(mean - ref) < 4 * np.sqrt(var)), name
+        assert outputs["or"] != outputs["and"]
 
     def test_range_mode(self):
         cfg = ExperimentConfig(mode="range", t_grid=(1.0, 5.0, 20.0),

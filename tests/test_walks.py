@@ -1,17 +1,22 @@
 """The walk engine's one-pass reduction and coalescence sweep against the
 loops they replaced, the dual range inside the walker range, its pair-id
-step, and its memory footprint."""
+step, its memory footprint, and observables run through their expansion
+against the exact torus oracle."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biased_voter import walks
 from biased_voter.disorder import bernoulli_law, laplace
+from biased_voter.exact import exact_forward_values_all, sites_to_mask
 from biased_voter.kernel import (TorusKernel, bias_values, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
+from biased_voter.localfn import LocalFunction, hat_coeffs
 from biased_voter.stats import InvariantError
 
 NN1 = make_nn_kernel(1)
@@ -167,7 +172,10 @@ def rng_for(seed):
 @given(case=batch_cases())
 def test_reduction_matches_per_grid_time_loop(case):
     kernel, t_grid, starts, count, seed, law, bias = case
-    got = walks._simulate_batch(kernel, t_grid, starts, count, rng_for(seed), law, bias)
+    whole = tuple(range(len(starts)))
+    reduced, max_abs = walks._simulate_batch(kernel, t_grid, starts, count, rng_for(seed),
+                                             law, bias, {whole: True})
+    got = (*reduced[whole], max_abs)
     want = reference_batch(kernel, t_grid, starts, count, rng_for(seed), law, bias)
     np.testing.assert_array_equal(got[0], want[0])
     if want[1] is None:
@@ -258,8 +266,62 @@ def test_annealed_batch_peak_memory():
         rows, m = walks._draw(NN1, starts, SANDWICH_GRID[-1], count, rng_for(3))[1].shape
         tracemalloc.start()
         try:
-            walks._simulate_batch(NN1, SANDWICH_GRID, starts, count, rng_for(3), law)
+            walks._simulate_batch(NN1, SANDWICH_GRID, starts, count, rng_for(3), law, None,
+                                  {tuple(range(k)): True})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * rows * m * 8, k
+
+
+TORUS4 = fold_to_torus(NN1, 4)
+OR_01 = LocalFunction([(0,), (1,)], [0.0, 1.0, 1.0, 1.0])
+# monotone; fhat = H(01) + H(03) + H(13) - 2 H(013)
+MAJORITY_013 = LocalFunction([(0,), (1,), (3,)], [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+
+
+def expansion(f):
+    return {A: c for A, c in hat_coeffs(f).items() if A and c != 0.0}
+
+
+def exact_relaxation(f, beta, t):
+    """sum over nonempty A of fhat(A) E[H(eta_t, A)] from all ones on the 4-site torus."""
+    values = exact_forward_values_all(beta, TORUS4, t)
+    return sum(c * values[sites_to_mask(A, TORUS4)] for A, c in expansion(f).items())
+
+
+@pytest.mark.parametrize("f", [OR_01, MAJORITY_013], ids=["or-01", "majority-013"])
+@pytest.mark.parametrize("disorder", ["annealed", "quenched"])
+def test_expansion_matches_exact_torus(f, disorder):
+    # one draw for every subset of the support: the annealed run against the
+    # law-weighted average over all 16 fields, the quenched one against its field
+    law, times = bernoulli_law(0.5, 1.0), (0.5, 2.0)
+    if disorder == "annealed":
+        stats = walks.walk_curve(TORUS4, times, 40_000, 41, law=law, starts=expansion(f))
+        fields = [(np.array([law.atoms[i][0] for i in bits]),
+                   np.prod([law.atoms[i][1] for i in bits]))
+                  for bits in itertools.product(range(len(law.atoms)), repeat=4)]
+    else:
+        beta = rng_for(42).uniform(0.0, 2.0, 4)
+        stats = walks.walk_curve(TORUS4, times, 40_000, 43, bias=beta, starts=expansion(f))
+        fields = [(beta, 1.0)]
+    for j, t in enumerate(times):
+        target = sum(p * exact_relaxation(f, beta, t) for beta, p in fields)
+        assert abs(stats.weight_mean[j] - target) < 4 * stats.weight_stderr[j], f"t={t}"
+
+
+@pytest.mark.parametrize("disorder", ["annealed", "quenched", "none"])
+def test_one_term_expansion_is_the_start_list(disorder):
+    starts = [(0,), (1,), (3,)]
+    weight = {"annealed": {"law": bernoulli_law(0.5, 1.0)}, "quenched": {"bias": SiteHashField()},
+              "none": {}}[disorder]
+    plain, mapped = (walks.walk_curve(NN1, [0.5, 4.0, 20.0], 1500, 44, exponents=(0.7,),
+                                      starts=s, **weight)
+                     for s in (starts, {tuple(starts): 1.0}))
+    for name, value in vars(plain).items():
+        other = getattr(mapped, name)
+        if isinstance(value, dict):
+            assert value.keys() == other.keys()
+            assert all(np.array_equal(value[nu], other[nu]) for nu in value), name
+        else:
+            assert np.array_equal(value, other), name
