@@ -28,9 +28,9 @@ config = ExperimentConfig(
 report = sandwich_report(config)
 
 print(f"{'t':>8} {'lower':>12} {'estimate':>12} {'upper':>12}  ordering")
-for r in report.records:
-    print(f"{r.t:8.1f} {r.lower_bound:12.3e} {r.estimate:12.3e} "
-          f"{r.upper_bound:12.3e}  {'ok' if r.sandwich_ok else 'VIOLATED'}")
+c = report.columns
+for t, low, est, up, ok in zip(c["t"], c["lower"], c["estimate"], c["upper"], c["sandwich_ok"]):
+    print(f"{t:8.1f} {low:12.3e} {est:12.3e} {up:12.3e}  {'ok' if ok else 'VIOLATED'}")
 
 print(f"\ntarget exponent d/(d+alpha) = {report.gamma_target:.4f}")
 for name, g in (("estimate", report.gamma_estimate),

@@ -80,8 +80,8 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    records, max_abs_position = run(config)
-    write_records_csv(args.out, records, config, max_abs_position)
+    columns, max_abs_position = run(config)
+    write_records_csv(args.out, columns, config, max_abs_position)
     return EXIT_OK
 
 
@@ -146,7 +146,8 @@ def _exact_range(args) -> int:
     times = parse_t_grid(args.t_grid) if args.t_grid else tuple(
         float(x) for x in np.geomspace(100, 2000, 13))
     values = exact_range_functional_curve_1d(args.nu, times, args.width_cap)
-    slopes = dict(effective_exponent(list(zip(times, values))))
+    slopes = dict(effective_exponent([(t, v) for t, v in zip(times, values)
+                                      if t > 0.0 and 0.0 < v < 1.0]))
     write_table(args.out, ("t", "value", "local_exponent"),
                 ((float(t), float(v), slopes.get(float(t))) for t, v in zip(times, values)))
     decreasing = bool(np.all(np.diff(values) < 0))

@@ -1,14 +1,14 @@
 """Experiment orchestration: relaxation curves, bounds, fits, persistence.
 
 An experiment is described by a plain-text ``key = value`` config (or an
-``ExperimentConfig`` built in code) and produces one curve record per grid
-time. Both dual modes estimate an observable with expansion
-f = sum_A fhat(A) H(., A) as sum over nonempty A of fhat(A) times the dual
-expectation started from A, annealed (the law integrated out) or quenched
-(one lazy field): one walk run over one draw, in which the walkers of each A
-coalesce among themselves. Given ``sites`` or no observable, the start set
-is the one term. An annealed run with an observable also gets two bound
-curves,
+``ExperimentConfig`` built in code); ``run`` returns its mode's CSV columns,
+one value per grid time. Both dual modes estimate an observable with
+expansion f = sum_A fhat(A) H(., A) as sum over nonempty A of fhat(A) times
+the dual expectation started from A, annealed (the law integrated out) or
+quenched (one lazy field): one walk run over one draw, in which the walkers
+of each A coalesce among themselves. Given ``sites`` or no observable, the
+start set is the one term. The bound curves are the sandwich's alone:
+``sandwich_report`` runs the annealed walk over the same expansion with
 
     upper(t) = Sigma(f) * |support(f)| * E[ exp(-nu1 |R_t|) ]
     lower(t) = gap(f) * E[ exp(-nu2 |R_t|) ] ** |support(f)|
@@ -46,7 +46,6 @@ from .walks import walk_curve
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "CurveRecord",
     "SandwichReport",
     "CONFIG_KEYS",
     "read_config_items",
@@ -121,17 +120,12 @@ class ExperimentConfig:
         else:
             if self.law is None:
                 raise ConfigError(f"mode {self.mode!r} needs a disorder law")
-        if self.mode == "dual-annealed" and self.observable is not None:
+        if self.mode.startswith("dual-") and self.observable is not None:
             if self.sites:
-                raise ConfigError("the bound pipeline starts from the observable's "
-                                  "support; give sites or an observable, not both")
-            if not is_monotone(self.observable):
-                raise ConfigError("the bound pipeline needs a monotone observable")
-            if gap(self.observable) <= 0:
-                raise ConfigError("the bound pipeline needs a non-constant observable")
-        if (self.mode == "dual-quenched" and not self.sites
-                and not self.observable_or_default().support):
-            raise ConfigError("a constant observable has no dual to start")
+                raise ConfigError("a dual run starts from sites or from the observable's "
+                                  "expansion; give one, not both")
+            if not self.observable.support:
+                raise ConfigError("a constant observable has no dual to start")
         if self.mode == "forward":
             for s in self.observable_or_default().support:
                 if len(s) != self.dim:
@@ -405,111 +399,63 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Curve records and the measurement pipelines
+# The measurement pipelines
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CurveRecord:
-    """One grid time of an experiment, with optional bound curves."""
-
-    t: float
-    estimate: float
-    stderr: float
-    lower_bound: float | None = None
-    lower_stderr: float | None = None
-    upper_bound: float | None = None
-    upper_stderr: float | None = None
-    sandwich_ok: bool | None = None
-    mean_range: float | None = None
-    mean_particles: float | None = None
-    local_exponent: float | None = None
-
-
-def _sandwich_ok(r: CurveRecord) -> bool:
-    def band(se):
-        return SIGMA_BAND * math.sqrt(r.stderr ** 2 + se ** 2)
-    return (r.lower_bound - r.estimate <= band(r.lower_stderr)
-            and r.estimate - r.upper_bound <= band(r.upper_stderr))
-
-
-def _records(t_grid, mean, stderr, **columns) -> list[CurveRecord]:
-    """One record per grid time; ``columns`` are per-time optional fields."""
-    def cell(v):
-        return None if v is None else float(v)
-    return [CurveRecord(t=float(t), estimate=float(mean[j]), stderr=float(stderr[j]),
-                        **{k: cell(v[j]) for k, v in columns.items()})
-            for j, t in enumerate(t_grid)]
-
-
-def _run_forward(config: ExperimentConfig) -> tuple[list[CurveRecord], None]:
+def _run_forward(config: ExperimentConfig) -> tuple[dict, None]:
     mean, stderr = forward_relaxation(config.observable_or_default(), config.law,
                                       config.build_torus(), config.t_grid,
                                       config.replicas, config.seed, config.threads)
-    return _records(config.t_grid, mean, stderr), None
+    return (dict(t=config.t_grid, mean=mean, stderr=stderr,
+                 replicas=[config.replicas] * len(config.t_grid)), None)
 
 
-def _run_dual(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
+def _dual_walk(config: ExperimentConfig, exponents=()):
     """One walk over the observable's expansion: one lazy field, or the law.
 
     The expansion is the start set with coefficient 1 when ``sites`` is
     given or there is no observable, else every nonempty A with fhat(A) != 0.
-    An annealed run with an observable also gets the two bound curves.
     """
-    law, f = config.law, config.observable
+    f = config.observable
     if config.sites or f is None:
         starts = {config.sites or ((0,) * config.dim,): 1.0}
     else:
         starts = {tuple(sorted(A)): c for A, c in hat_coeffs(f).items() if A and c != 0.0}
     dseed = config.seed if config.disorder_seed is None else config.disorder_seed
-    disorder = ({"bias": LazyBiasField(law, dseed)} if config.mode == "dual-quenched"
-                else {"law": law})
-    bounds = config.mode == "dual-annealed" and f is not None
-    n1, n2 = nu1(law), nu2(law)
-    stats = walk_curve(config.build_kernel(), config.t_grid, config.replicas, config.seed,
-                       exponents=(n1, n2) if bounds else (), threads=config.threads,
-                       starts=starts, **disorder)
-    columns = dict(mean_range=stats.range_mean, mean_particles=stats.particles_mean)
-    if bounds:   # with no mass at zero bias, nu2 = inf and the lower curve is 0
-        sigma, support = sigma_and_support(f)
-        gap_f, lam_size = gap(f), len(support)
-        base, base_se = stats.exp_means[n2], stats.exp_stderrs[n2]
-        columns.update(upper_bound=sigma * lam_size * stats.exp_means[n1],
-                       upper_stderr=sigma * lam_size * stats.exp_stderrs[n1],
-                       lower_bound=gap_f * base ** lam_size,
-                       lower_stderr=gap_f * lam_size * base ** max(lam_size - 1, 0) * base_se)
-    records = _records(config.t_grid, stats.weight_mean, stats.weight_stderr, **columns)
-    if bounds:
-        for r in records:
-            r.sandwich_ok = _sandwich_ok(r)
-    return records, stats.max_abs_position
+    disorder = ({"bias": LazyBiasField(config.law, dseed)} if config.mode == "dual-quenched"
+                else {"law": config.law})
+    return walk_curve(config.build_kernel(), config.t_grid, config.replicas, config.seed,
+                      exponents=exponents, threads=config.threads, starts=starts, **disorder)
 
 
-def _run_range(config: ExperimentConfig) -> tuple[list[CurveRecord], int]:
-    kern = config.build_kernel()
-    curve = mc_range_functional(kern, config.nu, config.t_grid,
-                                config.replicas, config.seed,
-                                threads=config.threads)
-    slopes = {}
-    if np.all((curve.mean > 0.0) & (curve.mean < 1.0)) and len(curve.t_grid) >= 3:
-        slopes = dict(effective_exponent(list(zip(curve.t_grid, curve.mean))))
-    return (_records(curve.t_grid, curve.mean, curve.stderr, mean_range=curve.mean_range,
-                     local_exponent=[slopes.get(float(t)) for t in curve.t_grid]),
+def _run_range(config: ExperimentConfig) -> tuple[dict, int]:
+    curve = mc_range_functional(config.build_kernel(), config.nu, config.t_grid,
+                                config.replicas, config.seed, threads=config.threads)
+    slopes = dict(effective_exponent([(t, m) for t, m in zip(config.t_grid, curve.mean)
+                                      if t > 0.0 and 0.0 < m < 1.0]))
+    return (dict(t=config.t_grid, mean=curve.mean, stderr=curve.stderr,
+                 mean_range=curve.mean_range,
+                 local_exponent=[slopes.get(t) for t in config.t_grid]),
             curve.max_abs_position)
 
 
-def run(config: ExperimentConfig) -> tuple[list[CurveRecord], int | None]:
+def run(config: ExperimentConfig) -> tuple[dict, int | None]:
     """Execute one experiment; see the module docstring for the pipelines.
 
-    Returns the records and the largest walk coordinate seen (None for a
-    forward run), which ``write_records_csv`` puts in the header.
+    Returns the mode's CSV columns, name -> per-time values in CSV order,
+    and the largest walk coordinate seen (None for a forward run), which
+    ``write_records_csv`` puts in the header.
     """
     config.validate()
     if config.mode == "forward":
         return _run_forward(config)
     if config.mode == "range":
         return _run_range(config)
-    return _run_dual(config)
+    stats = _dual_walk(config)
+    return (dict(t=config.t_grid, mean=stats.weight_mean, stderr=stats.weight_stderr,
+                 mean_range=stats.range_mean, mean_particles=stats.particles_mean),
+            stats.max_abs_position)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +503,7 @@ class SandwichReport:
     """Two-sided bound audit plus exponent fits for one annealed experiment."""
 
     config: ExperimentConfig        # as run: annealed mode, default observable filled in
-    records: list[CurveRecord]
+    columns: dict                   # the sandwich CSV's columns, name -> per-time values
     hypothesis_upper_ok: bool       # some mass off zero bias
     hypothesis_lower_ok: bool       # some mass at zero bias
     gamma_target: float
@@ -581,29 +527,44 @@ def _try_fit(ts, values, window):
 
 
 def sandwich_report(config: ExperimentConfig) -> SandwichReport:
-    """Run the annealed pipeline and audit the two-sided bounds.
+    """Run the annealed walk with the two bound curves and audit them.
 
     The per-time audit requires lower <= estimate <= upper within the
     combined error band; the exponent audit fits all three curves on the
     window and checks that the estimate's interval overlaps the interval
-    spanned by the two bound exponents. Hypothesis failures (a law with no
-    mass at zero, or none off zero) are reported, not raised.
+    spanned by the two bound exponents. The bounds need a monotone
+    observable (``validate`` rejects a constant one, so gap(f) > 0).
+    Hypothesis failures (a law with no mass at zero, or none off zero) are
+    reported, not raised.
     """
-    config = replace(config, mode="dual-annealed")
-    if config.observable is None:
-        config = replace(config, observable=site_indicator((0,) * config.dim))
+    config = replace(config, mode="dual-annealed", observable=config.observable_or_default())
     config.validate()
-    law = config.law
+    f, law = config.observable, config.law
+    if not is_monotone(f):
+        raise ConfigError("the sandwich bounds need a monotone observable")
     n1, n2 = nu1(law), nu2(law)
     hyp_upper = law.mass_at_zero < 1.0   # bias present with positive probability
     hyp_lower = law.mass_at_zero > 0.0
-    records, _ = run(config)
+    stats = _dual_walk(config, exponents=(n1, n2))
+
+    # with no mass at zero bias, nu2 = inf and the lower curve is 0
+    sigma, support = sigma_and_support(f)
+    gap_f, size = gap(f), len(support)
+    est, est_se = stats.weight_mean, stats.weight_stderr
+    base, base_se = stats.exp_means[n2], stats.exp_stderrs[n2]
+    upper, upper_se = sigma * size * stats.exp_means[n1], sigma * size * stats.exp_stderrs[n1]
+    lower = gap_f * base ** size
+    lower_se = gap_f * size * base ** max(size - 1, 0) * base_se
+    ok = ((lower - est <= SIGMA_BAND * np.sqrt(est_se ** 2 + lower_se ** 2))
+          & (est - upper <= SIGMA_BAND * np.sqrt(est_se ** 2 + upper_se ** 2)))
+    columns = dict(t=config.t_grid, estimate=est, stderr=est_se, lower=lower,
+                   lower_stderr=lower_se, upper=upper, upper_stderr=upper_se,
+                   sandwich_ok=ok.tolist())
 
     window = config.fit_window     # None: the fit's own default, the last decade
-    ts = [r.t for r in records]
-    g_est = _try_fit(ts, [r.estimate for r in records], window)
-    g_up = _try_fit(ts, [r.upper_bound for r in records], window) if hyp_upper else None
-    g_low = _try_fit(ts, [r.lower_bound for r in records], window) if hyp_lower else None
+    g_est = _try_fit(config.t_grid, est, window)
+    g_up = _try_fit(config.t_grid, upper, window) if hyp_upper else None
+    g_low = _try_fit(config.t_grid, lower, window) if hyp_lower else None
 
     bracket = None
     if g_est and g_up and g_low:
@@ -614,23 +575,22 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     lam = config.lam
     if lam is None and config.kernel_name == "nn" and 1 <= config.dim <= 3:
         lam = lambda_nn(config.dim)
-    sigma, support = sigma_and_support(config.observable)
     constants = {
         "nu1": n1, "nu2": n2, "m1": math.exp(-n1),
         "sigma_f": sigma,
-        "gap_f": gap(config.observable),
-        "support_size": len(support),
+        "gap_f": gap_f,
+        "support_size": size,
         "lambda": lam,
         "c_upper": dv_constant(config.dim, config.alpha_effective, lam, n1) if lam else None,
         "c_lower": (dv_constant(config.dim, config.alpha_effective, lam, n2)
                     if lam and math.isfinite(n2) else None),
     }
     return SandwichReport(
-        config=config, records=records,
+        config=config, columns=columns,
         hypothesis_upper_ok=hyp_upper, hypothesis_lower_ok=hyp_lower,
         gamma_target=config.target_exponent,
         gamma_estimate=g_est, gamma_lower=g_low, gamma_upper=g_up,
-        ordering_ok=all(r.sandwich_ok is not False for r in records),
+        ordering_ok=all(ok),
         gamma_bracket_ok=bracket,
         constants=constants)
 
@@ -665,38 +625,18 @@ def _header_lines(config: ExperimentConfig, extra: list[str] = ()) -> list[str]:
     return lines
 
 
-_MODE_COLUMNS = {
-    "forward": ("t", "mean", "stderr", "replicas"),
-    "dual-quenched": ("t", "mean", "stderr", "mean_range", "mean_particles"),
-    "dual-annealed": ("t", "mean", "stderr", "mean_range", "mean_particles"),
-    "range": ("t", "mean", "stderr", "mean_range", "local_exponent"),
-}
-
-
-def _record_row(record: CurveRecord, columns, replicas) -> list:
-    mapping = {
-        "t": record.t, "mean": record.estimate, "stderr": record.stderr,
-        "replicas": replicas, "mean_range": record.mean_range,
-        "mean_particles": record.mean_particles,
-        "local_exponent": record.local_exponent,
-    }
-    return [mapping[c] for c in columns]
-
-
-def write_records_csv(path, records: list[CurveRecord], config: ExperimentConfig,
+def write_records_csv(path, columns: dict, config: ExperimentConfig,
                       max_abs_position: int | None = None):
-    """Write per-mode CSV columns under a header embedding the config hash.
+    """Write ``run``'s columns under a header embedding the config hash.
 
     Dual and range runs also pass the largest walk coordinate seen, which
     is what a forward cross-check needs to pick a torus side with
     negligible wrap probability.
     """
-    columns = _MODE_COLUMNS[config.mode]
     extra = []
     if max_abs_position is not None:
         extra.append(f"# max_walk_displacement: {max_abs_position}")
-    write_table(path, columns, (_record_row(r, columns, config.replicas) for r in records),
-                _header_lines(config, extra))
+    write_table(path, columns, zip(*columns.values()), _header_lines(config, extra))
 
 
 def write_sandwich_csv(path, report: SandwichReport):
@@ -711,11 +651,8 @@ def write_sandwich_csv(path, report: SandwichReport):
         extra.append(f"# {name}: {_fmt(getattr(report, name))}")
     for k, v in sorted(report.constants.items()):
         extra.append(f"# constant {k}: {_fmt(v)}")
-    columns = ("t", "estimate", "stderr", "lower", "lower_stderr",
-               "upper", "upper_stderr", "sandwich_ok")
-    rows = ((r.t, r.estimate, r.stderr, r.lower_bound, r.lower_stderr,
-             r.upper_bound, r.upper_stderr, r.sandwich_ok) for r in report.records)
-    write_table(path, columns, rows, _header_lines(report.config, extra))
+    write_table(path, report.columns, zip(*report.columns.values()),
+                _header_lines(report.config, extra))
 
 
 def write_table(path, columns, rows, header=()):

@@ -172,16 +172,9 @@ def hat_coeffs(f: LocalFunction) -> dict[frozenset, float]:
 
 
 def sigma_and_support(f: LocalFunction) -> tuple[float, frozenset]:
-    """Sum of |fhat(A)| over nonempty A, and the recomputed minimal support."""
-    n = f.n_sites
-    coeffs = _subset_sums(f.table, n, inverse=True)
-    sigma = float(np.sum(np.abs(coeffs[1:]))) if n > 0 else 0.0
-    minimal = set()
-    for i in range(n):
-        bit = 1 << i
-        if any(coeffs[m] != 0.0 for m in range(1 << n) if m & bit):
-            minimal.add(f.support[i])
-    return sigma, frozenset(minimal)
+    """Sum of |fhat(A)| over nonempty A, and the minimal support (the constructor's)."""
+    coeffs = _subset_sums(f.table, f.n_sites, inverse=True)
+    return float(np.sum(np.abs(coeffs[1:]))), frozenset(f.support)
 
 
 def is_monotone(f: LocalFunction) -> bool:
@@ -286,9 +279,7 @@ def lemma2_verify(x: dict, y_singletons: dict, tol: float = 1e-9) -> Lemma2Repor
 
 def gap(f: LocalFunction) -> float:
     """Sum of fhat(A) over nonempty A; equals f(all ones) - f(all zeros)."""
-    n = f.n_sites
-    coeffs = _subset_sums(f.table, n, inverse=True)
-    return float(np.sum(coeffs) - coeffs[0])
+    return float(f.table[-1] - f.table[0])
 
 
 def parse_localfn_text(text: str) -> LocalFunction:

@@ -165,8 +165,8 @@ def test_criterion_07_sandwich_at_scale():
         observable=site_indicator(0))
     rep = sandwich_report(config)
     assert rep.hypotheses_ok
-    for r in rep.records:
-        assert r.sandwich_ok, f"ordering failed at t={r.t}"
+    for t, ok in zip(rep.columns["t"], rep.columns["sandwich_ok"]):
+        assert ok, f"ordering failed at t={t}"
     for name, g in (("estimate", rep.gamma_estimate),
                     ("lower", rep.gamma_lower), ("upper", rep.gamma_upper)):
         assert g is not None and 0.28 <= g[0] <= 0.50, (name, g)
@@ -254,8 +254,8 @@ def test_criterion_10_determinism(tmp_path):
     for threads in (1, 3, 1):
         config = ExperimentConfig(**base, threads=threads)
         path = tmp_path / f"t{threads}_{len(outputs)}.csv"
-        records, max_pos = run(config)
-        write_records_csv(path, records, config, max_pos)
+        columns, max_pos = run(config)
+        write_records_csv(path, columns, config, max_pos)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     # thread count is not part of the result identity

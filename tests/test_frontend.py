@@ -23,7 +23,6 @@ seed = 4
 disorder = bernoulli
 q = 0.5
 b = 1.0
-observable = site 0
 """
 TABLE_FILE = QUENCHED_FILE.replace("disorder = bernoulli", "disorder = table\natoms = 0:0.5, 1:0.5")
 
@@ -39,7 +38,8 @@ class TestFlagsOverTheFile:
         (QUENCHED_FILE, ["--q", "0.25"], "disorder", "0.0:0.25 1.0:0.75"),
         (QUENCHED_FILE, ["--b", "2"], "disorder", "0.0:0.5 2.0:0.5"),
         (TABLE_FILE, ["--atoms", "0:0.25, 2:0.75"], "disorder", "0.0:0.25 2.0:0.75"),
-        (QUENCHED_FILE, ["--observable", "site 5"], "observable", "5|0.0,1.0"),
+        (QUENCHED_FILE.replace("sites = 0", "observable = site 0"), ["--observable", "site 5"],
+         "observable", "5|0.0,1.0"),
     ])
     def test_flag_overrides_file_key(self, tmp_path, text, flags, key, expected):
         cfg = tmp_path / "c.cfg"
@@ -92,13 +92,15 @@ class TestSitesWithObservable:
                       "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
 
-    def test_annealed_bounds_reject_sites(self, tmp_path):
-        config = ExperimentConfig(mode="dual-annealed", t_grid=(1.0, 2.0), replicas=20,
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    def test_annealed_bounds_reject_sites(self, tmp_path, mode):
+        # one rule in both dual modes: start from sites or from the observable
+        config = ExperimentConfig(mode=f"dual-{mode}", t_grid=(1.0, 2.0), replicas=20,
                                   law=bernoulli_law(0.5, 1.0), observable=site_indicator(0),
                                   sites=((5,),))
         with pytest.raises(ConfigError, match="sites"):
             config.validate()
-        code = cli.main(["simulate-dual", "--mode", "annealed", "--observable", "site 0",
+        code = cli.main(["simulate-dual", "--mode", mode, "--observable", "site 0",
                          "--sites", "5", "--disorder", "bernoulli", "--q", "0.5", "--b", "1",
                          "--t-grid", "1,2", "--replicas", "20",
                          "--out", str(tmp_path / "d.csv")])
@@ -230,7 +232,7 @@ def run_descriptions(draw):
     if observable:
         items["observable"] = "site " + draw(_site(dim))
     if command == "simulate-dual":
-        if dual_mode == "quenched" or not observable:
+        if not observable:
             sites = draw(st.lists(_site(dim), min_size=1, max_size=3, unique=True))
             items["sites"] = ";".join(sites)
         if draw(st.booleans()):

@@ -20,7 +20,7 @@ from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   write_sandwich_csv)
 from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law
 from biased_voter.dual import dual_curve
-from biased_voter.localfn import hat_coeffs, parse_localfn_text, site_indicator
+from biased_voter.localfn import LocalFunction, hat_coeffs, parse_localfn_text, site_indicator
 from biased_voter.stats import InvariantError
 
 BERNOULLI_CONFIG = """
@@ -98,8 +98,7 @@ class TestParsing:
         with pytest.raises(ConfigError, match="replicas"):
             small_config(replicas=1).validate()
         with pytest.raises(ConfigError, match="monotone"):
-            from biased_voter.localfn import LocalFunction
-            small_config(observable=LocalFunction([(0,)], [1.0, 0.0])).validate()
+            sandwich_report(small_config(observable=LocalFunction([(0,)], [1.0, 0.0])))
         with pytest.raises(ConfigError, match="nu"):
             ExperimentConfig(mode="range", t_grid=(1.0,), replicas=10).validate()
         with pytest.raises(ConfigError, match="constant"):
@@ -187,27 +186,27 @@ class TestRunPipelines:
         b = 0.8
         cfg = small_config(law=deterministic_law(b), t_grid=(0.5, 2.0, 5.0),
                            replicas=200)
-        records, _ = run(cfg)
-        for r in records:
-            assert abs(r.estimate - math.exp(-b * r.t)) < 1e-12
-            assert r.stderr < 1e-12
-            assert r.lower_bound == 0.0  # no mass at zero: floor is trivial
+        columns, _ = run(cfg)
+        for t, mean, se in zip(columns["t"], columns["mean"], columns["stderr"]):
+            assert abs(mean - math.exp(-b * t)) < 1e-12
+            assert se < 1e-12
+        # no mass at zero: floor is trivial
+        assert all(v == 0.0 for v in sandwich_report(cfg).columns["lower"])
 
     def test_all_mass_at_zero_is_constant_one(self):
         cfg = small_config(law=deterministic_law(0.0), replicas=100)
-        records, _ = run(cfg)
-        for r in records:
-            assert r.estimate == 1.0
-            assert r.stderr == 0.0
+        columns, _ = run(cfg)
+        assert all(m == 1.0 for m in columns["mean"])
+        assert all(se == 0.0 for se in columns["stderr"])
 
     def test_sandwich_holds_on_small_run(self):
         cfg = small_config(t_grid=tuple(float(t) for t in np.geomspace(10, 300, 8)),
                            replicas=4000)
-        records, _ = run(cfg)
-        for r in records:
-            assert r.sandwich_ok
-            assert r.lower_bound <= r.estimate + 4 * math.sqrt(
-                r.stderr ** 2 + r.lower_stderr ** 2)
+        c = sandwich_report(cfg).columns
+        for ok, low, est, se, low_se in zip(c["sandwich_ok"], c["lower"], c["estimate"],
+                                            c["stderr"], c["lower_stderr"]):
+            assert ok
+            assert low <= est + 4 * math.sqrt(se ** 2 + low_se ** 2)
 
     def test_pathwise_floor_audited_inside_estimator(self, monkeypatch):
         # every annealed walk run checks weight >= mass_at_zero ** |R_t| on
@@ -219,9 +218,9 @@ class TestRunPipelines:
     def test_forward_mode(self):
         cfg = small_config(mode="forward", side=6, t_grid=(0.5, 1.5),
                            replicas=2000, law=deterministic_law(1.0))
-        records, _ = run(cfg)
-        for r in records:
-            assert abs(r.estimate - math.exp(-r.t)) < 4 * r.stderr + 1e-12
+        columns, _ = run(cfg)
+        for t, mean, se in zip(columns["t"], columns["mean"], columns["stderr"]):
+            assert abs(mean - math.exp(-t)) < 4 * se + 1e-12
 
     def test_forward_mode_annealed_matches_exact_average(self):
         # each replica draws its own field: the curve is the law-weighted
@@ -229,29 +228,29 @@ class TestRunPipelines:
         law = bernoulli_law(0.5, 1.0)
         cfg = small_config(mode="forward", side=4, t_grid=(0.5, 2.0),
                            replicas=40_000, law=law)
-        records, _ = run(cfg)
+        columns, _ = run(cfg)
         tk = fold_to_torus(make_nn_kernel(1), 4)
         (b0, p0), (b1, p1) = law.atoms
-        for r in records:
+        for t, mean, se in zip(columns["t"], columns["mean"], columns["stderr"]):
             exact = 0.0
             for bits in itertools.product((0, 1), repeat=4):
                 beta = np.where(np.array(bits) == 1, b1, b0)
                 weight = np.prod([p1 if b else p0 for b in bits])
-                exact += weight * exact_dual_value([(0,)], beta, tk, r.t)
-            assert abs(r.estimate - exact) < 4 * r.stderr, f"t={r.t}"
+                exact += weight * exact_dual_value([(0,)], beta, tk, t)
+            assert abs(mean - exact) < 4 * se, f"t={t}"
 
     def test_dual_quenched_mode(self):
-        cfg = small_config(mode="dual-quenched", replicas=300,
+        cfg = small_config(mode="dual-quenched", replicas=300, observable=None,
                            sites=((0,),), disorder_seed=5)
-        records, _ = run(cfg)
-        assert all(0.0 < r.estimate <= 1.0 for r in records)
-        assert all(r.mean_particles == 1.0 for r in records)
+        columns, _ = run(cfg)
+        assert all(0.0 < m <= 1.0 for m in columns["mean"])
+        assert all(p == 1.0 for p in columns["mean_particles"])
 
     def test_dual_annealed_without_observable_is_plain_estimator(self):
         cfg = small_config(observable=None, sites=((0,), (1,)), replicas=300)
-        records, _ = run(cfg)
-        assert all(r.upper_bound is None for r in records)
-        assert all(0.0 < r.estimate <= 1.0 for r in records)
+        columns, _ = run(cfg)
+        assert list(columns) == ["t", "mean", "stderr", "mean_range", "mean_particles"]
+        assert all(0.0 < m <= 1.0 for m in columns["mean"])
 
     def test_quenched_observable_runs_its_expansion(self, tmp_path):
         # f = sum_A fhat(A) H(., A): OR and AND share a support but not a dual
@@ -279,13 +278,34 @@ class TestRunPipelines:
             assert np.all(np.abs(mean - ref) < 4 * np.sqrt(var)), name
         assert outputs["or"] != outputs["and"]
 
+    def test_annealed_xor_is_or_minus_and(self):
+        # the three expansions share the starts {0, 1}, so one draw: per replica
+        # w_0 + w_1 - 2 w_01 = (w_0 + w_1 - w_01) - w_01
+        means = {}
+        for name, table in (("xor", [0, 1, 1, 0]), ("or", [0, 1, 1, 1]), ("and", [0, 0, 0, 1])):
+            cfg = small_config(observable=LocalFunction([(0,), (1,)], table), replicas=1500,
+                               t_grid=(1.0, 4.0, 10.0, 40.0))
+            means[name] = run(cfg)[0]["mean"]
+        assert np.all(np.abs(means["xor"] - (means["or"] - means["and"])) < 1e-12)
+
+    def test_and_observable_reduces_once_per_batch(self, monkeypatch):
+        # the AND expansion is the one term {0, 1}: no other walk is reduced
+        reduce, walkers = walks._reduce, []
+
+        def counted(kernel, t_grid, draw, k, *args):
+            walkers.append(k)
+            return reduce(kernel, t_grid, draw, k, *args)
+        monkeypatch.setattr(walks, "_reduce", counted)
+        run(small_config(observable=LocalFunction([(0,), (1,)], [0, 0, 0, 1]), replicas=3000))
+        assert walkers == [2, 2, 2]   # 1024 replicas of two walkers per batch
+
     def test_range_mode(self):
         cfg = ExperimentConfig(mode="range", t_grid=(1.0, 5.0, 20.0),
                                replicas=2000, seed=1, nu=1.0)
-        records, _ = run(cfg)
-        assert all(r.estimate > 0 for r in records)
-        assert records[1].local_exponent is not None
-        assert records[0].local_exponent is None  # endpoint has no slope
+        columns, _ = run(cfg)
+        assert all(m > 0 for m in columns["mean"])
+        assert columns["local_exponent"][1] is not None
+        assert columns["local_exponent"][0] is None  # endpoint has no slope
 
 
 class TestSandwichReport:
@@ -321,14 +341,14 @@ class TestSandwichReport:
 class TestPersistence:
     def test_csv_roundtrip(self, tmp_path):
         cfg = small_config(replicas=300)
-        records, _ = run(cfg)
+        columns, _ = run(cfg)
         out = tmp_path / "curve.csv"
-        write_records_csv(out, records, cfg)
+        write_records_csv(out, columns, cfg)
         text = out.read_text()
         assert f"# config-hash: {config_hash(cfg)}" in text
         ts, ms = read_curve_csv(out)
-        assert np.array_equal(ts, [r.t for r in records])
-        assert np.array_equal(ms, [r.estimate for r in records])
+        assert np.array_equal(ts, columns["t"])
+        assert np.array_equal(ms, columns["mean"])
 
     def test_sandwich_csv_headers(self, tmp_path):
         cfg = small_config(t_grid=tuple(float(t) for t in np.geomspace(5, 200, 8)),
@@ -338,7 +358,7 @@ class TestPersistence:
         write_sandwich_csv(out, report)
         text = out.read_text()
         assert f"# gamma_target: {report.gamma_target!r}" in text
-        assert "sandwich_ok" in text.splitlines()[-len(report.records) - 1]
+        assert "sandwich_ok" in text.splitlines()[-len(report.columns["t"]) - 1]
         config_lines = [ln[2:] for ln in text.splitlines() if ln.startswith("# ") and " = " in ln]
         read_back = parse_config_text("\n".join(config_lines), str(out))
         assert f"# config-hash: {config_hash(read_back)}" in text
@@ -347,11 +367,11 @@ class TestPersistence:
         cfg = small_config(replicas=2100, threads=1)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        records, max_pos = run(cfg)
-        write_records_csv(a, records, cfg, max_pos)
+        columns, max_pos = run(cfg)
+        write_records_csv(a, columns, cfg, max_pos)
         cfg3 = ExperimentConfig(**{**cfg.__dict__, "threads": 3})
-        records, max_pos = run(cfg3)
-        write_records_csv(b, records, cfg3, max_pos)
+        columns, max_pos = run(cfg3)
+        write_records_csv(b, columns, cfg3, max_pos)
         assert a.read_bytes() == b.read_bytes()
 
     def test_forward_determinism_across_thread_counts(self, tmp_path):
@@ -361,8 +381,8 @@ class TestPersistence:
             cfg = small_config(mode="forward", side=8, t_grid=(0.5, 2.0),
                                replicas=4200, threads=threads)
             path = tmp_path / f"fwd{len(outputs)}.csv"
-            records, max_pos = run(cfg)
-            write_records_csv(path, records, cfg, max_pos)
+            columns, max_pos = run(cfg)
+            write_records_csv(path, columns, cfg, max_pos)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -374,8 +394,8 @@ class TestPersistence:
                                sites=((0,), (1,), (3,)), disorder_seed=11,
                                replicas=1500, threads=threads)
             path = tmp_path / f"dual{len(outputs)}.csv"
-            records, max_pos = run(cfg)
-            write_records_csv(path, records, cfg, max_pos)
+            columns, max_pos = run(cfg)
+            write_records_csv(path, columns, cfg, max_pos)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -425,6 +445,29 @@ class TestCLI:
         cli_main([*args, "--observable", "site 0", "--out", str(explicit)])
         assert implicit.read_bytes() == explicit.read_bytes()
         assert "# observable = 0|0.0,1.0" in implicit.read_text()
+
+    def test_sandwich_rejects_non_monotone_observable(self, tmp_path, capsys):
+        # a dual run takes any observable; only the sandwich's bounds need monotone
+        text = "sites = 0;1\n0 0\n1 1\n2 1\n3 0\n"
+        small_config(observable=parse_localfn_text(text)).validate()
+        xor = tmp_path / "xor.txt"
+        xor.write_text(text)
+        code = cli_main(["sandwich", "--disorder", "bernoulli", "--q", "0.5", "--b", "1",
+                         "--observable", f"file {xor}", "--t-grid", "5,10",
+                         "--replicas", "50", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "monotone observable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["range", "--replicas", "2000"], ["exact", "--what", "range"]],
+                             ids=["range", "exact"])
+    def test_range_grid_from_zero(self, tmp_path, argv):
+        # lin:a:b:n may start at t = 0, where the local slope is undefined
+        out = tmp_path / "r.csv"
+        assert cli_main([*argv, "--nu", "1", "--t-grid", "lin:0:50:6", "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        slopes = [row[rows[0].index("local_exponent")] for row in rows[1:]]
+        # no slope at t = 0, nor at either end of the points past it
+        assert slopes[:2] == ["", ""] and slopes[-1] == "" and all(slopes[2:-1])
 
     def test_exact_duality_gate(self, tmp_path):
         code = cli_main(["exact", "--what", "duality", "--L", "3",

@@ -147,7 +147,7 @@ def configs(draw):
         table = [sum(w for i, w in enumerate(weights) if mask >> i & 1)
                  for mask in range(1 << len(support))]
         observable = LocalFunction(support, table)   # monotone and not constant
-    if mode.startswith("dual") and not (mode == "dual-annealed" and observable):
+    if mode.startswith("dual") and not observable:
         sites = draw(st.none() | st.lists(site, min_size=1, max_size=3, unique=True).map(tuple))
     grid = sorted(draw(st.lists(positive, min_size=1, max_size=4, unique=True)))
     window = draw(st.none() | st.tuples(positive, positive))
