@@ -23,8 +23,8 @@ from .exact import duality_gap, exact_range_functional_curve_1d
 from .harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
                       build_config, fit_stretch_exponent, make_kernel,
                       parse_t_grid, parse_window, read_config_items, read_curve_csv,
-                      run, sandwich_report, write_records_csv, write_sandwich_csv,
-                      write_table)
+                      read_keys, run, sandwich_report, write_records_csv,
+                      write_sandwich_csv, write_table)
 from .localfn import is_monotone, lemma1_check, parse_localfn_text, sigma_and_support, gap
 from .rangestats import effective_exponent
 from .stats import InvariantError
@@ -34,27 +34,35 @@ EXIT_HYPOTHESIS = 2
 EXIT_INVARIANT = 3
 
 
-def _common_flags(sub: argparse.ArgumentParser):
+def _flag(key: str) -> str:
+    return "--window" if key == "fit_window" else "--" + key.replace("_", "-")
+
+
+_FLAG_OPTIONS = {
+    "kernel": dict(choices=("nn", "power")),
+    "disorder": dict(choices=("bernoulli", "deterministic", "table")),
+    "atoms": dict(help="table disorder: 'b:p, b:p, ...'"),
+    "observable": dict(help="'site <coords>' or 'file <path>'"),
+    "sites": dict(help="start set, e.g. '0;1' or '0,0;1,0'"),
+    "t_grid": dict(help="a:b:n log-spaced, lin:a:b:n, or comma list"),
+    "fit_window": dict(help="fit window a:b"),
+}
+
+
+def _experiment(subs, command: str, modes: tuple[str, ...], func, help: str, skip=()):
+    """A subcommand with one text flag per key its modes read, but for ``skip``.
+
+    ``mode`` comes from the subcommand and ``lam`` from a config file only.
+    """
+    sub = subs.add_parser(command, help=help)
     sub.add_argument("--config", help="config file in key = value form")
-    sub.add_argument("--seed")
-    sub.add_argument("--replicas")
     sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.add_argument("--threads")
-
-
-def _model_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--dim")
-    sub.add_argument("--L")
-    sub.add_argument("--kernel", choices=("nn", "power"))
-    sub.add_argument("--alpha")
-    sub.add_argument("--cutoff")
-    sub.add_argument("--disorder", choices=("bernoulli", "deterministic", "table"))
-    sub.add_argument("--q")
-    sub.add_argument("--b")
-    sub.add_argument("--atoms", help="table disorder: 'b:p, b:p, ...'")
-    sub.add_argument("--observable", help="'site <coords>' or 'file <path>'")
-    sub.add_argument("--t-grid", dest="t_grid",
-                     help="a:b:n log-spaced, lin:a:b:n, or comma list")
+    keys = {key for mode in modes for key in read_keys(mode)} - {"mode", "lam", *skip}
+    for key in CONFIG_KEYS:
+        if key in keys:
+            sub.add_argument(_flag(key), dest=key, **_FLAG_OPTIONS.get(key, {}))
+    sub.set_defaults(func=func, mode=modes[0])
+    return sub
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -69,9 +77,8 @@ def _build_config(args) -> ExperimentConfig:
             items = read_config_items(fh.read(), args.config)
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
-        if value is not None and key != "mode":
-            flag = "--window" if key == "fit_window" else "--" + key.replace("_", "-")
-            items[key] = (value, flag)
+        if value is not None:
+            items[key] = (value, _flag(key))
     # simulate-dual's --mode names the dual half of the mode
     mode = args.mode if args.mode in MODES else f"dual-{args.mode}"
     items["mode"] = (mode, args.command)
@@ -140,6 +147,9 @@ def _exact_duality(args) -> int:
 
 
 def _exact_range(args) -> int:
+    if args.kernel != "nn" or args.alpha is not None or args.dim != 1:
+        raise ConfigError("the range oracle's closed form is that of the 1-d nearest-"
+                          "neighbor walk: no --kernel power, --alpha or --dim other than 1")
     if args.nu is None:
         print("exact range needs --nu", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -181,26 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "random voter model")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("simulate-forward",
-                        help="forward dynamics on a torus, disorder sampled per replica")
-    _common_flags(p)
-    _model_flags(p)
-    p.set_defaults(func=_cmd_run, mode="forward")
-
-    p = subs.add_parser("simulate-dual",
-                        help="coalescing dual estimator (quenched or annealed)")
-    _common_flags(p)
-    _model_flags(p)
+    _experiment(subs, "simulate-forward", ("forward",), _cmd_run,
+                "forward dynamics on a torus, disorder sampled per replica")
+    p = _experiment(subs, "simulate-dual", ("dual-quenched", "dual-annealed"), _cmd_run,
+                    "coalescing dual estimator (quenched or annealed)", skip=("fit_window",))
     p.add_argument("--mode", choices=("quenched", "annealed"), default="annealed")
-    p.add_argument("--sites", help="start set, e.g. '0;1' or '0,0;1,0'")
-    p.add_argument("--disorder-seed", dest="disorder_seed")
-    p.set_defaults(func=_cmd_run)
-
-    p = subs.add_parser("range", help="Monte Carlo range functional of one walk")
-    _common_flags(p)
-    _model_flags(p)
-    p.add_argument("--nu")
-    p.set_defaults(func=_cmd_run, mode="range")
+    _experiment(subs, "range", ("range",), _cmd_run,
+                "Monte Carlo range functional of one walk")
 
     p = subs.add_parser("exact", help="exact small-system oracles")
     p.add_argument("--what", choices=("duality", "range"), required=True)
@@ -227,12 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="fit window a:b (default: last decade)")
     p.set_defaults(func=_cmd_fit)
 
-    p = subs.add_parser("sandwich",
-                        help="two-sided bound audit of the annealed relaxation")
-    _common_flags(p)
-    _model_flags(p)
-    p.add_argument("--window", dest="fit_window", help="fit window a:b")
-    p.set_defaults(func=_cmd_sandwich, mode="dual-annealed")
+    _experiment(subs, "sandwich", ("dual-annealed",), _cmd_sandwich,
+                "two-sided bound audit of the annealed relaxation", skip=("sites",))
 
     p = subs.add_parser("localfn", help="inspect a local observable file")
     p.add_argument("--check", required=True, help="observable text file")

@@ -30,7 +30,8 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import stdtrit
@@ -48,6 +49,8 @@ __all__ = [
     "ExperimentConfig",
     "SandwichReport",
     "CONFIG_KEYS",
+    "KEYS",
+    "read_keys",
     "read_config_items",
     "build_config",
     "parse_config_text",
@@ -114,6 +117,12 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError("seed must be a nonnegative 63-bit integer")
         _check_kernel(self.kernel_name, self.dim, self.alpha)
+        reads = read_keys(self.mode, self.kernel_name)
+        defaults = {f.name: f.default for f in fields(self)}
+        for key in KEYS:
+            if key.name not in reads and getattr(self, key.field) != defaults[key.field]:
+                raise ConfigError(f"a {self.mode} run with the {self.kernel_name} kernel "
+                                  f"does not read {key.name!r}")
         if self.mode == "range":
             if self.nu is None or self.nu < 0:
                 raise ConfigError("range mode needs nu >= 0")
@@ -154,31 +163,10 @@ class ExperimentConfig:
         return site_indicator((0,) * self.dim)
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        items = [
-            ("mode", self.mode),
-            ("dim", str(self.dim)),
-            ("L", str(self.side)),
-            ("kernel", self.kernel_name),
-            ("alpha", repr(self.alpha) if self.alpha is not None else ""),
-            ("cutoff", str(self.cutoff)),
-            ("t_grid", ",".join(repr(t) for t in self.t_grid)),
-            ("replicas", str(self.replicas)),
-            ("seed", str(self.seed)),
-            ("nu", repr(self.nu) if self.nu is not None else ""),
-            ("lam", repr(self.lam) if self.lam is not None else ""),
-            ("fit_window", ",".join(repr(x) for x in self.fit_window) if self.fit_window else ""),
-            ("disorder_seed", str(self.disorder_seed) if self.disorder_seed is not None else ""),
-        ]
-        if self.law is not None:
-            items.append(("disorder", " ".join(f"{b!r}:{p!r}" for b, p in self.law.atoms)))
-        if self.observable is not None:
-            f = self.observable
-            sites = ";".join(",".join(str(c) for c in s) for s in f.support)
-            table = ",".join(repr(float(v)) for v in f.table)
-            items.append(("observable", f"{sites}|{table}"))
-        if self.sites:
-            items.append(("sites", ";".join(",".join(str(c) for c in s) for s in self.sites)))
-        return items
+        """The header's ``key = value`` pairs: every key the run reads that has a header form."""
+        reads = read_keys(self.mode, self.kernel_name)
+        return [(k.name, "" if getattr(self, k.field) is None else k.write(getattr(self, k.field)))
+                for k in KEYS if k.write and k.name in reads]
 
 
 def _check_kernel(name: str, dim: int, alpha: float | None):
@@ -217,25 +205,20 @@ def config_hash(config: ExperimentConfig) -> str:
 def parse_t_grid(text: str) -> tuple[float, ...]:
     """Time grids: ``a:b:n`` (log-spaced), ``lin:a:b:n``, or a comma list."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        linear = False
-        if parts[0] == "lin":
-            linear = True
-            parts = parts[1:]
-        elif parts[0] == "log":
-            parts = parts[1:]
-        if len(parts) != 3:
-            raise ConfigError(f"bad t_grid {text!r}: expected a:b:n")
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise ConfigError("t_grid needs at least one point")
-        if linear:
-            return tuple(float(x) for x in np.linspace(a, b, n))
-        if a <= 0:
-            raise ConfigError("log-spaced t_grid needs a > 0 (use lin:a:b:n)")
-        return tuple(float(x) for x in np.geomspace(a, b, n))
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    if ":" not in text:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    parts = text.split(":")
+    linear = parts[0] == "lin"
+    if len(parts) != 3 + linear:
+        raise ConfigError(f"bad t_grid {text!r}: expected a:b:n or lin:a:b:n")
+    a, b, n = float(parts[-3]), float(parts[-2]), int(parts[-1])
+    if n < 1:
+        raise ConfigError("t_grid needs at least one point")
+    if linear:
+        return tuple(float(x) for x in np.linspace(a, b, n))
+    if a <= 0:
+        raise ConfigError("log-spaced t_grid needs a > 0 (use lin:a:b:n)")
+    return tuple(float(x) for x in np.geomspace(a, b, n))
 
 
 def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
@@ -253,10 +236,8 @@ def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def parse_window(text: str) -> tuple[float, float]:
-    """A fit window ``a:b``, or ``a,b`` as the CSV header writes it."""
+    """A fit window ``a:b``."""
     a, sep, b = text.strip().partition(":")
-    if not sep:
-        a, sep, b = text.strip().partition(",")
     if not sep:
         raise ConfigError(f"expected a fit window a:b, got {text!r}")
     return float(a), float(b)
@@ -286,27 +267,82 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(atoms)
 
 
-def _make_law(kind: str, q, b, atoms) -> DisorderLaw:
-    if kind == "bernoulli":
+def _make_law(disorder=None, q=None, b=None, atoms=None) -> DisorderLaw:
+    if disorder == "bernoulli":
         if q is None or b is None:
             raise ConfigError("bernoulli disorder needs q and b")
         return DisorderLaw(atoms=((0.0, q), (b, 1.0 - q)))
-    if kind == "deterministic":
+    if disorder == "deterministic":
         if b is None:
             raise ConfigError("deterministic disorder needs b")
         return DisorderLaw(atoms=((b, 1.0),))
-    if kind == "table":
+    if disorder == "table":
         if atoms is None:
             raise ConfigError("table disorder needs atoms = b:p, b:p, ...")
         return DisorderLaw(atoms=atoms)
-    raise ConfigError(f"disorder must be bernoulli, deterministic or table, got {kind!r}")
+    raise ConfigError(f"disorder must be bernoulli, deterministic or table, got {disorder!r}")
 
 
-CONFIG_KEYS = (
-    "mode", "dim", "L", "kernel", "alpha", "cutoff", "disorder", "q", "b",
-    "atoms", "observable", "sites", "t_grid", "replicas", "seed", "nu",
-    "lam", "threads", "fit_window", "disorder_seed",
+def _float(value) -> str:
+    return repr(float(value))
+
+
+def _floats(values, sep=",") -> str:
+    return sep.join(map(_float, values))
+
+
+def _sites_text(sites) -> str:
+    return ";".join(",".join(str(c) for c in s) for s in sites)
+
+
+class ConfigKey(NamedTuple):
+    name: str                         # the config key
+    field: str                        # the ExperimentConfig field it sets
+    read: Callable[[str], object]     # config text -> value
+    write: Callable[[object], str] | None   # field value -> header text; None: no header line
+    modes: tuple[str, ...]            # the modes that read it
+
+
+_DUAL = ("dual-quenched", "dual-annealed")
+_LAW = ("forward", *_DUAL)
+_POWER_KEYS = ("alpha", "cutoff")    # read with the power kernel only
+
+# Every config key, in header order. The four law keys set one field, which
+# the header writes as a table law; the observable's header form is its
+# sorted support and truth table.
+KEYS = (
+    ConfigKey("mode", "mode", str, str, MODES),
+    ConfigKey("dim", "dim", int, str, MODES),
+    ConfigKey("L", "side", int, str, ("forward",)),
+    ConfigKey("kernel", "kernel_name", str, str, MODES),
+    ConfigKey("alpha", "alpha", float, _float, MODES),
+    ConfigKey("cutoff", "cutoff", int, str, MODES),
+    ConfigKey("t_grid", "t_grid", parse_t_grid, _floats, MODES),
+    ConfigKey("replicas", "replicas", int, str, MODES),
+    ConfigKey("seed", "seed", int, str, MODES),
+    ConfigKey("threads", "threads", int, None, MODES),   # no part of the result
+    ConfigKey("nu", "nu", float, _float, ("range",)),
+    ConfigKey("lam", "lam", float, _float, ("dual-annealed",)),
+    ConfigKey("fit_window", "fit_window", parse_window, lambda v: _floats(v, ":"),
+              ("dual-annealed",)),
+    ConfigKey("disorder_seed", "disorder_seed", int, str, ("dual-quenched",)),
+    ConfigKey("disorder", "law", str, lambda law: "table", _LAW),
+    ConfigKey("q", "law", float, None, _LAW),
+    ConfigKey("b", "law", float, None, _LAW),
+    ConfigKey("atoms", "law", _parse_atoms,
+              lambda law: ", ".join(f"{b!r}:{p!r}" for b, p in law.atoms), _LAW),
+    ConfigKey("observable", "observable", _parse_observable,
+              lambda f: f"{_sites_text(f.support)}|{_floats(f.table)}", _LAW),
+    ConfigKey("sites", "sites", parse_sites, _sites_text, _DUAL),
 )
+CONFIG_KEYS = tuple(k.name for k in KEYS)
+_KEY = {k.name: k for k in KEYS}
+
+
+def read_keys(mode: str, kernel_name: str = "power") -> tuple[str, ...]:
+    """The keys a run of ``mode`` with ``kernel_name`` reads, in header order."""
+    return tuple(k.name for k in KEYS if mode in k.modes
+                 and (kernel_name == "power" or k.name not in _POWER_KEYS))
 
 
 def read_config_items(text: str, name: str = "<config>") -> dict[str, tuple[str, str]]:
@@ -337,55 +373,24 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
     An empty value leaves its key unset, as the CSV header writes unset keys.
     """
     items = {key: item for key, item in items.items() if item[0]}
-
-    def get(key, cast, default=None):
+    for key in ("mode", "t_grid", "replicas"):
         if key not in items:
-            return default
-        value, origin = items[key]
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    values = {}
+    for key, (text, origin) in items.items():
         try:
-            return cast(value)
+            values[key] = _KEY[key].read(text)
         except ConfigError as exc:
             raise ConfigError(f"{origin}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
-
-    for key in ("mode", "t_grid", "replicas"):
-        if key not in items:
-            raise ConfigError(f"{name}: missing required key {key!r}")
-    q, b, atoms = get("q", float), get("b", float), get("atoms", _parse_atoms)
-    law = None
-    if "disorder" in items:
-        kind = items["disorder"][0]
-        if ":" in kind:   # the CSV header's form: the atoms b:p b:p themselves
-            if atoms is not None:
-                raise ConfigError(f"{items['disorder'][1]}, {items['atoms'][1]}: "
-                                  "give the atoms once")
-            kind, atoms = "table", get("disorder", lambda v: _parse_atoms(v.replace(" ", ",")))
+    law = {k: values.pop(k) for k in ("disorder", "q", "b", "atoms") if k in values}
+    if law:
         try:
-            law = _make_law(kind, q, b, atoms)
+            values["disorder"] = _make_law(**law)
         except ValueError as exc:     # the law is bad: name every line it reads
-            origins = ", ".join(items[k][1] for k in ("disorder", "q", "b", "atoms")
-                                if k in items)
-            raise ConfigError(f"{origins}: {exc}") from exc
-    config = ExperimentConfig(
-        mode=items["mode"][0],
-        t_grid=get("t_grid", parse_t_grid),
-        replicas=get("replicas", int),
-        seed=get("seed", int, 0),
-        dim=get("dim", int, 1),
-        side=get("L", int, 16),
-        kernel_name=get("kernel", str, "nn"),
-        alpha=get("alpha", float),
-        cutoff=get("cutoff", int, 100),
-        law=law,
-        observable=get("observable", _parse_observable),
-        sites=get("sites", parse_sites),
-        nu=get("nu", float),
-        lam=get("lam", float),
-        threads=get("threads", int, 1),
-        fit_window=get("fit_window", parse_window),
-        disorder_seed=get("disorder_seed", int),
-    )
+            raise ConfigError(f"{', '.join(items[k][1] for k in law)}: {exc}") from exc
+    config = ExperimentConfig(**{_KEY[k].field: v for k, v in values.items()})
     try:
         config.validate()
     except ConfigError as exc:
@@ -448,6 +453,8 @@ def run(config: ExperimentConfig) -> tuple[dict, int | None]:
     ``write_records_csv`` puts in the header.
     """
     config.validate()
+    if config.fit_window or config.lam is not None:   # annealed mode reads them for sandwich
+        raise ConfigError("'fit_window' and 'lam' are read by the sandwich audit only")
     if config.mode == "forward":
         return _run_forward(config)
     if config.mode == "range":

@@ -4,6 +4,7 @@ A run description is read from the ``--config`` file first, then from every
 flag given, which wins over the file's key; the subcommand sets the mode.
 """
 
+import argparse
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from biased_voter import cli
 from biased_voter.disorder import bernoulli_law
-from biased_voter.harness import ConfigError, ExperimentConfig, config_hash, parse_config_text
+from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash, parse_config_text,
+                                  read_keys)
 from biased_voter.localfn import site_indicator
 
 QUENCHED_FILE = """
@@ -34,10 +36,10 @@ def header(path: Path) -> dict:
 
 class TestFlagsOverTheFile:
     @pytest.mark.parametrize("text, flags, key, expected", [
-        (QUENCHED_FILE, ["--disorder", "deterministic"], "disorder", "1.0:1.0"),
-        (QUENCHED_FILE, ["--q", "0.25"], "disorder", "0.0:0.25 1.0:0.75"),
-        (QUENCHED_FILE, ["--b", "2"], "disorder", "0.0:0.5 2.0:0.5"),
-        (TABLE_FILE, ["--atoms", "0:0.25, 2:0.75"], "disorder", "0.0:0.25 2.0:0.75"),
+        (QUENCHED_FILE, ["--disorder", "deterministic"], "atoms", "1.0:1.0"),
+        (QUENCHED_FILE, ["--q", "0.25"], "atoms", "0.0:0.25, 1.0:0.75"),
+        (QUENCHED_FILE, ["--b", "2"], "atoms", "0.0:0.5, 2.0:0.5"),
+        (TABLE_FILE, ["--atoms", "0:0.25, 2:0.75"], "atoms", "0.0:0.25, 2.0:0.75"),
         (QUENCHED_FILE.replace("sites = 0", "observable = site 0"), ["--observable", "site 5"],
          "observable", "5|0.0,1.0"),
     ])
@@ -74,11 +76,12 @@ class TestFlagsOverTheFile:
 
 class TestExactKernelRule:
     @pytest.mark.parametrize("flags", [
-        ["--kernel", "power"],
-        ["--kernel", "power", "--alpha", "1", "--dim", "2", "--L", "3"],
+        ["--what", "duality", "--kernel", "power"],
+        ["--what", "duality", "--kernel", "power", "--alpha", "1", "--dim", "2", "--L", "3"],
+        ["--what", "range", "--nu", "1", "--kernel", "power", "--alpha", "1"],
     ])
     def test_bad_kernel_is_a_config_error(self, tmp_path, capsys, flags):
-        code = cli.main(["exact", "--what", "duality", *flags, "--fields", "1",
+        code = cli.main(["exact", *flags, "--fields", "1",
                          "--t-grid", "1", "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
@@ -174,18 +177,67 @@ class TestValueErrorsNameTheLine:
             parse_config_text(text, name="c.cfg")
 
 
+SUBCOMMAND_MODES = {
+    "simulate-forward": ("forward",),
+    "simulate-dual": ("dual-quenched", "dual-annealed"),
+    "range": ("range",),
+    "sandwich": ("dual-annealed",),
+}
+
+
+def flag_keys(command: str) -> set:
+    """The keys a subcommand takes as flags, read off the parser."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subs.choices[command]._actions} - {"help", "config", "out"}
+
+
+RANGE_ARGS = ["range", "--nu", "1", "--t-grid", "1,2", "--replicas", "20"]
+DUAL_ARGS = ["simulate-dual", "--sites", "0", "--t-grid", "1,2", *LAW_FLAGS]
+
+
+class TestUnreadKeys:
+    """A key its mode does not read, set off its default, is a config error naming it."""
+
+    @pytest.mark.parametrize("argv, line, key", [
+        (RANGE_ARGS, "observable = site 0", "observable"),
+        (RANGE_ARGS, "L = 5", "L"),
+        (DUAL_ARGS, "nu = 1", "nu"),
+        ([*DUAL_ARGS, "--mode", "annealed", "--disorder-seed", "3"], "", "disorder_seed"),
+        (["simulate-forward", "--t-grid", "1,2", *LAW_FLAGS], "sites = 0", "sites"),
+        ([*RANGE_ARGS, "--alpha", "1.5"], "", "alpha"),
+        (DUAL_ARGS, "fit_window = 10:100", "fit_window"),
+    ], ids=["range-observable", "range-L", "dual-nu", "annealed-disorder-seed",
+            "forward-sites", "nn-alpha", "dual-fit-window"])
+    def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, argv, line, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+
+    def test_unread_key_of_a_config_built_in_code(self):
+        config = ExperimentConfig(mode="range", t_grid=(1.0,), replicas=2, nu=1.0,
+                                  law=bernoulli_law(0.5, 1.0))
+        with pytest.raises(ConfigError, match="'disorder'"):
+            config.validate()
+
+    def test_unread_key_at_its_default_reads(self):
+        # headers of the earlier form list L and cutoff for every run
+        config = parse_config_text("mode = dual-annealed\ndisorder = deterministic\nb = 1\n"
+                                   "L = 16\ncutoff = 100\nt_grid = 1,2\nreplicas = 10\n")
+        assert ("L", "16") not in config.canonical_items()
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODES))
+    def test_every_flag_is_a_key_its_mode_reads(self, command):
+        reads = {key for mode in SUBCOMMAND_MODES[command] for key in read_keys(mode)}
+        assert flag_keys(command) <= reads
+
+
 # ---------------------------------------------------------------------------
 # Property: the split of a run description between file and flags is invisible
 # ---------------------------------------------------------------------------
-
-FLAG_KEYS = {
-    "simulate-forward": (),
-    "simulate-dual": ("sites", "disorder_seed"),
-    "range": ("nu",),
-    "sandwich": ("fit_window",),
-}
-COMMON_KEYS = ("seed", "replicas", "threads", "dim", "L", "kernel", "alpha", "cutoff",
-               "disorder", "q", "b", "atoms", "observable", "t_grid")
 
 coords = st.integers(-4, 4)
 unit = st.floats(0.0, 1.0)
@@ -198,16 +250,17 @@ def _site(dim):
 
 @st.composite
 def run_descriptions(draw):
-    """A subcommand plus a valid run description as flag-able key -> text."""
-    command = draw(st.sampled_from(sorted(FLAG_KEYS)))
-    dual_mode = draw(st.sampled_from(["quenched", "annealed"]))
+    """A subcommand plus a valid run description as flag-able key -> text,
+    each key one that the drawn mode reads."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_MODES)))
+    mode = draw(st.sampled_from(SUBCOMMAND_MODES[command]))
     items = {}
     times = draw(st.lists(st.floats(0.01, 1e4), min_size=1, max_size=6, unique=True))
     items["t_grid"] = ",".join(repr(t) for t in sorted(times))
     items["replicas"] = str(draw(st.integers(2, 10 ** 6)))
     for key, values in (("seed", st.integers(0, 2 ** 63 - 1)), ("threads", st.integers(1, 4)),
                         ("L", st.integers(2, 40))):
-        if draw(st.booleans()):
+        if key in read_keys(mode) and draw(st.booleans()):
             items[key] = str(draw(values))
     if draw(st.booleans()):
         items.update(kernel="power", alpha=repr(draw(st.floats(0.1, 1.9))),
@@ -228,20 +281,20 @@ def run_descriptions(draw):
             items["atoms"] = f"0:{p!r}, {draw(bias)!r}:{1.0 - p!r}"
     else:
         items["nu"] = repr(draw(st.floats(0.0, 3.0)))
-    observable = draw(st.booleans())
+    observable = "observable" in read_keys(mode) and draw(st.booleans())
     if observable:
         items["observable"] = "site " + draw(_site(dim))
     if command == "simulate-dual":
         if not observable:
             sites = draw(st.lists(_site(dim), min_size=1, max_size=3, unique=True))
             items["sites"] = ";".join(sites)
-        if draw(st.booleans()):
+        if mode == "dual-quenched" and draw(st.booleans()):
             items["disorder_seed"] = str(draw(st.integers(0, 2 ** 31)))
     if command == "sandwich" and draw(st.booleans()):
         a = draw(st.floats(0.01, 100.0))
         items["fit_window"] = f"{a!r}:{a * 10!r}"
-    argv = [command] + (["--mode", dual_mode] if command == "simulate-dual" else [])
-    assert set(items) <= set(COMMON_KEYS + FLAG_KEYS[command])
+    argv = [command] + (["--mode", mode[5:]] if command == "simulate-dual" else [])
+    assert set(items) <= flag_keys(command) & set(read_keys(mode, items["kernel"]))
     return argv, items
 
 

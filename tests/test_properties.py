@@ -1,6 +1,8 @@
 """Property tests of the exact oracles, the subset-lattice transform, the
 moment merge and the CSV header's config, over randomly drawn inputs."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from biased_voter.exact import (build_forward_generator, duality_gap,
                                 exact_forward_values_all,
                                 product_indicator_vector, semigroup_apply)
 from biased_voter.harness import (ExperimentConfig, _header_lines, config_hash,
-                                  parse_config_text)
+                                  parse_config_text, read_keys)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from biased_voter.localfn import LocalFunction, _subset_sums, hat_coeffs
 from biased_voter.stats import Moments
@@ -124,41 +126,53 @@ def test_moments_merge_associative_and_order_free(parts, order):
         assert_same(left, Moments.of(pooled))
 
 
-positive = st.floats(0.01, 1e4)
+def reals(lo, hi):
+    """Floats in [lo, hi], drawn also as numpy floats and as ints."""
+    return (st.floats(lo, hi) | st.floats(lo, hi).map(np.float64)
+            | st.integers(math.ceil(lo), math.floor(hi)))
+
+
+positive = reals(0.01, 1e4)
 
 
 @st.composite
 def configs(draw):
-    """Valid experiment configs with every optional key set or unset."""
+    """Valid experiment configs with every optional key its mode reads set or unset."""
     mode = draw(st.sampled_from(["forward", "dual-quenched", "dual-annealed", "range"]))
     kernel_name = draw(st.sampled_from(["nn", "power"]))
     dim = 1 if kernel_name == "power" else draw(st.integers(1, 3))
-    alpha = draw(st.floats(0.1, 1.9) if kernel_name == "power" else st.none() | st.floats(0.1, 1.9))
     site = st.tuples(*[st.integers(-5, 5)] * dim)
-    law = None
-    if mode != "range" or draw(st.booleans()):
+    keys = dict(mode=mode, kernel_name=kernel_name, dim=dim,
+                t_grid=tuple(sorted(draw(st.lists(positive, min_size=1, max_size=4,
+                                                  unique=True)))),
+                replicas=draw(st.integers(2, 10 ** 6)), seed=draw(st.integers(0, 2 ** 63 - 1)),
+                threads=draw(st.integers(1, 4)))
+    if kernel_name == "power":
+        keys.update(alpha=draw(reals(0.1, 1.9)), cutoff=draw(st.integers(1, 500)))
+    if mode == "forward":
+        keys["side"] = draw(st.integers(2, 40))
+    if mode == "range":
+        keys["nu"] = draw(reals(0.0, 5.0))
+    else:
         probs = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
         biases = draw(st.lists(st.floats(0.0, 4.0), min_size=probs.size, max_size=probs.size))
-        law = DisorderLaw(atoms=tuple(zip(biases, (probs / probs.sum()).tolist())))
-    observable = sites = None
-    if mode != "range" and draw(st.booleans()):
-        support = draw(st.lists(site, min_size=1, max_size=3, unique=True))
-        weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(support), max_size=len(support)))
-        table = [sum(w for i, w in enumerate(weights) if mask >> i & 1)
-                 for mask in range(1 << len(support))]
-        observable = LocalFunction(support, table)   # monotone and not constant
-    if mode.startswith("dual") and not observable:
-        sites = draw(st.none() | st.lists(site, min_size=1, max_size=3, unique=True).map(tuple))
-    grid = sorted(draw(st.lists(positive, min_size=1, max_size=4, unique=True)))
-    window = draw(st.none() | st.tuples(positive, positive))
-    return ExperimentConfig(
-        mode=mode, t_grid=tuple(grid), replicas=draw(st.integers(2, 10 ** 6)),
-        seed=draw(st.integers(0, 2 ** 63 - 1)), dim=dim, side=draw(st.integers(2, 40)),
-        kernel_name=kernel_name, alpha=alpha, cutoff=draw(st.integers(1, 500)), law=law,
-        observable=observable, sites=sites,
-        nu=draw(st.floats(0.0, 5.0) if mode == "range" else st.none() | st.floats(0.0, 5.0)),
-        lam=draw(st.none() | st.floats(0.01, 5.0)), threads=draw(st.integers(1, 4)),
-        fit_window=window, disorder_seed=draw(st.none() | st.integers(0, 2 ** 32)))
+        keys["law"] = DisorderLaw(atoms=tuple(zip(biases, (probs / probs.sum()).tolist())))
+        if draw(st.booleans()):
+            support = draw(st.lists(site, min_size=1, max_size=3, unique=True))
+            weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(support),
+                                    max_size=len(support)))
+            table = [sum(w for i, w in enumerate(weights) if mask >> i & 1)
+                     for mask in range(1 << len(support))]
+            keys["observable"] = LocalFunction(support, table)   # monotone and not constant
+    if mode.startswith("dual") and "observable" not in keys:
+        keys["sites"] = draw(st.none() | st.lists(site, min_size=1, max_size=3,
+                                                  unique=True).map(tuple))
+    if mode == "dual-annealed":
+        keys.update(lam=draw(st.none() | reals(0.01, 5.0)),
+                    fit_window=draw(st.none() | st.tuples(positive, positive)))
+    if mode == "dual-quenched":
+        keys["disorder_seed"] = draw(st.none() | st.integers(0, 2 ** 32))
+    return ExperimentConfig(**keys)
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,3 +181,12 @@ def test_csv_header_reads_back_as_its_config(config):
     config.validate()
     header = [line[2:] for line in _header_lines(config) if " = " in line]
     assert config_hash(parse_config_text("\n".join(header), "header")) == config_hash(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=configs())
+def test_csv_header_lists_the_keys_its_mode_reads(config):
+    # threads is no part of the result, and the header writes every law as atoms
+    header = [line[2:].split(" = ")[0] for line in _header_lines(config) if " = " in line]
+    reads = read_keys(config.mode, config.kernel_name)
+    assert header == [key for key in reads if key not in ("threads", "q", "b")]
