@@ -17,7 +17,7 @@ from biased_voter.harness import (ExperimentConfig, sandwich_report,
                                   write_sandwich_csv)
 
 config = ExperimentConfig(
-    mode="dual-annealed",
+    mode="sandwich",
     t_grid=tuple(float(t) for t in np.geomspace(10.0, 1000.0, 12)),
     replicas=100_000,          # the acceptance suite runs 10x this
     seed=2024,

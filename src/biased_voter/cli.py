@@ -7,9 +7,9 @@ from every flag given, which wins over the file's key, and takes the mode
 from the subcommand; it writes CSV whose header embeds the full config and
 its hash.
 
-Exit codes: 0 success, 2 hypothesis failure (the disorder law does not
-satisfy a bound curve's precondition), 3 invariant violation (an audited
-identity or ordering failed beyond tolerance).
+Exit codes: 0 success, 2 config error or hypothesis failure (the disorder
+law does not satisfy a bound curve's precondition), 3 invariant violation
+(an audited identity or ordering failed beyond tolerance).
 """
 
 from __future__ import annotations
@@ -49,15 +49,12 @@ _FLAG_OPTIONS = {
 }
 
 
-def _experiment(subs, command: str, modes: tuple[str, ...], func, help: str, skip=()):
-    """A subcommand with one text flag per key its modes read, but for ``skip``.
-
-    ``mode`` comes from the subcommand and ``lam`` from a config file only.
-    """
+def _experiment(subs, command: str, modes: tuple[str, ...], func, help: str):
+    """A subcommand with one text flag per key its modes read; ``mode`` is its own."""
     sub = subs.add_parser(command, help=help)
     sub.add_argument("--config", help="config file in key = value form")
     sub.add_argument("--out", help="output CSV path (default: stdout)")
-    keys = {key for mode in modes for key in read_keys(mode)} - {"mode", "lam", *skip}
+    keys = {key for mode in modes for key in read_keys(mode)} - {"mode"}
     for key in CONFIG_KEYS:
         if key in keys:
             sub.add_argument(_flag(key), dest=key, **_FLAG_OPTIONS.get(key, {}))
@@ -121,10 +118,33 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+# exact's flags: dest -> (the oracles that read it, argparse options)
+_EXACT_FLAGS = {
+    "dim": (("duality",), dict(type=int, default=1)),
+    "L": (("duality",), dict(type=int, default=3)),
+    "kernel": (("duality",), dict(choices=("nn", "power"), default="nn")),
+    "alpha": (("duality",), dict(type=float)),
+    "cutoff": (("duality",), dict(type=int, default=100)),
+    "fields": (("duality",), dict(type=int, default=5, help="number of random bias fields")),
+    "t_grid": (("duality", "range"), dict()),
+    "tol": (("duality",), dict(type=float, default=1e-10)),
+    "nu": (("range",), dict(type=float)),
+    "width_cap": (("range",), dict(type=int, default=400, help=(
+        "largest interval length summed exactly; an error names the cap when its "
+        "remainder bound exceeds 1e-12 of the value"))),
+    "seed": (("duality", "range"), dict(type=int, default=0, help=(
+        "seed of the duality gate's bias fields; the range oracle draws nothing"))),
+}
+
+
 def _cmd_exact(args) -> int:
-    if args.what == "duality":
-        return _exact_duality(args)
-    return _exact_range(args)
+    """Run one oracle; a flag it does not read, set off its default, is a config error."""
+    for dest, (oracles, options) in _EXACT_FLAGS.items():
+        reads = args.what in oracles and (args.kernel == "power"
+                                          or dest not in ("alpha", "cutoff"))
+        if not reads and getattr(args, dest) != options.get("default"):
+            raise ConfigError(f"exact --what {args.what} does not read {_flag(dest)}")
+    return (_exact_duality if args.what == "duality" else _exact_range)(args)
 
 
 def _exact_duality(args) -> int:
@@ -147,12 +167,8 @@ def _exact_duality(args) -> int:
 
 
 def _exact_range(args) -> int:
-    if args.kernel != "nn" or args.alpha is not None or args.dim != 1:
-        raise ConfigError("the range oracle's closed form is that of the 1-d nearest-"
-                          "neighbor walk: no --kernel power, --alpha or --dim other than 1")
     if args.nu is None:
-        print("exact range needs --nu", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        raise ConfigError("exact --what range needs --nu")
     times = parse_t_grid(args.t_grid) if args.t_grid else tuple(
         float(x) for x in np.geomspace(100, 2000, 13))
     values = exact_range_functional_curve_1d(args.nu, times, args.width_cap)
@@ -194,28 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     _experiment(subs, "simulate-forward", ("forward",), _cmd_run,
                 "forward dynamics on a torus, disorder sampled per replica")
     p = _experiment(subs, "simulate-dual", ("dual-quenched", "dual-annealed"), _cmd_run,
-                    "coalescing dual estimator (quenched or annealed)", skip=("fit_window",))
+                    "coalescing dual estimator (quenched or annealed)")
     p.add_argument("--mode", choices=("quenched", "annealed"), default="annealed")
     _experiment(subs, "range", ("range",), _cmd_run,
                 "Monte Carlo range functional of one walk")
 
     p = subs.add_parser("exact", help="exact small-system oracles")
     p.add_argument("--what", choices=("duality", "range"), required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--L", type=int, default=3)
-    p.add_argument("--kernel", choices=("nn", "power"), default="nn")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--cutoff", type=int, default=100)
-    p.add_argument("--fields", type=int, default=5,
-                   help="number of random bias fields for the duality gate")
-    p.add_argument("--t-grid", dest="t_grid")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--width-cap", type=int, dest="width_cap", default=400,
-                   help="largest interval length summed exactly by the range "
-                        "oracle; an error names the cap when its remainder "
-                        "bound exceeds 1e-12 of the value")
-    p.add_argument("--seed", type=int, default=0)
+    for dest, (_, options) in _EXACT_FLAGS.items():
+        p.add_argument(_flag(dest), dest=dest, **options)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact)
 
@@ -224,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="fit window a:b (default: last decade)")
     p.set_defaults(func=_cmd_fit)
 
-    _experiment(subs, "sandwich", ("dual-annealed",), _cmd_sandwich,
-                "two-sided bound audit of the annealed relaxation", skip=("sites",))
+    _experiment(subs, "sandwich", ("sandwich",), _cmd_sandwich,
+                "two-sided bound audit of the annealed relaxation")
 
     p = subs.add_parser("localfn", help="inspect a local observable file")
     p.add_argument("--check", required=True, help="observable text file")

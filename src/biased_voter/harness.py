@@ -1,14 +1,13 @@
 """Experiment orchestration: relaxation curves, bounds, fits, persistence.
 
-An experiment is described by a plain-text ``key = value`` config (or an
-``ExperimentConfig`` built in code); ``run`` returns its mode's CSV columns,
-one value per grid time. Both dual modes estimate an observable with
-expansion f = sum_A fhat(A) H(., A) as sum over nonempty A of fhat(A) times
-the dual expectation started from A, annealed (the law integrated out) or
-quenched (one lazy field): one walk run over one draw, in which the walkers
-of each A coalesce among themselves. Given ``sites`` or no observable, the
-start set is the one term. The bound curves are the sandwich's alone:
-``sandwich_report`` runs the annealed walk over the same expansion with
+An experiment is a ``key = value`` config or an ``ExperimentConfig``; a mode
+that reads ``observable``, given neither it nor ``sites``, gets the origin-
+site indicator written in, so header and hash record what ran. ``run``
+returns its mode's CSV columns. A dual mode estimates f = sum_A fhat(A)
+H(., A) as sum over nonempty A of fhat(A) times the dual expectation from A,
+annealed (law integrated out) or quenched (one lazy field), in one walk over
+one draw where each A's walkers coalesce among themselves (``sites``: one A).
+``sandwich`` is the bound audit, run by ``sandwich_report`` on that walk:
 
     upper(t) = Sigma(f) * |support(f)| * E[ exp(-nu1 |R_t|) ]
     lower(t) = gap(f) * E[ exp(-nu2 |R_t|) ] ** |support(f)|
@@ -30,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,7 +67,7 @@ __all__ = [
     "read_curve_csv",
 ]
 
-MODES = ("forward", "dual-quenched", "dual-annealed", "range")
+MODES = ("forward", "dual-quenched", "dual-annealed", "range", "sandwich")
 SIGMA_BAND = 4.0        # audit tolerance in combined standard errors
 CI_LEVEL = 0.99         # two-sided confidence level of exponent fits
 
@@ -102,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sites:   # the start set is a set: one order, so one config hash
             object.__setattr__(self, "sites", tuple(sorted(self.sites)))
+        elif self.observable is None and "observable" in read_keys(self.mode):
+            object.__setattr__(self, "observable", site_indicator((0,) * self.dim))
 
     def validate(self):
         if self.mode not in MODES:
@@ -123,22 +124,21 @@ class ExperimentConfig:
             if key.name not in reads and getattr(self, key.field) != defaults[key.field]:
                 raise ConfigError(f"a {self.mode} run with the {self.kernel_name} kernel "
                                   f"does not read {key.name!r}")
-        if self.mode == "range":
-            if self.nu is None or self.nu < 0:
-                raise ConfigError("range mode needs nu >= 0")
-        else:
-            if self.law is None:
-                raise ConfigError(f"mode {self.mode!r} needs a disorder law")
-        if self.mode.startswith("dual-") and self.observable is not None:
+        if self.mode == "range" and (self.nu is None or self.nu < 0):
+            raise ConfigError("range mode needs nu >= 0")
+        if self.mode != "range" and self.law is None:
+            raise ConfigError(f"mode {self.mode!r} needs a disorder law")
+        f = self.observable
+        if f is not None:
             if self.sites:
                 raise ConfigError("a dual run starts from sites or from the observable's "
                                   "expansion; give one, not both")
-            if not self.observable.support:
+            if self.mode != "forward" and not f.support:
                 raise ConfigError("a constant observable has no dual to start")
-        if self.mode == "forward":
-            for s in self.observable_or_default().support:
-                if len(s) != self.dim:
-                    raise ConfigError(f"observable site {s} has wrong dimension")
+            if self.mode == "sandwich" and not is_monotone(f):
+                raise ConfigError("the sandwich bounds need a monotone observable")
+            if any(len(s) != self.dim for s in f.support):
+                raise ConfigError(f"observable sites {f.support} are not {self.dim}-dimensional")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
@@ -156,12 +156,6 @@ class ExperimentConfig:
     def target_exponent(self) -> float:
         return self.dim / (self.dim + self.alpha_effective)
 
-    def observable_or_default(self) -> LocalFunction:
-        """Explicit observable, or the origin-site indicator."""
-        if self.observable is not None:
-            return self.observable
-        return site_indicator((0,) * self.dim)
-
     def canonical_items(self) -> list[tuple[str, str]]:
         """The header's ``key = value`` pairs: every key the run reads that has a header form."""
         reads = read_keys(self.mode, self.kernel_name)
@@ -172,11 +166,10 @@ class ExperimentConfig:
 def _check_kernel(name: str, dim: int, alpha: float | None):
     if name not in ("nn", "power"):
         raise ConfigError(f"kernel must be 'nn' or 'power', got {name!r}")
-    if name == "power":
-        if dim != 1:
-            raise ConfigError("power-law kernels are one-dimensional")
-        if alpha is None:
-            raise ConfigError("power kernel needs alpha in (0, 2)")
+    if name == "power" and dim != 1:
+        raise ConfigError("power-law kernels are one-dimensional")
+    if name == "power" and alpha is None:
+        raise ConfigError("power kernel needs alpha in (0, 2)")
 
 
 def make_kernel(name: str, dim: int, alpha: float | None, cutoff: int,
@@ -267,20 +260,29 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(atoms)
 
 
-def _make_law(disorder=None, q=None, b=None, atoms=None) -> DisorderLaw:
-    if disorder == "bernoulli":
-        if q is None or b is None:
-            raise ConfigError("bernoulli disorder needs q and b")
-        return DisorderLaw(atoms=((0.0, q), (b, 1.0 - q)))
-    if disorder == "deterministic":
-        if b is None:
-            raise ConfigError("deterministic disorder needs b")
-        return DisorderLaw(atoms=((b, 1.0),))
-    if disorder == "table":
+# Each law kind: the keys it reads, all of them needed, and the atoms they give.
+_LAW_KINDS = {
+    "bernoulli": (("q", "b"), lambda q, b: ((0.0, q), (b, 1.0 - q))),
+    "deterministic": (("b",), lambda b: ((b, 1.0),)),
+    "table": (("atoms",), lambda atoms: atoms),
+}
+
+
+def _make_law(law: dict, origins: dict) -> DisorderLaw:
+    """The law from its keys; an error names the line or flag of each key it is about."""
+    kind = law.pop("disorder", None)
+    reads, atoms = _LAW_KINDS.get(kind, ((), None))
+    for key in law:
+        if atoms and key not in reads:
+            raise ConfigError(f"{origins[key]}: {kind} disorder does not read {key!r}")
+    try:
         if atoms is None:
-            raise ConfigError("table disorder needs atoms = b:p, b:p, ...")
-        return DisorderLaw(atoms=atoms)
-    raise ConfigError(f"disorder must be bernoulli, deterministic or table, got {disorder!r}")
+            raise ConfigError(f"disorder must be one of {', '.join(_LAW_KINDS)}, got {kind!r}")
+        if len(law) < len(reads):
+            raise ConfigError(f"{kind} disorder needs {' and '.join(reads)}")
+        return DisorderLaw(atoms=atoms(**law))
+    except ValueError as exc:     # the law is bad: name every line it reads
+        raise ConfigError(f"{', '.join(origins.values())}: {exc}") from exc
 
 
 def _float(value) -> str:
@@ -304,7 +306,7 @@ class ConfigKey(NamedTuple):
 
 
 _DUAL = ("dual-quenched", "dual-annealed")
-_LAW = ("forward", *_DUAL)
+_LAW = ("forward", *_DUAL, "sandwich")
 _POWER_KEYS = ("alpha", "cutoff")    # read with the power kernel only
 
 # Every config key, in header order. The four law keys set one field, which
@@ -322,9 +324,8 @@ KEYS = (
     ConfigKey("seed", "seed", int, str, MODES),
     ConfigKey("threads", "threads", int, None, MODES),   # no part of the result
     ConfigKey("nu", "nu", float, _float, ("range",)),
-    ConfigKey("lam", "lam", float, _float, ("dual-annealed",)),
-    ConfigKey("fit_window", "fit_window", parse_window, lambda v: _floats(v, ":"),
-              ("dual-annealed",)),
+    ConfigKey("lam", "lam", float, _float, ("sandwich",)),
+    ConfigKey("fit_window", "fit_window", parse_window, lambda v: _floats(v, ":"), ("sandwich",)),
     ConfigKey("disorder_seed", "disorder_seed", int, str, ("dual-quenched",)),
     ConfigKey("disorder", "law", str, lambda law: "table", _LAW),
     ConfigKey("q", "law", float, None, _LAW),
@@ -386,10 +387,7 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
             raise ConfigError(f"{origin}: bad value for {key!r}: {exc}") from exc
     law = {k: values.pop(k) for k in ("disorder", "q", "b", "atoms") if k in values}
     if law:
-        try:
-            values["disorder"] = _make_law(**law)
-        except ValueError as exc:     # the law is bad: name every line it reads
-            raise ConfigError(f"{', '.join(items[k][1] for k in law)}: {exc}") from exc
+        values["disorder"] = _make_law(law, {k: items[k][1] for k in law})
     config = ExperimentConfig(**{_KEY[k].field: v for k, v in values.items()})
     try:
         config.validate()
@@ -409,7 +407,7 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
 
 
 def _run_forward(config: ExperimentConfig) -> tuple[dict, None]:
-    mean, stderr = forward_relaxation(config.observable_or_default(), config.law,
+    mean, stderr = forward_relaxation(config.observable, config.law,
                                       config.build_torus(), config.t_grid,
                                       config.replicas, config.seed, config.threads)
     return (dict(t=config.t_grid, mean=mean, stderr=stderr,
@@ -420,13 +418,13 @@ def _dual_walk(config: ExperimentConfig, exponents=()):
     """One walk over the observable's expansion: one lazy field, or the law.
 
     The expansion is the start set with coefficient 1 when ``sites`` is
-    given or there is no observable, else every nonempty A with fhat(A) != 0.
+    given, else every nonempty A with fhat(A) != 0.
     """
-    f = config.observable
-    if config.sites or f is None:
-        starts = {config.sites or ((0,) * config.dim,): 1.0}
+    if config.sites:
+        starts = {config.sites: 1.0}
     else:
-        starts = {tuple(sorted(A)): c for A, c in hat_coeffs(f).items() if A and c != 0.0}
+        starts = {tuple(sorted(A)): c for A, c in hat_coeffs(config.observable).items()
+                  if A and c != 0.0}
     dseed = config.seed if config.disorder_seed is None else config.disorder_seed
     disorder = ({"bias": LazyBiasField(config.law, dseed)} if config.mode == "dual-quenched"
                 else {"law": config.law})
@@ -453,8 +451,8 @@ def run(config: ExperimentConfig) -> tuple[dict, int | None]:
     ``write_records_csv`` puts in the header.
     """
     config.validate()
-    if config.fit_window or config.lam is not None:   # annealed mode reads them for sandwich
-        raise ConfigError("'fit_window' and 'lam' are read by the sandwich audit only")
+    if config.mode == "sandwich":
+        raise ConfigError("a sandwich config runs through sandwich_report")
     if config.mode == "forward":
         return _run_forward(config)
     if config.mode == "range":
@@ -507,9 +505,9 @@ def fit_stretch_exponent(curve, window: tuple[float, float] | None = None
 
 @dataclass
 class SandwichReport:
-    """Two-sided bound audit plus exponent fits for one annealed experiment."""
+    """Two-sided bound audit plus exponent fits for one sandwich config."""
 
-    config: ExperimentConfig        # as run: annealed mode, default observable filled in
+    config: ExperimentConfig
     columns: dict                   # the sandwich CSV's columns, name -> per-time values
     hypothesis_upper_ok: bool       # some mass off zero bias
     hypothesis_lower_ok: bool       # some mass at zero bias
@@ -539,16 +537,15 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     The per-time audit requires lower <= estimate <= upper within the
     combined error band; the exponent audit fits all three curves on the
     window and checks that the estimate's interval overlaps the interval
-    spanned by the two bound exponents. The bounds need a monotone
-    observable (``validate`` rejects a constant one, so gap(f) > 0).
+    spanned by the two bound exponents. ``validate`` holds the bounds'
+    needs: a monotone observable that is not constant, so gap(f) > 0.
     Hypothesis failures (a law with no mass at zero, or none off zero) are
     reported, not raised.
     """
-    config = replace(config, mode="dual-annealed", observable=config.observable_or_default())
+    if config.mode != "sandwich":
+        raise ConfigError(f"sandwich_report takes a sandwich config, not {config.mode!r}")
     config.validate()
     f, law = config.observable, config.law
-    if not is_monotone(f):
-        raise ConfigError("the sandwich bounds need a monotone observable")
     n1, n2 = nu1(law), nu2(law)
     hyp_upper = law.mass_at_zero < 1.0   # bias present with positive probability
     hyp_lower = law.mass_at_zero > 0.0

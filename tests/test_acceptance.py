@@ -156,7 +156,7 @@ def test_criterion_07_sandwich_at_scale():
     """Two-sided bounds with shared range samples at one million replicas."""
     start = time.monotonic()
     config = ExperimentConfig(
-        mode="dual-annealed",
+        mode="sandwich",
         t_grid=tuple(float(t) for t in np.geomspace(10.0, 1000.0, 12)),
         replicas=1_000_000,
         seed=707,

@@ -4,9 +4,10 @@
 ``bench/workloads.py`` imports from the package, so renaming or deleting one
 of those names breaks the benchmark without a failure in ``tests/``. This
 resolves every traced per-layer metric of ``BENCHMARK.json`` through the
-tracer and imports the workloads, in a fresh interpreter (installing the
-tracer rebinds the package's functions) that writes no bytecode under
-``bench/``.
+tracer and imports the workloads, and runs every workload call with the
+``--seed`` and ``--out`` flags the benchmark's worker adds, each in a fresh
+interpreter (installing the tracer rebinds the package's functions) that
+writes no bytecode under ``bench/``.
 """
 
 import subprocess
@@ -29,9 +30,33 @@ import workloads
 """
 
 
-def test_benchmark_names_resolve():
-    script = SCRIPT.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"),
-                           spec=str(ROOT / "BENCHMARK.json"))
+CALLS = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+from biased_voter import cli
+import workloads
+failed = []
+for workload in workloads.WORKLOADS.values():
+    for call in workload.calls:
+        out = {out!r} + "/" + call.name + ".csv"
+        code = cli.main([*call.argv, "--seed", "1", "--out", out])
+        if code != 0:
+            failed.append((workload.name, call.name, code))
+sys.exit(f"calls that exit nonzero: {{failed}}" if failed else 0)
+"""
+
+
+def _run(script: str):
     proc = subprocess.run([sys.executable, "-B", "-c", script], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_names_resolve():
+    _run(SCRIPT.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"),
+                       spec=str(ROOT / "BENCHMARK.json")))
+
+
+def test_every_benchmark_call_exits_0(tmp_path):
+    # each call as the benchmark's worker runs it: its argv plus --seed and --out
+    _run(CALLS.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"), out=str(tmp_path)))

@@ -26,7 +26,8 @@ disorder = bernoulli
 q = 0.5
 b = 1.0
 """
-TABLE_FILE = QUENCHED_FILE.replace("disorder = bernoulli", "disorder = table\natoms = 0:0.5, 1:0.5")
+TABLE_FILE = QUENCHED_FILE.replace("disorder = bernoulli\nq = 0.5\nb = 1.0",
+                                   "disorder = table\natoms = 0:0.5, 1:0.5")
 
 
 def header(path: Path) -> dict:
@@ -36,7 +37,8 @@ def header(path: Path) -> dict:
 
 class TestFlagsOverTheFile:
     @pytest.mark.parametrize("text, flags, key, expected", [
-        (QUENCHED_FILE, ["--disorder", "deterministic"], "atoms", "1.0:1.0"),
+        (QUENCHED_FILE.replace("q = 0.5\n", ""), ["--disorder", "deterministic"], "atoms",
+         "1.0:1.0"),
         (QUENCHED_FILE, ["--q", "0.25"], "atoms", "0.0:0.25, 1.0:0.75"),
         (QUENCHED_FILE, ["--b", "2"], "atoms", "0.0:0.5, 2.0:0.5"),
         (TABLE_FILE, ["--atoms", "0:0.25, 2:0.75"], "atoms", "0.0:0.25, 2.0:0.75"),
@@ -85,6 +87,53 @@ class TestExactKernelRule:
                          "--t-grid", "1", "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestExactUnreadFlags:
+    """A flag that the chosen oracle does not read, set off its default, exits 2 naming it."""
+
+    DUALITY = ["--what", "duality", "--L", "4", "--fields", "1", "--t-grid", "1"]
+    RANGE = ["--what", "range", "--nu", "1", "--t-grid", "100,200"]
+
+    @pytest.mark.parametrize("flags, flag", [
+        ([*DUALITY, "--alpha", "1.5"], "--alpha"),
+        ([*DUALITY, "--nu", "3"], "--nu"),
+        ([*DUALITY, "--width-cap", "5"], "--width-cap"),
+        ([*RANGE, "--L", "4"], "--L"),
+        ([*RANGE, "--cutoff", "50"], "--cutoff"),
+        ([*RANGE, "--fields", "2"], "--fields"),
+        ([*RANGE, "--tol", "1e-3"], "--tol"),
+    ], ids=["duality-alpha", "duality-nu", "duality-width-cap", "range-L", "range-cutoff",
+            "range-fields", "range-tol"])
+    def test_unread_flag_exits_2_naming_it(self, tmp_path, capsys, flags, flag):
+        assert cli.main(["exact", *flags, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"does not read {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [DUALITY, RANGE], ids=["duality", "range"])
+    def test_both_oracles_take_seed_and_default_flags(self, tmp_path, flags):
+        # the benchmark passes --seed to every call, the range oracle's too
+        argv = ["exact", *flags, "--seed", "3", "--kernel", "nn", "--dim", "1",
+                "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 0
+
+
+class TestLawKeys:
+    """Each law kind reads its own keys; another law key names its line or flag."""
+
+    @pytest.mark.parametrize("law, line, origin, key", [
+        (["--disorder", "bernoulli", "--q", "0.5", "--b", "1", "--atoms", "0:0.5, 1:0.5"], "",
+         "--atoms", "atoms"),
+        (["--disorder", "deterministic", "--b", "1"], "q = 0.3", "c.cfg:1", "q"),
+        (["--disorder", "table", "--atoms", "0:0.5, 1:0.5", "--b", "7"], "", "--b", "b"),
+    ], ids=["bernoulli", "deterministic", "table"])
+    def test_unread_law_key_is_a_config_error(self, tmp_path, capsys, law, line, origin, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        code = cli.main(["simulate-dual", "--sites", "0", "--t-grid", "1,2", "--replicas", "20",
+                         *law, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{origin}: " in err and f"does not read {key!r}" in err
 
 
 class TestSitesWithObservable:
@@ -181,7 +230,7 @@ SUBCOMMAND_MODES = {
     "simulate-forward": ("forward",),
     "simulate-dual": ("dual-quenched", "dual-annealed"),
     "range": ("range",),
-    "sandwich": ("dual-annealed",),
+    "sandwich": ("sandwich",),
 }
 
 
@@ -293,6 +342,8 @@ def run_descriptions(draw):
     if command == "sandwich" and draw(st.booleans()):
         a = draw(st.floats(0.01, 100.0))
         items["fit_window"] = f"{a!r}:{a * 10!r}"
+    if command == "sandwich" and draw(st.booleans()):
+        items["lam"] = repr(draw(st.floats(0.01, 5.0)))
     argv = [command] + (["--mode", mode[5:]] if command == "simulate-dual" else [])
     assert set(items) <= flag_keys(command) & set(read_keys(mode, items["kernel"]))
     return argv, items

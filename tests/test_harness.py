@@ -98,7 +98,8 @@ class TestParsing:
         with pytest.raises(ConfigError, match="replicas"):
             small_config(replicas=1).validate()
         with pytest.raises(ConfigError, match="monotone"):
-            sandwich_report(small_config(observable=LocalFunction([(0,)], [1.0, 0.0])))
+            sandwich_report(small_config(mode="sandwich",
+                                         observable=LocalFunction([(0,)], [1.0, 0.0])))
         with pytest.raises(ConfigError, match="nu"):
             ExperimentConfig(mode="range", t_grid=(1.0,), replicas=10).validate()
         with pytest.raises(ConfigError, match="constant"):
@@ -191,7 +192,9 @@ class TestRunPipelines:
             assert abs(mean - math.exp(-b * t)) < 1e-12
             assert se < 1e-12
         # no mass at zero: floor is trivial
-        assert all(v == 0.0 for v in sandwich_report(cfg).columns["lower"])
+        report = sandwich_report(small_config(mode="sandwich", law=deterministic_law(b),
+                                              t_grid=(0.5, 2.0, 5.0), replicas=200))
+        assert all(v == 0.0 for v in report.columns["lower"])
 
     def test_all_mass_at_zero_is_constant_one(self):
         cfg = small_config(law=deterministic_law(0.0), replicas=100)
@@ -200,7 +203,8 @@ class TestRunPipelines:
         assert all(se == 0.0 for se in columns["stderr"])
 
     def test_sandwich_holds_on_small_run(self):
-        cfg = small_config(t_grid=tuple(float(t) for t in np.geomspace(10, 300, 8)),
+        cfg = small_config(mode="sandwich",
+                           t_grid=tuple(float(t) for t in np.geomspace(10, 300, 8)),
                            replicas=4000)
         c = sandwich_report(cfg).columns
         for ok, low, est, se, low_se in zip(c["sandwich_ok"], c["lower"], c["estimate"],
@@ -310,7 +314,8 @@ class TestRunPipelines:
 
 class TestSandwichReport:
     def test_flags_on_bernoulli(self):
-        cfg = small_config(t_grid=tuple(float(t) for t in np.geomspace(10, 500, 10)),
+        cfg = small_config(mode="sandwich",
+                           t_grid=tuple(float(t) for t in np.geomspace(10, 500, 10)),
                            replicas=4000)
         report = sandwich_report(cfg)
         assert report.hypothesis_upper_ok and report.hypothesis_lower_ok
@@ -332,10 +337,22 @@ class TestSandwichReport:
                 assert dv_constant(1, 2, lam, nu1(law)) < dv_constant(1, 2, lam, nu2(law))
 
     def test_hypothesis_failure_reported_not_raised(self):
-        rep = sandwich_report(small_config(law=deterministic_law(1.0), replicas=200))
+        rep = sandwich_report(small_config(mode="sandwich", law=deterministic_law(1.0),
+                                           replicas=200))
         assert rep.hypothesis_upper_ok and not rep.hypothesis_lower_ok
-        rep = sandwich_report(small_config(law=deterministic_law(0.0), replicas=200))
+        rep = sandwich_report(small_config(mode="sandwich", law=deterministic_law(0.0),
+                                           replicas=200))
         assert rep.hypothesis_lower_ok and not rep.hypothesis_upper_ok
+
+    def test_sandwich_mode_runs_through_its_report_alone(self):
+        with pytest.raises(ConfigError, match="sandwich_report"):
+            run(small_config(mode="sandwich"))
+        with pytest.raises(ConfigError, match="takes a sandwich config"):
+            sandwich_report(small_config())
+        for key, value in (("lam", 4.9), ("fit_window", (10.0, 100.0))):
+            with pytest.raises(ConfigError, match=f"does not read {key!r}"):
+                small_config(**{key: value}).validate()
+            small_config(mode="sandwich", **{key: value}).validate()
 
 
 class TestPersistence:
@@ -351,7 +368,8 @@ class TestPersistence:
         assert np.array_equal(ms, columns["mean"])
 
     def test_sandwich_csv_headers(self, tmp_path):
-        cfg = small_config(t_grid=tuple(float(t) for t in np.geomspace(5, 200, 8)),
+        cfg = small_config(mode="sandwich",
+                           t_grid=tuple(float(t) for t in np.geomspace(5, 200, 8)),
                            replicas=600)
         report = sandwich_report(cfg)
         out = tmp_path / "sandwich.csv"

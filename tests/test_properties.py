@@ -2,18 +2,19 @@
 moment merge and the CSV header's config, over randomly drawn inputs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from biased_voter.disorder import DisorderLaw
 from biased_voter.exact import (build_forward_generator, duality_gap,
                                 exact_forward_values_all,
                                 product_indicator_vector, semigroup_apply)
-from biased_voter.harness import (ExperimentConfig, _header_lines, config_hash,
+from biased_voter.harness import (MODES, ExperimentConfig, _header_lines, config_hash,
                                   parse_config_text, read_keys)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
-from biased_voter.localfn import LocalFunction, _subset_sums, hat_coeffs
+from biased_voter.localfn import LocalFunction, _subset_sums, hat_coeffs, site_indicator
 from biased_voter.stats import Moments
 
 times = st.floats(0.0, 10.0)
@@ -138,7 +139,7 @@ positive = reals(0.01, 1e4)
 @st.composite
 def configs(draw):
     """Valid experiment configs with every optional key its mode reads set or unset."""
-    mode = draw(st.sampled_from(["forward", "dual-quenched", "dual-annealed", "range"]))
+    mode = draw(st.sampled_from(MODES))
     kernel_name = draw(st.sampled_from(["nn", "power"]))
     dim = 1 if kernel_name == "power" else draw(st.integers(1, 3))
     site = st.tuples(*[st.integers(-5, 5)] * dim)
@@ -167,7 +168,7 @@ def configs(draw):
     if mode.startswith("dual") and "observable" not in keys:
         keys["sites"] = draw(st.none() | st.lists(site, min_size=1, max_size=3,
                                                   unique=True).map(tuple))
-    if mode == "dual-annealed":
+    if mode == "sandwich":
         keys.update(lam=draw(st.none() | reals(0.01, 5.0)),
                     fit_window=draw(st.none() | st.tuples(positive, positive)))
     if mode == "dual-quenched":
@@ -190,3 +191,22 @@ def test_csv_header_lists_the_keys_its_mode_reads(config):
     header = [line[2:].split(" = ")[0] for line in _header_lines(config) if " = " in line]
     reads = read_keys(config.mode, config.kernel_name)
     assert header == [key for key in reads if key not in ("threads", "q", "b")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=configs())
+def test_default_observable_given_explicitly_keeps_hash(config):
+    # one computation, one hash: the origin-site indicator is the default
+    assume("observable" in read_keys(config.mode) and not config.sites)
+    implicit = replace(config, observable=None)
+    explicit = replace(config, observable=site_indicator((0,) * config.dim))
+    assert config_hash(implicit) == config_hash(explicit)
+
+
+def test_sandwich_and_annealed_configs_hash_apart():
+    keys = dict(t_grid=(10.0, 100.0), replicas=200, seed=3,
+                law=DisorderLaw(atoms=((0.0, 0.5), (1.0, 0.5))), observable=site_indicator(0))
+    sandwich, annealed = (ExperimentConfig(mode=m, **keys) for m in ("sandwich", "dual-annealed"))
+    sandwich.validate()
+    annealed.validate()
+    assert config_hash(sandwich) != config_hash(annealed)
