@@ -7,6 +7,9 @@ from every flag given, which wins over the file's key, and takes the mode
 from the subcommand; it writes CSV whose header embeds the full config and
 its hash.
 
+``exact`` imports the oracles, and with them scipy, once its flags have
+parsed; the other subcommands never load them.
+
 Exit codes: 0 success, 2 config error or hypothesis failure (the disorder
 law does not satisfy a bound curve's precondition), 3 invariant violation
 (an audited identity or ordering failed beyond tolerance).
@@ -19,7 +22,6 @@ import sys
 
 import numpy as np
 
-from .exact import duality_gap, exact_range_functional_curve_1d
 from .harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
                       build_config, fit_stretch_exponent, make_kernel,
                       parse_t_grid, parse_window, read_config_items, read_curve_csv,
@@ -151,6 +153,7 @@ def _exact_duality(args) -> int:
     tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
     rng = np.random.default_rng(args.seed)
     times = parse_t_grid(args.t_grid) if args.t_grid else (0.1, 1.0, 10.0)
+    from .exact import duality_gap
     rows = []
     worst = 0.0
     for fidx in range(args.fields):
@@ -171,6 +174,7 @@ def _exact_range(args) -> int:
         raise ConfigError("exact --what range needs --nu")
     times = parse_t_grid(args.t_grid) if args.t_grid else tuple(
         float(x) for x in np.geomspace(100, 2000, 13))
+    from .exact import exact_range_functional_curve_1d
     values = exact_range_functional_curve_1d(args.nu, times, args.width_cap)
     slopes = dict(effective_exponent([(t, v) for t, v in zip(times, values)
                                       if t > 0.0 and 0.0 < v < 1.0]))

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .forward import forward_relaxation
@@ -111,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError("replicas must be at least 2")
         if len(self.t_grid) == 0:
             raise ConfigError("t_grid must not be empty")
+        if not all(math.isfinite(t) for t in self.t_grid):
+            raise ConfigError("t_grid times must be finite")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
         if any(t < 0 for t in self.t_grid):
@@ -466,6 +467,12 @@ def run(config: ExperimentConfig) -> tuple[dict, int | None]:
 # ---------------------------------------------------------------------------
 # Exponent fits and the two-sided bound report
 # ---------------------------------------------------------------------------
+
+
+def stdtrit(dof: int, p: float) -> float:
+    """Student t quantile; scipy is imported here, so only a fit loads it."""
+    from scipy import special
+    return special.stdtrit(dof, p)
 
 
 def fit_stretch_exponent(curve, window: tuple[float, float] | None = None

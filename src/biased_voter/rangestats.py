@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jn_zeros
 
 from .kernel import Kernel
 from .walks import walk_curve
@@ -42,7 +41,7 @@ def lambda_nn(d: int) -> float:
     if d == 1:
         return math.pi ** 2 / 2.0
     if d == 2:
-        j01 = float(jn_zeros(0, 1)[0])
+        j01 = 2.4048255576957724   # first zero of J0, scipy.special.jn_zeros(0, 1)[0]
         return math.pi * j01 ** 2 / 4.0
     if d == 3:
         return math.pi ** 2 * (4.0 * math.pi / 3.0) ** (2.0 / 3.0) / 6.0

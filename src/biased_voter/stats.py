@@ -12,7 +12,6 @@ identity it audits fails.
 
 from __future__ import annotations
 
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +76,7 @@ def map_batches(fn, jobs, threads: int = 1) -> list:
     them in that order is reproducible.
     """
     if threads > 1:
+        from concurrent import futures   # a single-process run never loads it
         with futures.ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

@@ -162,6 +162,26 @@ class TestSitesWithObservable:
 LAW_FLAGS = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1", "--replicas", "20"]
 
 
+class TestNonFiniteGrid:
+    """A nan or inf time is a config error naming t_grid, in every experiment subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-forward", "--L", "4", *LAW_FLAGS],
+        ["simulate-dual", "--mode", "annealed", *LAW_FLAGS],
+        ["simulate-dual", "--mode", "quenched", *LAW_FLAGS],
+        ["range", "--nu", "1", "--replicas", "20"],
+        ["sandwich", *LAW_FLAGS],
+    ], ids=["forward", "annealed", "quenched", "range", "sandwich"])
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time_exits_2_naming_t_grid(self, tmp_path, capsys, argv, time):
+        out = tmp_path / "o.csv"
+        code = cli.main([*argv, "--t-grid", f"1,{time}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "t_grid" in err
+        assert not out.exists()
+
+
 class TestHeadersReadBack:
     """Every output's ``# key = value`` header lines read back as its config;
     the other header lines take the ``# name: value`` form."""

@@ -429,6 +429,35 @@ class TestCLI:
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
 
+    def test_forward_dual_and_range_runs_leave_scipy_unloaded(self, tmp_path):
+        # only the exact oracles and the fits compute with scipy; the package
+        # still serves the oracles by name, loading scipy on first access
+        script = """if True:
+            import sys
+            import biased_voter, biased_voter.cli
+            law = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1"]
+            for argv in (["simulate-forward", "--L", "4", *law],
+                         ["simulate-dual", "--mode", "quenched", "--sites", "0;1", *law],
+                         ["range", "--nu", "1"]):
+                code = biased_voter.cli.main([*argv, "--t-grid", "1,2", "--replicas", "20",
+                                              "--out", sys.argv[1]])
+                assert code == 0, argv
+            assert "scipy" not in sys.modules
+            from biased_voter import duality_gap, exact_dual_value, exact_range_functional_curve_1d
+            assert "scipy" in sys.modules
+            try:
+                biased_voter.no_such_name
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                raise SystemExit("an unknown attribute resolved")
+            """
+        src = str(Path(biased_voter.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
     def test_simulate_dual_and_fit(self, tmp_path, capsys):
         out = tmp_path / "dual.csv"
         code = cli_main(["simulate-dual", "--mode", "annealed", "--sites", "0",

@@ -57,6 +57,10 @@ class TestLambda:
         mu = richardson(disk_eigenvalue(radius, 2000), disk_eigenvalue(radius, 4000))
         assert lambda_nn(2) == pytest.approx(mu / 4.0, abs=1e-6)
 
+    def test_d2_j01_literal_is_scipys_zero(self):
+        from scipy.special import jn_zeros
+        assert lambda_nn(2) == math.pi * float(jn_zeros(0, 1)[0]) ** 2 / 4
+
     def test_d3_against_radial_eigensolve(self):
         # substituting w = r u turns the radial 3-d problem into an interval one
         radius = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)

@@ -1,7 +1,10 @@
 """Source-level guards on the package.
 
 ``python -O`` strips ``assert`` statements, so an invariant checked by one
-would pass silently there instead of ending in exit code 3.
+would pass silently there instead of ending in exit code 3. scipy takes
+longer to import than a short run takes to compute, so only the exact
+oracles import it at module level; everything else imports it where it
+computes with it.
 """
 
 import ast
@@ -17,3 +20,19 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/: {found}"
+
+
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def test_only_exact_imports_scipy_at_module_level():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in modules
+             if path.name != "exact.py"
+             for node in ast.parse(path.read_text(), str(path)).body
+             if _imports_scipy(node)]
+    assert not found, f"module-level scipy imports outside exact.py: {found}"
