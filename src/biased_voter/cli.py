@@ -12,7 +12,9 @@ parsed; the other subcommands never load them.
 
 Exit codes: 0 success, 2 config error or hypothesis failure (the disorder
 law does not satisfy a bound curve's precondition), 3 invariant violation
-(an audited identity or ordering failed beyond tolerance).
+(an audited identity or ordering failed beyond tolerance). A ``sandwich``
+whose fitted exponents miss their bracket warns and exits 0: the bounds
+are per-time inequalities, which the ordering audits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 import numpy as np
 
 from .harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
-                      build_config, fit_stretch_exponent, make_kernel,
+                      build_config, check_t_grid, fit_stretch_exponent, make_kernel,
                       parse_t_grid, parse_window, read_config_items, read_curve_csv,
                       read_keys, run, sandwich_report, write_records_csv,
                       write_sandwich_csv, write_table)
@@ -104,10 +106,16 @@ def _cmd_sandwich(args) -> int:
         print(f"hypothesis failure: the disorder law does not satisfy the "
               f"{side}-bound precondition", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    if not report.ordering_ok or report.gamma_bracket_ok is False:
-        print("invariant violation: bound ordering or exponent bracket failed",
-              file=sys.stderr)
+    if not report.ordering_ok:
+        print("invariant violation: bound ordering failed", file=sys.stderr)
         return EXIT_INVARIANT
+    if report.gamma_bracket_ok is False:
+        # the bounds hold per time; slopes fitted on a finite window are no bound
+        fits = ", ".join(f"{name} {g[0]:.4f} +- {g[1]:.4f}" for name, g in (
+            ("estimate", report.gamma_estimate), ("lower", report.gamma_lower),
+            ("upper", report.gamma_upper)))
+        print(f"warning: the bound exponents do not bracket the estimate's on the "
+              f"fit window ({fits})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -152,7 +160,7 @@ def _cmd_exact(args) -> int:
 def _exact_duality(args) -> int:
     tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
     rng = np.random.default_rng(args.seed)
-    times = parse_t_grid(args.t_grid) if args.t_grid else (0.1, 1.0, 10.0)
+    times = check_t_grid(parse_t_grid(args.t_grid)) if args.t_grid else (0.1, 1.0, 10.0)
     from .exact import duality_gap
     rows = []
     worst = 0.0
@@ -172,7 +180,7 @@ def _exact_duality(args) -> int:
 def _exact_range(args) -> int:
     if args.nu is None:
         raise ConfigError("exact --what range needs --nu")
-    times = parse_t_grid(args.t_grid) if args.t_grid else tuple(
+    times = check_t_grid(parse_t_grid(args.t_grid)) if args.t_grid else tuple(
         float(x) for x in np.geomspace(100, 2000, 13))
     from .exact import exact_range_functional_curve_1d
     values = exact_range_functional_curve_1d(args.nu, times, args.width_cap)

@@ -53,6 +53,7 @@ __all__ = [
     "build_config",
     "parse_config_text",
     "parse_t_grid",
+    "check_t_grid",
     "parse_sites",
     "parse_window",
     "make_kernel",
@@ -108,14 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.replicas < 2:
             raise ConfigError("replicas must be at least 2")
-        if len(self.t_grid) == 0:
-            raise ConfigError("t_grid must not be empty")
-        if not all(math.isfinite(t) for t in self.t_grid):
-            raise ConfigError("t_grid times must be finite")
-        if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
-            raise ConfigError("t_grid must be strictly increasing")
-        if any(t < 0 for t in self.t_grid):
-            raise ConfigError("t_grid times must be nonnegative")
+        check_t_grid(self.t_grid)
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError("seed must be a nonnegative 63-bit integer")
         _check_kernel(self.kernel_name, self.dim, self.alpha)
@@ -213,6 +207,19 @@ def parse_t_grid(text: str) -> tuple[float, ...]:
     if a <= 0:
         raise ConfigError("log-spaced t_grid needs a > 0 (use lin:a:b:n)")
     return tuple(float(x) for x in np.geomspace(a, b, n))
+
+
+def check_t_grid(times: tuple[float, ...]) -> tuple[float, ...]:
+    """``times`` itself, once it is nonempty, finite, strictly increasing and nonnegative."""
+    if len(times) == 0:
+        raise ConfigError("t_grid must not be empty")
+    if not all(math.isfinite(t) for t in times):
+        raise ConfigError("t_grid times must be finite")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError("t_grid must be strictly increasing")
+    if any(t < 0 for t in times):
+        raise ConfigError("t_grid times must be nonnegative")
+    return times
 
 
 def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:

@@ -93,9 +93,16 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
     """Positions (count * k, m + 1, d) and jump times (count * k, m) of the walkers.
 
     Row r is walker r % k of replica r // k; every row jumps past t_max.
+    Jump times are float64. Positions are int32, or int64 when
+    m * max|displacement| + max|start| could reach 2 ** 31. A kernel whose
+    weights are all equal draws its displacement indices as uniform
+    integers; any other searches its cumulative weights with uniforms.
     """
     disp, cum = kernel.sampling_arrays()
-    rows, d = count * len(starts), kernel.dim
+    weights = (np.fromiter(kernel.folded.values(), float) if isinstance(kernel, TorusKernel)
+               else kernel.weights)
+    n, k = len(disp), len(starts)
+    rows = count * k
     m0 = max(4, int(t_max + 6.0 * math.sqrt(t_max + 1.0) + 16.0))
     cum_t = np.cumsum(rng.exponential(size=(rows, m0)), axis=1)
     while cum_t[:, -1].min() <= t_max:
@@ -103,24 +110,41 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
         cum_t = np.hstack([cum_t, cum_t[:, -1:] + extra])
     m = cum_t.shape[1]
 
-    idx = np.searchsorted(cum, rng.random((rows, m)))
-    pos = np.concatenate(
-        [np.zeros((rows, 1, d), dtype=np.int64), np.cumsum(disp[idx], axis=1)], axis=1)
-    if starts.any():
-        pos += np.tile(starts, (count, 1))[:, None, :]
+    # one index per step into the displacements followed by the starts: each
+    # row's column 0 picks its start, so one gather and an in-place cumsum
+    # give the positions
+    index = np.empty((rows, m + 1), dtype=np.min_scalar_type(n + k - 1))
+    index[:, 0] = n + np.arange(rows) % k
+    if np.all(weights == weights[0]):
+        index[:, 1:] = rng.integers(0, n, size=(rows, m), dtype=np.min_scalar_type(n - 1))
+    else:
+        index[:, 1:] = np.searchsorted(cum, rng.random((rows, m)))
+    wide = m * int(np.abs(disp).max()) + int(np.abs(starts).max()) >= 1 << 31
+    pos = np.concatenate([disp, starts]).astype(np.int64 if wide else np.int32)[index]
+    del index
+    np.cumsum(pos, axis=1, dtype=pos.dtype, out=pos)
     if isinstance(kernel, TorusKernel):
         pos %= kernel.side
     return pos, cum_t
 
 
-def _site_keys(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major key of every position in the bounding box; its corner and spans."""
+def _site_keys(pos: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major key of every position in the bounding box; its corner and spans.
+
+    Keys are int32 when count times the box's key count is below 2 ** 31,
+    so that a row offset of the reduction fits too; int64 otherwise.
+    """
     mins = pos.min(axis=(0, 1))
-    spans = (pos.max(axis=(0, 1)) - mins + 1).astype(np.int64)
-    rel = pos - mins
-    skey = rel[..., 0].astype(np.int64)
+    spans = pos.max(axis=(0, 1)).astype(np.int64) - mins + 1
+    key_space = count * math.prod(int(s) for s in spans)
+    if key_space >= 1 << 62:
+        raise RuntimeError("site key space overflow; reduce batch size")
+    # int32 sums may wrap on the way, but every key fits, so each ends exact
+    skey = np.subtract(pos[..., 0], mins[0], dtype=np.int32 if key_space < 1 << 31 else np.int64)
     for a in range(1, pos.shape[-1]):
-        skey = skey * spans[a] + rel[..., a]
+        skey *= int(spans[a])
+        skey += pos[..., a]
+        skey -= mins[a]
     return skey, mins, spans
 
 
@@ -220,11 +244,9 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     """
     k, whole = len(starts), tuple(range(len(starts)))
     pos, cum_t = _draw(kernel, starts, float(t_grid[-1]), count, rng)
-    skey, mins, spans = _site_keys(pos)
+    skey, mins, spans = _site_keys(pos, count)
     del pos
     max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
-    if count * math.prod(int(s) for s in spans) >= 1 << 62:
-        raise RuntimeError("site key space overflow; reduce batch size")
     reduced = {}
     for walkers, weighted in sorted(subsets.items(), key=lambda item: item[0] == whole):
         if walkers == whole:
@@ -272,11 +294,11 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
         death = _death_times(cum_t, skey, k, float(t_grid[-1]))
         particles = (death[:, None] > t_grid).reshape(count, k, n_grid).sum(axis=1)
         held[:, 1:] &= cum_t[:, :-1] < death[:, None]
-    skey += (np.arange(rows, dtype=np.int64) // k * n_keys)[:, None]
+    skey += (np.arange(rows, dtype=skey.dtype) // k * n_keys)[:, None]
     uniq, inverse = _pair_ids(skey[:, :m][held], count * n_keys)
     del skey
     n_pairs = uniq.size
-    replica_of = uniq // n_keys
+    replica_of = np.floor_divide(uniq, n_keys, dtype=np.intp)
     first_held = first[held]
 
     pair_first = np.full(n_pairs, n_grid, dtype=first_held.dtype)
@@ -306,24 +328,30 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
 
     # hold of every held interval up to its first grid time, deposited there;
     # held intervals are a prefix of every row, so flattened, each arrives
-    # when the one before it ends, or at time 0 at the start of a row
+    # when the one before it ends, or at time 0 at the start of a row; the
+    # holds are computed in place at the head of the deposits, so no hold or
+    # arrival array adds to the reduction's peak memory
     n_held = np.count_nonzero(held, axis=1)
     row_start = np.cumsum(n_held) - n_held
-    nexts = cum_t[held]
-    arrivals = np.concatenate([[0.0], nexts[:-1]])
-    arrivals[row_start] = 0.0
-    hold = np.minimum(nexts, t_grid[first_held]) - arrivals
-    del nexts, arrivals
     # the interval that runs across grid time j - 1 adds its hold up to time j
     kept = across < n_held[:, None]
     step = np.minimum(np.take_along_axis(cum_t, across, axis=1), t_grid[1:]) - t_grid[:-1]
+    deposit = np.empty(first_held.size + np.count_nonzero(kept))
+    hold = deposit[:first_held.size]
+    hold[:] = t_grid[first_held]
+    nexts = cum_t[held]
     del cum_t
+    np.minimum(nexts, hold, out=hold)
+    at_row_start = hold[row_start]
+    hold[1:] -= nexts[:-1]
+    hold[row_start] = at_row_start
+    del nexts, hold
+    deposit[first_held.size:] = step[kept]
     deposit_at = np.concatenate(
         [first_held, np.broadcast_to(np.arange(1, n_grid), across.shape)[kept]]).astype(np.intp)
     deposit_pair = np.concatenate(
         [inverse, inverse[(row_start[:, None] + across)[kept]]])
-    deposit = np.concatenate([hold, step[kept]])
-    del first_held, inverse, hold
+    del first_held, inverse
 
     # l_t table over (grid index, pair), a block of grid indices at a time so
     # that a block holds no more entries than there are held intervals

@@ -182,6 +182,23 @@ class TestNonFiniteGrid:
         assert not out.exists()
 
 
+class TestExactGrid:
+    """``exact`` checks its --t-grid by the rules of an experiment config."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--what", "range", "--nu", "1", "--t-grid", "1,inf"],
+        ["--what", "range", "--nu", "1", "--t-grid", "5,1"],
+        ["--what", "duality", "--t-grid", "1,nan"],
+    ], ids=["range-inf", "range-decreasing", "duality-nan"])
+    def test_bad_grid_exits_2_naming_t_grid(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        code = cli.main(["exact", *argv, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "t_grid" in err
+        assert not out.exists()
+
+
 class TestHeadersReadBack:
     """Every output's ``# key = value`` header lines read back as its config;
     the other header lines take the ``# name: value`` form."""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import biased_voter
-from biased_voter import forward, harness, walks
+from biased_voter import cli, forward, harness, walks
 from biased_voter.cli import EXIT_INVARIANT, main as cli_main
 from biased_voter.exact import exact_dual_value
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
@@ -481,6 +482,28 @@ class TestCLI:
                          "--t-grid", "10:300:8", "--replicas", "3000",
                          "--seed", "11", "--out", str(tmp_path / "s.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("ordering_ok, code", [(True, 0), (False, EXIT_INVARIANT)])
+    def test_sandwich_exit_follows_the_ordering_not_the_bracket(
+            self, tmp_path, monkeypatch, capsys, ordering_ok, code):
+        # the fits of a finite-window miss seen at t <= 1000, bracket false
+        def missed(config):
+            return dataclasses.replace(
+                sandwich_report(config), ordering_ok=ordering_ok, gamma_bracket_ok=False,
+                gamma_estimate=(0.4354, 0.0037), gamma_lower=(0.4099, 0.0100),
+                gamma_upper=(0.4239, 0.0077))
+        monkeypatch.setattr(cli, "sandwich_report", missed)
+        out = tmp_path / "s.csv"
+        assert cli_main(["sandwich", "--disorder", "bernoulli", "--q", "0.5", "--b", "1",
+                         "--t-grid", "5,10", "--replicas", "50", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "# gamma_bracket_ok: 0" in out.read_text()
+        if ordering_ok:
+            assert ("warning: the bound exponents do not bracket" in err
+                    and "estimate 0.4354 +- 0.0037, lower 0.4099 +- 0.0100, "
+                        "upper 0.4239 +- 0.0077" in err)
+        else:
+            assert "invariant violation: bound ordering failed" in err
 
     def test_sandwich_default_observable_in_header(self, tmp_path):
         # the header and hash describe the config the audit ran, so leaving

@@ -1,7 +1,7 @@
 """The walk engine's one-pass reduction and coalescence sweep against the
-loops they replaced, the dual range inside the walker range, its pair-id
-step, its memory footprint, and observables run through their expansion
-against the exact torus oracle."""
+loops they replaced, its narrow draw and site keys, the dual range inside
+the walker range, its pair-id step, its memory footprint, and observables
+run through their expansion against the exact torus oracle."""
 
 import itertools
 import math
@@ -60,7 +60,7 @@ def reference_batch(kernel, t_grid, starts, count, rng, law=None, bias=None):
     t_max = float(t_grid[-1])
     pos, cum_t = walks._draw(kernel, starts, t_max, count, rng)
     rows = pos.shape[0]
-    skey, mins, spans = walks._site_keys(pos)
+    skey, mins, spans = walks._site_keys(pos, count)
     max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
     n_keys = math.prod(int(s) for s in spans)
     arrivals = np.concatenate([np.zeros((rows, 1)), cum_t], axis=1)
@@ -108,7 +108,7 @@ def coupled_dual_walker_ranges(starts, kernel, t, replicas, rng):
     pos, cum_t = walks._draw(kernel, walks._start_array(kernel, starts), t, replicas, rng)
     arrivals = np.concatenate([np.zeros((len(pos), 1)), cum_t], axis=1)
     k = len(pos) // replicas
-    skey, _, spans = walks._site_keys(pos)
+    skey, _, spans = walks._site_keys(pos, replicas)
     death = walks._death_times(cum_t, skey, k, t)
     n_keys = math.prod(int(s) for s in spans)
     keys = skey + (np.arange(len(pos)) // k * n_keys)[:, None]   # replica-major (replica, site)
@@ -223,7 +223,7 @@ def sweep_cases(draw):
 def test_death_times_match_per_jump_sweep(case):
     kernel, starts, count, seed, t_max = case
     pos, cum_t = walks._draw(kernel, starts, t_max, count, rng_for(seed))
-    skey = walks._site_keys(pos)[0]
+    skey = walks._site_keys(pos, count)[0]
     k = len(starts)
     assert np.array_equal(walks._death_times(cum_t, skey, k, t_max),
                           reference_death_times(cum_t, skey, k, t_max))
@@ -249,16 +249,114 @@ def test_wide_boxes_take_the_sorted_pair_ids():
         starts = walks._start_array(kernel, None)
         count = walks.BATCH_SIZE
         pos, cum_t = walks._draw(kernel, starts, 1000.0, count, rng_for(5))
-        _, _, spans = walks._site_keys(pos)
+        _, _, spans = walks._site_keys(pos, count)
         # held intervals are at most one per drawn position
         assert count * math.prod(int(s) for s in spans) > pos.shape[0] * pos.shape[1]
+
+
+def searchsorted_draw(kernel, starts, t_max, count, rng):
+    """Positions and jump times from float uniforms searched on the cumulative
+    weights, an int64 gather of the displacements and a cumsum."""
+    disp, cum = kernel.sampling_arrays()
+    rows, d = count * len(starts), kernel.dim
+    m0 = max(4, int(t_max + 6.0 * math.sqrt(t_max + 1.0) + 16.0))
+    cum_t = np.cumsum(rng.exponential(size=(rows, m0)), axis=1)
+    while cum_t[:, -1].min() <= t_max:
+        extra = np.cumsum(rng.exponential(size=(rows, 64)), axis=1)
+        cum_t = np.hstack([cum_t, cum_t[:, -1:] + extra])
+    idx = np.searchsorted(cum, rng.random(cum_t.shape))
+    pos = np.concatenate(
+        [np.zeros((rows, 1, d), dtype=np.int64), np.cumsum(disp[idx], axis=1)], axis=1)
+    pos += np.tile(starts, (count, 1))[:, None, :]
+    if isinstance(kernel, TorusKernel):
+        pos %= kernel.side
+    return pos, cum_t
+
+
+@pytest.mark.parametrize("kernel", [NN1, NN2, make_nn_kernel(3), fold_to_torus(NN2, 5)],
+                         ids=["nn1", "nn2", "nn3", "nn2-torus5"])
+def test_equal_weights_draw_each_displacement_at_rate_one_over_n(kernel):
+    disp, _ = kernel.sampling_arrays()
+    pos, cum_t = walks._draw(kernel, walks._start_array(kernel, None), 50.0, 400, rng_for(6))
+    assert pos.dtype == np.int32
+    steps = np.diff(pos, axis=1).reshape(-1, kernel.dim)
+    if isinstance(kernel, TorusKernel):
+        steps %= kernel.side
+    counts = [np.count_nonzero((steps == x).all(axis=1)) for x in disp]
+    assert sum(counts) == steps.shape[0]
+    p = 1.0 / len(disp)
+    sigma = math.sqrt(p * (1.0 - p) / steps.shape[0])
+    assert all(abs(c / steps.shape[0] - p) < 4.0 * sigma for c in counts), counts
+
+
+@pytest.mark.parametrize("kernel", [POWER, TORUS5], ids=["power", "torus5"])
+def test_unequal_weights_draw_the_searchsorted_positions(kernel):
+    starts = walks._start_array(kernel, [(0,), (3,), (-1,)])
+    pos, cum_t = walks._draw(kernel, starts, 40.0, 50, rng_for(7))
+    want_pos, want_t = searchsorted_draw(kernel, starts, 40.0, 50, rng_for(7))
+    np.testing.assert_array_equal(cum_t, want_t)
+    np.testing.assert_array_equal(pos, want_pos)
+
+
+def test_start_near_int32_limit_takes_int64_positions():
+    # positions that may pass 2 ** 31 - 1 are drawn in int64, on the stream of
+    # the same walk from the origin; their keys stay int32 and the batch is the
+    # origin's shifted
+    far = walks._start_array(NN1, [(2 ** 31 - 8,)])
+    near = walks._start_array(NN1, None)
+    pos, cum_t = walks._draw(NN1, far, 30.0, 4, rng_for(8))
+    origin, origin_t = walks._draw(NN1, near, 30.0, 4, rng_for(8))
+    assert pos.dtype == np.int64 and origin.dtype == np.int32
+    np.testing.assert_array_equal(cum_t, origin_t)
+    np.testing.assert_array_equal(pos, origin.astype(np.int64) + (2 ** 31 - 8))
+    assert pos.max() > 2 ** 31 - 1
+    grid, law = np.array([5.0, 30.0]), bernoulli_law(0.5, 1.0)
+    far_out, near_out = (walks._simulate_batch(NN1, grid, s, 4, rng_for(8), law, None,
+                                               {(0,): True})[0][(0,)] for s in (far, near))
+    np.testing.assert_array_equal(far_out[0], near_out[0])
+    np.testing.assert_array_equal(far_out[2], near_out[2])
+
+
+@pytest.mark.parametrize("lo, span, count, dtype", [
+    ((-3, 5), (7, 9), 10, np.int32),                 # a small box
+    ((2 ** 31 - 20, 0), (40, 3), 10, np.int32),      # int64 positions, a small box
+    ((0, 0), (2 ** 16, 2 ** 15), 1, np.int64),       # count * keys reaches 2 ** 31
+], ids=["small-box", "int64-positions", "int64-keys"])
+def test_site_keys_are_row_major_in_the_narrowest_dtype(lo, span, count, dtype):
+    rng = np.random.default_rng(9)
+    pos = np.stack([rng.integers(a, a + n, size=(count, 6)) for a, n in zip(lo, span)], axis=-1)
+    pos[0, 0], pos[-1, -1] = lo, np.add(lo, span) - 1    # the box's corners are visited
+    pos = pos.astype(np.int32 if pos.max() < 2 ** 31 else np.int64)
+    skey, mins, spans = walks._site_keys(pos, count)
+    assert skey.dtype == dtype
+    np.testing.assert_array_equal(spans, span)
+    np.testing.assert_array_equal(
+        skey, np.ravel_multi_index(tuple(np.moveaxis(pos - mins, -1, 0)), spans))
+
+
+def test_draw_peak_memory():
+    """The traced peak of drawing a 2048-walker nn batch to t = 1000 stays below
+    2.5 x (rows x m x 8 bytes): 4.0 x with float uniforms searched into int64
+    indices and gathered, 2.0 x with uint8 indices and int32 positions, where the
+    exponential clock and its cumsum set the peak."""
+    starts = walks._start_array(NN1, None)
+    rows, m = walks._draw(NN1, starts, SANDWICH_GRID[-1], walks.BATCH_SIZE, rng_for(3))[1].shape
+    tracemalloc.start()
+    try:
+        walks._draw(NN1, starts, SANDWICH_GRID[-1], walks.BATCH_SIZE, rng_for(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows * m * 8
 
 
 def test_annealed_batch_peak_memory():
     """The traced peak of a 2048-walker annealed batch to t = 1000 stays below
     8 x (rows x m x 8 bytes), m the drawn jumps per walker: 11.2 x with the
     per-grid-time loop, 5.5 x with the one-pass reduction for one walker per
-    replica, and 4.1 x for k = 3 and k = 8 with the chunked coalescence sweep."""
+    replica, and 4.1 x for k = 3 and k = 8 with the chunked coalescence sweep;
+    4.8 x and 3.6 x with int32 positions and keys and the holds computed in
+    place among the deposits."""
     law = bernoulli_law(0.5, 1.0)
     for k in (1, 3, 8):
         starts = walks._start_array(NN1, [(2 * i,) for i in range(k)])
