@@ -38,4 +38,4 @@ fwd_mean, fwd_se = forward_relaxation(site_indicator(0), field, tk, [t],
 dual = dual_curve([(0,)], tk, [t], replicas, seed=2, bias=field)
 print(f"exact value              : {target:.6f}")
 print(f"forward Monte Carlo      : {fwd_mean[0]:.6f} +- {fwd_se[0]:.6f}")
-print(f"weighted dual Monte Carlo: {dual.mean[0]:.6f} +- {dual.stderr[0]:.6f}")
+print(f"weighted dual Monte Carlo: {dual.weight_mean[0]:.6f} +- {dual.weight_stderr[0]:.6f}")

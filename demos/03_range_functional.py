@@ -22,8 +22,8 @@ times = (5.0, 20.0, 50.0)
 curve = mc_range_functional(kernel, nu, times, 200_000, seed=5)
 exact_vals = exact_range_functional_curve_1d(nu, times, 120)
 for j, t in enumerate(times):
-    print(f"t={t:5.0f}: MC {curve.mean[j]:.6e} +- {curve.stderr[j]:.1e}   "
-          f"exact {exact_vals[j]:.6e}   mean range {curve.mean_range[j]:.1f}")
+    print(f"t={t:5.0f}: MC {curve.exp_means[nu][j]:.6e} +- {curve.exp_stderrs[nu][j]:.1e}   "
+          f"exact {exact_vals[j]:.6e}   mean range {curve.range_mean[j]:.1f}")
 
 print("\n== large times: exact solver only ==")
 ts = np.geomspace(100.0, 2000.0, 13)

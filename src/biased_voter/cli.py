@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
+from .harness import (_POWER_KEYS, CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
                       build_config, check_t_grid, fit_stretch_exponent, make_kernel,
                       parse_t_grid, parse_window, read_config_items, read_curve_csv,
                       read_keys, run, sandwich_report, write_records_csv,
@@ -47,7 +47,7 @@ _FLAG_OPTIONS = {
     "disorder": dict(choices=("bernoulli", "deterministic", "table")),
     "atoms": dict(help="table disorder: 'b:p, b:p, ...'"),
     "observable": dict(help="'site <coords>' or 'file <path>'"),
-    "sites": dict(help="start set, e.g. '0;1' or '0,0;1,0'"),
+    "sites": dict(help="start set A, the observable H(., A), e.g. '0;1' or '0,0;1,0'"),
     "t_grid": dict(help="a:b:n log-spaced, lin:a:b:n, or comma list"),
     "fit_window": dict(help="fit window a:b"),
 }
@@ -150,8 +150,7 @@ _EXACT_FLAGS = {
 def _cmd_exact(args) -> int:
     """Run one oracle; a flag it does not read, set off its default, is a config error."""
     for dest, (oracles, options) in _EXACT_FLAGS.items():
-        reads = args.what in oracles and (args.kernel == "power"
-                                          or dest not in ("alpha", "cutoff"))
+        reads = args.what in oracles and (args.kernel == "power" or dest not in _POWER_KEYS)
         if not reads and getattr(args, dest) != options.get("default"):
             raise ConfigError(f"exact --what {args.what} does not read {_flag(dest)}")
     return (_exact_duality if args.what == "duality" else _exact_range)(args)

@@ -16,17 +16,15 @@ weighted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .disorder import BiasField, DisorderLaw
 from .kernel import TorusKernel
 from .localfn import Site, _normalize_site
 from .stats import InvariantError
-from .walks import walk_curve
+from .walks import WalkCurveStats, walk_curve
 
-__all__ = ["DualSimulation", "DualCurve", "dual_curve"]
+__all__ = ["DualSimulation", "dual_curve"]
 
 _OCCUPATION_TOL = 1e-9
 
@@ -103,36 +101,19 @@ class DualSimulation:
             self.visited.add(y)
 
 
-@dataclass
-class DualCurve:
-    """Per-time estimator output of a batch of dual replicas."""
-
-    t_grid: np.ndarray
-    replicas: int
-    mean: np.ndarray
-    stderr: np.ndarray
-    mean_range: np.ndarray
-    mean_particles: np.ndarray
-    max_abs_position: int
-
-
 def dual_curve(start, kernel, t_grid, replicas: int, seed: int,
                law: DisorderLaw | None = None, bias: BiasField | None = None,
-               threads: int = 1) -> DualCurve:
+               threads: int = 1) -> WalkCurveStats:
     """Annealed (given ``law``) or quenched (given ``bias``) dual estimator on a time grid.
 
     The quenched weight of a path is exp(-accumulated bias integral) for the
     supplied field; the annealed one is the product of per-site Laplace
     transforms of the occupation times. Exactly one of the two is given.
     Runs on the walk engine with one rider per start site, Z^d or torus
-    alike; the start sites must be distinct.
+    alike; the start sites must be distinct. Returns the engine's moments,
+    the estimate being ``weight_mean``.
     """
     if (law is None) == (bias is None):
         raise ValueError("give exactly one of a disorder law (annealed) and a bias field")
-    stats = walk_curve(kernel, t_grid, replicas, seed, law=law, bias=bias, threads=threads,
-                       starts=sorted(_normalize_site(s) for s in start))
-    return DualCurve(
-        t_grid=stats.t_grid, replicas=replicas,
-        mean=stats.weight_mean, stderr=stats.weight_stderr,
-        mean_range=stats.range_mean, mean_particles=stats.particles_mean,
-        max_abs_position=stats.max_abs_position)
+    return walk_curve(kernel, t_grid, replicas, seed, law=law, bias=bias, threads=threads,
+                      starts=sorted(_normalize_site(s) for s in start))

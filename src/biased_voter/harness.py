@@ -1,12 +1,14 @@
 """Experiment orchestration: relaxation curves, bounds, fits, persistence.
 
-An experiment is a ``key = value`` config or an ``ExperimentConfig``; a mode
-that reads ``observable``, given neither it nor ``sites``, gets the origin-
-site indicator written in, so header and hash record what ran. ``run``
-returns its mode's CSV columns. A dual mode estimates f = sum_A fhat(A)
-H(., A) as sum over nonempty A of fhat(A) times the dual expectation from A,
-annealed (law integrated out) or quenched (one lazy field), in one walk over
-one draw where each A's walkers coalesce among themselves (``sites``: one A).
+An experiment is a ``key = value`` config or an ``ExperimentConfig``. The
+``sites`` key is a second spelling of ``observable``: start set A reads as
+the product indicator H(., A). A mode that reads ``observable``, given
+neither, gets the origin-site indicator written in, so header and hash
+record what ran. ``run`` returns its mode's CSV columns. A dual mode
+estimates f = sum_A fhat(A) H(., A) as sum over nonempty A of fhat(A) times
+the dual expectation from A, annealed (law integrated out) or quenched (one
+lazy field), in one walk over one draw where each A's walkers coalesce
+among themselves (a start set is one such A, with coefficient 1).
 ``sandwich`` is the bound audit, run by ``sandwich_report`` on that walk:
 
     upper(t) = Sigma(f) * |support(f)| * E[ exp(-nu1 |R_t|) ]
@@ -37,8 +39,8 @@ import numpy as np
 from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .forward import forward_relaxation
 from .kernel import Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel
-from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone,
-                      parse_localfn_text, sigma_and_support, site_indicator)
+from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn_text,
+                      product_indicator, sigma_and_support, site_indicator)
 from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
 from .walks import walk_curve
 
@@ -91,17 +93,14 @@ class ExperimentConfig:
     cutoff: int = 100
     law: DisorderLaw | None = None
     observable: LocalFunction | None = None
-    sites: tuple[tuple[int, ...], ...] | None = None
     nu: float | None = None
-    lam: float | None = None          # user-supplied eigenvalue for alpha < 2
+    lam: float | None = None          # user-supplied eigenvalue of a power kernel
     threads: int = 1
     fit_window: tuple[float, float] | None = None
     disorder_seed: int | None = None
 
     def __post_init__(self):
-        if self.sites:   # the start set is a set: one order, so one config hash
-            object.__setattr__(self, "sites", tuple(sorted(self.sites)))
-        elif self.observable is None and "observable" in read_keys(self.mode):
+        if self.observable is None and "observable" in read_keys(self.mode):
             object.__setattr__(self, "observable", site_indicator((0,) * self.dim))
 
     def validate(self):
@@ -125,9 +124,6 @@ class ExperimentConfig:
             raise ConfigError(f"mode {self.mode!r} needs a disorder law")
         f = self.observable
         if f is not None:
-            if self.sites:
-                raise ConfigError("a dual run starts from sites or from the observable's "
-                                  "expansion; give one, not both")
             if self.mode != "forward" and not f.support:
                 raise ConfigError("a constant observable has no dual to start")
             if self.mode == "sandwich" and not is_monotone(f):
@@ -313,13 +309,12 @@ class ConfigKey(NamedTuple):
     modes: tuple[str, ...]            # the modes that read it
 
 
-_DUAL = ("dual-quenched", "dual-annealed")
-_LAW = ("forward", *_DUAL, "sandwich")
-_POWER_KEYS = ("alpha", "cutoff")    # read with the power kernel only
+_LAW = ("forward", "dual-quenched", "dual-annealed", "sandwich")
+_POWER_KEYS = ("alpha", "cutoff", "lam")    # read with the power kernel only
 
 # Every config key, in header order. The four law keys set one field, which
-# the header writes as a table law; the observable's header form is its
-# sorted support and truth table.
+# the header writes as a table law; ``observable`` and ``sites`` set one
+# field, which the header writes as the sorted support and truth table.
 KEYS = (
     ConfigKey("mode", "mode", str, str, MODES),
     ConfigKey("dim", "dim", int, str, MODES),
@@ -342,7 +337,8 @@ KEYS = (
               lambda law: ", ".join(f"{b!r}:{p!r}" for b, p in law.atoms), _LAW),
     ConfigKey("observable", "observable", _parse_observable,
               lambda f: f"{_sites_text(f.support)}|{_floats(f.table)}", _LAW),
-    ConfigKey("sites", "sites", parse_sites, _sites_text, _DUAL),
+    ConfigKey("sites", "observable", lambda text: product_indicator(parse_sites(text)), None,
+              _LAW),
 )
 CONFIG_KEYS = tuple(k.name for k in KEYS)
 _KEY = {k.name: k for k in KEYS}
@@ -385,6 +381,9 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
     for key in ("mode", "t_grid", "replicas"):
         if key not in items:
             raise ConfigError(f"{name}: missing required key {key!r}")
+    if "sites" in items and "observable" in items:
+        raise ConfigError(f"{items['sites'][1]}, {items['observable'][1]}: 'sites' and "
+                          "'observable' both set the observable; give one")
     values = {}
     for key, (text, origin) in items.items():
         try:
@@ -425,14 +424,10 @@ def _run_forward(config: ExperimentConfig) -> tuple[dict, None]:
 def _dual_walk(config: ExperimentConfig, exponents=()):
     """One walk over the observable's expansion: one lazy field, or the law.
 
-    The expansion is the start set with coefficient 1 when ``sites`` is
-    given, else every nonempty A with fhat(A) != 0.
+    The expansion is every nonempty A with fhat(A) != 0; that of a start
+    set A is A alone.
     """
-    if config.sites:
-        starts = {config.sites: 1.0}
-    else:
-        starts = {tuple(sorted(A)): c for A, c in hat_coeffs(config.observable).items()
-                  if A and c != 0.0}
+    starts = {tuple(sorted(A)): c for A, c in hat_coeffs(config.observable).items() if A}
     dseed = config.seed if config.disorder_seed is None else config.disorder_seed
     disorder = ({"bias": LazyBiasField(config.law, dseed)} if config.mode == "dual-quenched"
                 else {"law": config.law})
@@ -441,14 +436,15 @@ def _dual_walk(config: ExperimentConfig, exponents=()):
 
 
 def _run_range(config: ExperimentConfig) -> tuple[dict, int]:
-    curve = mc_range_functional(config.build_kernel(), config.nu, config.t_grid,
+    stats = mc_range_functional(config.build_kernel(), config.nu, config.t_grid,
                                 config.replicas, config.seed, threads=config.threads)
-    slopes = dict(effective_exponent([(t, m) for t, m in zip(config.t_grid, curve.mean)
+    mean = stats.exp_means[config.nu]
+    slopes = dict(effective_exponent([(t, m) for t, m in zip(config.t_grid, mean)
                                       if t > 0.0 and 0.0 < m < 1.0]))
-    return (dict(t=config.t_grid, mean=curve.mean, stderr=curve.stderr,
-                 mean_range=curve.mean_range,
+    return (dict(t=config.t_grid, mean=mean, stderr=stats.exp_stderrs[config.nu],
+                 mean_range=stats.range_mean,
                  local_exponent=[slopes.get(t) for t in config.t_grid]),
-            curve.max_abs_position)
+            stats.max_abs_position)
 
 
 def run(config: ExperimentConfig) -> tuple[dict, int | None]:
@@ -590,8 +586,8 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
         bracket = (g_est[0] + g_est[1] >= lo_g[0] - lo_g[1]) and \
                   (g_est[0] - g_est[1] <= hi_g[0] + hi_g[1])
 
-    lam = config.lam
-    if lam is None and config.kernel_name == "nn" and 1 <= config.dim <= 3:
+    lam = config.lam     # read with the power kernel only: nn has closed forms
+    if config.kernel_name == "nn" and 1 <= config.dim <= 3:
         lam = lambda_nn(config.dim)
     constants = {
         "nu1": n1, "nu2": n2, "m1": math.exp(-n1),

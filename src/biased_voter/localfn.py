@@ -24,6 +24,7 @@ __all__ = [
     "lemma2_verify",
     "gap",
     "site_indicator",
+    "product_indicator",
     "parse_localfn_text",
     "format_localfn_text",
 ]
@@ -143,6 +144,16 @@ def site_indicator(site) -> LocalFunction:
     return LocalFunction([_normalize_site(site)], [0.0, 1.0])
 
 
+def product_indicator(sites) -> LocalFunction:
+    """The observable H(., A) for a start set A of distinct sites, in any order."""
+    sites = sorted(_normalize_site(s) for s in sites)
+    if len(sites) > MAX_SUPPORT:
+        raise ValueError(f"support larger than {MAX_SUPPORT} sites")
+    table = np.zeros(1 << len(sites))
+    table[-1] = 1.0
+    return LocalFunction(sites, table)
+
+
 def eval_H(opinions, sites) -> int:
     """Product indicator: 1 iff the configuration is 1 on every listed site.
 
@@ -156,19 +167,17 @@ def eval_H(opinions, sites) -> int:
 
 
 def hat_coeffs(f: LocalFunction) -> dict[frozenset, float]:
-    """Expansion coefficients of f over the product indicators.
+    """The nonzero expansion coefficients of f over the product indicators.
 
     fhat(A) = sum_{B subset A} (-1)^{|A - B|} f(1_B), obtained by Mobius
     inversion over the subset lattice of the support; the reconstruction
-    sum_A fhat(A) H(eta, A) = f(eta) is exact for every restriction.
+    sum_A fhat(A) H(eta, A) = f(eta) is exact for every restriction. A set
+    A missing from the result has fhat(A) = 0, so H(., A) is one term.
     """
     n = f.n_sites
     coeffs = _subset_sums(f.table, n, inverse=True)
-    out = {}
-    for mask in range(1 << n):
-        sites = frozenset(f.support[i] for i in range(n) if mask & (1 << i))
-        out[sites] = float(coeffs[mask])
-    return out
+    return {frozenset(f.support[i] for i in range(n) if mask >> i & 1): float(coeffs[mask])
+            for mask in np.flatnonzero(coeffs).tolist()}
 
 
 def sigma_and_support(f: LocalFunction) -> tuple[float, frozenset]:
@@ -180,15 +189,12 @@ def sigma_and_support(f: LocalFunction) -> tuple[float, frozenset]:
 def is_monotone(f: LocalFunction) -> bool:
     """True iff raising any single site never lowers the value.
 
-    Single-site raises suffice by transitivity of the coordinatewise order.
+    Single-site raises suffice by transitivity of the coordinatewise order;
+    each site is one axis of the (2,)*n cube of the table.
     """
-    n = f.n_sites
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if not mask & bit and f.table[mask | bit] < f.table[mask]:
-                return False
-    return True
+    cube = f.table.reshape((2,) * f.n_sites)
+    return not any(np.any(np.take(cube, 1, axis=ax) < np.take(cube, 0, axis=ax))
+                   for ax in range(f.n_sites))
 
 
 def lemma1_check(f: LocalFunction) -> bool:

@@ -15,15 +15,13 @@ the instrument for large t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import Kernel
-from .walks import walk_curve
+from .walks import WalkCurveStats, walk_curve
 
 __all__ = [
-    "RangeCurve",
     "lambda_nn",
     "dv_constant",
     "mc_range_functional",
@@ -58,36 +56,18 @@ def dv_constant(d: int, alpha: float, lam: float, nu: float) -> float:
     return (d + alpha) * ((lam / d) ** d * (nu / alpha) ** alpha) ** (1.0 / (d + alpha))
 
 
-@dataclass
-class RangeCurve:
-    t_grid: np.ndarray
-    mean: np.ndarray        # E exp(-nu |R_t|)
-    stderr: np.ndarray
-    mean_range: np.ndarray  # E |R_t|
-    range_stderr: np.ndarray
-    replicas: int
-    max_abs_position: int
-
-
 def mc_range_functional(kernel: Kernel, nu: float, t_grid, replicas: int,
-                        seed: int, threads: int = 1) -> RangeCurve:
+                        seed: int, threads: int = 1) -> WalkCurveStats:
     """Plain Monte Carlo of exp(-nu |R_t|) along single-walk paths.
 
-    Unbiased at any t, but the relative error grows quickly with t; keep
-    the grid at moderate times and use the exact 1-d solver beyond.
+    Returns the walk engine's moments: ``exp_means[nu]`` is E exp(-nu |R_t|)
+    and ``range_mean`` is E |R_t|. Unbiased at any t, but the relative error
+    grows quickly with t; keep the grid at moderate times and use the exact
+    1-d solver beyond.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    stats = walk_curve(kernel, t_grid, replicas, seed, exponents=(nu,),
-                       threads=threads)
-    return RangeCurve(
-        t_grid=stats.t_grid,
-        mean=stats.exp_means[nu],
-        stderr=stats.exp_stderrs[nu],
-        mean_range=stats.range_mean,
-        range_stderr=stats.range_stderr,
-        replicas=replicas,
-        max_abs_position=stats.max_abs_position)
+    return walk_curve(kernel, t_grid, replicas, seed, exponents=(nu,), threads=threads)
 
 
 def effective_exponent(series) -> list[tuple[float, float]]:

@@ -77,7 +77,7 @@ def test_criterion_02_monte_carlo_vs_exact():
     for t in times:
         target = exact_dual_value([(0,)], beta, tk, t)
         curve = dual_curve([(0,)], tk, [t], replicas, 204, bias=field)
-        assert abs(curve.mean[0] - target) < 4 * curve.stderr[0], f"dual at t={t}"
+        assert abs(curve.weight_mean[0] - target) < 4 * curve.weight_stderr[0], f"dual at t={t}"
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     report(2, f"forward and dual within 4 stderr of the exact semigroup at "
@@ -99,8 +99,8 @@ def test_criterion_03_constant_bias_closed_form():
         target = math.exp(-b * t)
         for curve in (dual_curve([(0,)], NN1, [t], 500, 301, bias=Constant()),
                       dual_curve([(0,)], NN1, [t], 500, 302, law=deterministic_law(b))):
-            assert abs(curve.mean[0] - target) <= 1e-12
-            assert curve.stderr[0] <= 1e-12
+            assert abs(curve.weight_mean[0] - target) <= 1e-12
+            assert curve.weight_stderr[0] <= 1e-12
     report(3, "quenched and annealed estimators return exp(-bt) with zero "
               "sample variance for constant bias")
 
@@ -128,8 +128,8 @@ def test_criterion_05_range_exact_vs_monte_carlo():
         curve = mc_range_functional(NN1, nu, times, 1_000_000, seed=seed)
         exact_vals = exact_range_functional_curve_1d(nu, times, 120)
         for j, t in enumerate(times):
-            gap_j = abs(curve.mean[j] - exact_vals[j])
-            assert gap_j < 4 * curve.stderr[j], (nu, t)
+            gap_j = abs(curve.exp_means[nu][j] - exact_vals[j])
+            assert gap_j < 4 * curve.exp_stderrs[nu][j], (nu, t)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     report(5, f"Monte Carlo matches the exact range functional within 4 sigma "

@@ -25,7 +25,7 @@ def rng_for(*key):
 def dual_at(start, kernel, t, replicas, seed, **disorder):
     """Mean and stderr of the dual weight at one time."""
     curve = dual_curve(start, kernel, [t], replicas, seed, **disorder)
-    return float(curve.mean[0]), float(curve.stderr[0])
+    return float(curve.weight_mean[0]), float(curve.weight_stderr[0])
 
 
 def advanced(start, kernel, t, rng):
@@ -94,7 +94,7 @@ class TestDualEvolve:
         # (the batched riders of dual_curve: the event loop is too slow here)
         t, n = 1000.0, 10_000
         curve = dual_curve([(0,), (1,)], NN1, [t], n, 8, law=deterministic_law(0.0))
-        p = 2.0 - float(curve.mean_particles[0])
+        p = 2.0 - float(curve.particles_mean[0])
         exact = coalescence_probability(t)
         se = math.sqrt(exact * (1 - exact) / n)
         assert p > 0.9
@@ -161,8 +161,8 @@ class TestAnnealed:
         # slow path (two particles): weight is exp(-b * total occupation)
         b, t = 0.6, 2.0
         curve = dual_curve([(0,), (4,)], NN1, [t], 500, 18, law=deterministic_law(b))
-        assert curve.mean_particles[0] <= 2.0
-        assert 0.0 < curve.mean[0] < 1.0
+        assert curve.particles_mean[0] <= 2.0
+        assert 0.0 < curve.weight_mean[0] < 1.0
 
     @pytest.mark.slow
     def test_annealed_equals_average_of_quenched(self):
@@ -208,7 +208,7 @@ class TestWalkersAndCoupling:
 
     def test_time_zero_counts_starts(self):
         curve = dual_curve([(0,), (5,), (9,)], NN1, [0.0], 10, 24, law=deterministic_law(0.0))
-        assert curve.mean_range[0] == 3.0
+        assert curve.range_mean[0] == 3.0
 
     def test_single_walker_range_reasonable(self):
         stats = walk_curve(NN1, [50.0], 10, 25)
@@ -224,10 +224,10 @@ class TestDualCurve:
     def test_curve_shapes_and_particle_means(self):
         law = bernoulli_law(0.5, 1.0)
         curve = dual_curve([(0,), (1,)], NN1, [0.5, 2.0, 8.0], 400, 28, law=law)
-        assert curve.mean.shape == (3,)
-        assert np.all(np.diff(curve.mean_range) >= 0)
-        assert np.all(curve.mean_particles <= 2.0)
-        assert np.all(curve.mean_particles >= 1.0)
+        assert curve.weight_mean.shape == (3,)
+        assert np.all(np.diff(curve.range_mean) >= 0)
+        assert np.all(curve.particles_mean <= 2.0)
+        assert np.all(curve.particles_mean >= 1.0)
         assert curve.max_abs_position >= 1
 
     def test_quenched_requires_bias(self):
@@ -251,7 +251,7 @@ class TestDualCurve:
             for j, t in enumerate(ts):
                 sim.advance_to(t)
                 ranges[r, j], particles[r, j] = len(sim.visited), len(sim.particles)
-        for ref, got in ((ranges, curve.mean_range), (particles, curve.mean_particles)):
+        for ref, got in ((ranges, curve.range_mean), (particles, curve.particles_mean)):
             # the batched run has n / batched times the reference's variance
             se = ref.std(axis=0, ddof=1) * math.sqrt(1 / n + 1 / batched)
             assert np.all(np.abs(ref.mean(axis=0) - got) < 4 * se)
@@ -260,9 +260,9 @@ class TestDualCurve:
         law = bernoulli_law(0.5, 1.0)
         a = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, law=law)
         b = dual_curve([(0,), (2,)], NN1, [1.0, 4.0], 600, 29, law=law, threads=3)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.stderr, b.stderr)
-        assert np.array_equal(a.mean_range, b.mean_range)
+        assert np.array_equal(a.weight_mean, b.weight_mean)
+        assert np.array_equal(a.weight_stderr, b.weight_stderr)
+        assert np.array_equal(a.range_mean, b.range_mean)
 
 
 class TestRidersAgainstExact:
@@ -286,7 +286,7 @@ class TestRidersAgainstExact:
         curve = dual_curve(start, tk, self.TIMES, 40_000, 31, bias=field)
         for j, t in enumerate(self.TIMES):
             target = exact_dual_value(start, beta, tk, t)
-            assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], f"t={t}"
+            assert abs(curve.weight_mean[j] - target) < 4 * curve.weight_stderr[j], f"t={t}"
 
     def test_annealed_matches_exact_field_average(self):
         tk = fold_to_torus(NN1, self.SIDE)
@@ -299,16 +299,16 @@ class TestRidersAgainstExact:
                 beta = np.array([law.atoms[i][0] for i in bits])
                 weight = np.prod([law.atoms[i][1] for i in bits])
                 target += weight * exact_dual_value(start, beta, tk, t)
-            assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], f"t={t}"
+            assert abs(curve.weight_mean[j] - target) < 4 * curve.weight_stderr[j], f"t={t}"
 
     def test_particles_coalesce_on_the_torus(self):
         tk = fold_to_torus(NN1, self.SIDE)
         curve = dual_curve([(0,), (1,), (3,)], tk, [0.0, 1.0, 50.0], 500, 33,
                            law=deterministic_law(0.0))
-        assert curve.mean_particles[0] == 3.0
-        assert curve.mean_particles[1] < 3.0
-        assert curve.mean_particles[2] == 1.0
-        assert np.array_equal(curve.mean, np.ones(3))
+        assert curve.particles_mean[0] == 3.0
+        assert curve.particles_mean[1] < 3.0
+        assert curve.particles_mean[2] == 1.0
+        assert np.array_equal(curve.weight_mean, np.ones(3))
 
     def test_starts_colliding_on_the_torus_rejected(self):
         tk = fold_to_torus(NN1, self.SIDE)

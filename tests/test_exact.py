@@ -213,7 +213,7 @@ class TestRangeFunctional:
         ts = [1.0, 10.0, 100.0]
         curve = mc_range_functional(NN1, 1.0, ts, 20_000, seed=12)
         exact = _mean_range_1d(np.array(ts))
-        assert np.all(np.abs(curve.mean_range - exact) <= 4.0 * curve.range_stderr)
+        assert np.all(np.abs(curve.range_mean - exact) <= 4.0 * curve.range_stderr)
 
     def test_donsker_varadhan_approach(self):
         # -log F / t^(1/3) climbs toward the rate constant c(1) = 3.2175

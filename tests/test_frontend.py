@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from biased_voter import cli
 from biased_voter.disorder import bernoulli_law
-from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash, parse_config_text,
-                                  read_keys)
-from biased_voter.localfn import site_indicator
+from biased_voter.harness import (MODES, ConfigError, ExperimentConfig, config_hash,
+                                  parse_config_text, read_keys)
 
 QUENCHED_FILE = """
 sites = 0
@@ -136,30 +135,43 @@ class TestLawKeys:
         assert f"{origin}: " in err and f"does not read {key!r}" in err
 
 
-class TestSitesWithObservable:
-    def test_sandwich_has_no_sites_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sandwich", "--disorder", "bernoulli", "--q", "0.5", "--b", "1",
-                      "--t-grid", "10:100:5", "--replicas", "50", "--sites", "5",
-                      "--out", str(tmp_path / "s.csv")])
-        assert exc.value.code == 2
+LAW_FLAGS = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1", "--replicas", "20"]
+
+
+class TestSitesIsAnObservable:
+    """A start set A is the observable H(., A): one run, one config, one hash."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_that_reads_an_observable_reads_sites(self, mode):
+        reads = read_keys(mode)
+        assert ("sites" in reads) == ("observable" in reads)
 
     @pytest.mark.parametrize("mode", ["annealed", "quenched"])
-    def test_annealed_bounds_reject_sites(self, tmp_path, mode):
-        # one rule in both dual modes: start from sites or from the observable
-        config = ExperimentConfig(mode=f"dual-{mode}", t_grid=(1.0, 2.0), replicas=20,
-                                  law=bernoulli_law(0.5, 1.0), observable=site_indicator(0),
-                                  sites=((5,),))
-        with pytest.raises(ConfigError, match="sites"):
-            config.validate()
-        code = cli.main(["simulate-dual", "--mode", mode, "--observable", "site 0",
-                         "--sites", "5", "--disorder", "bernoulli", "--q", "0.5", "--b", "1",
-                         "--t-grid", "1,2", "--replicas", "20",
-                         "--out", str(tmp_path / "d.csv")])
+    @pytest.mark.parametrize("sites, observable", [
+        ("0", "site 0"),
+        ("0;1;3", "0;1;3|0,0,0,0,0,0,0,1"),
+    ], ids=["one-site", "three-sites"])
+    def test_sites_and_its_observable_write_the_same_csv(self, tmp_path, mode, sites,
+                                                         observable):
+        outputs = []
+        for key, value in (("--sites", sites), ("--observable", observable)):
+            out = tmp_path / f"{key[2:]}.csv"
+            code = cli.main(["simulate-dual", "--mode", mode, key, value, "--t-grid", "1,2",
+                             *LAW_FLAGS, "--seed", "3", "--out", str(out)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_sites_with_observable_exits_2_naming_both(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sites = 5\n")
+        out = tmp_path / "d.csv"
+        code = cli.main(["simulate-dual", "--observable", "site 0", "--config", str(cfg),
+                         "--t-grid", "1,2", *LAW_FLAGS, "--out", str(out)])
         assert code == 2
-
-
-LAW_FLAGS = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1", "--replicas", "20"]
+        err = capsys.readouterr().err
+        assert f"{cfg}:1, --observable: 'sites' and 'observable'" in err
+        assert not out.exists()
 
 
 class TestNonFiniteGrid:
@@ -232,11 +244,17 @@ class TestStartSet:
 
     def test_order_of_the_sites_is_not_part_of_the_run(self, tmp_path):
         sorted_out, shuffled_out = self.run_dual(tmp_path, "0;1"), self.run_dual(tmp_path, "1;0")
-        assert header(sorted_out)["sites"] == "0;1"   # sorted input keeps its line, so its hash
         assert shuffled_out.read_bytes() == sorted_out.read_bytes()
-        code_built = ExperimentConfig(mode="dual-quenched", t_grid=(1.0,), replicas=2,
-                                      law=bernoulli_law(0.5, 1.0), sites=((3,), (0,)))
-        assert code_built.sites == ((0,), (3,))
+        assert header(sorted_out)["observable"] == "0;1|0.0,0.0,0.0,1.0"
+
+    def test_start_set_above_the_support_cap_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = cli.main(["simulate-dual", "--sites", ";".join(map(str, range(21))),
+                         "--t-grid", "1,2", *LAW_FLAGS, "--out", str(out)])
+        assert code == 2
+        assert "config error: --sites: bad value for 'sites': support larger than 20 sites" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_site_names_the_flag(self, tmp_path, capsys):
         code = cli.main(["simulate-dual", "--mode", "quenched", "--sites", "0;0;1",
@@ -290,11 +308,11 @@ class TestUnreadKeys:
         (RANGE_ARGS, "L = 5", "L"),
         (DUAL_ARGS, "nu = 1", "nu"),
         ([*DUAL_ARGS, "--mode", "annealed", "--disorder-seed", "3"], "", "disorder_seed"),
-        (["simulate-forward", "--t-grid", "1,2", *LAW_FLAGS], "sites = 0", "sites"),
         ([*RANGE_ARGS, "--alpha", "1.5"], "", "alpha"),
+        (["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--lam", "4.9"], "", "lam"),
         (DUAL_ARGS, "fit_window = 10:100", "fit_window"),
     ], ids=["range-observable", "range-L", "dual-nu", "annealed-disorder-seed",
-            "forward-sites", "nn-alpha", "dual-fit-window"])
+            "nn-alpha", "nn-lam", "dual-fit-window"])
     def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, argv, line, key):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
@@ -367,19 +385,20 @@ def run_descriptions(draw):
             items["atoms"] = f"0:{p!r}, {draw(bias)!r}:{1.0 - p!r}"
     else:
         items["nu"] = repr(draw(st.floats(0.0, 3.0)))
-    observable = "observable" in read_keys(mode) and draw(st.booleans())
-    if observable:
-        items["observable"] = "site " + draw(_site(dim))
-    if command == "simulate-dual":
-        if not observable:
+    if "observable" in read_keys(mode):
+        kind = draw(st.sampled_from([None, "observable", "sites"]))
+        if kind == "observable":
+            items["observable"] = "site " + draw(_site(dim))
+        elif kind == "sites":
             sites = draw(st.lists(_site(dim), min_size=1, max_size=3, unique=True))
             items["sites"] = ";".join(sites)
+    if command == "simulate-dual":
         if mode == "dual-quenched" and draw(st.booleans()):
             items["disorder_seed"] = str(draw(st.integers(0, 2 ** 31)))
     if command == "sandwich" and draw(st.booleans()):
         a = draw(st.floats(0.01, 100.0))
         items["fit_window"] = f"{a!r}:{a * 10!r}"
-    if command == "sandwich" and draw(st.booleans()):
+    if command == "sandwich" and items["kernel"] == "power" and draw(st.booleans()):
         items["lam"] = repr(draw(st.floats(0.01, 5.0)))
     argv = [command] + (["--mode", mode[5:]] if command == "simulate-dual" else [])
     assert set(items) <= flag_keys(command) & set(read_keys(mode, items["kernel"]))

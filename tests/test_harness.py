@@ -21,7 +21,9 @@ from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   write_sandwich_csv)
 from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law
 from biased_voter.dual import dual_curve
-from biased_voter.localfn import LocalFunction, hat_coeffs, parse_localfn_text, site_indicator
+from biased_voter.localfn import (LocalFunction, hat_coeffs, parse_localfn_text,
+                                  product_indicator, site_indicator)
+from biased_voter.rangestats import dv_constant, lambda_nn
 from biased_voter.stats import InvariantError
 
 BERNOULLI_CONFIG = """
@@ -245,14 +247,14 @@ class TestRunPipelines:
             assert abs(mean - exact) < 4 * se, f"t={t}"
 
     def test_dual_quenched_mode(self):
-        cfg = small_config(mode="dual-quenched", replicas=300, observable=None,
-                           sites=((0,),), disorder_seed=5)
+        cfg = small_config(mode="dual-quenched", replicas=300,
+                           observable=product_indicator([(0,)]), disorder_seed=5)
         columns, _ = run(cfg)
         assert all(0.0 < m <= 1.0 for m in columns["mean"])
         assert all(p == 1.0 for p in columns["mean_particles"])
 
     def test_dual_annealed_without_observable_is_plain_estimator(self):
-        cfg = small_config(observable=None, sites=((0,), (1,)), replicas=300)
+        cfg = small_config(observable=product_indicator([(0,), (1,)]), replicas=300)
         columns, _ = run(cfg)
         assert list(columns) == ["t", "mean", "stderr", "mean_range", "mean_particles"]
         assert all(0.0 < m <= 1.0 for m in columns["mean"])
@@ -279,7 +281,7 @@ class TestRunPipelines:
                 if A and c != 0.0:
                     curve = dual_curve(sorted(A), make_nn_kernel(1), [1.0, 4.0, 10.0], 4000,
                                        20 + i, bias=LazyBiasField(bernoulli_law(0.5, 1.0), 9))
-                    ref, var = ref + c * curve.mean, var + (c * curve.stderr) ** 2
+                    ref, var = ref + c * curve.weight_mean, var + (c * curve.weight_stderr) ** 2
             assert np.all(np.abs(mean - ref) < 4 * np.sqrt(var)), name
         assert outputs["or"] != outputs["and"]
 
@@ -328,7 +330,6 @@ class TestSandwichReport:
     def test_theorem_constants_ordering_on_law_grid(self):
         # nu1 < nu2 whenever the law mixes zero and positive bias, so the
         # two rate constants are strictly ordered
-        from biased_voter.rangestats import dv_constant, lambda_nn
         from biased_voter.disorder import nu1, nu2
         lam = lambda_nn(1)
         for q in np.linspace(0.1, 0.9, 5):
@@ -350,10 +351,22 @@ class TestSandwichReport:
             run(small_config(mode="sandwich"))
         with pytest.raises(ConfigError, match="takes a sandwich config"):
             sandwich_report(small_config())
+        power = dict(kernel_name="power", alpha=1.0)
         for key, value in (("lam", 4.9), ("fit_window", (10.0, 100.0))):
             with pytest.raises(ConfigError, match=f"does not read {key!r}"):
-                small_config(**{key: value}).validate()
-            small_config(mode="sandwich", **{key: value}).validate()
+                small_config(**power, **{key: value}).validate()
+            small_config(mode="sandwich", **power, **{key: value}).validate()
+
+    def test_lam_is_read_with_the_power_kernel_only(self):
+        # the nn eigenvalue has a closed form; a power kernel's is the user's
+        with pytest.raises(ConfigError, match="nn kernel does not read 'lam'"):
+            small_config(mode="sandwich", lam=4.9).validate()
+        nn = sandwich_report(small_config(mode="sandwich", replicas=50))
+        assert nn.constants["lambda"] == lambda_nn(1)
+        power = sandwich_report(small_config(mode="sandwich", kernel_name="power", alpha=1.0,
+                                             lam=4.9, replicas=50))
+        assert power.constants["lambda"] == 4.9
+        assert power.constants["c_upper"] == dv_constant(1, 1.0, 4.9, power.constants["nu1"])
 
 
 class TestPersistence:
@@ -409,8 +422,8 @@ class TestPersistence:
         # three riders per replica: 682-replica batches, two full and a ragged tail
         outputs = []
         for threads in (1, 2, 1):
-            cfg = small_config(mode="dual-quenched", observable=None,
-                               sites=((0,), (1,), (3,)), disorder_seed=11,
+            cfg = small_config(mode="dual-quenched",
+                               observable=product_indicator([(0,), (1,), (3,)]), disorder_seed=11,
                                replicas=1500, threads=threads)
             path = tmp_path / f"dual{len(outputs)}.csv"
             columns, max_pos = run(cfg)

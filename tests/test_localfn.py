@@ -49,9 +49,8 @@ class TestEvalH:
 
 class TestHatCoeffs:
     def test_single_site(self):
-        h = hat_coeffs(site_indicator(0))
-        assert h[frozenset()] == 0.0
-        assert h[frozenset({(0,)})] == 1.0
+        # only the nonzero coefficients: fhat(empty) = 0 is left out
+        assert hat_coeffs(site_indicator(0)) == {frozenset({(0,)}): 1.0}
 
     def test_product(self):
         f = LocalFunction([(0,), (1,)], [0.0, 0.0, 0.0, 1.0])

@@ -14,7 +14,8 @@ from biased_voter.exact import (build_forward_generator, duality_gap,
 from biased_voter.harness import (MODES, ExperimentConfig, _header_lines, config_hash,
                                   parse_config_text, read_keys)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
-from biased_voter.localfn import LocalFunction, _subset_sums, hat_coeffs, site_indicator
+from biased_voter.localfn import (LocalFunction, _subset_sums, hat_coeffs, product_indicator,
+                                  site_indicator)
 from biased_voter.stats import Moments
 
 times = st.floats(0.0, 10.0)
@@ -138,7 +139,11 @@ positive = reals(0.01, 1e4)
 
 @st.composite
 def configs(draw):
-    """Valid experiment configs with every optional key its mode reads set or unset."""
+    """Valid experiment configs with every optional key its mode reads set or unset.
+
+    A mode that reads an observable gets none (the default), a monotone
+    weighted sum, or a start set's product indicator, the value of ``sites``.
+    """
     mode = draw(st.sampled_from(MODES))
     kernel_name = draw(st.sampled_from(["nn", "power"]))
     dim = 1 if kernel_name == "power" else draw(st.integers(1, 3))
@@ -158,19 +163,21 @@ def configs(draw):
         probs = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3)))
         biases = draw(st.lists(st.floats(0.0, 4.0), min_size=probs.size, max_size=probs.size))
         keys["law"] = DisorderLaw(atoms=tuple(zip(biases, (probs / probs.sum()).tolist())))
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from([None, "weighted", "sites"]))
+        if kind:
             support = draw(st.lists(site, min_size=1, max_size=3, unique=True))
+        if kind == "weighted":
             weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(support),
                                     max_size=len(support)))
             table = [sum(w for i, w in enumerate(weights) if mask >> i & 1)
                      for mask in range(1 << len(support))]
             keys["observable"] = LocalFunction(support, table)   # monotone and not constant
-    if mode.startswith("dual") and "observable" not in keys:
-        keys["sites"] = draw(st.none() | st.lists(site, min_size=1, max_size=3,
-                                                  unique=True).map(tuple))
+        elif kind == "sites":
+            keys["observable"] = product_indicator(support)
     if mode == "sandwich":
-        keys.update(lam=draw(st.none() | reals(0.01, 5.0)),
-                    fit_window=draw(st.none() | st.tuples(positive, positive)))
+        keys["fit_window"] = draw(st.none() | st.tuples(positive, positive))
+        if kernel_name == "power":
+            keys["lam"] = draw(st.none() | reals(0.01, 5.0))
     if mode == "dual-quenched":
         keys["disorder_seed"] = draw(st.none() | st.integers(0, 2 ** 32))
     return ExperimentConfig(**keys)
@@ -187,17 +194,18 @@ def test_csv_header_reads_back_as_its_config(config):
 @settings(max_examples=60, deadline=None)
 @given(config=configs())
 def test_csv_header_lists_the_keys_its_mode_reads(config):
-    # threads is no part of the result, and the header writes every law as atoms
+    # threads is no part of the result, the header writes every law as atoms
+    # and a start set as its observable
     header = [line[2:].split(" = ")[0] for line in _header_lines(config) if " = " in line]
     reads = read_keys(config.mode, config.kernel_name)
-    assert header == [key for key in reads if key not in ("threads", "q", "b")]
+    assert header == [key for key in reads if key not in ("threads", "q", "b", "sites")]
 
 
 @settings(max_examples=100, deadline=None)
 @given(config=configs())
 def test_default_observable_given_explicitly_keeps_hash(config):
     # one computation, one hash: the origin-site indicator is the default
-    assume("observable" in read_keys(config.mode) and not config.sites)
+    assume("observable" in read_keys(config.mode))
     implicit = replace(config, observable=None)
     explicit = replace(config, observable=site_indicator((0,) * config.dim))
     assert config_hash(implicit) == config_hash(explicit)

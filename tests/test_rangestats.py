@@ -100,27 +100,27 @@ class TestDVConstant:
 class TestMCRangeFunctional:
     def test_time_zero(self):
         curve = mc_range_functional(NN1, 1.0, [0.0], 100, seed=1)
-        assert curve.mean[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert curve.stderr[0] < 1e-15  # identical weights up to rounding
-        assert curve.mean_range[0] == 1.0
+        assert curve.exp_means[1.0][0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert curve.exp_stderrs[1.0][0] < 1e-15  # identical weights up to rounding
+        assert curve.range_mean[0] == 1.0
 
     def test_weight_bounded_by_single_site_value(self):
         curve = mc_range_functional(NN1, 0.8, [2.0, 10.0], 2000, seed=2)
-        assert np.all(curve.mean > 0.0)
-        assert np.all(curve.mean <= math.exp(-0.8) + 1e-12)
+        assert np.all(curve.exp_means[0.8] > 0.0)
+        assert np.all(curve.exp_means[0.8] <= math.exp(-0.8) + 1e-12)
 
     def test_d1_matches_exact_solver(self):
         for nu in (0.5, 1.0):
             curve = mc_range_functional(NN1, nu, [10.0, 50.0], 100_000, seed=3)
             for j, t in enumerate((10.0, 50.0)):
                 target = exact_range_functional_curve_1d(nu, [t], 120)[0]
-                assert abs(curve.mean[j] - target) < 4 * curve.stderr[j], (nu, t)
+                assert abs(curve.exp_means[nu][j] - target) < 4 * curve.exp_stderrs[nu][j], (nu, t)
 
     def test_d2_mean_range_against_pinned_reference(self):
         curve = mc_range_functional(NN2, 1.0, [100.0], 20_000, seed=4)
         run_se = 9.33 / math.sqrt(20_000)
         combined = math.sqrt(run_se ** 2 + PINNED_D2_STDERR ** 2)
-        assert abs(curve.mean_range[0] - PINNED_D2_MEAN_RANGE) < 4 * combined
+        assert abs(curve.range_mean[0] - PINNED_D2_MEAN_RANGE) < 4 * combined
 
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError):
