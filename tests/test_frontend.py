@@ -162,16 +162,25 @@ class TestSitesIsAnObservable:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_sites_with_observable_exits_2_naming_both(self, tmp_path, capsys):
+
+class TestSitesWithObservable:
+    @pytest.mark.parametrize("mode", ["annealed", "quenched"])
+    def test_annealed_bounds_reject_sites(self, tmp_path, capsys, mode):
+        # one rule in both dual modes: start from sites or from the observable
+        with pytest.raises(ConfigError, match="'sites' and 'observable'"):
+            parse_config_text(f"mode = dual-{mode}\nt_grid = 1,2\nreplicas = 20\n"
+                              "observable = site 0\nsites = 5\n")
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sites = 5\n")
         out = tmp_path / "d.csv"
-        code = cli.main(["simulate-dual", "--observable", "site 0", "--config", str(cfg),
-                         "--t-grid", "1,2", *LAW_FLAGS, "--out", str(out)])
+        code = cli.main(["simulate-dual", "--mode", mode, "--observable", "site 0",
+                         "--config", str(cfg), "--t-grid", "1,2", *LAW_FLAGS,
+                         "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"{cfg}:1, --observable: 'sites' and 'observable'" in err
         assert not out.exists()
+
 
 
 class TestNonFiniteGrid:
