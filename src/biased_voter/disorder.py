@@ -97,13 +97,21 @@ def laplace(law: DisorderLaw, u):
     """Laplace transform E[exp(-bias * u)] of a single atom; u may be an array.
 
     Decreasing in u, equal to 1 at u = 0, with limit mass_at_zero as u grows.
+    The atoms are summed in order; a bias-0 atom adds its p, which is
+    p * exp(-0 * u) exactly for finite u.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr < 0):
         raise ValueError("laplace transform argument must be >= 0")
     out = np.zeros_like(u_arr, dtype=np.float64)
     for b, p in law.atoms:
-        out = out + p * np.exp(-b * u_arr)
+        if b == 0.0:
+            out += p
+            continue
+        term = np.multiply(u_arr, -b, out=np.empty_like(u_arr))
+        np.exp(term, out=term)
+        term *= p
+        out += term
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
     return out

@@ -113,9 +113,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative 63-bit integer")
         _check_kernel(self.kernel_name, self.dim, self.alpha)
         reads = read_keys(self.mode, self.kernel_name)
-        defaults = {f.name: f.default for f in fields(self)}
         for key in KEYS:
-            if key.name not in reads and getattr(self, key.field) != defaults[key.field]:
+            if key.name not in reads and getattr(self, key.field) != _DEFAULTS[key.field]:
                 raise ConfigError(f"a {self.mode} run with the {self.kernel_name} kernel "
                                   f"does not read {key.name!r}")
         if self.mode == "range" and (self.nu is None or self.nu < 0):
@@ -152,6 +151,9 @@ class ExperimentConfig:
         reads = read_keys(self.mode, self.kernel_name)
         return [(k.name, "" if getattr(self, k.field) is None else k.write(getattr(self, k.field)))
                 for k in KEYS if k.write and k.name in reads]
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _check_kernel(name: str, dim: int, alpha: float | None):
@@ -370,6 +372,19 @@ def read_config_items(text: str, name: str = "<config>") -> dict[str, tuple[str,
     return items
 
 
+def _reads_as_default(key: str, text: str) -> bool:
+    """Whether ``text`` reads as the default of ``key``'s field. Of the keys
+    that some runs leave unread, only L and cutoff have a default other than
+    None; headers of the earlier form list both for every run."""
+    default = _DEFAULTS[_KEY[key].field]
+    if default is None:
+        return False
+    try:
+        return _KEY[key].read(text) == default
+    except ValueError:
+        return False
+
+
 def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> ExperimentConfig:
     """Cast and validate config items, each a key -> (text value, origin).
 
@@ -381,6 +396,13 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
     for key in ("mode", "t_grid", "replicas"):
         if key not in items:
             raise ConfigError(f"{name}: missing required key {key!r}")
+    mode, kernel = items["mode"][0], items.get("kernel", ("nn",))[0]
+    if mode in MODES and kernel in ("nn", "power"):   # else validate names the bad one
+        reads = read_keys(mode, kernel)
+        for key, (text, origin) in items.items():
+            if key not in reads and not _reads_as_default(key, text):
+                raise ConfigError(f"{origin}: a {mode} run with the {kernel} kernel "
+                                  f"does not read {key!r}")
     if "sites" in items and "observable" in items:
         raise ConfigError(f"{items['sites'][1]}, {items['observable'][1]}: 'sites' and "
                           "'observable' both set the observable; give one")

@@ -93,7 +93,9 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
     """Positions (count * k, m + 1, d) and jump times (count * k, m) of the walkers.
 
     Row r is walker r % k of replica r // k; every row jumps past t_max.
-    Jump times are float64. Positions are int32, or int64 when
+    Jump times are float64, the exponential clock summed in place (its
+    draws are those of ``rng.exponential``, whose scale of 1 multiplies
+    exactly). Positions are int32, or int64 when
     m * max|displacement| + max|start| could reach 2 ** 31. A kernel whose
     weights are all equal draws its displacement indices as uniform
     integers; any other searches its cumulative weights with uniforms.
@@ -104,7 +106,8 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
     n, k = len(disp), len(starts)
     rows = count * k
     m0 = max(4, int(t_max + 6.0 * math.sqrt(t_max + 1.0) + 16.0))
-    cum_t = np.cumsum(rng.exponential(size=(rows, m0)), axis=1)
+    cum_t = rng.standard_exponential((rows, m0))
+    np.cumsum(cum_t, axis=1, out=cum_t)
     while cum_t[:, -1].min() <= t_max:
         extra = np.cumsum(rng.exponential(size=(rows, 64)), axis=1)
         cum_t = np.hstack([cum_t, cum_t[:, -1:] + extra])
@@ -260,6 +263,27 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     return reduced, max_abs
 
 
+def _jumps_before(cum_t: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Per row of ``cum_t``, the count of its jumps, the last drawn one
+    excluded, strictly before each of ``times``: ``np.searchsorted(row[:-1],
+    times, side="left")`` row by row, ``times`` being (q,) for every row or
+    (rows, q). One branchless lower bound over all rows at once, log2(m)
+    gathers of a (rows, q) array."""
+    rows, m = cum_t.shape
+    flat = cum_t.ravel()
+    times = np.broadcast_to(times, (rows, np.shape(times)[-1]))
+    row_at = np.arange(0, rows * m, m)[:, None]
+    at = np.repeat(row_at, times.shape[1], axis=1)
+    n = m - 1
+    while n > 1:   # the count lies in [at, at + n]
+        half = n // 2
+        at += half * (flat[at + half] < times)
+        n -= half
+    at += flat[at] < times
+    at -= row_at
+    return at
+
+
 def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | None, bias):
     """Per-replica range counts, live riders and log path weights at every grid time.
 
@@ -271,12 +295,14 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
     at least mass_at_zero ** |R_t|, and every weight to be at most 1.
 
     Interval c of a walker row is its stay at position c, from the c-th
-    jump (time 0 for the start) to the next one. Each held interval is
-    reduced once: a (replica, site) pair is in the range from the first grid
-    index past any of its arrivals (starts count at index 0), and its local
-    time gets each interval's hold up to that index there, plus one
-    increment per grid time an interval runs across; a cumulative sum over
-    grid indices then gives l_t at every grid time.
+    jump (time 0 for the start) to the next one. One search per row finds
+    a[r, j], row r's jumps before grid time t_j, so that interval a[r, j]
+    runs across t_j, and intervals 0..a[r, j] arrive before it. Each held
+    interval is reduced once: a (replica, site) pair is in the range from
+    the first grid index past any of its arrivals (starts count at index
+    0), and its local time gets each interval's hold up to that index there,
+    plus one increment per grid time an interval runs across; a cumulative
+    sum over grid indices then gives l_t at every grid time.
     """
     cum_t, skey, mins, spans = draw
     draw.clear()
@@ -285,21 +311,27 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
     count = rows // k
     n_keys = math.prod(int(s) for s in spans)
 
-    # first grid index past each interval's arrival; G when it arrives at or after t_max
-    first = np.zeros((rows, m), dtype=np.min_scalar_type(n_grid))
-    first[:, 1:] = np.searchsorted(t_grid, cum_t[:, :-1], side="right")
-    held = first < n_grid
+    a = _jumps_before(cum_t, t_grid)
     particles = None
     if k > 1:   # cut every rider at its death, one of its own walker's jump times
         death = _death_times(cum_t, skey, k, float(t_grid[-1]))
         particles = (death[:, None] > t_grid).reshape(count, k, n_grid).sum(axis=1)
-        held[:, 1:] &= cum_t[:, :-1] < death[:, None]
+        n_held = 1 + _jumps_before(cum_t, np.minimum(death, t_grid[-1])[:, None])[:, 0]
+    else:
+        n_held = a[:, -1] + 1
+    # held intervals are a prefix of every row: those that arrive before t_max
+    # and, for k > 1, before the rider's death
+    held = np.arange(m) < n_held[:, None]
     skey += (np.arange(rows, dtype=skey.dtype) // k * n_keys)[:, None]
     uniq, inverse = _pair_ids(skey[:, :m][held], count * n_keys)
     del skey
     n_pairs = uniq.size
     replica_of = np.floor_divide(uniq, n_keys, dtype=np.intp)
-    first_held = first[held]
+    # first grid index past each held interval's arrival: a[r, j] + 1 of the
+    # row's intervals arrive before t_j, so j is first for the difference
+    first_held = np.repeat(
+        np.tile(np.arange(n_grid, dtype=np.min_scalar_type(n_grid)), rows),
+        np.diff(np.minimum(a + 1, n_held[:, None]), axis=1, prepend=0).ravel())
 
     pair_first = np.full(n_pairs, n_grid, dtype=first_held.dtype)
     np.minimum.at(pair_first, inverse, first_held)
@@ -307,15 +339,6 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
     range_counts = range_counts.reshape(count, n_grid).cumsum(axis=1)
     if law is None and bias is None:
         return range_counts, particles, None
-    # the interval of each row that runs across grid time t_i, i < G - 1, is
-    # the row's count of jumps before t_i; with a row offset, the first grid
-    # indices past the jumps are sorted when flattened, so one search counts all
-    key = np.min_scalar_type(rows * (n_grid + 1))
-    offset = np.arange(rows, dtype=key)[:, None] * (n_grid + 1)
-    across = np.searchsorted(
-        (offset + first[:, 1:]).ravel(), (offset + np.arange(n_grid - 1, dtype=key)).ravel(),
-        side="right").reshape(rows, -1) - np.arange(rows)[:, None] * (m - 1)
-    del first, offset
 
     if bias is not None:
         sites, site_of = np.unique(uniq % n_keys, return_inverse=True)
@@ -326,32 +349,36 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
             beta = bias_values(bias, map(tuple, coords.tolist()))
         beta = beta[site_of.ravel()]
 
-    # hold of every held interval up to its first grid time, deposited there;
-    # held intervals are a prefix of every row, so flattened, each arrives
-    # when the one before it ends, or at time 0 at the start of a row; the
-    # holds are computed in place at the head of the deposits, so no hold or
-    # arrival array adds to the reduction's peak memory
-    n_held = np.count_nonzero(held, axis=1)
+    # hold of every held interval up to its first grid time, deposited there,
+    # then one increment per grid time t_j, j < G - 1, an interval runs across:
+    # its hold from t_j up to t_(j + 1). Flattened, each held interval arrives
+    # when the one before it ends, or at time 0 at the start of a row, so a
+    # hold is a difference of consecutive held jump times, except where an
+    # interval runs across a grid time and ends there instead
+    n_held_all = first_held.size
     row_start = np.cumsum(n_held) - n_held
-    # the interval that runs across grid time j - 1 adds its hold up to time j
-    kept = across < n_held[:, None]
-    step = np.minimum(np.take_along_axis(cum_t, across, axis=1), t_grid[1:]) - t_grid[:-1]
-    deposit = np.empty(first_held.size + np.count_nonzero(kept))
-    hold = deposit[:first_held.size]
-    hold[:] = t_grid[first_held]
+    crossing = a < n_held[:, None]          # held intervals that run across a grid time
+    cross_at = (row_start[:, None] + a)[crossing]
+    kept = crossing[:, :-1]
+    across_at = (row_start[:, None] + a[:, :-1])[kept]
+    to_index = np.broadcast_to(np.arange(1, n_grid), kept.shape)[kept]
     nexts = cum_t[held]
-    del cum_t
-    np.minimum(nexts, hold, out=hold)
-    at_row_start = hold[row_start]
-    hold[1:] -= nexts[:-1]
-    hold[row_start] = at_row_start
-    del nexts, hold
-    deposit[first_held.size:] = step[kept]
-    deposit_at = np.concatenate(
-        [first_held, np.broadcast_to(np.arange(1, n_grid), across.shape)[kept]]).astype(np.intp)
-    deposit_pair = np.concatenate(
-        [inverse, inverse[(row_start[:, None] + across)[kept]]])
-    del first_held, inverse
+    del cum_t, held
+    deposit = np.empty(n_held_all + across_at.size)
+    hold = deposit[:n_held_all]
+    np.subtract(nexts[1:], nexts[:-1], out=hold[1:])
+    hold[row_start] = nexts[row_start]
+    arrival = np.where(a[crossing] == 0, 0.0, nexts[cross_at - 1])
+    hold[cross_at] = np.minimum(nexts[cross_at], t_grid[first_held[cross_at]]) - arrival
+    deposit[n_held_all:] = np.minimum(nexts[across_at], t_grid[to_index]) - t_grid[to_index - 1]
+    del nexts, hold, arrival
+    # each deposit's entry of the (grid index, pair) table
+    deposit_key = np.empty(deposit.size, dtype=np.intp)
+    head = deposit_key[:n_held_all]
+    np.multiply(first_held, n_pairs, out=head, dtype=np.intp)
+    head += inverse
+    deposit_key[n_held_all:] = to_index * n_pairs + inverse[across_at]
+    del first_held, inverse, head
 
     # l_t table over (grid index, pair), a block of grid indices at a time so
     # that a block holds no more entries than there are held intervals
@@ -360,14 +387,23 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
     block = max(1, deposit.size // n_pairs)
     for lo in range(0, n_grid, block):
         hi = min(n_grid, lo + block)
-        sel = slice(None) if block >= n_grid else (deposit_at >= lo) & (deposit_at < hi)
-        table = np.bincount((deposit_at[sel] - lo) * n_pairs + deposit_pair[sel],
-                            weights=deposit[sel], minlength=(hi - lo) * n_pairs)
+        if block >= n_grid:   # the only block: the deposits go with its table
+            index, weights = deposit_key, deposit
+            del deposit_key, deposit
+        else:
+            sel = (deposit_key >= lo * n_pairs) & (deposit_key < hi * n_pairs)
+            index, weights = deposit_key[sel] - lo * n_pairs, deposit[sel]
+        table = np.bincount(index, weights=weights, minlength=(hi - lo) * n_pairs)
+        del index, weights
         table = table.reshape(hi - lo, n_pairs)
         table[0] += lt
         np.cumsum(table, axis=0, out=table)
         lt = table[-1].copy()
-        terms = np.log(laplace(law, table)) if law is not None else -beta * table
+        if law is not None:
+            terms = laplace(law, table)
+            np.log(terms, out=terms)
+        else:
+            terms = -beta * table
         for j in range(lo, hi):
             logw[:, j] = np.bincount(replica_of, weights=terms[j - lo], minlength=count)
     if law is not None and law.mass_at_zero > 0.0:

@@ -67,6 +67,22 @@ class TestLaplace:
         val = laplace(bernoulli_law(0.5, 1.0), 1.0)
         assert val == pytest.approx(0.5 + 0.5 * math.exp(-1.0), rel=1e-14)
 
+    @pytest.mark.parametrize("law", [bernoulli_law(0.3, 1.7), deterministic_law(0.0),
+                                     DisorderLaw(atoms=((0.5, 0.25), (2.0, 0.75))),
+                                     DisorderLaw(atoms=((0.1, 0.2), (0.7, 0.3), (0.0, 0.5)))],
+                             ids=["bernoulli", "all-at-zero", "no-zero-atom", "zero-atom-last"])
+    def test_bit_equal_to_the_atom_sum(self, law):
+        # skipping the exp of a bias-0 atom changes no bit: p * exp(-0 * u) = p
+        u = np.array([0.0, 1e-300, 0.37, 1.0, 25.0, 800.0, 1e6, 1e300])
+        want = np.zeros_like(u)
+        for b, p in law.atoms:
+            want = want + p * np.exp(-b * u)
+        got = laplace(law, u)
+        assert got.dtype == np.float64 and got.shape == u.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        for x, w in zip(u, want):
+            assert laplace(law, float(x)) == w
+
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             laplace(bernoulli_law(0.5, 1.0), -0.1)

@@ -330,6 +330,28 @@ class TestUnreadKeys:
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err
 
+    @pytest.mark.parametrize("argv, line, message", [
+        (RANGE_ARGS, "sites = 0;1",
+         "{cfg}:1: a range run with the nn kernel does not read 'sites'"),
+        (RANGE_ARGS, "q = 0.5", "{cfg}:1: a range run with the nn kernel does not read 'q'"),
+        ([*RANGE_ARGS, "--alpha", "1.5"], "",
+         "--alpha: a range run with the nn kernel does not read 'alpha'"),
+        ([*DUAL_ARGS, "--mode", "annealed", "--disorder-seed", "3"], "",
+         "--disorder-seed: a dual-annealed run with the nn kernel does not read 'disorder_seed'"),
+        (["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--kernel", "power", "--alpha", "1"],
+         "# a comment\nnu = 1",
+         "{cfg}:2: a sandwich run with the power kernel does not read 'nu'"),
+    ], ids=["file-sites", "file-law-key", "flag-alpha", "flag-disorder-seed", "file-power-nu"])
+    def test_unread_key_names_itself_and_its_origin(self, tmp_path, capsys, argv, line,
+                                                    message):
+        # the key that was given, on its line or flag, not the field it would set
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unread_key_of_a_config_built_in_code(self):
         config = ExperimentConfig(mode="range", t_grid=(1.0,), replicas=2, nu=1.0,
                                   law=bernoulli_law(0.5, 1.0))
