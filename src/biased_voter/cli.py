@@ -36,6 +36,7 @@ from .stats import InvariantError
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_INVARIANT = 3
+DUALITY_TOL = 1e-10   # the duality gate's bound on |forward - dual|
 
 
 def _flag(key: str) -> str:
@@ -137,7 +138,6 @@ _EXACT_FLAGS = {
     "cutoff": (("duality",), dict(type=int, default=100)),
     "fields": (("duality",), dict(type=int, default=5, help="number of random bias fields")),
     "t_grid": (("duality", "range"), dict()),
-    "tol": (("duality",), dict(type=float, default=1e-10)),
     "nu": (("range",), dict(type=float)),
     "width_cap": (("range",), dict(type=int, default=400, help=(
         "largest interval length summed exactly; an error names the cap when its "
@@ -168,12 +168,12 @@ def _exact_duality(args) -> int:
         for t in times:
             diff = duality_gap(beta, tk, t)
             worst = max(worst, diff)
-            rows.append((fidx, float(t), diff, diff <= args.tol))
+            rows.append((fidx, float(t), diff, diff <= DUALITY_TOL))
     write_table(args.out, ("field", "t", "max_abs_diff", "pass"), rows)
-    status = "PASS" if worst <= args.tol else "FAIL"
+    status = "PASS" if worst <= DUALITY_TOL else "FAIL"
     print(f"duality gate: {status} (worst |forward - dual| = {worst:.3e}, "
-          f"tolerance {args.tol:g})", file=sys.stderr)
-    return EXIT_OK if worst <= args.tol else EXIT_INVARIANT
+          f"tolerance {DUALITY_TOL:g})", file=sys.stderr)
+    return EXIT_OK if worst <= DUALITY_TOL else EXIT_INVARIANT
 
 
 def _exact_range(args) -> int:

@@ -127,13 +127,11 @@ def _draw_values(law: DisorderLaw, n: int, rng: np.random.Generator) -> np.ndarr
 class BiasField:
     """One realization of the bias: a nonnegative value per site.
 
-    Sites are tuples of ints. ``seed_info`` records how the field was drawn
-    so a run can be reproduced.
+    Sites are tuples of ints.
     """
 
-    def __init__(self, values: dict[tuple[int, ...], float], seed_info=None):
+    def __init__(self, values: dict[tuple[int, ...], float]):
         self.values = dict(values)
-        self.seed_info = seed_info
 
     @property
     def sites(self):
@@ -151,7 +149,7 @@ class LazyBiasField(BiasField):
     """
 
     def __init__(self, law: DisorderLaw, disorder_seed: int):
-        super().__init__({}, seed_info=("lazy", disorder_seed))
+        super().__init__({})
         self.law = law
         self.disorder_seed = int(disorder_seed)
 
@@ -169,9 +167,8 @@ class LazyBiasField(BiasField):
         return val
 
 
-def sample_field(law: DisorderLaw, sites, rng: np.random.Generator,
-                 seed_info=None) -> BiasField:
+def sample_field(law: DisorderLaw, sites, rng: np.random.Generator) -> BiasField:
     """Draw an i.i.d. bias value for each listed site."""
     site_list = [tuple(int(c) for c in s) for s in sites]
     vals = _draw_values(law, len(site_list), rng)
-    return BiasField(dict(zip(site_list, vals.tolist())), seed_info=seed_info)
+    return BiasField(dict(zip(site_list, vals.tolist())))

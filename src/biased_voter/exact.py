@@ -23,7 +23,7 @@ from scipy.special import gammaln, ive, pdtrc, xlogy
 
 from .kernel import TorusKernel, bias_array
 from .localfn import _subset_sums
-from .stats import InvariantError
+from .stats import InvariantError, check_t_grid
 
 __all__ = [
     "MAX_EXACT_SITES",
@@ -226,15 +226,14 @@ def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.nda
     N_n = (n+1-E W) + E(W-n-1)^+ is summed in closed form from E W. The
     neglected remainder r obeys 0 <= r <= (1-q) q^(cap+1) E(J-cap)^+ with
     J ~ Poisson(t) the jump count, since W - 1 <= J; a ValueError is raised
-    when that bound exceeds 1e-12 of F at some grid time.
+    when that bound exceeds 1e-12 of F at some grid time. ``t_grid`` must
+    pass ``stats.check_t_grid``.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if width_cap < 1:
         raise ValueError("width_cap must be at least 1")
-    t_arr = np.asarray(t_grid, dtype=np.float64)
-    if np.any(t_arr < 0):
-        raise ValueError("times must be nonnegative")
+    ts = np.asarray(check_t_grid(t_grid))
     q = np.exp(-nu)
     cap = int(width_cap)
     # one term per interval length n <= cap and odd mode j <= n
@@ -244,7 +243,6 @@ def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.nda
     theta = np.pi * j / (2.0 * n + 2.0)
     coef = (1.0 - q) ** 2 * q ** n * 2.0 / (n + 1.0) / np.tan(theta) ** 2
     rate = 2.0 * np.sin(theta) ** 2
-    ts = t_arr.ravel()
     head = np.array([coef @ np.exp(-t * rate) for t in ts])
     tail = (1.0 - q) * q ** (cap + 1) * (cap + 2.0 + q / (1.0 - q) - _mean_range_1d(ts))
     out = head + tail
@@ -257,4 +255,4 @@ def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.nda
         raise ValueError(
             f"width_cap={cap} too small for t={ts[i]}: the truncation bound "
             f"{bound[i]:.3g} exceeds 1e-12 of the sum {out[i]:.3g}")
-    return out.reshape(t_arr.shape)
+    return out

@@ -25,7 +25,7 @@ import numpy as np
 from .disorder import DisorderLaw, _draw_values
 from .kernel import TorusKernel, bias_array
 from .localfn import LocalFunction
-from .stats import InvariantError, Moments, map_batches
+from .stats import InvariantError, Moments, check_t_grid, map_batches
 
 __all__ = ["ForwardSimulation", "forward_relaxation", "first_flip_sites"]
 
@@ -215,7 +215,8 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
     every replica sees, the quenched case, or a ``DisorderLaw``, from which
     each replica draws its own i.i.d. field, the annealed case.
 
-    Returns (means, standard errors) over the time grid. Each replica is
+    Returns (means, standard errors) over the time grid, which must pass
+    ``stats.check_t_grid``. Each replica is
     one trajectory evaluated at every grid time. Replicas run in chunks of
     ``CHUNK``; the chunk starting at replica b uses the seed stream
     (seed, b), so results do not depend on the thread count.
@@ -226,9 +227,7 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
     """
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
-    t_grid = [float(t) for t in t_grid]
-    if sorted(t_grid) != t_grid:
-        raise ValueError("t_grid must be nondecreasing")
+    t_grid = check_t_grid(t_grid)
     idx = _support_indices(f, tk.side, tk.dim)
     if not isinstance(bias, DisorderLaw):
         bias = bias_array(bias, tk)

@@ -40,8 +40,9 @@ from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .forward import forward_relaxation
 from .kernel import Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn_text,
-                      product_indicator, sigma_and_support, site_indicator)
+                      product_indicator, sigma_and_support, site_indicator, _from_masks)
 from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
+from .stats import ConfigError, check_t_grid
 from .walks import walk_curve
 
 __all__ = [
@@ -72,10 +73,6 @@ __all__ = [
 MODES = ("forward", "dual-quenched", "dual-annealed", "range", "sandwich")
 SIGMA_BAND = 4.0        # audit tolerance in combined standard errors
 CI_LEVEL = 0.99         # two-sided confidence level of exponent fits
-
-
-class ConfigError(ValueError):
-    """Invalid experiment description; message carries the config line."""
 
 
 @dataclass(frozen=True)
@@ -207,19 +204,6 @@ def parse_t_grid(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in np.geomspace(a, b, n))
 
 
-def check_t_grid(times: tuple[float, ...]) -> tuple[float, ...]:
-    """``times`` itself, once it is nonempty, finite, strictly increasing and nonnegative."""
-    if len(times) == 0:
-        raise ConfigError("t_grid must not be empty")
-    if not all(math.isfinite(t) for t in times):
-        raise ConfigError("t_grid times must be finite")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("t_grid must be strictly increasing")
-    if any(t < 0 for t in times):
-        raise ConfigError("t_grid times must be nonnegative")
-    return times
-
-
 def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated distinct sites, each a comma-separated integer tuple."""
     out = []
@@ -249,10 +233,11 @@ def _parse_observable(text: str) -> LocalFunction:
     if text.startswith("file "):
         with open(text[5:].strip()) as fh:
             return parse_localfn_text(fh.read())
-    if "|" in text:   # the CSV header's form: sorted support sites | table
-        sites, _, table = text.partition("|")
-        return LocalFunction(parse_sites(sites) if sites.strip() else (),
-                             [float(v) for v in table.split(",")])
+    if "|" in text:   # the CSV header's form, as _observable_text writes it
+        sites, _, entries = text.partition("|")
+        values = [entry.partition(":") for entry in entries.split(",") if entry.strip()]
+        return _from_masks(parse_sites(sites) if sites.strip() else (),
+                           {int(mask): float(value) for mask, _, value in values})
     raise ConfigError(f"observable must be 'site <coords>' or 'file <path>', got {text!r}")
 
 
@@ -303,6 +288,12 @@ def _sites_text(sites) -> str:
     return ";".join(",".join(str(c) for c in s) for s in sites)
 
 
+def _observable_text(f: LocalFunction) -> str:
+    """``support|mask:value,...``: the nonzero truth-table entries, bit i the i-th site."""
+    entries = ",".join(f"{mask}:{_float(f.table[mask])}" for mask in np.flatnonzero(f.table))
+    return f"{_sites_text(f.support)}|{entries}"
+
+
 class ConfigKey(NamedTuple):
     name: str                         # the config key
     field: str                        # the ExperimentConfig field it sets
@@ -316,7 +307,7 @@ _POWER_KEYS = ("alpha", "cutoff", "lam")    # read with the power kernel only
 
 # Every config key, in header order. The four law keys set one field, which
 # the header writes as a table law; ``observable`` and ``sites`` set one
-# field, which the header writes as the sorted support and truth table.
+# field, which the header writes in the form of ``_observable_text``.
 KEYS = (
     ConfigKey("mode", "mode", str, str, MODES),
     ConfigKey("dim", "dim", int, str, MODES),
@@ -337,8 +328,7 @@ KEYS = (
     ConfigKey("b", "law", float, None, _LAW),
     ConfigKey("atoms", "law", _parse_atoms,
               lambda law: ", ".join(f"{b!r}:{p!r}" for b, p in law.atoms), _LAW),
-    ConfigKey("observable", "observable", _parse_observable,
-              lambda f: f"{_sites_text(f.support)}|{_floats(f.table)}", _LAW),
+    ConfigKey("observable", "observable", _parse_observable, _observable_text, _LAW),
     ConfigKey("sites", "observable", lambda text: product_indicator(parse_sites(text)), None,
               _LAW),
 )
@@ -372,19 +362,6 @@ def read_config_items(text: str, name: str = "<config>") -> dict[str, tuple[str,
     return items
 
 
-def _reads_as_default(key: str, text: str) -> bool:
-    """Whether ``text`` reads as the default of ``key``'s field. Of the keys
-    that some runs leave unread, only L and cutoff have a default other than
-    None; headers of the earlier form list both for every run."""
-    default = _DEFAULTS[_KEY[key].field]
-    if default is None:
-        return False
-    try:
-        return _KEY[key].read(text) == default
-    except ValueError:
-        return False
-
-
 def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> ExperimentConfig:
     """Cast and validate config items, each a key -> (text value, origin).
 
@@ -400,7 +377,7 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
     if mode in MODES and kernel in ("nn", "power"):   # else validate names the bad one
         reads = read_keys(mode, kernel)
         for key, (text, origin) in items.items():
-            if key not in reads and not _reads_as_default(key, text):
+            if key not in reads:
                 raise ConfigError(f"{origin}: a {mode} run with the {kernel} kernel "
                                   f"does not read {key!r}")
     if "sites" in items and "observable" in items:

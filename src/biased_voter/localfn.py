@@ -147,10 +147,21 @@ def site_indicator(site) -> LocalFunction:
 def product_indicator(sites) -> LocalFunction:
     """The observable H(., A) for a start set A of distinct sites, in any order."""
     sites = sorted(_normalize_site(s) for s in sites)
+    return _from_masks(sites, {(1 << len(sites)) - 1: 1.0})
+
+
+def _from_masks(sites, values: dict[int, float]) -> LocalFunction:
+    """The observable on ``sites`` worth ``values[mask]`` on each listed mask, else 0.
+
+    Bit i of a mask is the i-th site; the size cap is checked before the table is built.
+    """
     if len(sites) > MAX_SUPPORT:
         raise ValueError(f"support larger than {MAX_SUPPORT} sites")
     table = np.zeros(1 << len(sites))
-    table[-1] = 1.0
+    for mask, val in values.items():
+        if not 0 <= mask < len(table):
+            raise ValueError(f"bitmask {mask} out of range for {len(sites)} sites")
+        table[mask] = val
     return LocalFunction(sites, table)
 
 
@@ -315,12 +326,7 @@ def parse_localfn_text(text: str) -> LocalFunction:
         pairs[int(parts[0])] = float(parts[1])
     if sites is None:
         raise ValueError("missing 'sites = ...' line")
-    table = np.zeros(1 << len(sites))
-    for mask, val in pairs.items():
-        if not 0 <= mask < len(table):
-            raise ValueError(f"bitmask {mask} out of range for {len(sites)} sites")
-        table[mask] = val
-    return LocalFunction(sites, table)
+    return _from_masks(sites, pairs)
 
 
 def format_localfn_text(f: LocalFunction) -> str:

@@ -6,17 +6,23 @@ cancellation of naive sum-of-squares accumulation: estimators whose path
 weight is deterministic really do report a vanishing standard error.
 Merging in a fixed batch order keeps results bitwise reproducible for any
 worker count; ``map_batches`` runs the batch jobs of every engine in that
-order. ``InvariantError`` is what an estimator raises when a pathwise
-identity it audits fails.
+order. ``check_t_grid`` is the one rule for the time grid of every engine
+and oracle; it raises ``ConfigError`` (exit code 2), and an estimator whose
+audited pathwise identity fails raises ``InvariantError`` (exit code 3).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["InvariantError", "Moments"]
+__all__ = ["ConfigError", "InvariantError", "Moments"]
+
+
+class ConfigError(ValueError):
+    """Invalid experiment description; message carries the config line."""
 
 
 class InvariantError(RuntimeError):
@@ -25,6 +31,20 @@ class InvariantError(RuntimeError):
     Raised explicitly rather than by ``assert``, so ``python -O`` keeps the
     check; the command line maps it to exit code 3.
     """
+
+
+def check_t_grid(times) -> tuple[float, ...]:
+    """``times`` as floats, once they are nonempty, finite, strictly increasing and nonnegative."""
+    times = tuple(float(t) for t in times)
+    if len(times) == 0:
+        raise ConfigError("t_grid must not be empty")
+    if not all(math.isfinite(t) for t in times):
+        raise ConfigError("t_grid times must be finite")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError("t_grid must be strictly increasing")
+    if any(t < 0 for t in times):
+        raise ConfigError("t_grid times must be nonnegative")
+    return times
 
 
 @dataclass

@@ -32,7 +32,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, laplace
 from .kernel import TorusKernel, bias_array, bias_values
-from .stats import InvariantError, Moments, map_batches
+from .stats import InvariantError, Moments, check_t_grid, map_batches
 
 __all__ = ["WalkCurveStats", "walk_curve"]
 
@@ -43,10 +43,8 @@ _SWEEP_CHUNK = 64    # events in the first chunk of the coalescence sweep; later
 
 @dataclass
 class WalkCurveStats:
-    """Per-time moments of walk functionals over all replicas."""
+    """Per-time moments of walk functionals over all replicas, in the caller's grid order."""
 
-    t_grid: np.ndarray
-    replicas: int
     range_mean: np.ndarray
     range_stderr: np.ndarray
     weight_mean: np.ndarray | None      # path weight, when a law or a field was given
@@ -453,6 +451,7 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     weight and ``bias`` (a field, or on a torus a per-site array) the
     quenched one. Every annealed weight of a law with mass at zero is
     checked, path by path, to be at least mass_at_zero ** |R_t|.
+    ``t_grid`` must pass ``stats.check_t_grid``; results keep its order.
     """
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
@@ -461,7 +460,7 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     starts, terms = _expansion(kernel, starts)
     if bias is not None and isinstance(kernel, TorusKernel):
         bias = bias_array(bias, kernel)
-    t_arr = np.asarray(sorted(float(t) for t in t_grid))
+    t_arr = np.asarray(check_t_grid(t_grid))
     exponents = tuple(float(x) for x in exponents)
     per_batch = max(1, BATCH_SIZE // len(starts))
     jobs = [(kernel, t_arr, starts, terms, seed, b, min(per_batch, replicas - b * per_batch),
@@ -477,7 +476,6 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
 
     weight = totals.get("weight")
     return WalkCurveStats(
-        t_grid=t_arr, replicas=replicas,
         range_mean=totals["range"].mean, range_stderr=totals["range"].stderr,
         weight_mean=None if weight is None else weight.mean,
         weight_stderr=None if weight is None else weight.stderr,

@@ -90,7 +90,7 @@ def test_criterion_03_constant_bias_closed_form():
 
     class Constant(BiasField):
         def __init__(self):
-            super().__init__({}, seed_info="constant")
+            super().__init__({})
 
         def value(self, site):
             return b

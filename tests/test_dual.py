@@ -103,7 +103,7 @@ class TestDualEvolve:
 
 class ConstantField(BiasField):
     def __init__(self, b):
-        super().__init__({}, seed_info="constant")
+        super().__init__({})
         self.b = b
 
     def value(self, site):

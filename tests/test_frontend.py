@@ -42,7 +42,7 @@ class TestFlagsOverTheFile:
         (QUENCHED_FILE, ["--b", "2"], "atoms", "0.0:0.5, 2.0:0.5"),
         (TABLE_FILE, ["--atoms", "0:0.25, 2:0.75"], "atoms", "0.0:0.25, 2.0:0.75"),
         (QUENCHED_FILE.replace("sites = 0", "observable = site 0"), ["--observable", "site 5"],
-         "observable", "5|0.0,1.0"),
+         "observable", "5|1:1.0"),
     ])
     def test_flag_overrides_file_key(self, tmp_path, text, flags, key, expected):
         cfg = tmp_path / "c.cfg"
@@ -101,9 +101,8 @@ class TestExactUnreadFlags:
         ([*RANGE, "--L", "4"], "--L"),
         ([*RANGE, "--cutoff", "50"], "--cutoff"),
         ([*RANGE, "--fields", "2"], "--fields"),
-        ([*RANGE, "--tol", "1e-3"], "--tol"),
     ], ids=["duality-alpha", "duality-nu", "duality-width-cap", "range-L", "range-cutoff",
-            "range-fields", "range-tol"])
+            "range-fields"])
     def test_unread_flag_exits_2_naming_it(self, tmp_path, capsys, flags, flag):
         assert cli.main(["exact", *flags, "--out", str(tmp_path / "o.csv")]) == 2
         assert f"does not read {flag}" in capsys.readouterr().err
@@ -149,7 +148,7 @@ class TestSitesIsAnObservable:
     @pytest.mark.parametrize("mode", ["annealed", "quenched"])
     @pytest.mark.parametrize("sites, observable", [
         ("0", "site 0"),
-        ("0;1;3", "0;1;3|0,0,0,0,0,0,0,1"),
+        ("0;1;3", "0;1;3|7:1"),
     ], ids=["one-site", "three-sites"])
     def test_sites_and_its_observable_write_the_same_csv(self, tmp_path, mode, sites,
                                                          observable):
@@ -254,7 +253,7 @@ class TestStartSet:
     def test_order_of_the_sites_is_not_part_of_the_run(self, tmp_path):
         sorted_out, shuffled_out = self.run_dual(tmp_path, "0;1"), self.run_dual(tmp_path, "1;0")
         assert shuffled_out.read_bytes() == sorted_out.read_bytes()
-        assert header(sorted_out)["observable"] == "0;1|0.0,0.0,0.0,1.0"
+        assert header(sorted_out)["observable"] == "0;1|3:1.0"
 
     def test_start_set_above_the_support_cap_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -264,6 +263,17 @@ class TestStartSet:
         assert "config error: --sites: bad value for 'sites': support larger than 20 sites" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("observable, message", [
+        ("0;1|4:1.0", "bitmask 4 out of range for 2 sites"),
+        (";".join(map(str, range(41))) + "|1:1", "support larger than 20 sites"),
+    ], ids=["mask-outside-the-table", "support-above-the-cap"])
+    def test_bad_header_observable_names_the_line(self, observable, message):
+        # the cap is checked before the 2^k table is built
+        text = "mode = dual-annealed\ndisorder = deterministic\nb = 1\n" \
+               f"observable = {observable}\nt_grid = 1,2\nreplicas = 10\n"
+        with pytest.raises(ConfigError, match=f"c.cfg:4: bad value for 'observable': {message}"):
+            parse_config_text(text, name="c.cfg")
 
     def test_repeated_site_names_the_flag(self, tmp_path, capsys):
         code = cli.main(["simulate-dual", "--mode", "quenched", "--sites", "0;0;1",
@@ -310,17 +320,18 @@ DUAL_ARGS = ["simulate-dual", "--sites", "0", "--t-grid", "1,2", *LAW_FLAGS]
 
 
 class TestUnreadKeys:
-    """A key its mode does not read, set off its default, is a config error naming it."""
+    """A key its mode does not read is a config error naming it."""
 
     @pytest.mark.parametrize("argv, line, key", [
         (RANGE_ARGS, "observable = site 0", "observable"),
         (RANGE_ARGS, "L = 5", "L"),
+        (DUAL_ARGS, "L = 16", "L"),
         (DUAL_ARGS, "nu = 1", "nu"),
         ([*DUAL_ARGS, "--mode", "annealed", "--disorder-seed", "3"], "", "disorder_seed"),
         ([*RANGE_ARGS, "--alpha", "1.5"], "", "alpha"),
         (["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--lam", "4.9"], "", "lam"),
         (DUAL_ARGS, "fit_window = 10:100", "fit_window"),
-    ], ids=["range-observable", "range-L", "dual-nu", "annealed-disorder-seed",
+    ], ids=["range-observable", "range-L", "dual-L-at-its-default", "dual-nu", "annealed-disorder-seed",
             "nn-alpha", "nn-lam", "dual-fit-window"])
     def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, argv, line, key):
         cfg = tmp_path / "c.cfg"
@@ -357,12 +368,6 @@ class TestUnreadKeys:
                                   law=bernoulli_law(0.5, 1.0))
         with pytest.raises(ConfigError, match="'disorder'"):
             config.validate()
-
-    def test_unread_key_at_its_default_reads(self):
-        # headers of the earlier form list L and cutoff for every run
-        config = parse_config_text("mode = dual-annealed\ndisorder = deterministic\nb = 1\n"
-                                   "L = 16\ncutoff = 100\nt_grid = 1,2\nreplicas = 10\n")
-        assert ("L", "16") not in config.canonical_items()
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODES))
     def test_every_flag_is_a_key_its_mode_reads(self, command):

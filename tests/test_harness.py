@@ -527,7 +527,7 @@ class TestCLI:
         cli_main([*args, "--out", str(implicit)])
         cli_main([*args, "--observable", "site 0", "--out", str(explicit)])
         assert implicit.read_bytes() == explicit.read_bytes()
-        assert "# observable = 0|0.0,1.0" in implicit.read_text()
+        assert "# observable = 0|1:1.0" in implicit.read_text()
 
     def test_sandwich_rejects_non_monotone_observable(self, tmp_path, capsys):
         # a dual run takes any observable; only the sandwich's bounds need monotone
