@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .disorder import BiasField, DisorderLaw
-from .kernel import TorusKernel
-from .localfn import Site, _normalize_site
-from .stats import InvariantError
+from .kernel import TorusKernel, site_array
+from .localfn import Site
+from .stats import InvariantError, check_time
 from .walks import WalkCurveStats, walk_curve
 
 __all__ = ["DualSimulation", "dual_curve"]
@@ -33,16 +33,11 @@ class DualSimulation:
     """Event-driven dual trajectory supporting snapshots at increasing times."""
 
     def __init__(self, start, kernel, rng: np.random.Generator):
-        sites = sorted(_normalize_site(s) for s in start)
+        sites = list(map(tuple, site_array(kernel, start).tolist()))
         if not sites:
             raise ValueError("dual process needs a nonempty start set")
-        if len(set(sites)) != len(sites):
-            raise ValueError("walker starts must be distinct")
         self.disp, self.cum = kernel.sampling_arrays()
         self.side = kernel.side if isinstance(kernel, TorusKernel) else None
-        self.dim = self.disp.shape[1]
-        if any(len(s) != self.dim for s in sites):
-            raise ValueError("start sites have the wrong dimension")
         self.rng = rng
         self.particles: list[Site] = list(sites)
         self.occupied: set[Site] = set(sites)
@@ -67,8 +62,7 @@ class DualSimulation:
         self.occupation_integral += len(self.particles) * dt
 
     def advance_to(self, t: float):
-        if t < self.time:
-            raise ValueError("cannot advance backwards")
+        t = check_time(t, self.time)
         while self.next_time <= t:
             self._accrue(self.next_time - self.time)
             self.time = self.next_time
@@ -116,4 +110,4 @@ def dual_curve(start, kernel, t_grid, replicas: int, seed: int,
     if (law is None) == (bias is None):
         raise ValueError("give exactly one of a disorder law (annealed) and a bias field")
     return walk_curve(kernel, t_grid, replicas, seed, law=law, bias=bias, threads=threads,
-                      starts=sorted(_normalize_site(s) for s in start))
+                      starts=start)

@@ -21,9 +21,9 @@ import numpy as np
 from scipy import sparse
 from scipy.special import gammaln, ive, pdtrc, xlogy
 
-from .kernel import TorusKernel, bias_array
+from .kernel import TorusKernel, bias_array, site_array
 from .localfn import _subset_sums
-from .stats import InvariantError, check_t_grid
+from .stats import InvariantError, check_t_grid, check_time
 
 __all__ = [
     "MAX_EXACT_SITES",
@@ -125,8 +125,7 @@ def semigroup_apply(generator, g, t: float, tol: float = 1e-12) -> np.ndarray:
     than sup norm, and for a point mass ||g||_1 = ||g||_inf = 1, so the same
     stopping rule bounds the l1 error of the evolved law.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    t = check_time(t)
     g = np.asarray(g, dtype=np.float64).copy()
     diag = generator.diagonal()
     lam = float(np.max(-diag)) if diag.size else 0.0
@@ -155,16 +154,8 @@ def semigroup_apply(generator, g, t: float, tol: float = 1e-12) -> np.ndarray:
 
 
 def sites_to_mask(sites, tk: TorusKernel) -> int:
-    """Bit mask of a collection of torus sites (tuples or flat indices)."""
-    shape = (tk.side,) * tk.dim
-    mask = 0
-    for s in sites:
-        if isinstance(s, (int, np.integer)):
-            flat = int(s)
-        else:
-            flat = int(np.ravel_multi_index(tuple(int(c) % tk.side for c in s), shape))
-        mask |= 1 << flat
-    return mask
+    """Bit mask of a torus site set (see ``kernel.site_array``), bit i the flat index i."""
+    return sum(1 << i for i in tk.flat_index(site_array(tk, sites)).tolist())
 
 
 def exact_dual_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:

@@ -11,9 +11,7 @@ partners, a 0-site at the kernel mass on 1-valued partners.
 Because the stream ignores the configuration, R replicas advance together
 as one (R, n_sites) opinion array: each step draws and applies the next
 event of every replica whose clock has not passed the target time, as one
-gather and one scatter. Sites are in row-major order: the site
-(c_0, ..., c_{d-1}) has flat index ((c_0 * L + c_1) * L + ...), i.e. axis 0
-varies slowest.
+gather and one scatter. Sites are in the row-major order of ``TorusKernel``.
 """
 
 from __future__ import annotations
@@ -23,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .disorder import DisorderLaw, _draw_values
-from .kernel import TorusKernel, bias_array
+from .kernel import TorusKernel, bias_array, site_array
 from .localfn import LocalFunction
-from .stats import InvariantError, Moments, check_t_grid, map_batches
+from .stats import InvariantError, Moments, check_t_grid, check_time, map_batches
 
 __all__ = ["ForwardSimulation", "forward_relaxation", "first_flip_sites"]
 
@@ -148,8 +146,7 @@ class ForwardSimulation:
         self.time = 0.0
 
     def advance_to(self, t: float):
-        if t < self.time:
-            raise ValueError("cannot advance backwards")
+        t = check_time(t, self.time)
         self.stream.advance(t)
         self.time = t
 
@@ -176,19 +173,6 @@ def first_flip_sites(start, bias, tk: TorusKernel, rng: np.random.Generator,
         sites[rows] = step.site[step.changed]
         stream.clock[rows] = np.nan
     return sites
-
-
-def _support_indices(f: LocalFunction, side: int, dim: int) -> list[int]:
-    shape = (side,) * dim
-    idx = []
-    for s in f.support:
-        if len(s) != dim:
-            raise ValueError(f"support site {s} has wrong dimension")
-        idx.append(int(np.ravel_multi_index(tuple(c % side for c in s), shape)))
-    if len(set(idx)) != len(idx):
-        raise ValueError("observable support does not fit in the torus "
-                         "(distinct sites collide after wrapping)")
-    return idx
 
 
 def _relaxation_chunk(args):
@@ -228,7 +212,7 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
     t_grid = check_t_grid(t_grid)
-    idx = _support_indices(f, tk.side, tk.dim)
+    idx = tk.flat_index(site_array(tk, f.support))
     if not isinstance(bias, DisorderLaw):
         bias = bias_array(bias, tk)
     jobs = [(f.table, idx, bias, tk, t_grid, b, min(b + CHUNK, replicas), seed)

@@ -235,9 +235,9 @@ def _parse_observable(text: str) -> LocalFunction:
             return parse_localfn_text(fh.read())
     if "|" in text:   # the CSV header's form, as _observable_text writes it
         sites, _, entries = text.partition("|")
-        values = [entry.partition(":") for entry in entries.split(",") if entry.strip()]
+        values = [entry.strip().partition(":") for entry in entries.split(",") if entry.strip()]
         return _from_masks(parse_sites(sites) if sites.strip() else (),
-                           {int(mask): float(value) for mask, _, value in values})
+                           [(f"entry {m}:{v}", int(m), float(v)) for m, _, v in values])
     raise ConfigError(f"observable must be 'site <coords>' or 'file <path>', got {text!r}")
 
 

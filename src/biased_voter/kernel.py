@@ -97,6 +97,9 @@ class TorusKernel:
     the total base probability of displacements congruent to it mod side.
     Folding can create mass at displacement 0 (a no-op move); it is kept so
     that folded weights still sum to 1.
+
+    Sites are in row-major order, axis 0 varying slowest: ``flat_index`` maps
+    the site (c_0, ..., c_{d-1}) to ((c_0 * L + c_1) * L + ...).
     """
 
     base: Kernel
@@ -124,6 +127,10 @@ class TorusKernel:
         cum[-1] = 1.0
         return disp, cum
 
+    def flat_index(self, sites) -> np.ndarray:
+        """Row-major flat index of each row of a (k, d) array of sites, taken mod the side."""
+        return np.ravel_multi_index(np.asarray(sites).T, (self.side,) * self.dim, mode="wrap")
+
     @cached_property
     def partner_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(n_sites, n_moves) flat partner indices and the move weights.
@@ -136,11 +143,8 @@ class TorusKernel:
         moves = [(d, w) for d, w in sorted(self.folded.items()) if d != zero and w > 0]
         if not moves:
             raise ValueError("folded kernel has no real moves on this torus")
-        shape = (self.side,) * self.dim
-        coords = np.array(np.unravel_index(np.arange(self.n_sites), shape)).T  # (n, d)
-        partners = np.empty((self.n_sites, len(moves)), dtype=np.int64)
-        for j, (d, _) in enumerate(moves):
-            partners[:, j] = np.ravel_multi_index(((coords + np.asarray(d)) % self.side).T, shape)
+        coords = np.array(np.unravel_index(np.arange(self.n_sites), (self.side,) * self.dim)).T
+        partners = np.stack([self.flat_index(coords + d) for d, _ in moves], axis=1)
         weights = np.array([w for _, w in moves])
         partners.setflags(write=False)
         weights.setflags(write=False)
@@ -246,6 +250,24 @@ def fold_to_torus(kernel: Kernel, side: int) -> TorusKernel:
         key = tuple(int(c) % side for c in x)
         folded[key] = folded.get(key, 0.0) + float(w)
     return TorusKernel(base=kernel, side=side, folded=folded)
+
+
+def site_array(kernel, sites) -> np.ndarray:
+    """A site set as a (k, d) int64 array in the given order, the rule of every engine and oracle.
+
+    A site is ``kernel.dim`` ints, or an int in one dimension, wrapped mod the
+    side on a torus; another dimension or two equal sites raise ``ValueError``.
+    """
+    rows = [(s,) if isinstance(s, (int, np.integer)) else tuple(s) for s in sites]
+    if any(len(s) != kernel.dim for s in rows):
+        raise ValueError(f"sites must have dimension {kernel.dim}")
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), kernel.dim)
+    if isinstance(kernel, TorusKernel):
+        arr %= kernel.side
+    if len(np.unique(arr, axis=0)) < len(arr):
+        raise ValueError("sites must be distinct: no two may be equal or collide "
+                         "after wrapping onto the torus")
+    return arr
 
 
 def bias_values(bias, sites) -> np.ndarray:

@@ -147,20 +147,25 @@ def site_indicator(site) -> LocalFunction:
 def product_indicator(sites) -> LocalFunction:
     """The observable H(., A) for a start set A of distinct sites, in any order."""
     sites = sorted(_normalize_site(s) for s in sites)
-    return _from_masks(sites, {(1 << len(sites)) - 1: 1.0})
+    return _from_masks(sites, [("the whole set", (1 << len(sites)) - 1, 1.0)])
 
 
-def _from_masks(sites, values: dict[int, float]) -> LocalFunction:
-    """The observable on ``sites`` worth ``values[mask]`` on each listed mask, else 0.
+def _from_masks(sites, entries) -> LocalFunction:
+    """The observable on ``sites`` worth ``value`` on each ``(origin, mask, value)`` entry, else 0.
 
-    Bit i of a mask is the i-th site; the size cap is checked before the table is built.
+    Bit i of a mask is the i-th site; a mask outside the table or given twice is an
+    error naming its origin. The size cap is checked before the table is built.
     """
     if len(sites) > MAX_SUPPORT:
         raise ValueError(f"support larger than {MAX_SUPPORT} sites")
     table = np.zeros(1 << len(sites))
-    for mask, val in values.items():
+    given = set()
+    for origin, mask, val in entries:
         if not 0 <= mask < len(table):
-            raise ValueError(f"bitmask {mask} out of range for {len(sites)} sites")
+            raise ValueError(f"bitmask {mask} out of range for {len(sites)} sites ({origin})")
+        if mask in given:
+            raise ValueError(f"bitmask {mask} given twice ({origin})")
+        given.add(mask)
         table[mask] = val
     return LocalFunction(sites, table)
 
@@ -305,10 +310,10 @@ def parse_localfn_text(text: str) -> LocalFunction:
     One ``sites = ...`` line with semicolon-separated sites (each a comma
     separated integer tuple, or a bare integer in one dimension), then one
     ``<bitmask> <value>`` pair per line. Bit i of the mask refers to the
-    i-th listed site. Missing masks default to 0.
+    i-th listed site. Missing masks default to 0; a repeated mask is an error.
     """
     sites = None
-    pairs = {}
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -323,10 +328,10 @@ def parse_localfn_text(text: str) -> LocalFunction:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<bitmask> <value>'")
-        pairs[int(parts[0])] = float(parts[1])
+        entries.append((f"line {lineno}", int(parts[0]), float(parts[1])))
     if sites is None:
         raise ValueError("missing 'sites = ...' line")
-    return _from_masks(sites, pairs)
+    return _from_masks(sites, entries)
 
 
 def format_localfn_text(f: LocalFunction) -> str:

@@ -47,6 +47,15 @@ def check_t_grid(times) -> tuple[float, ...]:
     return times
 
 
+def check_time(t, since: float = 0.0) -> float:
+    """A time to advance to or run for, as a float, once finite and not before ``since``."""
+    t = float(t)
+    if not since <= t < math.inf:   # false for nan too
+        raise ValueError(f"time {t!r} must be finite and not before {since!r}: "
+                         "cannot advance backwards or forever")
+    return t
+
+
 @dataclass
 class Moments:
     """Per-time running moments: count, mean, and sum of squared deviations."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderLaw, laplace
-from .kernel import TorusKernel, bias_array, bias_values
+from .kernel import TorusKernel, bias_array, bias_values, site_array
 from .stats import InvariantError, Moments, check_t_grid, map_batches
 
 __all__ = ["WalkCurveStats", "walk_curve"]
@@ -59,16 +59,9 @@ def _start_array(kernel, starts) -> np.ndarray:
     """The k start sites as a (k, d) array; the origin when ``starts`` is None."""
     if starts is None:
         return np.zeros((1, kernel.dim), dtype=np.int64)
-    sites = [tuple(s) for s in starts]
-    if not sites:
+    arr = site_array(kernel, starts)
+    if not len(arr):
         raise ValueError("walks need a nonempty start set")
-    if any(len(s) != kernel.dim for s in sites):
-        raise ValueError("start sites have the wrong dimension")
-    arr = np.array(sites, dtype=np.int64)
-    if isinstance(kernel, TorusKernel):
-        arr %= kernel.side
-    if len(np.unique(arr, axis=0)) != len(arr):
-        raise ValueError("walker starts must be distinct")
     return arr
 
 
@@ -342,7 +335,7 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
         sites, site_of = np.unique(uniq % n_keys, return_inverse=True)
         coords = np.stack(np.unravel_index(sites, spans), axis=-1) + mins
         if isinstance(kernel, TorusKernel):
-            beta = bias[np.ravel_multi_index(coords.T, (kernel.side,) * kernel.dim)]
+            beta = bias[kernel.flat_index(coords)]
         else:
             beta = bias_values(bias, map(tuple, coords.tolist()))
         beta = beta[site_of.ravel()]

@@ -267,7 +267,8 @@ class TestStartSet:
     @pytest.mark.parametrize("observable, message", [
         ("0;1|4:1.0", "bitmask 4 out of range for 2 sites"),
         (";".join(map(str, range(41))) + "|1:1", "support larger than 20 sites"),
-    ], ids=["mask-outside-the-table", "support-above-the-cap"])
+        ("0|1:1.0,1:0.5", r"bitmask 1 given twice \(entry 1:0.5\)"),
+    ], ids=["mask-outside-the-table", "support-above-the-cap", "repeated-mask"])
     def test_bad_header_observable_names_the_line(self, observable, message):
         # the cap is checked before the 2^k table is built
         text = "mode = dual-annealed\ndisorder = deterministic\nb = 1\n" \
@@ -280,6 +281,13 @@ class TestStartSet:
                          "--t-grid", "1,2", *LAW_FLAGS, "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert "config error: --sites: repeated site" in capsys.readouterr().err
+
+    def test_repeated_mask_names_the_flag(self, tmp_path, capsys):
+        code = cli.main(["simulate-dual", "--observable", "0|1:1.0,1:0.5",
+                         "--t-grid", "1,2", *LAW_FLAGS, "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "config error: --observable: bad value for 'observable': bitmask 1 given twice" \
+            in capsys.readouterr().err
 
     def test_repeated_site_names_the_line(self):
         text = "mode = dual-annealed\ndisorder = deterministic\nb = 1\nsites = 1;0;1\n" \

@@ -4,7 +4,8 @@
 would pass silently there instead of ending in exit code 3. scipy takes
 longer to import than a short run takes to compute, so only the exact
 oracles import it at module level; everything else imports it where it
-computes with it.
+computes with it. The row-major order of torus sites is computed in one
+place, ``kernel.TorusKernel.flat_index``.
 """
 
 import ast
@@ -36,3 +37,13 @@ def test_only_exact_imports_scipy_at_module_level():
              for node in ast.parse(path.read_text(), str(path)).body
              if _imports_scipy(node)]
     assert not found, f"module-level scipy imports outside exact.py: {found}"
+
+
+def test_only_kernel_computes_the_row_major_order():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = [f"{path.relative_to(SRC)}:{lineno}" for path in modules
+             if path.name != "kernel.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             if "ravel_multi_index" in line]
+    assert not found, f"ravel_multi_index outside kernel.py: {found}"
