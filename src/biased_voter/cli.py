@@ -20,6 +20,7 @@ are per-time inequalities, which the ordering audits.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -157,6 +158,9 @@ def _cmd_exact(args) -> int:
 
 
 def _exact_duality(args) -> int:
+    if args.fields < 1:
+        raise ConfigError(f"--fields must be at least 1, got {args.fields}: "
+                          "a duality gate over no field compares nothing")
     tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
     rng = np.random.default_rng(args.seed)
     times = check_t_grid(parse_t_grid(args.t_grid)) if args.t_grid else (0.1, 1.0, 10.0)
@@ -211,7 +215,9 @@ def _cmd_localfn(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="biased-voter",
         description="Simulation and verification toolkit for the biased "

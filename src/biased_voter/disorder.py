@@ -133,10 +133,6 @@ class BiasField:
     def __init__(self, values: dict[tuple[int, ...], float]):
         self.values = dict(values)
 
-    @property
-    def sites(self):
-        return self.values.keys()
-
     def value(self, site: tuple[int, ...]) -> float:
         return self.values[site]
 

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MAX_EXACT_SITES = 12
+SEMIGROUP_TOL = 1e-12   # bound on the uniformization truncation error
 
 
 def build_forward_generator(bias, tk: TorusKernel) -> sparse.csr_matrix:
@@ -112,14 +113,14 @@ def build_dual_matrix(bias, tk: TorusKernel) -> sparse.csr_matrix:
     return (mat + sparse.diags(diag)).tocsr()
 
 
-def semigroup_apply(generator, g, t: float, tol: float = 1e-12) -> np.ndarray:
+def semigroup_apply(generator, g, t: float) -> np.ndarray:
     """Apply exp(t * M) to a vector by uniformization.
 
     M must have nonnegative off-diagonal entries and nonpositive row sums
     (a generator, possibly killed). With rate L = max |diag|, the matrix
     P = I + M/L is substochastic, so ||P^k g||_inf <= ||g||_inf and the
     neglected Poisson tail mass bounds the truncation error by
-    tail * ||g||_inf < tol.
+    tail * ||g||_inf < SEMIGROUP_TOL.
 
     The transpose of a generator also qualifies: P^T contracts in l1 rather
     than sup norm, and for a point mass ||g||_1 = ||g||_inf = 1, so the same
@@ -145,10 +146,10 @@ def semigroup_apply(generator, g, t: float, tol: float = 1e-12) -> np.ndarray:
         v = p @ v
         acc += pmf[k] * v
         covered += pmf[k]
-        if (1.0 - covered) * gnorm < tol:
+        if (1.0 - covered) * gnorm < SEMIGROUP_TOL:
             break
     else:
-        if (1.0 - covered) * gnorm >= tol:
+        if (1.0 - covered) * gnorm >= SEMIGROUP_TOL:
             raise RuntimeError("uniformization truncation did not reach tolerance")
     return acc
 

@@ -25,7 +25,7 @@ from .kernel import TorusKernel, bias_array, site_array
 from .localfn import LocalFunction
 from .stats import InvariantError, Moments, check_t_grid, check_time, map_batches
 
-__all__ = ["ForwardSimulation", "forward_relaxation", "first_flip_sites"]
+__all__ = ["ForwardSimulation", "forward_relaxation"]
 
 CHUNK = 2048        # replicas per seed stream; fixed, so results ignore threads
 
@@ -149,30 +149,6 @@ class ForwardSimulation:
         t = check_time(t, self.time)
         self.stream.advance(t)
         self.time = t
-
-
-def first_flip_sites(start, bias, tk: TorusKernel, rng: np.random.Generator,
-                     t_max: float = np.inf) -> np.ndarray:
-    """Flat index of the first site whose opinion changes, per row, for rate audits.
-
-    ``start`` is an (R, n_sites) 0/1 array and ``bias`` as for
-    ``ForwardSimulation``. A row reads -1 when nothing flips by ``t_max``,
-    and at once when no event can change it: no 1-site has positive bias and
-    no partner pair disagrees.
-    """
-    sim = ForwardSimulation(start, bias, tk, rng)
-    stream, ones = sim.stream, sim.layers[0].astype(bool)
-    beta = stream.beta.reshape(-1, tk.n_sites)
-    live = (((beta > 0) & ones).any(axis=1)
-            | (ones[:, tk.partner_table[0]] != ones[:, :, None]).any(axis=(1, 2)))
-    sites = np.full(len(ones), -1)
-    # a parked row leaves the stream: nan <= t is false even for t = inf
-    stream.clock[~live] = np.nan
-    while (step := stream.step(t_max)) is not None:
-        rows = step.row[step.changed]
-        sites[rows] = step.site[step.changed]
-        stream.clock[rows] = np.nan
-    return sites
 
 
 def _relaxation_chunk(args):

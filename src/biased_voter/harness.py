@@ -38,7 +38,8 @@ import numpy as np
 
 from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .forward import forward_relaxation
-from .kernel import Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel
+from .kernel import (Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel,
+                     site_array)
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn_text,
                       product_indicator, sigma_and_support, site_indicator, _from_masks)
 from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
@@ -108,7 +109,12 @@ class ExperimentConfig:
         check_t_grid(self.t_grid)
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError("seed must be a nonnegative 63-bit integer")
-        _check_kernel(self.kernel_name, self.dim, self.alpha)
+        try:   # the engines' own kernel and site rules
+            kernel = self.build_torus() if self.mode == "forward" else self.build_kernel()
+            if self.observable is not None:
+                site_array(kernel, self.observable.support)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         reads = read_keys(self.mode, self.kernel_name)
         for key in KEYS:
             if key.name not in reads and getattr(self, key.field) != _DEFAULTS[key.field]:
@@ -124,8 +130,6 @@ class ExperimentConfig:
                 raise ConfigError("a constant observable has no dual to start")
             if self.mode == "sandwich" and not is_monotone(f):
                 raise ConfigError("the sandwich bounds need a monotone observable")
-            if any(len(s) != self.dim for s in f.support):
-                raise ConfigError(f"observable sites {f.support} are not {self.dim}-dimensional")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+_APERIODIC_TOL = 1e-9   # margin of the strict inequality p_hat(k) < 1 off the lattice 2*pi*Z^d
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,12 @@ def _stable_exponent(kernel: Kernel, k: np.ndarray) -> float:
     return float(kernel.tail_constant * np.linalg.norm(k) ** kernel.alpha)
 
 
-def verify_assumption(kernel: Kernel, kgrid, tol: float = 1e-9) -> AssumptionReport:
+def verify_assumption(kernel: Kernel, kgrid) -> AssumptionReport:
     """Check the small-k expansion p_hat(k) = 1 - D(k) + o(|k|^alpha).
 
     ``max_residual`` is max_k |p_hat(k) - 1 + D(k)| / |k|^alpha over the grid.
-    ``aperiodic_ok`` requires p_hat(k) < 1 - tol at every grid point that is
-    not congruent to 0 mod 2*pi (tol is the numerical margin of the strict
-    inequality).
+    ``aperiodic_ok`` requires p_hat(k) < 1 - ``_APERIODIC_TOL`` at every grid
+    point that is not congruent to 0 mod 2*pi.
     """
     max_res = 0.0
     aperiodic = True
@@ -236,7 +236,7 @@ def verify_assumption(kernel: Kernel, kgrid, tol: float = 1e-9) -> AssumptionRep
             max_res = max(max_res, res)
         frac = k / (2 * np.pi) - np.round(k / (2 * np.pi))
         on_lattice = np.all(np.abs(frac) < 1e-12)
-        if not on_lattice and phat >= 1.0 - tol:
+        if not on_lattice and phat >= 1.0 - _APERIODIC_TOL:
             aperiodic = False
     return AssumptionReport(max_residual=max_res, aperiodic_ok=aperiodic)
 

@@ -9,24 +9,18 @@ relaxation estimators and the monotonicity machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "LocalFunction",
-    "Lemma2Report",
-    "eval_H",
     "hat_coeffs",
     "sigma_and_support",
     "is_monotone",
     "lemma1_check",
-    "lemma2_verify",
     "gap",
     "site_indicator",
     "product_indicator",
     "parse_localfn_text",
-    "format_localfn_text",
 ]
 
 MAX_SUPPORT = 20
@@ -116,27 +110,8 @@ class LocalFunction:
     def value_on_mask(self, mask: int) -> float:
         return float(self.table[mask])
 
-    def value(self, opinions) -> float:
-        """Evaluate on a site -> {0,1} mapping (dict, callable, or set of 1-sites)."""
-        mask = 0
-        for i, s in enumerate(self.support):
-            if _lookup_bit(opinions, s):
-                mask |= 1 << i
-        return float(self.table[mask])
-
-    def value_all_ones(self) -> float:
-        return float(self.table[-1])
-
     def value_all_zeros(self) -> float:
         return float(self.table[0])
-
-
-def _lookup_bit(opinions, site: Site) -> int:
-    if isinstance(opinions, (set, frozenset)):
-        return 1 if site in opinions else 0
-    if callable(opinions):
-        return int(opinions(site))
-    return int(opinions[site])
 
 
 def site_indicator(site) -> LocalFunction:
@@ -168,18 +143,6 @@ def _from_masks(sites, entries) -> LocalFunction:
         given.add(mask)
         table[mask] = val
     return LocalFunction(sites, table)
-
-
-def eval_H(opinions, sites) -> int:
-    """Product indicator: 1 iff the configuration is 1 on every listed site.
-
-    ``opinions`` may be a dict, a callable, or a set of 1-sites; the empty
-    product is 1.
-    """
-    for s in sites:
-        if not _lookup_bit(opinions, _normalize_site(s)):
-            return 0
-    return 1
 
 
 def hat_coeffs(f: LocalFunction) -> dict[frozenset, float]:
@@ -237,68 +200,6 @@ def lemma1_check(f: LocalFunction) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
-    ineq1_ok: bool | None  # None when the instance has < 2 sites (vacuous)
-    ineq2_ok: bool
-
-
-def lemma2_verify(x: dict, y_singletons: dict, tol: float = 1e-9) -> Lemma2Report:
-    """Check the two product-weight inequalities on an explicit instance.
-
-    ``x`` maps site subsets (iterables of sites) to reals with x[empty] = 0
-    and all subset sums nonnegative (rejected as an invalid instance
-    otherwise); ``y_singletons`` maps each site to a value in [0, 1] and
-    extends multiplicatively to sets. Checked, with ``tol`` slack:
-
-      sum_A x_A y_A (1 - y_{L-A}) >= sum_a x_a y_a prod_{b != a} (1 - y_b) >= 0
-      sum_A x_A y_A >= (sum_A x_A) * y_L
-
-    The second inequality is also checked for single-site instances.
-    """
-    y_norm = {_normalize_site(s): float(v) for s, v in y_singletons.items()}
-    sites = sorted(y_norm)
-    n = len(sites)
-    idx = {s: i for i, s in enumerate(sites)}
-    yv = np.array([y_norm[s] for s in sites])
-    if np.any((yv < 0) | (yv > 1)):
-        raise ValueError("singleton y values must lie in [0, 1]")
-    xv = np.zeros(1 << n)
-    for subset, val in x.items():
-        mask = 0
-        for s in subset:
-            mask |= 1 << idx[_normalize_site(s)]
-        xv[mask] = float(val)
-    if xv[0] != 0.0:
-        raise ValueError("invalid instance: x at the empty set must be 0")
-    z = _subset_sums(xv, n)
-    scale = float(np.max(np.abs(xv))) + 1.0
-    if np.any(z < -tol * scale):
-        raise ValueError("invalid instance: some subset sum of x is negative")
-
-    y_of = np.ones(1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        y_of[mask] = y_of[mask ^ low] * yv[low.bit_length() - 1]
-    full = (1 << n) - 1
-
-    ineq2_ok = bool(np.dot(xv, y_of) >= xv.sum() * y_of[full] - tol * scale)
-
-    if n < 2:
-        return Lemma2Report(ineq1_ok=None, ineq2_ok=ineq2_ok)
-
-    lhs = sum(xv[m] * y_of[m] * (1.0 - y_of[full ^ m]) for m in range(1 << n))
-    mid = 0.0
-    for i in range(n):
-        prod = 1.0
-        for j in range(n):
-            if j != i:
-                prod *= 1.0 - yv[j]
-        mid += xv[1 << i] * yv[i] * prod
-    ineq1_ok = (lhs >= mid - tol * scale) and (mid >= -tol * scale)
-    return Lemma2Report(ineq1_ok=ineq1_ok, ineq2_ok=ineq2_ok)
-
-
 def gap(f: LocalFunction) -> float:
     """Sum of fhat(A) over nonempty A; equals f(all ones) - f(all zeros)."""
     return float(f.table[-1] - f.table[0])
@@ -333,10 +234,3 @@ def parse_localfn_text(text: str) -> LocalFunction:
         raise ValueError("missing 'sites = ...' line")
     return _from_masks(sites, entries)
 
-
-def format_localfn_text(f: LocalFunction) -> str:
-    sites_str = "; ".join(",".join(str(c) for c in s) for s in f.support)
-    lines = [f"sites = {sites_str}"]
-    for mask, val in enumerate(f.table):
-        lines.append(f"{mask} {float(val)!r}")
-    return "\n".join(lines) + "\n"

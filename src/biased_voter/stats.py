@@ -99,13 +99,14 @@ class Moments:
 
 
 def map_batches(fn, jobs, threads: int = 1) -> list:
-    """``[fn(job) for job in jobs]``, in ``threads`` worker processes when > 1.
+    """``[fn(job) for job in jobs]``, in up to ``threads`` worker processes when > 1.
 
-    Results come back in job order whatever the worker count, so merging
-    them in that order is reproducible.
+    No more workers start than there are jobs. Results come back in job
+    order whatever the worker count, so merging them in that order is
+    reproducible.
     """
     if threads > 1:
         from concurrent import futures   # a single-process run never loads it
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

@@ -1,0 +1,75 @@
+"""Checkers that only the tests call, kept out of the package.
+
+``lemma2_verify`` checks the product-weight inequalities behind the lower
+bound on explicit instances; criterion 9 and ``test_localfn`` run it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from biased_voter.localfn import _normalize_site, _subset_sums
+
+
+@dataclass(frozen=True)
+class Lemma2Report:
+    ineq1_ok: bool | None  # None when the instance has < 2 sites (vacuous)
+    ineq2_ok: bool
+
+
+def lemma2_verify(x: dict, y_singletons: dict, tol: float = 1e-9) -> Lemma2Report:
+    """Check the two product-weight inequalities on an explicit instance.
+
+    ``x`` maps site subsets (iterables of sites) to reals with x[empty] = 0
+    and all subset sums nonnegative (rejected as an invalid instance
+    otherwise); ``y_singletons`` maps each site to a value in [0, 1] and
+    extends multiplicatively to sets. Checked, with ``tol`` slack:
+
+      sum_A x_A y_A (1 - y_{L-A}) >= sum_a x_a y_a prod_{b != a} (1 - y_b) >= 0
+      sum_A x_A y_A >= (sum_A x_A) * y_L
+
+    The second inequality is also checked for single-site instances.
+    """
+    y_norm = {_normalize_site(s): float(v) for s, v in y_singletons.items()}
+    sites = sorted(y_norm)
+    n = len(sites)
+    idx = {s: i for i, s in enumerate(sites)}
+    yv = np.array([y_norm[s] for s in sites])
+    if np.any((yv < 0) | (yv > 1)):
+        raise ValueError("singleton y values must lie in [0, 1]")
+    xv = np.zeros(1 << n)
+    for subset, val in x.items():
+        mask = 0
+        for s in subset:
+            mask |= 1 << idx[_normalize_site(s)]
+        xv[mask] = float(val)
+    if xv[0] != 0.0:
+        raise ValueError("invalid instance: x at the empty set must be 0")
+    z = _subset_sums(xv, n)
+    scale = float(np.max(np.abs(xv))) + 1.0
+    if np.any(z < -tol * scale):
+        raise ValueError("invalid instance: some subset sum of x is negative")
+
+    y_of = np.ones(1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        y_of[mask] = y_of[mask ^ low] * yv[low.bit_length() - 1]
+    full = (1 << n) - 1
+
+    ineq2_ok = bool(np.dot(xv, y_of) >= xv.sum() * y_of[full] - tol * scale)
+
+    if n < 2:
+        return Lemma2Report(ineq1_ok=None, ineq2_ok=ineq2_ok)
+
+    lhs = sum(xv[m] * y_of[m] * (1.0 - y_of[full ^ m]) for m in range(1 << n))
+    mid = 0.0
+    for i in range(n):
+        prod = 1.0
+        for j in range(n):
+            if j != i:
+                prod *= 1.0 - yv[j]
+        mid += xv[1 << i] * yv[i] * prod
+    ineq1_ok = (lhs >= mid - tol * scale) and (mid >= -tol * scale)
+    return Lemma2Report(ineq1_ok=ineq1_ok, ineq2_ok=ineq2_ok)

@@ -19,10 +19,11 @@ from biased_voter.forward import ForwardSimulation, forward_relaxation
 from biased_voter.harness import (ExperimentConfig, config_hash, run,
                                   sandwich_report, write_records_csv)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
-from biased_voter.localfn import LocalFunction, is_monotone, lemma1_check, lemma2_verify
+from biased_voter.localfn import LocalFunction, is_monotone, lemma1_check
 from biased_voter.localfn import hat_coeffs
 from biased_voter.rangestats import dv_constant, lambda_nn, mc_range_functional
 from biased_voter.localfn import site_indicator
+from references import lemma2_verify
 
 pytestmark = pytest.mark.acceptance
 

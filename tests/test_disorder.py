@@ -125,7 +125,7 @@ class TestLawValidation:
 class TestSampling:
     def test_all_mass_at_zero(self):
         field = sample_field(deterministic_law(0.0), [(0,), (1,)], np.random.default_rng(0))
-        assert all(field.value(s) == 0.0 for s in field.sites)
+        assert all(field.value(s) == 0.0 for s in field.values)
 
     def test_deterministic_constant(self):
         field = sample_field(deterministic_law(1.3), [(i,) for i in range(10)],

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from biased_voter.disorder import _draw_values, bernoulli_law
-from biased_voter.forward import (ForwardSimulation, _EventStream, first_flip_sites,
-                                  forward_relaxation)
-from biased_voter.kernel import fold_to_torus, make_nn_kernel
+from biased_voter.forward import ForwardSimulation, _EventStream, forward_relaxation
+from biased_voter.kernel import TorusKernel, fold_to_torus, make_nn_kernel
 from biased_voter.localfn import LocalFunction, site_indicator
 
 NN1 = make_nn_kernel(1)
@@ -118,6 +117,30 @@ class TestEventStreamStep:
             before = layer.copy()
         assert seen == {"kill", "resample", "noop"}
         assert np.all(last > 0)
+
+
+def first_flip_sites(start, bias, tk: TorusKernel, rng: np.random.Generator,
+                     t_max: float = np.inf) -> np.ndarray:
+    """Flat index of the first site whose opinion changes, per row, for rate audits.
+
+    ``start`` is an (R, n_sites) 0/1 array and ``bias`` as for
+    ``ForwardSimulation``. A row reads -1 when nothing flips by ``t_max``,
+    and at once when no event can change it: no 1-site has positive bias and
+    no partner pair disagrees.
+    """
+    sim = ForwardSimulation(start, bias, tk, rng)
+    stream, ones = sim.stream, sim.layers[0].astype(bool)
+    beta = stream.beta.reshape(-1, tk.n_sites)
+    live = (((beta > 0) & ones).any(axis=1)
+            | (ones[:, tk.partner_table[0]] != ones[:, :, None]).any(axis=(1, 2)))
+    sites = np.full(len(ones), -1)
+    # a parked row leaves the stream: nan <= t is false even for t = inf
+    stream.clock[~live] = np.nan
+    while (step := stream.step(t_max)) is not None:
+        rows = step.row[step.changed]
+        sites[rows] = step.site[step.changed]
+        stream.clock[rows] = np.nan
+    return sites
 
 
 class TestRateAudit:

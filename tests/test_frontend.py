@@ -88,6 +88,23 @@ class TestExactKernelRule:
         assert "config error" in capsys.readouterr().err
 
 
+class TestEngineRulesAreConfigErrors:
+    """A kernel, torus or site set an engine rejects is a config error naming the flags."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "4"],
+        ["--kernel", "power", "--alpha", "2.5"],
+        ["--kernel", "power", "--alpha", "1", "--cutoff", "0"],
+        ["--L", "1"],
+        ["--L", "4", "--sites", "0;4"],
+    ], ids=["dim-4", "alpha-2.5", "cutoff-0", "side-1", "sites-collide"])
+    def test_forward_engine_rule_is_a_config_error(self, tmp_path, capsys, flags):
+        code = cli.main(["simulate-forward", *flags, *LAW_FLAGS, "--t-grid", "1",
+                         "--out", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: <flags>: ")
+
+
 class TestExactUnreadFlags:
     """A flag that the chosen oracle does not read, set off its default, exits 2 naming it."""
 
@@ -106,6 +123,13 @@ class TestExactUnreadFlags:
     def test_unread_flag_exits_2_naming_it(self, tmp_path, capsys, flags, flag):
         assert cli.main(["exact", *flags, "--out", str(tmp_path / "o.csv")]) == 2
         assert f"does not read {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", ["0", "-1"])
+    def test_duality_over_no_field_exits_2_naming_it(self, tmp_path, capsys, fields):
+        # a gate that compares nothing must not print PASS
+        flags = ["--what", "duality", "--L", "4", "--fields", fields, "--t-grid", "1"]
+        assert cli.main(["exact", *flags, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error: --fields must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [DUALITY, RANGE], ids=["duality", "range"])
     def test_both_oracles_take_seed_and_default_flags(self, tmp_path, flags):

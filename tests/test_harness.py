@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from biased_voter.dual import dual_curve
 from biased_voter.localfn import (LocalFunction, hat_coeffs, parse_localfn_text,
                                   product_indicator, site_indicator)
 from biased_voter.rangestats import dv_constant, lambda_nn
-from biased_voter.stats import InvariantError
+from biased_voter.stats import InvariantError, map_batches
 
 BERNOULLI_CONFIG = """
 # two-sided measurement at desk scale
@@ -430,6 +431,28 @@ class TestPersistence:
             write_records_csv(path, columns, cfg, max_pos)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("jobs", [[-1], [-1, 2]], ids=["one-job", "two-jobs"])
+    def test_no_more_workers_than_jobs(self, monkeypatch, jobs):
+        # the spy runs the jobs in this process, so no worker ever starts
+        started = []
+
+        class SpyPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", SpyPool)
+        assert map_batches(abs, jobs, threads=4) == [abs(j) for j in jobs]
+        assert started == [len(jobs)]
 
 
 class TestCLI:

@@ -165,7 +165,10 @@ def configs(draw):
         keys["law"] = DisorderLaw(atoms=tuple(zip(biases, (probs / probs.sum()).tolist())))
         kind = draw(st.sampled_from([None, "weighted", "sites"]))
         if kind:
-            support = draw(st.lists(site, min_size=1, max_size=3, unique=True))
+            # distinct after wrapping too: a forward run reads its sites on its torus
+            side = keys.get("side")
+            support = draw(st.lists(site, min_size=1, max_size=3, unique_by=lambda s: (
+                s if side is None else tuple(c % side for c in s))))
         if kind == "weighted":
             weights = draw(st.lists(st.floats(0.1, 2.0), min_size=len(support),
                                     max_size=len(support)))
