@@ -19,7 +19,7 @@ print("== nearest-neighbor kernels ==")
 for d in (1, 2, 3):
     k = make_nn_kernel(d)
     report = verify_assumption(k, [np.full(d, 0.1)])
-    print(f"d={d}: {len(k.support)} displacements, "
+    print(f"d={d}: {len(k.weights)} displacements, "
           f"quadratic coefficient {k.dmatrix[0, 0]:.4f}, "
           f"small-k residual {report.max_residual:.2e}, "
           f"aperiodic={report.aperiodic_ok}")
@@ -33,7 +33,8 @@ for kk in (0.01, 0.05, 0.1):
 
 print("\n== folding onto a ring of 4 ==")
 tk = fold_to_torus(make_nn_kernel(1), 4)
-print(f"folded weights: {tk.folded}")
+folded = dict(zip(map(tuple, tk.displacements.tolist()), tk.weights.tolist()))
+print(f"folded weights: {folded}")
 
 print("\n== disorder laws and their decay constants ==")
 for name, law in (("deterministic b=1", deterministic_law(1.0)),

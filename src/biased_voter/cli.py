@@ -26,10 +26,10 @@ import sys
 import numpy as np
 
 from .harness import (_POWER_KEYS, CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
-                      build_config, check_t_grid, fit_stretch_exponent, make_kernel,
-                      parse_t_grid, parse_window, read_config_items, read_curve_csv,
-                      read_keys, run, sandwich_report, write_records_csv,
-                      write_sandwich_csv, write_table)
+                      build_config, check_t_grid, fit_stretch_exponent, parse_t_grid,
+                      parse_window, read_config_items, read_curve_csv, read_keys, run,
+                      sandwich_report, write_records_csv, write_sandwich_csv, write_table)
+from .kernel import KERNELS, make_kernel
 from .localfn import is_monotone, lemma1_check, parse_localfn_text, sigma_and_support, gap
 from .rangestats import effective_exponent
 from .stats import InvariantError
@@ -45,7 +45,7 @@ def _flag(key: str) -> str:
 
 
 _FLAG_OPTIONS = {
-    "kernel": dict(choices=("nn", "power")),
+    "kernel": dict(choices=KERNELS),
     "disorder": dict(choices=("bernoulli", "deterministic", "table")),
     "atoms": dict(help="table disorder: 'b:p, b:p, ...'"),
     "observable": dict(help="'site <coords>' or 'file <path>'"),
@@ -134,7 +134,7 @@ def _cmd_fit(args) -> int:
 _EXACT_FLAGS = {
     "dim": (("duality",), dict(type=int, default=1)),
     "L": (("duality",), dict(type=int, default=3)),
-    "kernel": (("duality",), dict(choices=("nn", "power"), default="nn")),
+    "kernel": (("duality",), dict(choices=KERNELS, default="nn")),
     "alpha": (("duality",), dict(type=float)),
     "cutoff": (("duality",), dict(type=int, default=100)),
     "fields": (("duality",), dict(type=int, default=5, help="number of random bias fields")),
@@ -161,7 +161,10 @@ def _exact_duality(args) -> int:
     if args.fields < 1:
         raise ConfigError(f"--fields must be at least 1, got {args.fields}: "
                           "a duality gate over no field compares nothing")
-    tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
+    try:   # a kernel the rule rejects is a config error, as in every subcommand
+        tk = make_kernel(args.kernel, args.dim, args.alpha, args.cutoff, args.L)
+    except ValueError as exc:
+        raise ConfigError(f"<flags>: {exc}") from exc
     rng = np.random.default_rng(args.seed)
     times = check_t_grid(parse_t_grid(args.t_grid)) if args.t_grid else (0.1, 1.0, 10.0)
     from .exact import duality_gap

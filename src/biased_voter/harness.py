@@ -38,8 +38,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
 from .forward import forward_relaxation
-from .kernel import (Kernel, TorusKernel, fold_to_torus, make_nn_kernel, make_power_kernel,
-                     site_array)
+from .kernel import KERNELS, Kernel, TorusKernel, make_kernel, site_array
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn_text,
                       product_indicator, sigma_and_support, site_indicator, _from_masks)
 from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
@@ -60,7 +59,6 @@ __all__ = [
     "check_t_grid",
     "parse_sites",
     "parse_window",
-    "make_kernel",
     "config_hash",
     "run",
     "fit_stretch_exponent",
@@ -110,7 +108,7 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError("seed must be a nonnegative 63-bit integer")
         try:   # the engines' own kernel and site rules
-            kernel = self.build_torus() if self.mode == "forward" else self.build_kernel()
+            kernel = self.kernel()
             if self.observable is not None:
                 site_array(kernel, self.observable.support)
         except ValueError as exc:
@@ -133,19 +131,10 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
 
-    def build_kernel(self) -> Kernel:
-        return make_kernel(self.kernel_name, self.dim, self.alpha, self.cutoff)
-
-    def build_torus(self) -> TorusKernel:
-        return make_kernel(self.kernel_name, self.dim, self.alpha, self.cutoff, self.side)
-
-    @property
-    def alpha_effective(self) -> float:
-        return 2.0 if self.kernel_name == "nn" else float(self.alpha)
-
-    @property
-    def target_exponent(self) -> float:
-        return self.dim / (self.dim + self.alpha_effective)
+    def kernel(self) -> Kernel | TorusKernel:
+        """The run's kernel by ``kernel.make_kernel``, folded onto the torus for a forward run."""
+        return make_kernel(self.kernel_name, self.dim, self.alpha, self.cutoff,
+                           self.side if self.mode == "forward" else None)
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """The header's ``key = value`` pairs: every key the run reads that has a header form."""
@@ -155,28 +144,6 @@ class ExperimentConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-
-def _check_kernel(name: str, dim: int, alpha: float | None):
-    if name not in ("nn", "power"):
-        raise ConfigError(f"kernel must be 'nn' or 'power', got {name!r}")
-    if name == "power" and dim != 1:
-        raise ConfigError("power-law kernels are one-dimensional")
-    if name == "power" and alpha is None:
-        raise ConfigError("power kernel needs alpha in (0, 2)")
-
-
-def make_kernel(name: str, dim: int, alpha: float | None, cutoff: int,
-                side: int | None = None) -> Kernel | TorusKernel:
-    """The kernel rule of experiments and exact oracles alike.
-
-    ``nn`` is the nearest-neighbor walk in ``dim`` dimensions, ``power`` the
-    one-dimensional power law of index ``alpha`` truncated at ``cutoff``.
-    With ``side`` the kernel comes folded onto that torus.
-    """
-    _check_kernel(name, dim, alpha)
-    kern = make_nn_kernel(dim) if name == "nn" else make_power_kernel(alpha, cutoff)
-    return kern if side is None else fold_to_torus(kern, side)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -378,7 +345,7 @@ def build_config(items: dict[str, tuple[str, str]], name: str = "<config>") -> E
         if key not in items:
             raise ConfigError(f"{name}: missing required key {key!r}")
     mode, kernel = items["mode"][0], items.get("kernel", ("nn",))[0]
-    if mode in MODES and kernel in ("nn", "power"):   # else validate names the bad one
+    if mode in MODES and kernel in KERNELS:   # else validate names the bad one
         reads = read_keys(mode, kernel)
         for key, (text, origin) in items.items():
             if key not in reads:
@@ -418,7 +385,7 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
 
 def _run_forward(config: ExperimentConfig) -> tuple[dict, None]:
     mean, stderr = forward_relaxation(config.observable, config.law,
-                                      config.build_torus(), config.t_grid,
+                                      config.kernel(), config.t_grid,
                                       config.replicas, config.seed, config.threads)
     return (dict(t=config.t_grid, mean=mean, stderr=stderr,
                  replicas=[config.replicas] * len(config.t_grid)), None)
@@ -434,12 +401,12 @@ def _dual_walk(config: ExperimentConfig, exponents=()):
     dseed = config.seed if config.disorder_seed is None else config.disorder_seed
     disorder = ({"bias": LazyBiasField(config.law, dseed)} if config.mode == "dual-quenched"
                 else {"law": config.law})
-    return walk_curve(config.build_kernel(), config.t_grid, config.replicas, config.seed,
+    return walk_curve(config.kernel(), config.t_grid, config.replicas, config.seed,
                       exponents=exponents, threads=config.threads, starts=starts, **disorder)
 
 
 def _run_range(config: ExperimentConfig) -> tuple[dict, int]:
-    stats = mc_range_functional(config.build_kernel(), config.nu, config.t_grid,
+    stats = mc_range_functional(config.kernel(), config.nu, config.t_grid,
                                 config.replicas, config.seed, threads=config.threads)
     mean = stats.exp_means[config.nu]
     slopes = dict(effective_exponent([(t, m) for t, m in zip(config.t_grid, mean)
@@ -589,8 +556,9 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
         bracket = (g_est[0] + g_est[1] >= lo_g[0] - lo_g[1]) and \
                   (g_est[0] - g_est[1] <= hi_g[0] + hi_g[1])
 
+    alpha = config.kernel().alpha
     lam = config.lam     # read with the power kernel only: nn has closed forms
-    if config.kernel_name == "nn" and 1 <= config.dim <= 3:
+    if config.kernel_name == "nn":
         lam = lambda_nn(config.dim)
     constants = {
         "nu1": n1, "nu2": n2, "m1": math.exp(-n1),
@@ -598,14 +566,14 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
         "gap_f": gap_f,
         "support_size": size,
         "lambda": lam,
-        "c_upper": dv_constant(config.dim, config.alpha_effective, lam, n1) if lam else None,
-        "c_lower": (dv_constant(config.dim, config.alpha_effective, lam, n2)
+        "c_upper": dv_constant(config.dim, alpha, lam, n1) if lam else None,
+        "c_lower": (dv_constant(config.dim, alpha, lam, n2)
                     if lam and math.isfinite(n2) else None),
     }
     return SandwichReport(
         config=config, columns=columns,
         hypothesis_upper_ok=hyp_upper, hypothesis_lower_ok=hyp_lower,
-        gamma_target=config.target_exponent,
+        gamma_target=config.dim / (config.dim + alpha),
         gamma_estimate=g_est, gamma_lower=g_low, gamma_upper=g_up,
         ordering_ok=all(ok),
         gamma_bracket_ok=bracket,
@@ -695,10 +663,14 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     rows = [ln for ln in lines if not ln.startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: no CSV header row")
     header = rows[0].split(",")
-    t_idx = header.index("t")
-    m_idx = next(header.index(c) for c in ("mean", "estimate", "value")
-                 if c in header)
+    value = next((c for c in ("mean", "estimate", "value") if c in header), None)
+    if "t" not in header or value is None:
+        raise ValueError(f"{path}: a curve CSV needs a 't' column and a 'mean', "
+                         "'estimate' or 'value' column")
+    t_idx, m_idx = header.index("t"), header.index(value)
     ts, ms = [], []
     for row in rows[1:]:
         cells = row.split(",")

@@ -4,12 +4,14 @@ A kernel is a symmetric probability distribution p on Z^d with p(0) = 0.
 It drives both the forward resampling dynamics and the dual random walks.
 Two families are provided: nearest-neighbor kernels in d = 1..3 (Gaussian
 attraction, index alpha = 2) and truncated power-law kernels in d = 1
-(stable attraction of index alpha < 2).
+(stable attraction of index alpha < 2). ``make_kernel`` builds either from
+its name, the one rule of every subcommand. A kernel on Z^d and one folded
+onto a torus hold the same form: ``displacements`` and ``weights`` arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +20,8 @@ __all__ = [
     "Kernel",
     "TorusKernel",
     "AssumptionReport",
+    "KERNELS",
+    "make_kernel",
     "make_nn_kernel",
     "make_power_kernel",
     "char_fn",
@@ -27,6 +31,7 @@ __all__ = [
     "bias_values",
 ]
 
+KERNELS = ("nn", "power")
 _WEIGHT_TOL = 1e-12
 _APERIODIC_TOL = 1e-9   # margin of the strict inequality p_hat(k) < 1 off the lattice 2*pi*Z^d
 
@@ -79,10 +84,6 @@ class Kernel:
         object.__setattr__(self, "displacements", disp)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def support(self) -> list[tuple[tuple[int, ...], float]]:
-        return [(tuple(x), float(w)) for x, w in zip(self.displacements, self.weights)]
-
     def sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Displacements and cumulative weights, for ``searchsorted`` draws."""
         cum = np.cumsum(self.weights)
@@ -94,39 +95,35 @@ class Kernel:
 class TorusKernel:
     """A kernel folded onto a periodic box of side ``side`` per axis.
 
-    ``folded`` maps each torus displacement (tuple of ints in [0, side)) to
-    the total base probability of displacements congruent to it mod side.
-    Folding can create mass at displacement 0 (a no-op move); it is kept so
-    that folded weights still sum to 1.
+    ``displacements`` are the torus displacements (rows of ints in [0, side),
+    sorted) and ``weights`` the total base probability of the displacements
+    congruent to each mod side. Folding can create mass at displacement 0
+    (a no-op move); it is kept so that the weights still sum to 1.
 
     Sites are in row-major order, axis 0 varying slowest: ``flat_index`` maps
     the site (c_0, ..., c_{d-1}) to ((c_0 * L + c_1) * L + ...).
     """
 
-    base: Kernel
     side: int
-    folded: dict[tuple[int, ...], float] = field(default_factory=dict)
+    displacements: np.ndarray  # (n, dim) int64
+    weights: np.ndarray        # (n,) float64, sums to 1
 
     def __post_init__(self):
-        total = sum(self.folded.values())
+        total = float(self.weights.sum())
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"folded weights sum to {total!r}, not 1")
+        self.displacements.setflags(write=False)
+        self.weights.setflags(write=False)
+
+    sampling_arrays = Kernel.sampling_arrays
 
     @property
     def dim(self) -> int:
-        return self.base.dim
+        return self.displacements.shape[1]
 
     @property
     def n_sites(self) -> int:
-        return self.side ** self.base.dim
-
-    def sampling_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Displacements and cumulative weights in canonical (sorted) order."""
-        items = sorted(self.folded.items())
-        disp = np.array([x for x, _ in items], dtype=np.int64).reshape(len(items), self.dim)
-        cum = np.cumsum([w for _, w in items])
-        cum[-1] = 1.0
-        return disp, cum
+        return self.side ** self.dim
 
     def flat_index(self, sites) -> np.ndarray:
         """Row-major flat index of each row of a (k, d) array of sites, taken mod the side."""
@@ -136,17 +133,17 @@ class TorusKernel:
     def partner_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(n_sites, n_moves) flat partner indices and the move weights.
 
-        The moves are the folded displacements other than the no-op at 0, in
-        canonical (sorted) order; ``partners[x, j]`` is the flat index of
-        site x shifted by move j. Computed once per torus, read-only.
+        The moves are the displacements other than the no-op at 0, in their
+        sorted order; ``partners[x, j]`` is the flat index of site x shifted
+        by move j. Computed once per torus, read-only.
         """
-        zero = (0,) * self.dim
-        moves = [(d, w) for d, w in sorted(self.folded.items()) if d != zero and w > 0]
-        if not moves:
+        moves = self.displacements.any(axis=1) & (self.weights > 0)
+        if not moves.any():
             raise ValueError("folded kernel has no real moves on this torus")
         coords = np.array(np.unravel_index(np.arange(self.n_sites), (self.side,) * self.dim)).T
-        partners = np.stack([self.flat_index(coords + d) for d, _ in moves], axis=1)
-        weights = np.array([w for _, w in moves])
+        partners = np.stack([self.flat_index(coords + d) for d in self.displacements[moves]],
+                            axis=1)
+        weights = self.weights[moves]
         partners.setflags(write=False)
         weights.setflags(write=False)
         return partners, weights
@@ -242,14 +239,35 @@ def verify_assumption(kernel: Kernel, kgrid) -> AssumptionReport:
 
 
 def fold_to_torus(kernel: Kernel, side: int) -> TorusKernel:
-    """Fold a kernel onto the torus (Z / side Z)^d by summing congruent mass."""
+    """Fold a kernel onto the torus (Z / side Z)^d by summing congruent mass.
+
+    The folded displacements come out sorted; each weight is summed in the
+    order of the kernel's displacements.
+    """
     if side < 2:
         raise ValueError("torus side must be at least 2")
-    folded: dict[tuple[int, ...], float] = {}
-    for x, w in zip(kernel.displacements, kernel.weights):
-        key = tuple(int(c) % side for c in x)
-        folded[key] = folded.get(key, 0.0) + float(w)
-    return TorusKernel(base=kernel, side=side, folded=folded)
+    disp, inverse = np.unique(kernel.displacements % side, axis=0, return_inverse=True)
+    weights = np.bincount(inverse.reshape(-1), weights=kernel.weights, minlength=len(disp))
+    return TorusKernel(side=side, displacements=disp, weights=weights)
+
+
+def make_kernel(name: str, dim: int, alpha: float | None, cutoff: int,
+                side: int | None = None) -> Kernel | TorusKernel:
+    """The kernel rule of every subcommand, experiments and exact oracles alike.
+
+    ``nn`` is the nearest-neighbor walk in ``dim`` dimensions, ``power`` the
+    one-dimensional power law of index ``alpha`` truncated at ``cutoff``.
+    With ``side`` the kernel comes folded onto that torus. A name, dimension,
+    index, cutoff or side that no kernel takes raises ``ValueError``.
+    """
+    if name not in KERNELS:
+        raise ValueError(f"kernel must be 'nn' or 'power', got {name!r}")
+    if name == "power" and dim != 1:
+        raise ValueError("power-law kernels are one-dimensional")
+    if name == "power" and alpha is None:
+        raise ValueError("power kernel needs alpha in (0, 2)")
+    kern = make_nn_kernel(dim) if name == "nn" else make_power_kernel(alpha, cutoff)
+    return kern if side is None else fold_to_torus(kern, side)
 
 
 def site_array(kernel, sites) -> np.ndarray:

@@ -92,8 +92,6 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
     integers; any other searches its cumulative weights with uniforms.
     """
     disp, cum = kernel.sampling_arrays()
-    weights = (np.fromiter(kernel.folded.values(), float) if isinstance(kernel, TorusKernel)
-               else kernel.weights)
     n, k = len(disp), len(starts)
     rows = count * k
     m0 = max(4, int(t_max + 6.0 * math.sqrt(t_max + 1.0) + 16.0))
@@ -109,7 +107,7 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
     # give the positions
     index = np.empty((rows, m + 1), dtype=np.min_scalar_type(n + k - 1))
     index[:, 0] = n + np.arange(rows) % k
-    if np.all(weights == weights[0]):
+    if np.all(kernel.weights == kernel.weights[0]):
         index[:, 1:] = rng.integers(0, n, size=(rows, m), dtype=np.min_scalar_type(n - 1))
     else:
         index[:, 1:] = np.searchsorted(cum, rng.random((rows, m)))

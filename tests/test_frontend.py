@@ -80,12 +80,20 @@ class TestExactKernelRule:
         ["--what", "duality", "--kernel", "power"],
         ["--what", "duality", "--kernel", "power", "--alpha", "1", "--dim", "2", "--L", "3"],
         ["--what", "range", "--nu", "1", "--kernel", "power", "--alpha", "1"],
+        # the kernel rule's own errors, as simulate-forward reports them
+        ["--what", "duality", "--L", "1"],
+        ["--what", "duality", "--kernel", "power", "--alpha", "2.5"],
+        ["--what", "duality", "--dim", "4"],
+        ["--what", "duality", "--kernel", "power", "--alpha", "1", "--cutoff", "0"],
     ])
     def test_bad_kernel_is_a_config_error(self, tmp_path, capsys, flags):
         code = cli.main(["exact", *flags, "--fields", "1",
                          "--t-grid", "1", "--out", str(tmp_path / "d.csv")])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "--nu" not in flags:   # the range case fails on an unread flag, not the rule
+            assert err.startswith("config error: <flags>: ")
 
 
 class TestEngineRulesAreConfigErrors:

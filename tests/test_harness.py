@@ -506,6 +506,14 @@ class TestCLI:
         assert code == 0
         assert "gamma = " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", "# biased-voter forward\nt,stderr\n1.0,0.1\n"],
+                             ids=["empty", "no-value-column"])
+    def test_fit_on_a_csv_with_no_curve_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        assert cli_main(["fit", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_sandwich_hypothesis_failure_exit_code(self, tmp_path):
         code = cli_main(["sandwich", "--disorder", "deterministic", "--b", "1",
                          "--observable", "site 0", "--t-grid", "5:200:8",

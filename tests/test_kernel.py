@@ -10,10 +10,23 @@ from biased_voter.kernel import (Kernel, bias_array, char_fn, fold_to_torus,
 
 
 def weight_of(kernel, disp):
-    for x, w in kernel.support:
-        if x == disp:
+    for x, w in zip(kernel.displacements.tolist(), kernel.weights):
+        if tuple(x) == disp:
             return w
     return 0.0
+
+
+def dict_fold(kernel, side):
+    """The sampling arrays of a fold accumulated in a dict, congruent mass in the kernel's order."""
+    folded = {}
+    for x, w in zip(kernel.displacements, kernel.weights):
+        key = tuple(int(c) % side for c in x)
+        folded[key] = folded.get(key, 0.0) + float(w)
+    items = sorted(folded.items())
+    disp = np.array([x for x, _ in items], dtype=np.int64).reshape(len(items), kernel.dim)
+    cum = np.cumsum([w for _, w in items])
+    cum[-1] = 1.0
+    return disp, cum
 
 
 class TestNearestNeighbor:
@@ -31,7 +44,7 @@ class TestNearestNeighbor:
 
     def test_d3(self):
         k = make_nn_kernel(3)
-        assert len(k.support) == 6
+        assert len(k.weights) == 6
         assert np.allclose(k.weights, 1 / 6)
         assert np.allclose(k.dmatrix, np.eye(3) / 6)
 
@@ -121,21 +134,33 @@ class TestVerifyAssumption:
 class TestFolding:
     def test_side_two_merges_neighbors(self):
         tk = fold_to_torus(make_nn_kernel(1), 2)
-        assert tk.folded == {(1,): pytest.approx(1.0)}
+        assert tk.displacements.tolist() == [[1]]
+        assert tk.weights.tolist() == [pytest.approx(1.0)]
 
     def test_side_four_splits(self):
         tk = fold_to_torus(make_nn_kernel(1), 4)
-        assert tk.folded[(1,)] == pytest.approx(0.5)
-        assert tk.folded[(3,)] == pytest.approx(0.5)
+        assert weight_of(tk, (1,)) == pytest.approx(0.5)
+        assert weight_of(tk, (3,)) == pytest.approx(0.5)
 
     def test_power_kernel_mass_conserved(self):
         tk = fold_to_torus(make_power_kernel(1.0, 5), 4)
-        assert abs(sum(tk.folded.values()) - 1.0) < 1e-12
+        assert abs(tk.weights.sum() - 1.0) < 1e-12
 
     def test_symmetry_on_even_torus(self):
         tk = fold_to_torus(make_power_kernel(1.3, 7), 6)
-        for (x,), w in tk.folded.items():
-            assert tk.folded.get(((-x) % 6,)) == pytest.approx(w)
+        for (x,), w in zip(tk.displacements.tolist(), tk.weights):
+            assert weight_of(tk, ((-x) % 6,)) == pytest.approx(w)
+
+    @pytest.mark.parametrize("kernel", [
+        make_nn_kernel(1), make_nn_kernel(2), make_nn_kernel(3),
+        make_power_kernel(0.8, 30), make_power_kernel(1.0, 100), make_power_kernel(1.5, 1000),
+    ], ids=["nn1", "nn2", "nn3", "power-0.8-30", "power-1-100", "power-1.5-1000"])
+    def test_sampling_arrays_match_a_dict_fold_bit_for_bit(self, kernel):
+        for side in (2, 3, 4, 5, 7, 8, 16, 32):
+            disp, cum = fold_to_torus(kernel, side).sampling_arrays()
+            ref_disp, ref_cum = dict_fold(kernel, side)
+            assert disp.dtype == ref_disp.dtype and np.array_equal(disp, ref_disp), side
+            assert cum.dtype == ref_cum.dtype and cum.tobytes() == ref_cum.tobytes(), side
 
     def test_small_side_rejected(self):
         with pytest.raises(ValueError):

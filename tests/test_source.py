@@ -5,7 +5,8 @@ would pass silently there instead of ending in exit code 3. scipy takes
 longer to import than a short run takes to compute, so only the exact
 oracles import it at module level; everything else imports it where it
 computes with it. The row-major order of torus sites is computed in one
-place, ``kernel.TorusKernel.flat_index``.
+place, ``kernel.TorusKernel.flat_index``, and a kernel is built from its
+name by one rule, ``kernel.make_kernel``.
 """
 
 import ast
@@ -47,3 +48,15 @@ def test_only_kernel_computes_the_row_major_order():
              for lineno, line in enumerate(path.read_text().splitlines(), start=1)
              if "ravel_multi_index" in line]
     assert not found, f"ravel_multi_index outside kernel.py: {found}"
+
+
+def test_only_kernel_builds_kernels():
+    builders = {"make_nn_kernel", "make_power_kernel", "fold_to_torus"}
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in modules
+             if path.name != "kernel.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders]
+    assert not found, f"kernel builders called outside kernel.py: {found}"
