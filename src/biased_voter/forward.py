@@ -152,17 +152,20 @@ class ForwardSimulation:
 
 
 def _relaxation_chunk(args):
-    table, idx, bias, tk, t_grid, start, stop, seed = args
+    table, shifts, bias, tk, t_grid, start, stop, seed = args
     count, n = stop - start, tk.n_sites
     rng = np.random.default_rng(np.random.SeedSequence([seed, start]))
     if isinstance(bias, DisorderLaw):
         bias = _draw_values(bias, count * n, rng).reshape(count, n)
     sim = ForwardSimulation(np.ones((count, n), dtype=np.uint8), bias, tk, rng)
-    bits = 1 << np.arange(len(idx), dtype=np.int64)
+    # the narrowest dtype of every key, so the (count, n_shifts, k) cells
+    # gathered per grid time are not widened to int64
+    k = shifts.shape[1]
+    bits = (1 << np.arange(k)).astype(np.min_scalar_type((1 << k) - 1))
     values = np.empty((count, len(t_grid)))
     for j, t in enumerate(t_grid):
         sim.advance_to(t)
-        values[:, j] = table[sim.layers[0][:, idx] @ bits]
+        values[:, j] = table[np.take(sim.layers[0], shifts, axis=1) @ bits].mean(axis=1)
     return Moments.of(values)
 
 
@@ -176,10 +179,16 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
     each replica draws its own i.i.d. field, the annealed case.
 
     Returns (means, standard errors) over the time grid, which must pass
-    ``stats.check_t_grid``. Each replica is
-    one trajectory evaluated at every grid time. Replicas run in chunks of
-    ``CHUNK``; the chunk starting at replica b uses the seed stream
-    (seed, b), so results do not depend on the thread count.
+    ``stats.check_t_grid``. Each replica is one trajectory, and its sample
+    at a grid time is f averaged over the translates of its support. An
+    annealed run averages over every translate of the torus, (1/n) sum_x
+    f(tau_x eta_t): the field is i.i.d. over sites, the folded kernel and
+    the all-ones start are shift invariant, so tau_x eta_t has the law of
+    eta_t and the average has the mean of f(eta_t), with less variance. A
+    quenched run's one field is not shift invariant, so it reads the
+    support itself only, f(eta_t). Replicas run in chunks of ``CHUNK``; the
+    chunk starting at replica b uses the seed stream (seed, b), so results
+    do not depend on the thread count.
 
     For monotone f the all-ones start realizes the worst case over initial
     configurations (attractiveness); for non-monotone f the measured curve
@@ -188,10 +197,13 @@ def forward_relaxation(f: LocalFunction, bias, tk: TorusKernel, t_grid,
     if replicas < 2:
         raise ValueError("at least 2 replicas are required")
     t_grid = check_t_grid(t_grid)
-    idx = tk.flat_index(site_array(tk, f.support))
-    if not isinstance(bias, DisorderLaw):
+    sites = site_array(tk, f.support)
+    if isinstance(bias, DisorderLaw):
+        shifts = tk.translates(sites)
+    else:
         bias = bias_array(bias, tk)
-    jobs = [(f.table, idx, bias, tk, t_grid, b, min(b + CHUNK, replicas), seed)
+        shifts = tk.flat_index(sites)[None]
+    jobs = [(f.table, shifts, bias, tk, t_grid, b, min(b + CHUNK, replicas), seed)
             for b in range(0, replicas, CHUNK)]
     moments = Moments.zeros(len(t_grid))
     for p in map_batches(_relaxation_chunk, jobs, threads):

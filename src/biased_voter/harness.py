@@ -674,6 +674,10 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
     ts, ms = [], []
     for row in rows[1:]:
         cells = row.split(",")
-        ts.append(float(cells[t_idx]))
-        ms.append(float(cells[m_idx]))
+        try:
+            ts.append(float(cells[t_idx]))
+            ms.append(float(cells[m_idx]))
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}: row {row!r} needs a number in its 't' and "
+                             f"{value!r} cells") from None
     return np.asarray(ts), np.asarray(ms)

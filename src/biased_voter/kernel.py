@@ -7,10 +7,13 @@ attraction, index alpha = 2) and truncated power-law kernels in d = 1
 (stable attraction of index alpha < 2). ``make_kernel`` builds either from
 its name, the one rule of every subcommand. A kernel on Z^d and one folded
 onto a torus hold the same form: ``displacements`` and ``weights`` arrays.
+Every row-major order of sites, on a torus or in a walk's bounding box, is
+computed here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,6 +132,22 @@ class TorusKernel:
         """Row-major flat index of each row of a (k, d) array of sites, taken mod the side."""
         return np.ravel_multi_index(np.asarray(sites).T, (self.side,) * self.dim, mode="wrap")
 
+    @property
+    def coords(self) -> np.ndarray:
+        """(n_sites, d) coordinates of every site, in row-major order."""
+        return np.stack(np.unravel_index(np.arange(self.n_sites), (self.side,) * self.dim),
+                        axis=1)
+
+    def translates(self, sites) -> np.ndarray:
+        """(n_sites, k) flat indices of a (k, d) site array shifted by every torus site.
+
+        Row y is the site array shifted by the site of flat index y, so row 0
+        is ``flat_index(sites)``.
+        """
+        sites = np.asarray(sites).reshape(-1, self.dim)
+        shifted = self.coords[:, None, :] + sites
+        return self.flat_index(shifted.reshape(-1, self.dim)).reshape(self.n_sites, len(sites))
+
     @cached_property
     def partner_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(n_sites, n_moves) flat partner indices and the move weights.
@@ -140,7 +159,7 @@ class TorusKernel:
         moves = self.displacements.any(axis=1) & (self.weights > 0)
         if not moves.any():
             raise ValueError("folded kernel has no real moves on this torus")
-        coords = np.array(np.unravel_index(np.arange(self.n_sites), (self.side,) * self.dim)).T
+        coords = self.coords
         partners = np.stack([self.flat_index(coords + d) for d in self.displacements[moves]],
                             axis=1)
         weights = self.weights[moves]
@@ -286,6 +305,33 @@ def site_array(kernel, sites) -> np.ndarray:
         raise ValueError("sites must be distinct: no two may be equal or collide "
                          "after wrapping onto the torus")
     return arr
+
+
+def box_keys(pos: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major key of every position in the bounding box; its corner and spans.
+
+    ``pos`` holds the (rows, m, d) walk positions of ``count`` replicas, the
+    site keys of the walk engine. Keys are int32 when count times the box's
+    key count is below 2 ** 31, so that a row offset of the reduction fits
+    too; int64 otherwise.
+    """
+    mins = pos.min(axis=(0, 1))
+    spans = pos.max(axis=(0, 1)).astype(np.int64) - mins + 1
+    key_space = count * math.prod(int(s) for s in spans)
+    if key_space >= 1 << 62:
+        raise RuntimeError("site key space overflow; reduce batch size")
+    # int32 sums may wrap on the way, but every key fits, so each ends exact
+    skey = np.subtract(pos[..., 0], mins[0], dtype=np.int32 if key_space < 1 << 31 else np.int64)
+    for a in range(1, pos.shape[-1]):
+        skey *= int(spans[a])
+        skey += pos[..., a]
+        skey -= mins[a]
+    return skey, mins, spans
+
+
+def box_sites(keys, mins, spans) -> np.ndarray:
+    """The (k, d) sites of row-major box keys: the inverse of ``box_keys``."""
+    return np.stack(np.unravel_index(keys, spans), axis=-1) + mins
 
 
 def bias_values(bias, sites) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderLaw, laplace
-from .kernel import TorusKernel, bias_array, bias_values, site_array
+from .kernel import TorusKernel, bias_array, bias_values, box_keys, box_sites, site_array
 from .stats import InvariantError, Moments, check_t_grid, map_batches
 
 __all__ = ["WalkCurveStats", "walk_curve"]
@@ -118,26 +118,6 @@ def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
     if isinstance(kernel, TorusKernel):
         pos %= kernel.side
     return pos, cum_t
-
-
-def _site_keys(pos: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major key of every position in the bounding box; its corner and spans.
-
-    Keys are int32 when count times the box's key count is below 2 ** 31,
-    so that a row offset of the reduction fits too; int64 otherwise.
-    """
-    mins = pos.min(axis=(0, 1))
-    spans = pos.max(axis=(0, 1)).astype(np.int64) - mins + 1
-    key_space = count * math.prod(int(s) for s in spans)
-    if key_space >= 1 << 62:
-        raise RuntimeError("site key space overflow; reduce batch size")
-    # int32 sums may wrap on the way, but every key fits, so each ends exact
-    skey = np.subtract(pos[..., 0], mins[0], dtype=np.int32 if key_space < 1 << 31 else np.int64)
-    for a in range(1, pos.shape[-1]):
-        skey *= int(spans[a])
-        skey += pos[..., a]
-        skey -= mins[a]
-    return skey, mins, spans
 
 
 def _death_times(cum_t: np.ndarray, skey: np.ndarray, k: int, t_max: float) -> np.ndarray:
@@ -236,7 +216,7 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     """
     k, whole = len(starts), tuple(range(len(starts)))
     pos, cum_t = _draw(kernel, starts, float(t_grid[-1]), count, rng)
-    skey, mins, spans = _site_keys(pos, count)
+    skey, mins, spans = box_keys(pos, count)
     del pos
     max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
     reduced = {}
@@ -331,7 +311,7 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
 
     if bias is not None:
         sites, site_of = np.unique(uniq % n_keys, return_inverse=True)
-        coords = np.stack(np.unravel_index(sites, spans), axis=-1) + mins
+        coords = box_sites(sites, mins, spans)
         if isinstance(kernel, TorusKernel):
             beta = bias[kernel.flat_index(coords)]
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from biased_voter.disorder import _draw_values, bernoulli_law
 from biased_voter.forward import ForwardSimulation, _EventStream, forward_relaxation
-from biased_voter.kernel import TorusKernel, fold_to_torus, make_nn_kernel
-from biased_voter.localfn import LocalFunction, site_indicator
+from biased_voter.kernel import TorusKernel, fold_to_torus, make_kernel, make_nn_kernel
+from biased_voter.localfn import LocalFunction, product_indicator, site_indicator
+from biased_voter.walks import walk_curve
 
 NN1 = make_nn_kernel(1)
 
@@ -236,13 +238,46 @@ class TestForwardRelaxation:
         with pytest.raises(ValueError):
             forward_relaxation(site_indicator(0), np.zeros(3), tk, [1.0], 10, seed=6)
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("bias", [np.full(4, 0.5), bernoulli_law(0.5, 1.0)],
+                             ids=["quenched", "annealed"])
+    def test_thread_count_does_not_change_results(self, bias):
         tk = fold_to_torus(NN1, 4)
-        args = (site_indicator(0), np.full(4, 0.5), tk, [0.5, 1.5], 3000)
+        args = (site_indicator(0), bias, tk, [0.5, 1.5], 3000)
         m1, s1 = forward_relaxation(*args, seed=7, threads=1)
         m2, s2 = forward_relaxation(*args, seed=7, threads=3)
         assert np.array_equal(m1, m2)
         assert np.array_equal(s1, s2)
+
+    def test_quenched_output_bytes_are_pinned(self):
+        """A quenched run's one field is not shift invariant: its sample is f
+        on the support itself, f(eta_t), and these bytes pin that estimator."""
+        tk = make_kernel("nn", 2, None, 1, side=4)
+        f = LocalFunction([(0, 0), (1, 0)], [0.0, 0.25, 0.5, 1.0])
+        mean, stderr = forward_relaxation(f, np.linspace(0.0, 1.5, 16), tk,
+                                          [0.5, 1.0, 2.0], 2500, seed=31)
+        assert hashlib.sha256(mean.tobytes() + stderr.tobytes()).hexdigest() == \
+            "edaae09151f265caf3f268fe235b55288be4fdcd660ebe74650619aca9266bfd"
+
+    def test_annealed_two_sites_match_the_walk_dual_on_the_torus(self):
+        # E[eta_t(0,0) eta_t(1,0)] is the annealed weight of the coalescing
+        # dual started from both sites, on the same 4 x 4 torus
+        tk = make_kernel("nn", 2, None, 1, side=4)
+        law = bernoulli_law(0.5, 1.0)
+        sites = [(0, 0), (1, 0)]
+        t_grid = [0.5, 1.5, 3.0]
+        mean, stderr = forward_relaxation(product_indicator(sites), law, tk, t_grid,
+                                          4000, seed=32)
+        ref = walk_curve(tk, t_grid, 20_000, seed=33, law=law, starts=sites)
+        sigma = np.hypot(stderr, ref.weight_stderr)
+        assert np.all(np.abs(mean - ref.weight_mean) < 4 * sigma)
+
+    def test_annealed_translate_average_cuts_the_stderr(self):
+        # the benchmark's forward run: one replica's sample at t = 8 averages
+        # f over 32 translates; f(eta_t) alone gives a relative stderr of 0.051
+        tk = make_kernel("nn", 1, None, 1, side=32)
+        mean, stderr = forward_relaxation(site_indicator(0), bernoulli_law(0.5, 1.0), tk,
+                                          [8.0], 2048, seed=34)
+        assert stderr[0] / mean[0] <= 0.03
 
 
 class TestDeterminism:

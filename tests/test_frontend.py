@@ -251,6 +251,18 @@ class TestExactGrid:
         assert not out.exists()
 
 
+class TestFitReadsWholeRows:
+    """``fit`` reads a number from the 't' and value cells of every data row."""
+
+    @pytest.mark.parametrize("row", ["2.0", "2.0,abc"], ids=["short", "not-a-number"])
+    def test_bad_row_exits_2_naming_the_file_and_the_row(self, tmp_path, capsys, row):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"t,mean\n1.0,0.5\n{row}\n")
+        assert cli.main(["fit", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: row {row!r} ")
+
+
 class TestHeadersReadBack:
     """Every output's ``# key = value`` header lines read back as its config;
     the other header lines take the ``# name: value`` form."""

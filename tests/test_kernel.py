@@ -166,6 +166,14 @@ class TestFolding:
         with pytest.raises(ValueError):
             fold_to_torus(make_nn_kernel(1), 1)
 
+    def test_translates_shift_the_sites_by_every_torus_site(self):
+        tk = fold_to_torus(make_nn_kernel(2), 3)
+        sites = [(0, 0), (2, 1)]
+        table = tk.translates(sites)
+        for y, shift in enumerate(np.ndindex(3, 3)):
+            moved = [((a + shift[0]) % 3, (b + shift[1]) % 3) for a, b in sites]
+            assert table[y].tolist() == [3 * a + b for a, b in moved]
+
     @pytest.mark.parametrize("kernel", [make_power_kernel(1.3, 7),
                                         fold_to_torus(make_power_kernel(1.3, 7), 6)],
                              ids=["z", "torus"])

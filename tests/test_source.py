@@ -4,9 +4,10 @@
 would pass silently there instead of ending in exit code 3. scipy takes
 longer to import than a short run takes to compute, so only the exact
 oracles import it at module level; everything else imports it where it
-computes with it. The row-major order of torus sites is computed in one
-place, ``kernel.TorusKernel.flat_index``, and a kernel is built from its
-name by one rule, ``kernel.make_kernel``.
+computes with it. Row-major orders of sites, of a torus or of a walk's
+bounding box, are computed in one module, ``kernel.py``, both ways
+(``ravel_multi_index`` and ``unravel_index``), and a kernel is built from
+its name by one rule, ``kernel.make_kernel``.
 """
 
 import ast
@@ -46,8 +47,8 @@ def test_only_kernel_computes_the_row_major_order():
     found = [f"{path.relative_to(SRC)}:{lineno}" for path in modules
              if path.name != "kernel.py"
              for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-             if "ravel_multi_index" in line]
-    assert not found, f"ravel_multi_index outside kernel.py: {found}"
+             if "ravel_multi_index" in line or "unravel_index" in line]
+    assert not found, f"ravel_multi_index or unravel_index outside kernel.py: {found}"
 
 
 def test_only_kernel_builds_kernels():

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from biased_voter import walks
 from biased_voter.disorder import bernoulli_law, laplace
 from biased_voter.exact import exact_forward_values_all, sites_to_mask
-from biased_voter.kernel import (TorusKernel, bias_values, fold_to_torus,
+from biased_voter.kernel import (TorusKernel, bias_values, box_keys, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
 from biased_voter.localfn import LocalFunction, hat_coeffs
 from biased_voter.stats import InvariantError
@@ -62,7 +62,7 @@ def reference_batch(kernel, t_grid, starts, count, rng, law=None, bias=None):
     t_max = float(t_grid[-1])
     pos, cum_t = walks._draw(kernel, starts, t_max, count, rng)
     rows = pos.shape[0]
-    skey, mins, spans = walks._site_keys(pos, count)
+    skey, mins, spans = box_keys(pos, count)
     max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
     n_keys = math.prod(int(s) for s in spans)
     arrivals = np.concatenate([np.zeros((rows, 1)), cum_t], axis=1)
@@ -110,7 +110,7 @@ def coupled_dual_walker_ranges(starts, kernel, t, replicas, rng):
     pos, cum_t = walks._draw(kernel, walks._start_array(kernel, starts), t, replicas, rng)
     arrivals = np.concatenate([np.zeros((len(pos), 1)), cum_t], axis=1)
     k = len(pos) // replicas
-    skey, _, spans = walks._site_keys(pos, replicas)
+    skey, _, spans = box_keys(pos, replicas)
     death = walks._death_times(cum_t, skey, k, t)
     n_keys = math.prod(int(s) for s in spans)
     keys = skey + (np.arange(len(pos)) // k * n_keys)[:, None]   # replica-major (replica, site)
@@ -283,7 +283,7 @@ def sweep_cases(draw):
 def test_death_times_match_per_jump_sweep(case):
     kernel, starts, count, seed, t_max = case
     pos, cum_t = walks._draw(kernel, starts, t_max, count, rng_for(seed))
-    skey = walks._site_keys(pos, count)[0]
+    skey = box_keys(pos, count)[0]
     k = len(starts)
     assert np.array_equal(walks._death_times(cum_t, skey, k, t_max),
                           reference_death_times(cum_t, skey, k, t_max))
@@ -309,7 +309,7 @@ def test_wide_boxes_take_the_sorted_pair_ids():
         starts = walks._start_array(kernel, None)
         count = walks.BATCH_SIZE
         pos, cum_t = walks._draw(kernel, starts, 1000.0, count, rng_for(5))
-        _, _, spans = walks._site_keys(pos, count)
+        _, _, spans = box_keys(pos, count)
         # held intervals are at most one per drawn position
         assert count * math.prod(int(s) for s in spans) > pos.shape[0] * pos.shape[1]
 
@@ -387,7 +387,7 @@ def test_site_keys_are_row_major_in_the_narrowest_dtype(lo, span, count, dtype):
     pos = np.stack([rng.integers(a, a + n, size=(count, 6)) for a, n in zip(lo, span)], axis=-1)
     pos[0, 0], pos[-1, -1] = lo, np.add(lo, span) - 1    # the box's corners are visited
     pos = pos.astype(np.int32 if pos.max() < 2 ** 31 else np.int64)
-    skey, mins, spans = walks._site_keys(pos, count)
+    skey, mins, spans = box_keys(pos, count)
     assert skey.dtype == dtype
     np.testing.assert_array_equal(spans, span)
     np.testing.assert_array_equal(
