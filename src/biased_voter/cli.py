@@ -31,8 +31,8 @@ from .harness import (_POWER_KEYS, CONFIG_KEYS, MODES, ConfigError, ExperimentCo
                       sandwich_report, write_records_csv, write_sandwich_csv, write_table)
 from .kernel import KERNELS, make_kernel
 from .localfn import is_monotone, lemma1_check, parse_localfn_text, sigma_and_support, gap
-from .rangestats import effective_exponent
-from .stats import InvariantError
+from .rangestats import local_exponent_column
+from .stats import InvariantError, check_seed
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -154,6 +154,7 @@ def _cmd_exact(args) -> int:
         reads = args.what in oracles and (args.kernel == "power" or dest not in _POWER_KEYS)
         if not reads and getattr(args, dest) != options.get("default"):
             raise ConfigError(f"exact --what {args.what} does not read {_flag(dest)}")
+    check_seed(args.seed, "--seed")
     return (_exact_duality if args.what == "duality" else _exact_range)(args)
 
 
@@ -190,10 +191,8 @@ def _exact_range(args) -> int:
         float(x) for x in np.geomspace(100, 2000, 13))
     from .exact import exact_range_functional_curve_1d
     values = exact_range_functional_curve_1d(args.nu, times, args.width_cap)
-    slopes = dict(effective_exponent([(t, v) for t, v in zip(times, values)
-                                      if t > 0.0 and 0.0 < v < 1.0]))
     write_table(args.out, ("t", "value", "local_exponent"),
-                ((float(t), float(v), slopes.get(float(t))) for t, v in zip(times, values)))
+                zip(times, map(float, values), local_exponent_column(times, values)))
     decreasing = bool(np.all(np.diff(values) < 0))
     print(f"range functional: strictly decreasing in t: {decreasing}",
           file=sys.stderr)

@@ -23,7 +23,7 @@ from scipy.special import gammaln, ive, pdtrc, xlogy
 
 from .kernel import TorusKernel, bias_array, site_array
 from .localfn import _subset_sums
-from .stats import InvariantError, check_t_grid, check_time
+from .stats import InvariantError, check_nu, check_t_grid, check_time
 
 __all__ = [
     "MAX_EXACT_SITES",
@@ -221,8 +221,7 @@ def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.nda
     when that bound exceeds 1e-12 of F at some grid time. ``t_grid`` must
     pass ``stats.check_t_grid``.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    check_nu(nu, positive=True)
     if width_cap < 1:
         raise ValueError("width_cap must be at least 1")
     ts = np.asarray(check_t_grid(t_grid))

@@ -41,8 +41,9 @@ from .forward import forward_relaxation
 from .kernel import KERNELS, Kernel, TorusKernel, make_kernel, site_array
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn_text,
                       product_indicator, sigma_and_support, site_indicator, _from_masks)
-from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
-from .stats import ConfigError, check_t_grid
+from .rangestats import (dirichlet_eigenvalue, dv_constant, local_exponent_column,
+                         mc_range_functional)
+from .stats import ConfigError, check_nu, check_seed, check_t_grid
 from .walks import walk_curve
 
 __all__ = [
@@ -90,7 +91,6 @@ class ExperimentConfig:
     law: DisorderLaw | None = None
     observable: LocalFunction | None = None
     nu: float | None = None
-    lam: float | None = None          # user-supplied eigenvalue of a power kernel
     threads: int = 1
     fit_window: tuple[float, float] | None = None
     disorder_seed: int | None = None
@@ -105,8 +105,7 @@ class ExperimentConfig:
         if self.replicas < 2:
             raise ConfigError("replicas must be at least 2")
         check_t_grid(self.t_grid)
-        if not 0 <= self.seed < 2 ** 63:
-            raise ConfigError("seed must be a nonnegative 63-bit integer")
+        check_seed(self.seed)
         try:   # the engines' own kernel and site rules
             kernel = self.kernel()
             if self.observable is not None:
@@ -118,8 +117,12 @@ class ExperimentConfig:
             if key.name not in reads and getattr(self, key.field) != _DEFAULTS[key.field]:
                 raise ConfigError(f"a {self.mode} run with the {self.kernel_name} kernel "
                                   f"does not read {key.name!r}")
-        if self.mode == "range" and (self.nu is None or self.nu < 0):
-            raise ConfigError("range mode needs nu >= 0")
+        if self.mode == "range":
+            check_nu(self.nu)
+        if self.disorder_seed is not None:
+            check_seed(self.disorder_seed, "disorder_seed")
+        if self.fit_window is not None:
+            check_window(self.fit_window)
         if self.mode != "range" and self.law is None:
             raise ConfigError(f"mode {self.mode!r} needs a disorder law")
         f = self.observable
@@ -189,12 +192,20 @@ def parse_sites(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def check_window(window) -> tuple[float, float]:
+    """A fit window (a, b) as floats, once finite with a < b."""
+    a, b = map(float, window)
+    if not -math.inf < a < b < math.inf:   # false for nan too
+        raise ConfigError(f"fit window must be finite with a < b, got {a!r}:{b!r}")
+    return a, b
+
+
 def parse_window(text: str) -> tuple[float, float]:
-    """A fit window ``a:b``."""
+    """A fit window ``a:b``, by ``check_window``."""
     a, sep, b = text.strip().partition(":")
     if not sep:
         raise ConfigError(f"expected a fit window a:b, got {text!r}")
-    return float(a), float(b)
+    return check_window((a, b))
 
 
 def _parse_observable(text: str) -> LocalFunction:
@@ -274,7 +285,7 @@ class ConfigKey(NamedTuple):
 
 
 _LAW = ("forward", "dual-quenched", "dual-annealed", "sandwich")
-_POWER_KEYS = ("alpha", "cutoff", "lam")    # read with the power kernel only
+_POWER_KEYS = ("alpha", "cutoff")    # read with the power kernel only
 
 # Every config key, in header order. The four law keys set one field, which
 # the header writes as a table law; ``observable`` and ``sites`` set one
@@ -291,7 +302,6 @@ KEYS = (
     ConfigKey("seed", "seed", int, str, MODES),
     ConfigKey("threads", "threads", int, None, MODES),   # no part of the result
     ConfigKey("nu", "nu", float, _float, ("range",)),
-    ConfigKey("lam", "lam", float, _float, ("sandwich",)),
     ConfigKey("fit_window", "fit_window", parse_window, lambda v: _floats(v, ":"), ("sandwich",)),
     ConfigKey("disorder_seed", "disorder_seed", int, str, ("dual-quenched",)),
     ConfigKey("disorder", "law", str, lambda law: "table", _LAW),
@@ -409,11 +419,9 @@ def _run_range(config: ExperimentConfig) -> tuple[dict, int]:
     stats = mc_range_functional(config.kernel(), config.nu, config.t_grid,
                                 config.replicas, config.seed, threads=config.threads)
     mean = stats.exp_means[config.nu]
-    slopes = dict(effective_exponent([(t, m) for t, m in zip(config.t_grid, mean)
-                                      if t > 0.0 and 0.0 < m < 1.0]))
     return (dict(t=config.t_grid, mean=mean, stderr=stats.exp_stderrs[config.nu],
                  mean_range=stats.range_mean,
-                 local_exponent=[slopes.get(t) for t in config.t_grid]),
+                 local_exponent=local_exponent_column(config.t_grid, mean)),
             stats.max_abs_position)
 
 
@@ -556,19 +564,16 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
         bracket = (g_est[0] + g_est[1] >= lo_g[0] - lo_g[1]) and \
                   (g_est[0] - g_est[1] <= hi_g[0] + hi_g[1])
 
-    alpha = config.kernel().alpha
-    lam = config.lam     # read with the power kernel only: nn has closed forms
-    if config.kernel_name == "nn":
-        lam = lambda_nn(config.dim)
+    kernel = config.kernel()
+    alpha, lam = kernel.alpha, dirichlet_eigenvalue(kernel)
     constants = {
         "nu1": n1, "nu2": n2, "m1": math.exp(-n1),
         "sigma_f": sigma,
         "gap_f": gap_f,
         "support_size": size,
         "lambda": lam,
-        "c_upper": dv_constant(config.dim, alpha, lam, n1) if lam else None,
-        "c_lower": (dv_constant(config.dim, alpha, lam, n2)
-                    if lam and math.isfinite(n2) else None),
+        "c_upper": dv_constant(config.dim, alpha, lam, n1),
+        "c_lower": dv_constant(config.dim, alpha, lam, n2) if math.isfinite(n2) else None,
     }
     return SandwichReport(
         config=config, columns=columns,

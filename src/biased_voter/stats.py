@@ -6,8 +6,9 @@ cancellation of naive sum-of-squares accumulation: estimators whose path
 weight is deterministic really do report a vanishing standard error.
 Merging in a fixed batch order keeps results bitwise reproducible for any
 worker count; ``map_batches`` runs the batch jobs of every engine in that
-order. ``check_t_grid`` is the one rule for the time grid of every engine
-and oracle; it raises ``ConfigError`` (exit code 2), and an estimator whose
+order. ``check_t_grid``, ``check_nu`` and ``check_seed`` are the one rule
+for the time grid, the range weight nu and a seed of every engine and
+oracle; they raise ``ConfigError`` (exit code 2), and an estimator whose
 audited pathwise identity fails raises ``InvariantError`` (exit code 3).
 """
 
@@ -45,6 +46,21 @@ def check_t_grid(times) -> tuple[float, ...]:
     if any(t < 0 for t in times):
         raise ConfigError("t_grid times must be nonnegative")
     return times
+
+
+def check_nu(nu, positive: bool = False) -> float:
+    """``nu`` as a float, once given, finite and nonnegative (positive if ``positive``)."""
+    if nu is None or not (math.isfinite(nu) and (nu > 0 if positive else nu >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(f"nu must be finite and {sign}, got {nu}")
+    return float(nu)
+
+
+def check_seed(seed, key: str = "seed") -> int:
+    """``seed``, once a nonnegative 63-bit integer; the error names ``key``."""
+    if not 0 <= seed < 2 ** 63:
+        raise ConfigError(f"{key} must be a nonnegative 63-bit integer, got {seed}")
+    return seed
 
 
 def check_time(t, since: float = 0.0) -> float:

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from biased_voter import cli
 from biased_voter.disorder import bernoulli_law
-from biased_voter.harness import (MODES, ConfigError, ExperimentConfig, config_hash,
-                                  parse_config_text, read_keys)
+from biased_voter.harness import (CONFIG_KEYS, MODES, ConfigError, ExperimentConfig,
+                                  config_hash, parse_config_text, read_keys)
 
 QUENCHED_FILE = """
 sites = 0
@@ -251,6 +251,77 @@ class TestExactGrid:
         assert not out.exists()
 
 
+class TestInputRules:
+    """nu, a seed and a fit window each have one rule; a value it rejects exits 2 naming it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["range", "--t-grid", "1,2", "--replicas", "10"],
+        ["exact", "--what", "range", "--t-grid", "1,2"],
+    ], ids=["range", "exact-range"])
+    @pytest.mark.parametrize("nu", ["nan", "inf"])
+    def test_non_finite_nu_exits_2_naming_nu(self, tmp_path, capsys, argv, nu):
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--nu", nu, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "nu must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate-dual", "--mode", "quenched", "--sites", "0", "--t-grid", "1,2", *LAW_FLAGS,
+          "--disorder-seed", "-1"], "disorder_seed"),
+        (["simulate-dual", "--mode", "quenched", "--sites", "0", "--t-grid", "1,2", *LAW_FLAGS,
+          "--disorder-seed", "1" * 23], "disorder_seed"),
+        (["range", "--nu", "1", "--t-grid", "1,2", "--replicas", "10", "--seed", str(2 ** 63)],
+         "seed"),
+        (["exact", "--what", "duality", "--seed", "-1"], "--seed"),
+        (["exact", "--what", "range", "--nu", "1", "--seed", str(2 ** 63)], "--seed"),
+    ], ids=["negative-disorder-seed", "long-disorder-seed", "long-seed", "exact-negative-seed",
+            "exact-long-seed"])
+    def test_bad_seed_exits_2_naming_its_key(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{key} must be a nonnegative 63-bit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["100:10", "nan:100", "10:inf", "10:10"])
+    def test_bad_window_exits_2_in_sandwich_and_fit(self, tmp_path, capsys, window):
+        out = tmp_path / "o.csv"
+        code = cli.main(["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--window", window,
+                         "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "--window: fit window must be finite with a < b" in capsys.readouterr().err
+        curve = tmp_path / "curve.csv"
+        curve.write_text("t,mean\n" + "".join(f"{t},{0.9 ** t}\n" for t in range(1, 20)))
+        assert cli.main(["fit", "--in", str(curve), "--window", window]) == 2
+        assert "fit window must be finite with a < b" in capsys.readouterr().err
+
+    def test_lam_is_no_flag(self, capsys):
+        # nor a key: TestUnreadKeys reads it from a config file
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--kernel", "power",
+                      "--alpha", "1", "--lam", "4.9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lam" in capsys.readouterr().err
+
+    def test_power_sandwich_writes_the_rate_constants(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert cli.main(["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--kernel", "power",
+                         "--alpha", "1", "--cutoff", "1000", "--out", str(out)]) == 0
+        constants = dict(ln[len("# constant "):].split(": ") for ln in
+                         out.read_text().splitlines() if ln.startswith("# constant "))
+        assert float(constants["lambda"]) == pytest.approx(2.165, abs=1e-3)
+        assert 0.0 < float(constants["c_upper"]) < float(constants["c_lower"])
+
+
+def test_readme_key_block_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Plain text, `key = value`", 1)[1].split("```")[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+            if "=" in line and not line.startswith(" ")]
+    assert keys and sorted(keys) == sorted(CONFIG_KEYS)
+
+
 class TestFitReadsWholeRows:
     """``fit`` reads a number from the 't' and value cells of every data row."""
 
@@ -381,10 +452,11 @@ class TestUnreadKeys:
         (DUAL_ARGS, "nu = 1", "nu"),
         ([*DUAL_ARGS, "--mode", "annealed", "--disorder-seed", "3"], "", "disorder_seed"),
         ([*RANGE_ARGS, "--alpha", "1.5"], "", "alpha"),
-        (["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--lam", "4.9"], "", "lam"),
+        (["sandwich", "--t-grid", "1,2", *LAW_FLAGS, "--kernel", "power", "--alpha", "1"],
+         "lam = 4.9", "lam"),
         (DUAL_ARGS, "fit_window = 10:100", "fit_window"),
     ], ids=["range-observable", "range-L", "dual-L-at-its-default", "dual-nu", "annealed-disorder-seed",
-            "nn-alpha", "nn-lam", "dual-fit-window"])
+            "nn-alpha", "power-lam-is-no-key", "dual-fit-window"])
     def test_unread_key_exits_2_naming_it(self, tmp_path, capsys, argv, line, key):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(line + "\n")
@@ -478,16 +550,18 @@ def run_descriptions(draw):
         if kind == "observable":
             items["observable"] = "site " + draw(_site(dim))
         elif kind == "sites":
-            sites = draw(st.lists(_site(dim), min_size=1, max_size=3, unique=True))
-            items["sites"] = ";".join(sites)
+            # distinct after wrapping too: a forward run reads its sites on its torus
+            side = int(items.get("L", ExperimentConfig.side)) if mode == "forward" else None
+            sites = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=3,
+                                  unique_by=lambda s: s if side is None else tuple(
+                                      c % side for c in s)))
+            items["sites"] = ";".join(",".join(map(str, s)) for s in sites)
     if command == "simulate-dual":
         if mode == "dual-quenched" and draw(st.booleans()):
             items["disorder_seed"] = str(draw(st.integers(0, 2 ** 31)))
     if command == "sandwich" and draw(st.booleans()):
         a = draw(st.floats(0.01, 100.0))
         items["fit_window"] = f"{a!r}:{a * 10!r}"
-    if command == "sandwich" and items["kernel"] == "power" and draw(st.booleans()):
-        items["lam"] = repr(draw(st.floats(0.01, 5.0)))
     argv = [command] + (["--mode", mode[5:]] if command == "simulate-dual" else [])
     assert set(items) <= flag_keys(command) & set(read_keys(mode, items["kernel"]))
     return argv, items

@@ -24,7 +24,7 @@ from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_la
 from biased_voter.dual import dual_curve
 from biased_voter.localfn import (LocalFunction, hat_coeffs, parse_localfn_text,
                                   product_indicator, site_indicator)
-from biased_voter.rangestats import dv_constant, lambda_nn
+from biased_voter.rangestats import dirichlet_eigenvalue, dv_constant, lambda_nn
 from biased_voter.stats import InvariantError, map_batches
 
 BERNOULLI_CONFIG = """
@@ -353,21 +353,23 @@ class TestSandwichReport:
         with pytest.raises(ConfigError, match="takes a sandwich config"):
             sandwich_report(small_config())
         power = dict(kernel_name="power", alpha=1.0)
-        for key, value in (("lam", 4.9), ("fit_window", (10.0, 100.0))):
-            with pytest.raises(ConfigError, match=f"does not read {key!r}"):
-                small_config(**power, **{key: value}).validate()
-            small_config(mode="sandwich", **power, **{key: value}).validate()
+        with pytest.raises(ConfigError, match="does not read 'fit_window'"):
+            small_config(**power, fit_window=(10.0, 100.0)).validate()
+        small_config(mode="sandwich", **power, fit_window=(10.0, 100.0)).validate()
 
-    def test_lam_is_read_with_the_power_kernel_only(self):
-        # the nn eigenvalue has a closed form; a power kernel's is the user's
-        with pytest.raises(ConfigError, match="nn kernel does not read 'lam'"):
-            small_config(mode="sandwich", lam=4.9).validate()
+    def test_eigenvalue_comes_from_the_kernel(self):
+        # no key sets lam: nn has closed forms, a power kernel its Galerkin value
+        assert "lam" not in harness.CONFIG_KEYS
+        with pytest.raises(TypeError):
+            small_config(mode="sandwich", lam=4.9)
         nn = sandwich_report(small_config(mode="sandwich", replicas=50))
         assert nn.constants["lambda"] == lambda_nn(1)
-        power = sandwich_report(small_config(mode="sandwich", kernel_name="power", alpha=1.0,
-                                             lam=4.9, replicas=50))
-        assert power.constants["lambda"] == 4.9
-        assert power.constants["c_upper"] == dv_constant(1, 1.0, 4.9, power.constants["nu1"])
+        power_cfg = small_config(mode="sandwich", kernel_name="power", alpha=1.0, replicas=50)
+        power = sandwich_report(power_cfg)
+        lam = dirichlet_eigenvalue(power_cfg.kernel())
+        assert power.constants["lambda"] == lam
+        assert power.constants["c_upper"] == dv_constant(1, 1.0, lam, power.constants["nu1"])
+        assert power.constants["c_lower"] == dv_constant(1, 1.0, lam, power.constants["nu2"])
 
 
 class TestPersistence:

@@ -178,9 +178,8 @@ def configs(draw):
         elif kind == "sites":
             keys["observable"] = product_indicator(support)
     if mode == "sandwich":
-        keys["fit_window"] = draw(st.none() | st.tuples(positive, positive))
-        if kernel_name == "power":
-            keys["lam"] = draw(st.none() | reals(0.01, 5.0))
+        window = st.lists(positive, min_size=2, max_size=2, unique=True).map(sorted)
+        keys["fit_window"] = draw(st.none() | window.map(tuple))
     if mode == "dual-quenched":
         keys["disorder_seed"] = draw(st.none() | st.integers(0, 2 ** 32))
     return ExperimentConfig(**keys)

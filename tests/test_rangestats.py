@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from biased_voter import rangestats
 from biased_voter.exact import exact_range_functional_curve_1d
-from biased_voter.kernel import make_nn_kernel
-from biased_voter.rangestats import (dv_constant, effective_exponent, lambda_nn,
-                                     mc_range_functional)
+from biased_voter.kernel import make_nn_kernel, make_power_kernel
+from biased_voter.rangestats import (_fractional_eigenvalue, dirichlet_eigenvalue, dv_constant,
+                                     effective_exponent, lambda_nn, mc_range_functional)
 
 NN1 = make_nn_kernel(1)
 NN2 = make_nn_kernel(2)
@@ -70,6 +71,38 @@ class TestLambda:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             lambda_nn(4)
+
+
+class TestKernelEigenvalue:
+    """lam from the kernel: nn's closed form, or c 2^alpha mu(alpha) for a power kernel."""
+
+    def test_mu_at_alpha_1_is_kwasnickis_value(self):
+        # Kwasnicki, J. Funct. Anal. 262, 2379 (2012)
+        assert _fractional_eigenvalue(1.0) == pytest.approx(1.1577738836977, rel=1e-9)
+
+    def test_mu_at_alpha_2_is_the_laplacian_value(self):
+        assert _fractional_eigenvalue(2.0) == pytest.approx(math.pi ** 2 / 4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5])
+    def test_mu_is_converged_and_above_a_64_mode_solve(self, monkeypatch, alpha):
+        mu = _fractional_eigenvalue(alpha)
+        monkeypatch.setattr(rangestats, "_MODES", 64)
+        reference = _fractional_eigenvalue(alpha)
+        assert mu == pytest.approx(reference, rel=1e-6)
+        assert mu >= reference   # Rayleigh-Ritz: more modes never raise the bound
+
+    def test_power_kernel_value(self):
+        # the continuum value c_tail * 2 * mu(1) for alpha = 1, cutoff 1000
+        assert dirichlet_eigenvalue(make_power_kernel(1.0, 1000)) == pytest.approx(
+            2.165, abs=1e-3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nn_kernel_keeps_its_closed_form(self, dim):
+        assert dirichlet_eigenvalue(make_nn_kernel(dim)) == lambda_nn(dim)
+
+    def test_nn_value_is_the_power_rule_at_alpha_2(self):
+        # 1 - p_hat(k) ~ k^2 / 2 for the 1-d nn walk: c = 1/2
+        assert 0.5 * 4.0 * _fractional_eigenvalue(2.0) == pytest.approx(lambda_nn(1), rel=1e-12)
 
 
 class TestDVConstant:
