@@ -5,7 +5,8 @@ Three exact computations back the Monte Carlo machinery:
 * the full flip-rate generator of the forward dynamics on tori with at most
   12 sites, exponentiated by uniformization;
 * the coalescing dual chain on subsets of such a torus, killed at the rate
-  given by the total bias carried by the occupied sites;
+  given by the total bias carried by the occupied sites; from one start set
+  A, on the sets of at most |A| sites of a torus of any size;
 * the distinct-sites functional E^0 exp(-nu |R_t|) of the one-dimensional
   nearest-neighbor walk, in closed form.
 
@@ -16,6 +17,9 @@ outside an interval, which a sine series gives exactly.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -149,8 +153,7 @@ def semigroup_apply(generator, g, t: float) -> np.ndarray:
         if (1.0 - covered) * gnorm < SEMIGROUP_TOL:
             break
     else:
-        if (1.0 - covered) * gnorm >= SEMIGROUP_TOL:
-            raise RuntimeError("uniformization truncation did not reach tolerance")
+        raise RuntimeError("uniformization truncation did not reach tolerance")
     return acc
 
 
@@ -166,9 +169,44 @@ def exact_dual_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
     return semigroup_apply(mat, ones, t)
 
 
+def _dual_matrix_from(mask: int, bias, tk: TorusKernel) -> tuple[sparse.csr_matrix, int]:
+    """``build_dual_matrix`` on the sets of at most |A| sites, A the set of ``mask``; A's row.
+
+    The coalescing dual from A never holds more than |A| particles, so these
+    sets are closed under its moves. The states are their bit masks in
+    increasing order, at most 2 ** MAX_EXACT_SITES of them.
+    """
+    n, size = tk.n_sites, mask.bit_count()
+    count = sum(math.comb(n, j) for j in range(size + 1))
+    if count > 1 << MAX_EXACT_SITES:
+        raise ValueError(f"exact dual limited to {1 << MAX_EXACT_SITES} states, "
+                         f"a set of {size} sites on {n} sites has {count}")
+    states = sorted((sum(1 << x for x in sites), sites)
+                    for j in range(size + 1) for sites in itertools.combinations(range(n), j))
+    row = {m: i for i, (m, _) in enumerate(states)}
+    beta = bias_array(bias, tk)
+    partners, weights = tk.partner_table
+    moves = [list(zip(ys, weights.tolist())) for ys in partners.tolist()]
+    rows, cols, data, diag = [], [], [], []
+    for i, (m, sites) in enumerate(states):
+        for x in sites:
+            for y, w in moves[x]:
+                rows.append(i)
+                cols.append(row[m & ~(1 << x) | 1 << y])   # merges when y is occupied
+                data.append(w)
+        diag.append(-len(sites) * weights.sum() - beta[list(sites)].sum())
+    mat = sparse.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
+    return (mat + sparse.diags(diag)).tocsr(), row[mask]
+
+
 def exact_dual_value(A, bias, tk: TorusKernel, t: float) -> float:
-    """Exact killed-dual expectation started from the subset A."""
-    return float(exact_dual_values_all(bias, tk, t)[sites_to_mask(A, tk)])
+    """Exact killed-dual expectation started from the subset A.
+
+    The dual runs over the sets of at most |A| sites only, on a torus of any
+    size; more than 2 ** MAX_EXACT_SITES such sets raise ``ValueError``.
+    """
+    mat, row = _dual_matrix_from(sites_to_mask(A, tk), bias, tk)
+    return float(semigroup_apply(mat, np.ones(mat.shape[0]), t)[row])
 
 
 def product_indicator_vector(n_sites: int, subset_mask: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .disorder import DisorderLaw, LazyBiasField, nu1, nu2
+from .disorder import DisorderLaw, LazyBiasField, bernoulli_law, deterministic_law, nu1, nu2
 from .forward import forward_relaxation
 from .kernel import KERNELS, Kernel, TorusKernel, make_kernel, site_array
 from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn_text,
@@ -233,27 +233,27 @@ def _parse_atoms(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(atoms)
 
 
-# Each law kind: the keys it reads, all of them needed, and the atoms they give.
+# Each law kind: the keys it reads, all of them needed, and its builder.
 _LAW_KINDS = {
-    "bernoulli": (("q", "b"), lambda q, b: ((0.0, q), (b, 1.0 - q))),
-    "deterministic": (("b",), lambda b: ((b, 1.0),)),
-    "table": (("atoms",), lambda atoms: atoms),
+    "bernoulli": (("q", "b"), bernoulli_law),
+    "deterministic": (("b",), deterministic_law),
+    "table": (("atoms",), DisorderLaw),
 }
 
 
 def _make_law(law: dict, origins: dict) -> DisorderLaw:
     """The law from its keys; an error names the line or flag of each key it is about."""
     kind = law.pop("disorder", None)
-    reads, atoms = _LAW_KINDS.get(kind, ((), None))
+    reads, build = _LAW_KINDS.get(kind, ((), None))
     for key in law:
-        if atoms and key not in reads:
+        if build and key not in reads:
             raise ConfigError(f"{origins[key]}: {kind} disorder does not read {key!r}")
     try:
-        if atoms is None:
+        if build is None:
             raise ConfigError(f"disorder must be one of {', '.join(_LAW_KINDS)}, got {kind!r}")
         if len(law) < len(reads):
             raise ConfigError(f"{kind} disorder needs {' and '.join(reads)}")
-        return DisorderLaw(atoms=atoms(**law))
+        return build(**law)
     except ValueError as exc:     # the law is bad: name every line it reads
         raise ConfigError(f"{', '.join(origins.values())}: {exc}") from exc
 

@@ -14,7 +14,7 @@ computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,18 +43,20 @@ _APERIODIC_TOL = 1e-9   # margin of the strict inequality p_hat(k) < 1 off the l
 class Kernel:
     """Symmetric displacement distribution on Z^d with no mass at the origin.
 
-    ``dmatrix`` is the quadratic coefficient of 1 - p_hat(k) near k = 0 and is
-    only meaningful for ``alpha == 2``; ``tail_constant`` is the fitted
-    coefficient c in p_hat(k) ~ 1 - c |k|^alpha and is only meaningful for
-    ``alpha < 2`` (one-dimensional kernels).
+    The small-k constants of 1 - p_hat(k) come from the weights. For
+    ``alpha == 2``, ``dmatrix`` is D = (1/2) sum_x p(x) x x^T, the quadratic
+    coefficient. For ``alpha < 2`` the kernel is one-dimensional and
+    ``tail_constant`` is c in 1 - p_hat(k) ~ c |k|^alpha, fitted by least
+    squares on k in [0.01, 0.1]; for a small support the fit is recorded but
+    not meaningful. The other constant is None.
     """
 
     dim: int
     displacements: np.ndarray  # (n, dim) int64
     weights: np.ndarray        # (n,) float64, sums to 1
     alpha: float
-    dmatrix: np.ndarray | None = None
-    tail_constant: float | None = None
+    dmatrix: np.ndarray | None = field(init=False, default=None)
+    tail_constant: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         disp = np.asarray(self.displacements, dtype=np.int64).reshape(-1, self.dim)
@@ -74,14 +76,19 @@ class Kernel:
                 raise ValueError(f"kernel not symmetric at displacement {x}")
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError("alpha must lie in (0, 2]")
-        if self.alpha == 2.0 and self.dmatrix is not None:
-            dm = np.asarray(self.dmatrix, dtype=np.float64)
-            if dm.shape != (self.dim, self.dim) or not np.allclose(dm, dm.T):
-                raise ValueError("dmatrix must be a symmetric (d, d) matrix")
-            if np.any(np.linalg.eigvalsh(dm) <= 0):
-                raise ValueError("dmatrix must be positive definite")
+        if self.alpha == 2.0:
+            dm = 0.5 * (disp.T * w) @ disp
             dm.setflags(write=False)
             object.__setattr__(self, "dmatrix", dm)
+        elif self.dim != 1:
+            raise ValueError("kernels with alpha < 2 must be one-dimensional")
+        else:
+            pos = disp[:, 0] > 0
+            x, w_half = disp[pos, 0], w[pos]
+            kgrid = np.linspace(0.01, 0.1, 40)
+            one_minus = np.array([2.0 * np.sum(w_half * (1.0 - np.cos(k * x))) for k in kgrid])
+            c = np.sum(one_minus * kgrid ** self.alpha) / np.sum(kgrid ** (2 * self.alpha))
+            object.__setattr__(self, "tail_constant", float(c))
         disp.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "displacements", disp)
@@ -187,16 +194,13 @@ def make_nn_kernel(d: int) -> Kernel:
     eye = np.eye(d, dtype=np.int64)
     disp = np.vstack([eye, -eye])
     w = np.full(2 * d, 1.0 / (2 * d))
-    return Kernel(dim=d, displacements=disp, weights=w, alpha=2.0,
-                  dmatrix=np.eye(d) / (2 * d))
+    return Kernel(dim=d, displacements=disp, weights=w, alpha=2.0)
 
 
 def make_power_kernel(alpha: float, cutoff: int) -> Kernel:
     """One-dimensional kernel with p(x) proportional to |x|^-(1+alpha).
 
-    The support is truncated at |x| <= cutoff. ``tail_constant`` is fitted by
-    least squares so that 1 - p_hat(k) ~ c |k|^alpha on k in [0.01, 0.1];
-    for small cutoffs the fit is recorded but not meaningful.
+    The support is truncated at |x| <= cutoff.
     """
     if not (0.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (0, 2) for power-law kernels")
@@ -205,13 +209,9 @@ def make_power_kernel(alpha: float, cutoff: int) -> Kernel:
     x = np.arange(1, cutoff + 1, dtype=np.int64)
     raw = x.astype(float) ** (-(1.0 + alpha))
     w_half = raw / (2.0 * raw.sum())
-    kgrid = np.linspace(0.01, 0.1, 40)
-    one_minus = np.array([2.0 * np.sum(w_half * (1.0 - np.cos(k * x))) for k in kgrid])
-    c = float(np.sum(one_minus * kgrid ** alpha) / np.sum(kgrid ** (2 * alpha)))
     disp = np.concatenate([x, -x]).reshape(-1, 1)
     w = np.concatenate([w_half, w_half])
-    return Kernel(dim=1, displacements=disp, weights=w, alpha=alpha,
-                  tail_constant=c)
+    return Kernel(dim=1, displacements=disp, weights=w, alpha=alpha)
 
 
 def char_fn(kernel: Kernel, k) -> float:
@@ -223,21 +223,12 @@ def char_fn(kernel: Kernel, k) -> float:
     return float(np.dot(kernel.weights, np.cos(kernel.displacements @ k)))
 
 
-def _stable_exponent(kernel: Kernel, k: np.ndarray) -> float:
-    """D(k), the leading term of 1 - p_hat(k) for small k."""
-    if kernel.alpha == 2.0:
-        if kernel.dmatrix is None:
-            raise ValueError("kernel has alpha=2 but no dmatrix")
-        return float(k @ kernel.dmatrix @ k)
-    if kernel.tail_constant is None:
-        raise ValueError("kernel has alpha<2 but no fitted tail constant")
-    return float(kernel.tail_constant * np.linalg.norm(k) ** kernel.alpha)
-
-
 def verify_assumption(kernel: Kernel, kgrid) -> AssumptionReport:
     """Check the small-k expansion p_hat(k) = 1 - D(k) + o(|k|^alpha).
 
-    ``max_residual`` is max_k |p_hat(k) - 1 + D(k)| / |k|^alpha over the grid.
+    D(k) is k^T D k for alpha = 2 and c |k|^alpha below, with the kernel's
+    ``dmatrix`` D and ``tail_constant`` c. ``max_residual`` is
+    max_k |p_hat(k) - 1 + D(k)| / |k|^alpha over the grid.
     ``aperiodic_ok`` requires p_hat(k) < 1 - ``_APERIODIC_TOL`` at every grid
     point that is not congruent to 0 mod 2*pi.
     """
@@ -248,7 +239,11 @@ def verify_assumption(kernel: Kernel, kgrid) -> AssumptionReport:
         norm = np.linalg.norm(k)
         phat = char_fn(kernel, k)
         if norm > 0:
-            res = abs(phat - 1.0 + _stable_exponent(kernel, k)) / norm ** kernel.alpha
+            if kernel.alpha == 2.0:
+                d_k = float(k @ kernel.dmatrix @ k)
+            else:
+                d_k = float(kernel.tail_constant * norm ** kernel.alpha)
+            res = abs(phat - 1.0 + d_k) / norm ** kernel.alpha
             max_res = max(max_res, res)
         frac = k / (2 * np.pi) - np.round(k / (2 * np.pi))
         on_lattice = np.all(np.abs(frac) < 1e-12)

@@ -55,7 +55,7 @@ def _subset_sums(values: np.ndarray, nbits: int, inverse: bool = False) -> np.nd
 class LocalFunction:
     """Observable depending on finitely many sites, stored as a truth table.
 
-    ``support`` is the tuple of sites (each a tuple of ints), sorted;
+    ``support`` is the tuple of sites (tuples of ints of one length), sorted;
     ``table[mask]`` is the value on the configuration that is 1 exactly on
     the support sites whose bit is set in ``mask``. The constructor reduces
     the support to the minimal one: a site is dropped when flipping it never
@@ -66,6 +66,8 @@ class LocalFunction:
         sites = [_normalize_site(s) for s in support]
         if len(set(sites)) != len(sites):
             raise ValueError("support contains repeated sites")
+        if len({len(s) for s in sites}) > 1:
+            raise ValueError(f"support sites must have one dimension, got {sites}")
         n = len(sites)
         if n > MAX_SUPPORT:
             raise ValueError(f"support larger than {MAX_SUPPORT} sites")

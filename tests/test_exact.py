@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, poisson
 
-from biased_voter.exact import (_mean_range_1d, build_dual_matrix,
+from biased_voter.exact import (_dual_matrix_from, _mean_range_1d, build_dual_matrix,
                                 build_forward_generator, duality_gap,
                                 exact_dual_value, exact_dual_values_all,
                                 exact_forward_values_all,
                                 exact_range_functional_curve_1d,
-                                product_indicator_vector, semigroup_apply)
-from biased_voter.kernel import fold_to_torus, make_nn_kernel
+                                product_indicator_vector, semigroup_apply,
+                                sites_to_mask)
+from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from biased_voter.rangestats import (dv_constant, effective_exponent, lambda_nn,
                                      mc_range_functional)
+from biased_voter.walks import walk_curve
 
 NN1 = make_nn_kernel(1)
 
@@ -168,6 +170,43 @@ class TestExactDual:
         for mask in range(8):
             kill = sum(beta[i] for i in range(3) if mask >> i & 1)
             assert rows[mask] == pytest.approx(-kill, abs=1e-12)
+
+
+class TestDualFromASet:
+    """``exact_dual_value`` runs the killed dual over the sets of at most |A| sites."""
+
+    @pytest.mark.parametrize("kernel, side", [
+        (NN1, 3), (NN1, 12), (make_nn_kernel(2), 3), (make_power_kernel(1.0, 4), 4),
+        (make_power_kernel(0.7, 9), 11),
+    ], ids=["nn1-3", "nn1-12", "nn2-3", "power-1-4", "power-0.7-11"])
+    def test_matches_the_all_subsets_dual(self, kernel, side):
+        tk = fold_to_torus(kernel, side)
+        beta = np.random.default_rng(2).uniform(0.0, 2.0, tk.n_sites)
+        for t in (0.1, 1.0, 5.0):
+            full = exact_dual_values_all(beta, tk, t)
+            for flat in ([0], [0, 1], [0, 2], [0, 1, 2]):
+                sites = [tuple(c) for c in tk.coords[flat]]
+                value = exact_dual_value(sites, beta, tk, t)
+                assert abs(value - full[sites_to_mask(sites, tk)]) < 1e-12, (sites, t)
+
+    def test_state_count(self):
+        tk = fold_to_torus(make_nn_kernel(2), 4)
+        mat, _ = _dual_matrix_from(sites_to_mask([(0, 0), (1, 1)], tk), np.ones(16), tk)
+        assert mat.shape == (137, 137)
+        big = fold_to_torus(make_nn_kernel(2), 8)
+        with pytest.raises(ValueError, match="43745"):
+            exact_dual_value([(0, 0), (1, 1), (2, 2)], np.ones(64), big, 1.0)
+
+    @pytest.mark.parametrize("start", [[(0, 0), (1, 1)], [(0, 0), (0, 1)]],
+                             ids=["diagonal", "neighbors"])
+    def test_two_sites_on_sixteen_match_quenched_walks(self, start):
+        tk = fold_to_torus(make_nn_kernel(2), 4)
+        beta = np.random.default_rng(np.random.SeedSequence([50, 0])).uniform(0.0, 2.0, 16)
+        times = (0.5, 2.0)
+        stats = walk_curve(tk, times, 40_000, 51, bias=beta, starts=start)
+        for j, t in enumerate(times):
+            target = exact_dual_value(start, beta, tk, t)
+            assert abs(stats.weight_mean[j] - target) < 4 * stats.weight_stderr[j], f"t={t}"
 
 
 class TestRangeFunctional:

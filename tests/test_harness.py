@@ -608,6 +608,12 @@ class TestCLI:
         assert cli_main(["localfn", "--check", str(f)]) == 2
         assert "bitmask 1 given twice (line 3)" in capsys.readouterr().err
 
+    def test_localfn_check_rejects_sites_of_mixed_dimension(self, tmp_path, capsys):
+        f = tmp_path / "f.txt"
+        f.write_text("sites = 0,1;1\n3 1.0\n")
+        assert cli_main(["localfn", "--check", str(f)]) == 2
+        assert "one dimension" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode = range\nt_grid = 1,2\nreplicas = 10\n")  # missing nu

@@ -125,8 +125,8 @@ class TestVerifyAssumption:
         assert verify_assumption(k, grid).aperiodic_ok
 
     def test_period_two_kernel_flagged(self):
-        k = Kernel(dim=1, displacements=[[2], [-2]], weights=[0.5, 0.5],
-                   alpha=2.0, dmatrix=[[2.0]])
+        k = Kernel(dim=1, displacements=[[2], [-2]], weights=[0.5, 0.5], alpha=2.0)
+        assert k.dmatrix.tolist() == [[2.0]]
         report = verify_assumption(k, [[np.pi]])
         assert not report.aperiodic_ok
 
@@ -188,23 +188,45 @@ class TestKernelInvariants:
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             Kernel(dim=1, displacements=[[0], [1], [-1]],
-                   weights=[0.2, 0.4, 0.4], alpha=2.0, dmatrix=[[0.4]])
+                   weights=[0.2, 0.4, 0.4], alpha=2.0)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            Kernel(dim=1, displacements=[[1], [-1]], weights=[0.7, 0.3],
-                   alpha=2.0, dmatrix=[[0.5]])
+            Kernel(dim=1, displacements=[[1], [-1]], weights=[0.7, 0.3], alpha=2.0)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            Kernel(dim=1, displacements=[[1], [-1]], weights=[0.5, 0.6],
-                   alpha=2.0, dmatrix=[[0.5]])
+            Kernel(dim=1, displacements=[[1], [-1]], weights=[0.5, 0.6], alpha=2.0)
 
-    def test_dmatrix_must_be_positive_definite(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("constant", ["dmatrix", "tail_constant"])
+    def test_small_k_constants_are_not_arguments(self, constant):
+        with pytest.raises(TypeError):
+            Kernel(dim=1, displacements=[[1], [-1]], weights=[0.5, 0.5], alpha=2.0,
+                   **{constant: 0.5})
+
+    def test_heavy_tail_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
             Kernel(dim=2, displacements=[[1, 0], [-1, 0], [0, 1], [0, -1]],
-                   weights=[0.25] * 4, alpha=2.0,
-                   dmatrix=[[0.25, 0.5], [0.5, 0.25]])
+                   weights=[0.25] * 4, alpha=1.5)
+
+
+class TestSmallKConstants:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nn_dmatrix_is_half_the_covariance(self, d):
+        k = make_nn_kernel(d)
+        assert k.dmatrix.tobytes() == (np.eye(d) / (2 * d)).tobytes()
+        assert k.tail_constant is None
+
+    # recorded values of the fit: they pin its k grid, summation order and form bit for bit
+    @pytest.mark.parametrize("alpha, cutoff, c", [
+        (1.0, 1000, 0.9350169583981841), (0.8, 30, 0.5048366269833325),
+        (1.5, 100, 1.067077393997238), (1.0, 1, 0.03792900614897297),
+    ])
+    def test_power_tail_constant_is_the_fit(self, alpha, cutoff, c):
+        k = make_power_kernel(alpha, cutoff)
+        assert k.tail_constant == c and k.dmatrix is None
+        again = Kernel(dim=1, displacements=k.displacements, weights=k.weights, alpha=alpha)
+        assert again.tail_constant == c
 
 
 class TestBiasArray:

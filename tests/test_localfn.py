@@ -201,6 +201,10 @@ class TestTextFormat:
         assert f.support == ((0, 0), (1, 2))
         assert f.table[-1] == 1.0
 
+    def test_sites_of_mixed_dimension_rejected(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            LocalFunction([(0,), (1, 0)], [0.0, 0.0, 0.0, 1.0])
+
     def test_errors(self):
         with pytest.raises(ValueError):
             parse_localfn_text("0 1.0\n")  # missing sites
