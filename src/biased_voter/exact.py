@@ -174,29 +174,63 @@ def _dual_matrix_from(mask: int, bias, tk: TorusKernel) -> tuple[sparse.csr_matr
 
     The coalescing dual from A never holds more than |A| particles, so these
     sets are closed under its moves. The states are their bit masks in
-    increasing order, at most 2 ** MAX_EXACT_SITES of them.
+    increasing order, at most 2 ** MAX_EXACT_SITES of them. A state is held
+    as its sites in increasing order, the empty slots padded with n, and its
+    row is its rank (``_set_rank``), so every move of every state is ranked
+    at once.
     """
     n, size = tk.n_sites, mask.bit_count()
     count = sum(math.comb(n, j) for j in range(size + 1))
     if count > 1 << MAX_EXACT_SITES:
         raise ValueError(f"exact dual limited to {1 << MAX_EXACT_SITES} states, "
                          f"a set of {size} sites on {n} sites has {count}")
-    states = sorted((sum(1 << x for x in sites), sites)
-                    for j in range(size + 1) for sites in itertools.combinations(range(n), j))
-    row = {m: i for i, (m, _) in enumerate(states)}
+    # table[x, r]: the sets of at most r sites among sites 0..x-1, for x < n and
+    # r <= size; 0 in the padding's row n and in the columns past size
+    table = np.zeros((n + 1, 2 * size + 1), dtype=np.int64)
+    table[:n, :size + 1] = np.cumsum(
+        [[math.comb(x, j) for j in range(size + 1)] for x in range(n)], axis=1)
+    dtype = np.min_scalar_type(n)
+    sets = np.full((count, size), n, dtype=dtype)
+    first = 1   # the empty set first
+    for j in range(1, size + 1):
+        combos = np.array(list(itertools.combinations(range(n), j)), dtype=dtype)
+        sets[first:first + len(combos), :j] = combos
+        first += len(combos)
+    states = np.empty_like(sets)
+    states[_set_rank(sets, table)] = sets
+
     beta = bias_array(bias, tk)
     partners, weights = tk.partner_table
-    moves = [list(zip(ys, weights.tolist())) for ys in partners.tolist()]
-    rows, cols, data, diag = [], [], [], []
-    for i, (m, sites) in enumerate(states):
-        for x in sites:
-            for y, w in moves[x]:
-                rows.append(i)
-                cols.append(row[m & ~(1 << x) | 1 << y])   # merges when y is occupied
-                data.append(w)
-        diag.append(-len(sites) * weights.sum() - beta[list(sites)].sum())
-    mat = sparse.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
-    return (mat + sparse.diags(diag)).tocsr(), row[mask]
+    state, slot = np.nonzero(states < n)
+    x = states[state, slot]
+    state, slot = np.repeat(state, partners.shape[1]), np.repeat(slot, partners.shape[1])
+    y = partners[x].ravel().astype(dtype)
+    moved = states[state]
+    merged = (moved == y[:, None]).any(axis=1)   # y occupied; partner tables hold no y == x
+    moved[np.arange(len(state)), slot] = np.where(merged, n, y)
+    moved.sort(axis=1)
+    mat = sparse.coo_matrix((np.tile(weights, len(x)), (state, _set_rank(moved, table))),
+                            shape=(count, count)).tocsr()
+    diag = (-np.count_nonzero(states < n, axis=1) * weights.sum()
+            - np.append(beta, 0.0)[states].sum(axis=1))
+    start = np.array([[i for i in range(n) if mask >> i & 1]], dtype=dtype)
+    return (mat + sparse.diags(diag)).tocsr(), int(_set_rank(start, table)[0])
+
+
+def _set_rank(sets: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rank of each set among the sets of at most r sites, in increasing bit-mask order.
+
+    ``sets`` is (N, r), each row its sites increasing, then padded with n;
+    ``table`` is ``_dual_matrix_from``'s. A set T comes before
+    S = {s_1 < ... < s_j} when the largest site where they differ, s_i, is
+    in S; such T agree with S above s_i and hold at most r - (j - i) sites
+    below it, so the rank is the sum over i of table[s_i, r - j + i]. A
+    padding slot reads 0 from the table's row n.
+    """
+    n, r = table.shape[0] - 1, sets.shape[1]
+    j = np.count_nonzero(sets < n, axis=1)
+    index = sets.astype(np.intp) * table.shape[1] + ((r - j)[:, None] + np.arange(1, r + 1))
+    return table.ravel()[index].sum(axis=1)
 
 
 def exact_dual_value(A, bias, tk: TorusKernel, t: float) -> float:

@@ -16,10 +16,12 @@ among themselves (a start set is one such A, with coefficient 1).
 
 with |R_t| the visited-site count of the first support site's own walk in
 the same draw, which removes most of the relative noise between the three
-curves. The upper bound is an asymptotic-regime curve: at times
-of order one it can dip below the estimate (its derivation replaces
-occupation times by visit counts), so audits are meaningful on the grids
-actually used here, t >= O(10).
+curves. Where E exp(-nu2 |R_t|) is known exactly (d = 1, nn kernel, one
+single-site term), the estimate takes it as a control variate. The upper
+bound is an asymptotic-regime curve: at times of order one it can dip
+below the estimate (its derivation replaces occupation times by visit
+counts), so audits are meaningful on the grids actually used here,
+t >= O(10).
 
 Replicas are split into fixed-size batches with per-batch seed streams and
 merged in batch order, so a rerun with a different thread count writes a
@@ -72,6 +74,7 @@ __all__ = [
 
 MODES = ("forward", "dual-quenched", "dual-annealed", "range", "sandwich")
 SIGMA_BAND = 4.0        # audit tolerance in combined standard errors
+CONTROL_CAP_CEILING = 1024   # widest exact range series the sandwich control variate tries
 CI_LEVEL = 0.99         # two-sided confidence level of exponent fits
 
 
@@ -401,18 +404,20 @@ def _run_forward(config: ExperimentConfig) -> tuple[dict, None]:
                  replicas=[config.replicas] * len(config.t_grid)), None)
 
 
-def _dual_walk(config: ExperimentConfig, exponents=()):
-    """One walk over the observable's expansion: one lazy field, or the law.
+def _expansion(config: ExperimentConfig) -> dict:
+    """The observable's expansion: every nonempty A with fhat(A) != 0, as sorted
+    site tuples; that of a start set A is A alone."""
+    return {tuple(sorted(A)): c for A, c in hat_coeffs(config.observable).items() if A}
 
-    The expansion is every nonempty A with fhat(A) != 0; that of a start
-    set A is A alone.
-    """
-    starts = {tuple(sorted(A)): c for A, c in hat_coeffs(config.observable).items() if A}
+
+def _dual_walk(config: ExperimentConfig, exponents=(), control=None):
+    """One walk over the observable's expansion: one lazy field, or the law."""
     dseed = config.seed if config.disorder_seed is None else config.disorder_seed
     disorder = ({"bias": LazyBiasField(config.law, dseed)} if config.mode == "dual-quenched"
                 else {"law": config.law})
     return walk_curve(config.kernel(), config.t_grid, config.replicas, config.seed,
-                      exponents=exponents, threads=config.threads, starts=starts, **disorder)
+                      exponents=exponents, threads=config.threads, starts=_expansion(config),
+                      control=control, **disorder)
 
 
 def _run_range(config: ExperimentConfig) -> tuple[dict, int]:
@@ -506,6 +511,7 @@ class SandwichReport:
     ordering_ok: bool
     gamma_bracket_ok: bool | None
     constants: dict = field(default_factory=dict)
+    control_width_cap: int | None = None   # the exact control's series cap; None: plain estimate
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -519,6 +525,29 @@ def _try_fit(ts, values, window):
         return None
 
 
+def _exact_control(config: ExperimentConfig, nu: float):
+    """(width cap, c E exp(-nu |R_t|) on the grid) for the sandwich's control variate, or None.
+
+    The control needs E exp(-nu |R_t|) exactly: d = 1, the nn kernel, an
+    expansion c H(., {x}) of one site and 0 < nu < inf. The cap is the
+    first of 64, 128, ..., CONTROL_CAP_CEILING whose series remainder bound
+    ``exact_range_functional_curve_1d`` certifies on the whole grid.
+    """
+    terms = _expansion(config)
+    if (config.dim != 1 or config.kernel_name != "nn" or len(terms) != 1
+            or len(next(iter(terms))) != 1 or not 0.0 < nu < math.inf):
+        return None
+    from .exact import exact_range_functional_curve_1d   # scipy loads with the sandwich only
+    (coeff,) = terms.values()
+    cap = 64
+    while cap <= CONTROL_CAP_CEILING:
+        try:
+            return cap, coeff * exact_range_functional_curve_1d(nu, config.t_grid, cap)
+        except ValueError:
+            cap *= 2
+    return None
+
+
 def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     """Run the annealed walk with the two bound curves and audit them.
 
@@ -529,6 +558,12 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     needs: a monotone observable that is not constant, so gap(f) > 0.
     Hypothesis failures (a law with no mass at zero, or none off zero) are
     reported, not raised.
+
+    Where E exp(-nu2 |R_t|) is known exactly (``_exact_control``), the
+    estimate takes it as a control variate: with W the annealed weight and
+    Y = exp(-nu2 |R_t|) <= W on every path, it is c E Y + mean(c (W - Y))
+    over the same walks, unbiased and never below c E Y; the stderr is that
+    of c (W - Y).
     """
     if config.mode != "sandwich":
         raise ConfigError(f"sandwich_report takes a sandwich config, not {config.mode!r}")
@@ -537,12 +572,13 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     n1, n2 = nu1(law), nu2(law)
     hyp_upper = law.mass_at_zero < 1.0   # bias present with positive probability
     hyp_lower = law.mass_at_zero > 0.0
-    stats = _dual_walk(config, exponents=(n1, n2))
+    cap, exact_part = _exact_control(config, n2) or (None, 0.0)
+    stats = _dual_walk(config, exponents=(n1, n2), control=None if cap is None else n2)
 
     # with no mass at zero bias, nu2 = inf and the lower curve is 0
     sigma, support = sigma_and_support(f)
     gap_f, size = gap(f), len(support)
-    est, est_se = stats.weight_mean, stats.weight_stderr
+    est, est_se = exact_part + stats.weight_mean, stats.weight_stderr
     base, base_se = stats.exp_means[n2], stats.exp_stderrs[n2]
     upper, upper_se = sigma * size * stats.exp_means[n1], sigma * size * stats.exp_stderrs[n1]
     lower = gap_f * base ** size
@@ -582,7 +618,8 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
         gamma_estimate=g_est, gamma_lower=g_low, gamma_upper=g_up,
         ordering_ok=all(ok),
         gamma_bracket_ok=bracket,
-        constants=constants)
+        constants=constants,
+        control_width_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +674,7 @@ def write_sandwich_csv(path, report: SandwichReport):
         value, ci = g or (None, None)
         extra.append(f"# gamma_{name}: {_fmt(value)} ci: {_fmt(ci)}")
     for name in ("hypothesis_upper_ok", "hypothesis_lower_ok", "ordering_ok",
-                 "gamma_bracket_ok"):
+                 "gamma_bracket_ok", "control_width_cap"):
         extra.append(f"# {name}: {_fmt(getattr(report, name))}")
     for k, v in sorted(report.constants.items()):
         extra.append(f"# constant {k}: {_fmt(v)}")

@@ -385,7 +385,7 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
 
 
 def _batch_moments(args):
-    kernel, t_grid, starts, terms, seed, batch_index, count, law, bias, exponents = args
+    kernel, t_grid, starts, terms, seed, batch_index, count, law, bias, exponents, control = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
     whole = tuple(range(len(starts)))
     subsets = dict.fromkeys((walkers for walkers, _ in terms), True)
@@ -397,7 +397,11 @@ def _batch_moments(args):
     moments = {"range": Moments.of(range_counts)}
     if particles is not None:
         moments["particles"] = Moments.of(particles)
-    if law is not None or bias is not None:
+    if control is not None:   # one term c H(., {x}): c (W - exp(-nu |R_t|)) on one walk
+        (_, coeff), = terms
+        moments["weight"] = Moments.of(
+            coeff * (np.exp(reduced[whole][2]) - np.exp(-control * range_counts)))
+    elif law is not None or bias is not None:
         moments["weight"] = Moments.of(
             sum(coeff * np.exp(reduced[walkers][2]) for walkers, coeff in terms))
     for nu in exponents:
@@ -407,7 +411,7 @@ def _batch_moments(args):
 
 def walk_curve(kernel, t_grid, replicas: int, seed: int,
                law: DisorderLaw | None = None, exponents=(), threads: int = 1,
-               starts=None, bias=None) -> WalkCurveStats:
+               starts=None, bias=None, control: float | None = None) -> WalkCurveStats:
     """Moments of range functionals and path weights over `replicas` replicas.
 
     ``kernel`` is a ``Kernel`` on Z^d or a ``TorusKernel``. ``starts`` lists
@@ -422,6 +426,10 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     weight and ``bias`` (a field, or on a torus a per-site array) the
     quenched one. Every annealed weight of a law with mass at zero is
     checked, path by path, to be at least mass_at_zero ** |R_t|.
+    ``control`` is a nu > 0 for an annealed observable c H(., {x}) of one
+    site: each replica's weight sample becomes c (W - exp(-nu |R_t|)), so
+    the weight moments are those of the difference and the caller adds
+    c E exp(-nu |R_t|), known exactly, to the mean.
     ``t_grid`` must pass ``stats.check_t_grid``; results keep its order.
     """
     if replicas < 2:
@@ -429,13 +437,15 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     if law is not None and bias is not None:
         raise ValueError("pass a disorder law or a bias field, not both")
     starts, terms = _expansion(kernel, starts)
+    if control is not None and (law is None or len(starts) != 1 or len(terms) != 1):
+        raise ValueError("a control variate needs a disorder law and a one-site observable")
     if bias is not None and isinstance(kernel, TorusKernel):
         bias = bias_array(bias, kernel)
     t_arr = np.asarray(check_t_grid(t_grid))
     exponents = tuple(float(x) for x in exponents)
     per_batch = max(1, BATCH_SIZE // len(starts))
     jobs = [(kernel, t_arr, starts, terms, seed, b, min(per_batch, replicas - b * per_batch),
-             law, bias, exponents)
+             law, bias, exponents, control)
             for b in range((replicas + per_batch - 1) // per_batch)]
 
     totals: dict = {}

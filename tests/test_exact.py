@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -188,6 +189,35 @@ class TestDualFromASet:
                 sites = [tuple(c) for c in tk.coords[flat]]
                 value = exact_dual_value(sites, beta, tk, t)
                 assert abs(value - full[sites_to_mask(sites, tk)]) < 1e-12, (sites, t)
+
+    @pytest.mark.parametrize("kernel, side", [
+        (NN1, 2), (NN1, 3), (NN1, 12), (make_nn_kernel(2), 3), (make_power_kernel(1.0, 4), 4),
+        (make_power_kernel(0.7, 9), 11),
+    ], ids=["nn1-2", "nn1-3", "nn1-12", "nn2-3", "power-1-4", "power-0.7-11"])
+    def test_matrix_is_the_all_subsets_matrix_restricted(self, kernel, side):
+        # entry for entry: biases in eighths keep every sum exact
+        tk = fold_to_torus(kernel, side)
+        n = tk.n_sites
+        beta = np.random.default_rng(3).integers(0, 17, n) / 8.0
+        full = build_dual_matrix(beta, tk)
+        for mask in sorted({0, 1, 3, 5, 0b1011, (1 << n) - 1} & set(range(1 << n))):
+            mat, row = _dual_matrix_from(mask, beta, tk)
+            states = [m for m in range(1 << n) if m.bit_count() <= mask.bit_count()]
+            assert states[row] == mask
+            assert mat.shape == (len(states), len(states))
+            assert (mat != full[states][:, states]).nnz == 0, mask
+
+    def test_states_beyond_sixty_three_sites(self):
+        # a 64-site torus: masks pass int64, ranks do not; a row sums to minus its kill rate
+        tk = fold_to_torus(make_nn_kernel(2), 8)
+        beta = np.arange(64) / 8.0
+        mat, row = _dual_matrix_from(sites_to_mask([(0, 0), (7, 7)], tk), beta, tk)
+        kill = -np.asarray(mat.sum(axis=1)).ravel()
+        assert mat.shape == (2081, 2081)
+        assert kill[row] == beta[0] + beta[63]
+        assert list(kill[:5]) == [0.0, beta[0], beta[1], beta[0] + beta[1], beta[2]]
+        pairs = [beta[a] + beta[b] for a, b in itertools.combinations(range(64), 2)]
+        assert np.array_equal(np.sort(kill), np.sort([0.0, *beta, *pairs]))
 
     def test_state_count(self):
         tk = fold_to_torus(make_nn_kernel(2), 4)

@@ -13,19 +13,20 @@ import pytest
 import biased_voter
 from biased_voter import cli, forward, harness, walks
 from biased_voter.cli import EXIT_INVARIANT, main as cli_main
-from biased_voter.exact import exact_dual_value
+from biased_voter.exact import exact_dual_value, exact_range_functional_curve_1d
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
 from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   fit_stretch_exponent, parse_config_text,
                                   parse_sites, parse_t_grid, read_curve_csv,
                                   run, sandwich_report, write_records_csv,
                                   write_sandwich_csv)
-from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law
+from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, nu2
 from biased_voter.dual import dual_curve
 from biased_voter.localfn import (LocalFunction, hat_coeffs, parse_localfn_text,
                                   product_indicator, site_indicator)
 from biased_voter.rangestats import dirichlet_eigenvalue, dv_constant, lambda_nn
 from biased_voter.stats import InvariantError, map_batches
+from biased_voter.walks import walk_curve
 
 BERNOULLI_CONFIG = """
 # two-sided measurement at desk scale
@@ -372,6 +373,75 @@ class TestSandwichReport:
         assert power.constants["c_lower"] == dv_constant(1, 1.0, lam, power.constants["nu2"])
 
 
+BENCH_GRID = parse_t_grid("10:1000:12")   # the sandwich benchmark call's grid
+
+
+class TestSandwichControlVariate:
+    """Where E exp(-nu2 |R_t|) is known exactly, the sandwich estimate takes it as a control."""
+
+    @pytest.mark.parametrize("observable", [
+        site_indicator(0), LocalFunction([(3,)], [0.5, 2.5]),
+    ], ids=["site-0", "half-plus-2H(3)"])
+    def test_exact_algebra_on_one_draw(self, monkeypatch, observable):
+        config = small_config(mode="sandwich", t_grid=BENCH_GRID, replicas=2048, seed=11,
+                              observable=observable)
+        controlled = sandwich_report(config)
+        monkeypatch.setattr(harness, "CONTROL_CAP_CEILING", 32)   # no cap certifies: plain
+        plain = sandwich_report(config)
+        assert controlled.control_width_cap == 128 and plain.control_width_cap is None
+        c = hat_coeffs(observable)[frozenset(observable.support)]
+        exact = c * exact_range_functional_curve_1d(nu2(config.law), config.t_grid, 128)
+        est, plain_est = controlled.columns["estimate"], plain.columns["estimate"]
+        base = plain.columns["lower"] / plain.constants["gap_f"]   # mean exp(-nu2 |R_t|)
+        assert np.all(np.abs((est - plain_est) - (exact - c * base)) <= 1e-12 * est)
+        assert np.all(est >= exact)
+        assert np.all(controlled.columns["stderr"] < plain.columns["stderr"])
+        for name in ("lower", "lower_stderr", "upper", "upper_stderr"):
+            assert np.array_equal(controlled.columns[name], plain.columns[name]), name
+
+    def test_agrees_with_an_independent_plain_run(self):
+        report = sandwich_report(small_config(mode="sandwich", t_grid=BENCH_GRID,
+                                              replicas=8192, seed=21))
+        assert report.control_width_cap == 128
+        k = 7   # t <= 123.3, where the plain stderr covers the truth
+        ref = walk_curve(make_nn_kernel(1), BENCH_GRID[:k], 100_000, 22,
+                         law=bernoulli_law(0.5, 1.0))
+        est, se = report.columns["estimate"][:k], report.columns["stderr"][:k]
+        assert np.all(np.abs(est - ref.weight_mean) <= 4 * np.hypot(se, ref.weight_stderr))
+        # the control cuts the stderr: by about half at t = 123 (variance ratio 0.23)
+        assert np.all(se < 0.8 * ref.weight_stderr * math.sqrt(100_000 / 8192))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(law=bernoulli_law(0.99, 1.0), t_grid=BENCH_GRID),   # its cap passes the ceiling
+        dict(law=deterministic_law(1.0)),                         # no mass at zero
+        dict(kernel_name="power", alpha=1.0),
+        dict(dim=2, observable=site_indicator((0, 0))),
+        dict(observable=product_indicator([(0,), (1,)])),
+    ], ids=["q0-0.99", "no-mass-at-zero", "power", "2-d", "two-sites"])
+    def test_plain_estimate_outside_the_exact_cases(self, overrides):
+        # the plain estimate is the dual-annealed run's at the same seed
+        report = sandwich_report(small_config(mode="sandwich", replicas=64, **overrides))
+        columns, _ = run(small_config(replicas=64, **overrides))
+        assert report.control_width_cap is None
+        assert np.array_equal(report.columns["estimate"], columns["mean"])
+        assert np.array_equal(report.columns["stderr"], columns["stderr"])
+
+    def test_q0_of_0_99_needs_a_wider_series_than_the_ceiling(self):
+        with pytest.raises(ValueError, match="width_cap"):
+            exact_range_functional_curve_1d(nu2(bernoulli_law(0.99, 1.0)), BENCH_GRID,
+                                            harness.CONTROL_CAP_CEILING)
+
+    def test_header_names_the_estimator(self, tmp_path):
+        out = tmp_path / "sandwich.csv"
+        for law, cap in ((bernoulli_law(0.5, 1.0), "128"), (bernoulli_law(0.99, 1.0), "")):
+            config = small_config(mode="sandwich", t_grid=BENCH_GRID, replicas=64, law=law)
+            write_sandwich_csv(out, sandwich_report(config))
+            lines = out.read_text().splitlines()
+            assert f"# control_width_cap: {cap}" in lines
+            assert f"# config-hash: {config_hash(config)}" in lines
+        assert "control_width_cap" not in harness.CONFIG_KEYS
+
+
 class TestPersistence:
     def test_csv_roundtrip(self, tmp_path):
         cfg = small_config(replicas=300)
@@ -408,6 +478,19 @@ class TestPersistence:
         columns, max_pos = run(cfg3)
         write_records_csv(b, columns, cfg3, max_pos)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sandwich_determinism_across_thread_counts(self, tmp_path):
+        # the control-variate route; 4200 replicas: two full batches and a ragged tail
+        outputs = []
+        for threads in (1, 3, 1):
+            report = sandwich_report(small_config(
+                mode="sandwich", t_grid=tuple(float(t) for t in np.geomspace(5.0, 200.0, 6)),
+                replicas=4200, seed=1010, threads=threads))
+            assert report.control_width_cap == 64
+            path = tmp_path / f"sandwich{len(outputs)}.csv"
+            write_sandwich_csv(path, report)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_forward_determinism_across_thread_counts(self, tmp_path):
         # 4200 replicas: two full 2048-replica chunks and a ragged tail

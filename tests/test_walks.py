@@ -485,3 +485,30 @@ def test_one_term_expansion_is_the_start_list(disorder):
             assert all(np.array_equal(value[nu], other[nu]) for nu in value), name
         else:
             assert np.array_equal(value, other), name
+
+
+def test_control_weight_is_the_weight_less_its_floor_on_one_draw():
+    # c (W - exp(-nu |R_t|)) per replica: the mean moves by c mean(exp(-nu |R_t|)),
+    # and the draw, the range and the bound curve stay as they are
+    law, nu, grid = bernoulli_law(0.5, 1.0), math.log(2.0), SANDWICH_GRID[:6]
+    plain, controlled = (walks.walk_curve(NN1, grid, 3000, 5, law=law, exponents=(nu,),
+                                          starts={((4,),): 2.0}, control=control)
+                         for control in (None, nu))
+    assert np.all(np.abs(controlled.weight_mean - (plain.weight_mean - 2.0 * plain.exp_means[nu]))
+                  <= 1e-15 * plain.weight_mean)
+    assert np.all(controlled.weight_mean > 0.0)
+    assert np.all(controlled.weight_stderr < plain.weight_stderr)
+    assert np.array_equal(controlled.exp_means[nu], plain.exp_means[nu])
+    assert np.array_equal(controlled.range_mean, plain.range_mean)
+    assert controlled.max_abs_position == plain.max_abs_position
+
+
+@pytest.mark.parametrize("weight, starts", [
+    ({}, None),
+    ({"bias": SiteHashField()}, None),
+    ({"law": bernoulli_law(0.5, 1.0)}, [(0,), (1,)]),
+    ({"law": bernoulli_law(0.5, 1.0)}, {((0,),): 1.0, ((0,), (1,)): -1.0}),
+], ids=["no-weight", "quenched", "two-sites", "two-terms"])
+def test_control_needs_a_law_and_one_single_site_term(weight, starts):
+    with pytest.raises(ValueError, match="control variate"):
+        walks.walk_curve(NN1, [1.0], 10, 0, starts=starts, control=0.5, **weight)
