@@ -9,6 +9,7 @@ transform of a single atom evaluated at a local time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -142,12 +143,20 @@ class LazyBiasField(BiasField):
 
     The value at a site depends only on (disorder_seed, site), so replicas
     sharing a disorder seed see the same field regardless of query order.
+    It is the value ``_draw_values`` gives from
+    ``default_rng(SeedSequence([disorder_seed, d, *zig-zag coordinates]))``:
+    that generator's first ``random()`` is the top 53 bits of its PCG64's
+    first raw output over 2 ** 53, found in the law's cumulative list.
     """
 
     def __init__(self, law: DisorderLaw, disorder_seed: int):
         super().__init__({})
         self.law = law
         self.disorder_seed = int(disorder_seed)
+        cum = np.cumsum(law.probabilities)
+        cum[-1] = 1.0
+        self._cum = cum.tolist()
+        self._biases = law.bias_values.tolist()
 
     def value(self, site: tuple[int, ...]) -> float:
         site = tuple(int(c) for c in site)
@@ -156,9 +165,9 @@ class LazyBiasField(BiasField):
             return cached
         # zig-zag map coordinates to nonnegative ints for SeedSequence entropy
         coded = [2 * c if c >= 0 else -2 * c - 1 for c in site]
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.disorder_seed, len(coded), *coded]))
-        val = float(_draw_values(self.law, 1, rng)[0])
+        raw = np.random.PCG64(
+            np.random.SeedSequence([self.disorder_seed, len(coded), *coded])).random_raw()
+        val = self._biases[bisect.bisect_right(self._cum, (raw >> 11) * 2.0 ** -53)]
         self.values[site] = val
         return val
 

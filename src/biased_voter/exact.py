@@ -280,6 +280,14 @@ def _mean_range_1d(t: np.ndarray) -> np.ndarray:
     return (1.0 + 2.0 * t) * ive(0, t) + 2.0 * t * ive(1, t)
 
 
+def _range_truncation_bound(q: float, ts: np.ndarray, cap: int) -> np.ndarray:
+    """(1-q) q^(cap+1) E(J-cap)^+, J ~ Poisson(t): the bound on what
+    ``exact_range_functional_curve_1d`` neglects past ``cap`` at each time."""
+    # E(J-cap)^+ = t P(J >= cap) - cap P(J > cap), since k P(J=k) = t P(J=k-1)
+    excess = np.maximum(ts * pdtrc(cap - 1, ts) - cap * pdtrc(cap, ts), 0.0)
+    return (1.0 - q) * q ** (cap + 1) * excess
+
+
 def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.ndarray:
     """E^0 exp(-nu |R_t|) for the 1-d nearest-neighbor walk on a time grid.
 
@@ -309,9 +317,7 @@ def exact_range_functional_curve_1d(nu: float, t_grid, width_cap: int) -> np.nda
     head = np.array([coef @ np.exp(-t * rate) for t in ts])
     tail = (1.0 - q) * q ** (cap + 1) * (cap + 2.0 + q / (1.0 - q) - _mean_range_1d(ts))
     out = head + tail
-    # E(J-cap)^+ = t P(J >= cap) - cap P(J > cap), since k P(J=k) = t P(J=k-1)
-    excess = np.maximum(ts * pdtrc(cap - 1, ts) - cap * pdtrc(cap, ts), 0.0)
-    bound = (1.0 - q) * q ** (cap + 1) * excess
+    bound = _range_truncation_bound(q, ts, cap)
     bad = np.flatnonzero(bound > 1e-12 * out)
     if bad.size:
         i = bad[0]

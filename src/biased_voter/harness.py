@@ -8,7 +8,9 @@ record what ran. ``run`` returns its mode's CSV columns. A dual mode
 estimates f = sum_A fhat(A) H(., A) as sum over nonempty A of fhat(A) times
 the dual expectation from A, annealed (law integrated out) or quenched (one
 lazy field), in one walk over one draw where each A's walkers coalesce
-among themselves (a start set is one such A, with coefficient 1).
+among themselves (a start set is one such A, with coefficient 1). A
+quenched run in d = 1 with the nn kernel goes on exactly once one rider
+of a term is left, through the box ``_quenched_box`` picks.
 ``sandwich`` is the bound audit, run by ``sandwich_report`` on that walk:
 
     upper(t) = Sigma(f) * |support(f)| * E[ exp(-nu1 |R_t|) ]
@@ -46,7 +48,7 @@ from .localfn import (LocalFunction, gap, hat_coeffs, is_monotone, parse_localfn
 from .rangestats import (dirichlet_eigenvalue, dv_constant, local_exponent_column,
                          mc_range_functional)
 from .stats import ConfigError, check_nu, check_seed, check_t_grid
-from .walks import walk_curve
+from .walks import QuenchedBox, walk_curve
 
 __all__ = [
     "ConfigError",
@@ -75,6 +77,7 @@ __all__ = [
 MODES = ("forward", "dual-quenched", "dual-annealed", "range", "sandwich")
 SIGMA_BAND = 4.0        # audit tolerance in combined standard errors
 CONTROL_CAP_CEILING = 1024   # widest exact range series the sandwich control variate tries
+BOX_WIDTH_CEILING = 512      # widest half-width a d = 1 quenched run's box tries
 CI_LEVEL = 0.99         # two-sided confidence level of exponent fits
 
 
@@ -410,32 +413,72 @@ def _expansion(config: ExperimentConfig) -> dict:
     return {tuple(sorted(A)): c for A, c in hat_coeffs(config.observable).items() if A}
 
 
+def _quenched_box(config: ExperimentConfig, field) -> QuenchedBox | None:
+    """The box a quenched run goes on with once one rider is left, or None.
+
+    Only the nn kernel on Z has one. The box is centred between the lowest
+    and the highest start and solved up to t_max; its half-width is the
+    first of 16, 32, ..., BOX_WIDTH_CEILING that certifies u(t_max, z) at
+    every site z from the lowest start to the highest (u falls with time,
+    so that certifies every earlier time too). A box too large for
+    ``walks.BOX_ENTRIES`` ends the ladder.
+    The ladder starts at four standard deviations sqrt(t_max) of one walk's
+    displacement: a narrower box lets out about e^-8 of the unkilled walk,
+    so only strong killing could certify it. A point a batch meets that
+    the box does not certify keeps its plain sample (``QuenchedBox.log_value``).
+    """
+    if config.dim != 1 or config.kernel_name != "nn":
+        return None
+    sites = [x for A in _expansion(config) for (x,) in A]
+    span, t_max = np.arange(min(sites), max(sites) + 1), config.t_grid[-1]
+    width = 16
+    while width < 4.0 * math.sqrt(t_max):
+        width *= 2
+    while width <= BOX_WIDTH_CEILING:
+        box = QuenchedBox.solve(field, int(span[0] + span[-1]) // 2, width, t_max)
+        if box is None:   # too large to hold, and so is every wider one
+            return None
+        if not np.isnan(box.log_value(np.full(span.size, t_max), span)).any():
+            return box
+        width *= 2
+    return None
+
+
 def _dual_walk(config: ExperimentConfig, exponents=(), control=None):
-    """One walk over the observable's expansion: one lazy field, or the law."""
-    dseed = config.seed if config.disorder_seed is None else config.disorder_seed
-    disorder = ({"bias": LazyBiasField(config.law, dseed)} if config.mode == "dual-quenched"
-                else {"law": config.law})
+    """One walk over the observable's expansion: one lazy field, or the law.
+
+    Returns the walk's stats and the box a quenched run went on with (None: plain).
+    """
+    box = None
+    if config.mode == "dual-quenched":
+        dseed = config.seed if config.disorder_seed is None else config.disorder_seed
+        field = LazyBiasField(config.law, dseed)
+        box = _quenched_box(config, field)
+        disorder = {"bias": field, "box": box}
+    else:
+        disorder = {"law": config.law}
     return walk_curve(config.kernel(), config.t_grid, config.replicas, config.seed,
                       exponents=exponents, threads=config.threads, starts=_expansion(config),
-                      control=control, **disorder)
+                      control=control, **disorder), box
 
 
-def _run_range(config: ExperimentConfig) -> tuple[dict, int]:
+def _run_range(config: ExperimentConfig) -> tuple[dict, dict]:
     stats = mc_range_functional(config.kernel(), config.nu, config.t_grid,
                                 config.replicas, config.seed, threads=config.threads)
     mean = stats.exp_means[config.nu]
     return (dict(t=config.t_grid, mean=mean, stderr=stats.exp_stderrs[config.nu],
                  mean_range=stats.range_mean,
                  local_exponent=local_exponent_column(config.t_grid, mean)),
-            stats.max_abs_position)
+            {"max_walk_displacement": stats.max_abs_position})
 
 
-def run(config: ExperimentConfig) -> tuple[dict, int | None]:
+def run(config: ExperimentConfig) -> tuple[dict, dict | None]:
     """Execute one experiment; see the module docstring for the pipelines.
 
     Returns the mode's CSV columns, name -> per-time values in CSV order,
-    and the largest walk coordinate seen (None for a forward run), which
-    ``write_records_csv`` puts in the header.
+    and the notes ``write_records_csv`` puts in the header (None for a
+    forward run): the largest walk coordinate seen and, for a quenched run,
+    the half-width of its box (None: the plain estimate).
     """
     config.validate()
     if config.mode == "sandwich":
@@ -444,10 +487,12 @@ def run(config: ExperimentConfig) -> tuple[dict, int | None]:
         return _run_forward(config)
     if config.mode == "range":
         return _run_range(config)
-    stats = _dual_walk(config)
+    stats, box = _dual_walk(config)
+    notes = {"max_walk_displacement": stats.max_abs_position}
+    if config.mode == "dual-quenched":
+        notes["quenched_box"] = None if box is None else box.width
     return (dict(t=config.t_grid, mean=stats.weight_mean, stderr=stats.weight_stderr,
-                 mean_range=stats.range_mean, mean_particles=stats.particles_mean),
-            stats.max_abs_position)
+                 mean_range=stats.range_mean, mean_particles=stats.particles_mean), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +576,27 @@ def _exact_control(config: ExperimentConfig, nu: float):
     The control needs E exp(-nu |R_t|) exactly: d = 1, the nn kernel, an
     expansion c H(., {x}) of one site and 0 < nu < inf. The cap is the
     first of 64, 128, ..., CONTROL_CAP_CEILING whose series remainder bound
-    ``exact_range_functional_curve_1d`` certifies on the whole grid.
+    ``exact_range_functional_curve_1d`` certifies on the whole grid. That
+    check asks the bound to be at most 1e-12 of the sum, which is at most
+    q = e^-nu (|R_t| >= 1), so a cap whose bound exceeds 2e-12 q somewhere
+    is passed over before its series is summed.
     """
     terms = _expansion(config)
     if (config.dim != 1 or config.kernel_name != "nn" or len(terms) != 1
             or len(next(iter(terms))) != 1 or not 0.0 < nu < math.inf):
         return None
-    from .exact import exact_range_functional_curve_1d   # scipy loads with the sandwich only
+    # scipy loads with the sandwich only
+    from .exact import _range_truncation_bound, exact_range_functional_curve_1d
     (coeff,) = terms.values()
+    q, ts = math.exp(-nu), np.asarray(config.t_grid)
     cap = 64
     while cap <= CONTROL_CAP_CEILING:
-        try:
-            return cap, coeff * exact_range_functional_curve_1d(nu, config.t_grid, cap)
-        except ValueError:
-            cap *= 2
+        if np.all(_range_truncation_bound(q, ts, cap) <= 2e-12 * q):
+            try:
+                return cap, coeff * exact_range_functional_curve_1d(nu, config.t_grid, cap)
+            except ValueError:
+                pass
+        cap *= 2
     return None
 
 
@@ -573,7 +625,7 @@ def sandwich_report(config: ExperimentConfig) -> SandwichReport:
     hyp_upper = law.mass_at_zero < 1.0   # bias present with positive probability
     hyp_lower = law.mass_at_zero > 0.0
     cap, exact_part = _exact_control(config, n2) or (None, 0.0)
-    stats = _dual_walk(config, exponents=(n1, n2), control=None if cap is None else n2)
+    stats, _ = _dual_walk(config, exponents=(n1, n2), control=None if cap is None else n2)
 
     # with no mass at zero bias, nu2 = inf and the lower curve is 0
     sigma, support = sigma_and_support(f)
@@ -652,17 +704,15 @@ def _header_lines(config: ExperimentConfig, extra: list[str] = ()) -> list[str]:
     return lines
 
 
-def write_records_csv(path, columns: dict, config: ExperimentConfig,
-                      max_abs_position: int | None = None):
+def write_records_csv(path, columns: dict, config: ExperimentConfig, notes: dict | None = None):
     """Write ``run``'s columns under a header embedding the config hash.
 
-    Dual and range runs also pass the largest walk coordinate seen, which
-    is what a forward cross-check needs to pick a torus side with
-    negligible wrap probability.
+    Dual and range runs also pass ``run``'s notes, one ``# name: value`` line
+    each: the largest walk coordinate seen, which is what a forward
+    cross-check needs to pick a torus side with negligible wrap
+    probability, and a quenched run's box half-width.
     """
-    extra = []
-    if max_abs_position is not None:
-        extra.append(f"# max_walk_displacement: {max_abs_position}")
+    extra = [f"# {name}: {_fmt(value)}" for name, value in (notes or {}).items()]
     write_table(path, columns, zip(*columns.values()), _header_lines(config, extra))
 
 

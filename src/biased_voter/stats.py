@@ -72,25 +72,50 @@ def check_time(t, since: float = 0.0) -> float:
     return t
 
 
+_NO_EXPONENT = -4096   # the scale exponent of an all-zero time: any other wins a merge
+_MIN_EXPONENT = -1021  # the smallest scale exponent of a nonzero time
+
+
 @dataclass
 class Moments:
-    """Per-time running moments: count, mean, and sum of squared deviations."""
+    """Per-time running moments: count, mean, and sum of squared deviations.
+
+    Each time's mean and sum are held over a power of two, 2 ** ``exponent``,
+    the exponent of the largest |value| in the batch, and a merge rescales
+    to the larger exponent. Scaling by a power of two is exact, so samples
+    in normal range give the same bits as unscaled sums, and samples far
+    below it (path weights of 1e-170, say) keep a stderr whose square would
+    underflow. A time whose samples are all equal has that value as its
+    mean and no spread.
+    """
 
     n: int
-    mean: np.ndarray
-    m2: np.ndarray
+    scaled_mean: np.ndarray
+    scaled_m2: np.ndarray
+    exponent: np.ndarray
 
     @classmethod
     def of(cls, values: np.ndarray) -> "Moments":
         """Moments of a (replicas, n_times) batch of samples."""
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+        by_time = np.ascontiguousarray(values.T)   # min and max run fastest along rows
+        low, high = by_time.min(axis=1), by_time.max(axis=1)
+        top = np.maximum(high, -low)
+        # 2 ** -exponent stays finite: the scale of the smallest subnormals is capped
+        exponent = np.where(top == 0, _NO_EXPONENT, np.maximum(np.frexp(top)[1], _MIN_EXPONENT))
+        scale = np.ldexp(1.0, -np.maximum(exponent, _MIN_EXPONENT))
         mean = values.mean(axis=0)
-        m2 = ((values - mean) ** 2).sum(axis=0)
-        return cls(n=values.shape[0], mean=mean, m2=m2)
+        deviations = values - mean
+        deviations *= scale   # before squaring, so that no square underflows
+        m2 = np.square(deviations, out=deviations).sum(axis=0)
+        constant = low == high
+        return cls(n=values.shape[0], scaled_mean=np.where(constant, low, mean) * scale,
+                   scaled_m2=np.where(constant, 0.0, m2), exponent=exponent)
 
     @classmethod
     def zeros(cls, n_times: int) -> "Moments":
-        return cls(n=0, mean=np.zeros(n_times), m2=np.zeros(n_times))
+        return cls(n=0, scaled_mean=np.zeros(n_times), scaled_m2=np.zeros(n_times),
+                   exponent=np.full(n_times, _NO_EXPONENT))
 
     def merge(self, other: "Moments") -> "Moments":
         if self.n == 0:
@@ -98,20 +123,38 @@ class Moments:
         if other.n == 0:
             return self
         n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.n / n)
-        m2 = self.m2 + other.m2 + delta ** 2 * (self.n * other.n / n)
-        return Moments(n=n, mean=mean, m2=m2)
+        exponent = np.maximum(self.exponent, other.exponent)
+        a_mean, a_m2 = self._at(exponent)
+        b_mean, b_m2 = other._at(exponent)
+        delta = b_mean - a_mean
+        mean = a_mean + delta * (other.n / n)
+        m2 = a_m2 + b_m2 + delta ** 2 * (self.n * other.n / n)
+        return Moments(n=n, scaled_mean=mean, scaled_m2=m2, exponent=exponent)
+
+    def _at(self, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled mean and sum over 2 ** ``exponent`` instead of 2 ** self.exponent."""
+        shift = self.exponent - exponent
+        return np.ldexp(self.scaled_mean, shift), np.ldexp(self.scaled_m2, 2 * shift)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return np.ldexp(self.scaled_mean, self.exponent)
+
+    @property
+    def m2(self) -> np.ndarray:
+        return np.ldexp(self.scaled_m2, 2 * self.exponent)
 
     @property
     def variance(self) -> np.ndarray:
         if self.n < 2:
-            return np.full_like(self.mean, np.nan)
-        return self.m2 / (self.n - 1)
+            return np.full_like(self.scaled_mean, np.nan)
+        return np.ldexp(self.scaled_m2 / (self.n - 1), 2 * self.exponent)
 
     @property
     def stderr(self) -> np.ndarray:
-        return np.sqrt(self.variance / self.n)
+        if self.n < 2:
+            return np.full_like(self.scaled_mean, np.nan)
+        return np.ldexp(np.sqrt(self.scaled_m2 / (self.n - 1) / self.n), self.exponent)
 
 
 def map_batches(fn, jobs, threads: int = 1) -> list:

@@ -18,6 +18,14 @@ An observable sum_A c_A H(., A) over subsets A of the start set takes one
 draw: each A's riders coalesce among themselves only, a replica's weight is
 sum_A c_A w_A, and the stderr of that sum counts the terms' covariances.
 
+A quenched walk of the nearest-neighbor kernel on Z may carry a
+``QuenchedBox``: once a term's last-but-one rider dies, at tau, its one
+survivor at z walks on alone, so the rest of the weight is the one-walk
+Feynman-Kac semigroup u(t - tau, z), which the box gives to 1e-10. Such a
+replica's sample at t > tau is then exp(L_tau) u(t - tau, z), L_tau the log
+weight up to tau: E[W_t | F_tau] by the strong Markov property, so the
+estimate stays unbiased and each replica is still one sample.
+
 Replicas are processed in batches of BATCH_SIZE // k with per-batch seed
 streams, so results are bitwise independent of the worker count.
 """
@@ -34,11 +42,140 @@ from .disorder import DisorderLaw, laplace
 from .kernel import TorusKernel, bias_array, bias_values, box_keys, box_sites, site_array
 from .stats import InvariantError, Moments, check_t_grid, map_batches
 
-__all__ = ["WalkCurveStats", "walk_curve"]
+__all__ = ["QuenchedBox", "WalkCurveStats", "walk_curve"]
 
 BATCH_SIZE = 2048   # walkers per batch: BATCH_SIZE // k replicas of k walkers
+BOX_TOL = 1e-10     # a box's value is used where its error bound is at most this share of it
+BOX_ENTRIES = 1 << 21   # most (box site, Poisson term) entries a box holds: 16 MB
 _FLOOR_TOL = 1e-9
 _SWEEP_CHUNK = 64    # events in the first chunk of the coalescence sweep; later chunks double
+_BOX_BLOCK = 1 << 16  # entries of one (points, Poisson terms) block of a box evaluation: 512 kB
+_EPS = np.finfo(float).eps
+
+
+def _poisson_tail(mu: float, m: int) -> float:
+    """Chernoff's bound e^-mu (e mu / m)^m on P(N >= m), N ~ Poisson(mu), m > mu."""
+    return math.exp(m - mu - m * math.log(m / mu)) if mu > 0.0 else 0.0
+
+
+@dataclass(frozen=True)
+class QuenchedBox:
+    """u(s, z) = E_z exp(-int_0^s beta(X_r) dr), 0 <= s <= horizon, of one
+    rate-1 nearest-neighbor walk on Z in a fixed field, from the walk killed
+    outside the box [center - width, center + width].
+
+    The box's generator Q = (shift_+ + shift_-) / 2 - I - diag(beta) is
+    nonnegative off the diagonal, so with rate c = 1 + max beta the matrix
+    P = I + Q / c is nonnegative with row sums at most 1, and uniformization
+    gives u_box(s, .) = e^(sQ) 1 = sum_n Poisson(n; cs) P^n 1. Every term is
+    nonnegative, so rounding and the neglected Poisson tail are small next
+    to each entry, however small the entry is. The paths that leave the box,
+    at rate b = 1/2 from each end site, weigh
+    g = int_0^horizon e^(rQ) b dr = sum_n P(N_(c horizon) > n) P^n b / c by
+    the horizon, and u_box <= u <= u_box + g at every s up to it.
+    """
+
+    center: int
+    width: int
+    horizon: float
+    rate: float           # c
+    powers: np.ndarray    # (P^n 1)_z, one row per box site z, one column per n < terms
+    exits: np.ndarray     # g, one entry per box site, rounding and the tail included
+    log_factorials: np.ndarray   # log n! for n < terms
+    tail: float           # a bound on P(N_(c horizon) >= terms - 1)
+
+    @classmethod
+    def solve(cls, bias, center: int, width: int, horizon: float) -> "QuenchedBox | None":
+        """The box of ``bias`` (a ``value(site)`` field) around ``center`` up to
+        ``horizon``, or None if it would hold more than BOX_ENTRIES entries."""
+        beta = bias_values(bias, [(x,) for x in range(center - width, center + width + 1)])
+        rate = 1.0 + float(beta.max())
+        mu = rate * horizon
+        terms = math.floor(mu) + 2   # the fewest whose tail bound is below eps
+        while _poisson_tail(mu, terms - 1) > _EPS:
+            terms += 1
+        n = beta.size
+        if terms * n > BOX_ENTRIES:
+            return None
+        stay, jump = (1.0 - (1.0 + beta) / rate)[:, None], 0.5 / rate   # P's entries
+        # P^n 1 and P^n b, between a zero row at each end
+        table = np.zeros((terms, n + 2, 2))
+        table[0, 1:-1, 0] = 1.0
+        table[0, [1, -2], 1] = 0.5
+        for k in range(1, terms):
+            last, out = table[k - 1], table[k, 1:-1]
+            np.add(last[:-2], last[2:], out=out)
+            out *= jump
+            out += stay * last[1:-1]
+        table = table[:, 1:-1]
+        log_factorials = np.array([math.lgamma(k + 1.0) for k in range(terms)])
+        tail = _poisson_tail(mu, terms - 1)
+        # P(N > k) = sum of the weights past k, plus the mass past the table
+        weights = _poisson_weights(mu, log_factorials)
+        survival = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0) + tail
+        exits = survival @ table[:, :, 1] / rate
+        # P^n b <= P^n 1 / 2 falls with n, so the terms past the table add at most
+        # (P^(terms-1) 1) E (N - terms + 1)^+ / 2c <= (P^(terms-1) 1) (horizon / 2) tail
+        exits = (exits * (1.0 + _relative_error(rate, horizon, terms))
+                 + 0.5 * horizon * tail * table[-1, :, 0])
+        return cls(center, width, float(horizon), rate,
+                   np.ascontiguousarray(table[:, :, 0].T), exits, log_factorials, tail)
+
+    def log_value(self, s: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """log u_box(s, z) at the points (s, z), nan where the box does not
+        certify it: z outside the box, s outside [0, horizon], or g(z) plus
+        the bound on the computed u_box's error (``_relative_error``, and the
+        Poisson tail twice) more than BOX_TOL of u_box.
+        """
+        s, row = np.asarray(s, dtype=np.float64), np.asarray(z) - (self.center - self.width)
+        inside = (row >= 0) & (row < self.exits.size) & (s >= 0.0) & (s <= self.horizon)
+        # each distinct point once, so that equal points get equal values;
+        # row + i s holds a point in one sortable number
+        points, back = np.unique(row[inside] + 1j * s[inside], return_inverse=True)
+        rows, times = points.real.astype(np.intp), points.imag
+        u = np.empty(points.size)
+        step = max(1, _BOX_BLOCK // self.log_factorials.size)
+        for lo in range(0, points.size, step):
+            at = slice(lo, lo + step)
+            u[at] = np.einsum("mn,mn->m", _poisson_weights(self.rate * times[at],
+                                                           self.log_factorials),
+                              self.powers[rows[at]])
+        terms = self.log_factorials.size
+        # underflow past the normal range adds at most 2 terms tiny over all
+        error = ((_relative_error(self.rate, times, terms) + 2.0 * self.tail) * u
+                 + 2.0 * terms * np.finfo(float).tiny)
+        value = np.where((u > 0.0) & (self.exits[rows] + error <= BOX_TOL * u),
+                         np.log(np.where(u > 0.0, u, 1.0)), np.nan)
+        out = np.full(s.shape, np.nan)
+        out[inside] = value[back]
+        return out
+
+
+def _poisson_weights(mu, log_factorials: np.ndarray) -> np.ndarray:
+    """P(N = n), N ~ Poisson(mu), for n < len(log_factorials); one row per mu."""
+    mu = np.asarray(mu, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.log(mu)[..., None] * np.arange(log_factorials.size)
+    logp[..., 0] = 0.0   # n log mu at n = 0, also for mu = 0
+    logp -= mu[..., None]
+    logp -= log_factorials
+    return np.exp(logp, out=logp)
+
+
+def _relative_error(rate: float, s, terms: int):
+    """A bound on the relative error of the computed sum of Poisson(n; rate s) P^n v, v >= 0.
+
+    P's rounded entries are those of a walk whose kill rates are off by at
+    most 1.5 eps rate and jump rates by eps / 4, which moves e^(sQ) v by a
+    factor within e^(+-2 eps s (rate + 1)); each product with P rounds by at most
+    3 eps and the final sum by terms eps; a Poisson weight's logarithm,
+    n log mu - mu - log n!, is off by at most 4 eps (n + its terms' sizes).
+    """
+    mu = rate * np.asarray(s, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_size = np.where(mu > 0.0, np.abs(np.log(mu)), 0.0)
+    return _EPS * (2.0 * s * (rate + 1.0) + 8.0 * terms
+                   + 4.0 * (terms * log_size + mu + math.lgamma(terms + 1.0)))
 
 
 @dataclass
@@ -205,11 +342,13 @@ def _pair_ids(keys: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
-                    rng: np.random.Generator, law: DisorderLaw | None, bias, subsets: dict):
+                    rng: np.random.Generator, law: DisorderLaw | None, bias, subsets: dict,
+                    box: QuenchedBox | None = None):
     """One draw of k walkers per replica, reduced once per subset of them.
 
     ``subsets`` maps tuples of walker indices, whose riders coalesce among
-    themselves only, to whether their path weight is wanted. Returns
+    themselves only, to whether their path weight is wanted; a wanted
+    quenched weight goes on through ``box`` once one rider is left. Returns
     ``_reduce``'s output per subset and the largest coordinate magnitude.
     The whole start set goes last and is handed the draw itself, so that
     its reduction frees it as it goes.
@@ -228,7 +367,7 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
             rows = (np.arange(count)[:, None] * k + walkers).ravel()
             draw = [cum_t[rows], skey[rows], mins, spans]
         reduced[walkers] = _reduce(kernel, t_grid, draw, len(walkers),
-                                   *((law, bias) if weighted else (None, None)))
+                                   *((law, bias, box) if weighted else (None, None, None)))
     return reduced, max_abs
 
 
@@ -253,7 +392,8 @@ def _jumps_before(cum_t: np.ndarray, times: np.ndarray) -> np.ndarray:
     return at
 
 
-def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | None, bias):
+def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | None, bias,
+            box: QuenchedBox | None = None):
     """Per-replica range counts, live riders and log path weights at every grid time.
 
     ``draw`` is [jump times, site keys, box corner, box spans] of k walkers
@@ -262,6 +402,10 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
     on a torus the checked per-site array; live riders are None for a single
     walker. An annealed weight of a law with mass at zero is checked to be
     at least mass_at_zero ** |R_t|, and every weight to be at most 1.
+    With a ``box``, a quenched weight at a grid time past tau, the death of
+    the last-but-one rider (0 for one walker), is L_tau + log u(t - tau, z)
+    wherever the box certifies u there, z the survivor's site at tau and
+    L_tau the log weight of every rider up to tau.
 
     Interval c of a walker row is its stay at position c, from the c-th
     jump (time 0 for the start) to the next one. One search per row finds
@@ -288,6 +432,13 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
         n_held = 1 + _jumps_before(cum_t, np.minimum(death, t_grid[-1])[:, None])[:, 0]
     else:
         n_held = a[:, -1] + 1
+    if box is not None:
+        deaths = death.reshape(count, k) if k > 1 else np.full((count, 1), np.inf)
+        alive = np.isinf(deaths)
+        tau = np.where(alive.sum(axis=1) == 1, np.where(alive, 0.0, deaths).max(axis=1), np.inf)
+        survivor = np.arange(count) * k + alive.argmax(axis=1)
+        jumped = _jumps_before(cum_t[survivor], np.minimum(tau, t_grid[-1])[:, None])[:, 0]
+        z = skey[survivor, jumped] + mins[0]
     # held intervals are a prefix of every row: those that arrive before t_max
     # and, for k > 1, before the rider's death
     held = np.arange(m) < n_held[:, None]
@@ -340,6 +491,14 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
     arrival = np.where(a[crossing] == 0, 0.0, nexts[cross_at - 1])
     hold[cross_at] = np.minimum(nexts[cross_at], t_grid[first_held[cross_at]]) - arrival
     deposit[n_held_all:] = np.minimum(nexts[across_at], t_grid[to_index]) - t_grid[to_index - 1]
+    if box is not None:   # every held interval's stay up to its replica's tau
+        begin = np.concatenate(([0.0], nexts[:-1]))
+        begin[row_start] = 0.0
+        cut = np.repeat(np.repeat(tau, k), n_held)
+        stay = np.maximum(np.minimum(nexts, cut) - begin, 0.0)
+        log_tau = -np.bincount(np.repeat(np.arange(rows) // k, n_held),
+                               weights=beta[inverse] * stay, minlength=count)
+        del begin, cut, stay
     del nexts, hold, arrival
     # each deposit's entry of the (grid index, pair) table
     deposit_key = np.empty(deposit.size, dtype=np.intp)
@@ -375,6 +534,11 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
             terms = -beta * table
         for j in range(lo, hi):
             logw[:, j] = np.bincount(replica_of, weights=terms[j - lo], minlength=count)
+    if box is not None:
+        late = np.flatnonzero(t_grid > tau[:, None])
+        log_u = box.log_value((t_grid - tau[:, None]).ravel()[late], z[late // n_grid])
+        exact = ~np.isnan(log_u)
+        logw.ravel()[late[exact]] = log_tau[late[exact] // n_grid] + log_u[exact]
     if law is not None and law.mass_at_zero > 0.0:
         # laplace(law, l) >= mass_at_zero at every visited site
         if not np.all(logw >= math.log(law.mass_at_zero) * range_counts - _FLOOR_TOL):
@@ -385,14 +549,16 @@ def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | N
 
 
 def _batch_moments(args):
-    kernel, t_grid, starts, terms, seed, batch_index, count, law, bias, exponents, control = args
+    (kernel, t_grid, starts, terms, seed, batch_index, count, law, bias, exponents, control,
+     box) = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
     whole = tuple(range(len(starts)))
     subsets = dict.fromkeys((walkers for walkers, _ in terms), True)
     if exponents:   # the bound curves read the first start's own walk
         subsets.setdefault((0,), False)
     subsets.setdefault(whole, False)
-    reduced, max_abs = _simulate_batch(kernel, t_grid, starts, count, rng, law, bias, subsets)
+    reduced, max_abs = _simulate_batch(kernel, t_grid, starts, count, rng, law, bias, subsets,
+                                       box)
     range_counts, particles, _ = reduced[whole]
     moments = {"range": Moments.of(range_counts)}
     if particles is not None:
@@ -411,7 +577,8 @@ def _batch_moments(args):
 
 def walk_curve(kernel, t_grid, replicas: int, seed: int,
                law: DisorderLaw | None = None, exponents=(), threads: int = 1,
-               starts=None, bias=None, control: float | None = None) -> WalkCurveStats:
+               starts=None, bias=None, control: float | None = None,
+               box: QuenchedBox | None = None) -> WalkCurveStats:
     """Moments of range functionals and path weights over `replicas` replicas.
 
     ``kernel`` is a ``Kernel`` on Z^d or a ``TorusKernel``. ``starts`` lists
@@ -430,6 +597,9 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     site: each replica's weight sample becomes c (W - exp(-nu |R_t|)), so
     the weight moments are those of the difference and the caller adds
     c E exp(-nu |R_t|), known exactly, to the mean.
+    ``box`` is a ``QuenchedBox`` of the quenched field, for the nearest-neighbor
+    kernel on Z: each term's weight goes on exactly once one of its riders is
+    left (see the module docstring).
     ``t_grid`` must pass ``stats.check_t_grid``; results keep its order.
     """
     if replicas < 2:
@@ -439,13 +609,16 @@ def walk_curve(kernel, t_grid, replicas: int, seed: int,
     starts, terms = _expansion(kernel, starts)
     if control is not None and (law is None or len(starts) != 1 or len(terms) != 1):
         raise ValueError("a control variate needs a disorder law and a one-site observable")
+    if box is not None and (bias is None or isinstance(kernel, TorusKernel) or kernel.dim != 1
+                            or sorted(kernel.displacements[:, 0].tolist()) != [-1, 1]):
+        raise ValueError("a quenched box needs a bias field and the nearest-neighbor kernel on Z")
     if bias is not None and isinstance(kernel, TorusKernel):
         bias = bias_array(bias, kernel)
     t_arr = np.asarray(check_t_grid(t_grid))
     exponents = tuple(float(x) for x in exponents)
     per_batch = max(1, BATCH_SIZE // len(starts))
     jobs = [(kernel, t_arr, starts, terms, seed, b, min(per_batch, replicas - b * per_batch),
-             law, bias, exponents, control)
+             law, bias, exponents, control, box)
             for b in range((replicas + per_batch - 1) // per_batch)]
 
     totals: dict = {}

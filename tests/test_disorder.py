@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biased_voter.disorder import (DisorderLaw, LazyBiasField, bernoulli_law,
+from biased_voter.disorder import (DisorderLaw, LazyBiasField, _draw_values, bernoulli_law,
                                    deterministic_law, laplace, nu1, nu2,
                                    sample_field)
 
@@ -154,3 +154,26 @@ class TestSampling:
         f = LazyBiasField(law, 5)
         for i in range(-20, 20):
             assert f.value((i, i)) in (0.0, 1.7)
+
+
+def generator_value(law, seed, site):
+    """A lazy field's site value through SeedSequence, Generator and ``_draw_values``."""
+    coded = [2 * c if c >= 0 else -2 * c - 1 for c in site]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, len(coded), *coded]))
+    return float(_draw_values(law, 1, rng)[0])
+
+
+class TestLazyFieldStream:
+    LAWS = (bernoulli_law(0.5, 1.0), DisorderLaw(((0.0, 0.3), (0.5, 0.2), (2.0, 0.5))))
+
+    @pytest.mark.parametrize("seed", [11, 2 ** 40 + 3])   # one and two entropy words
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_values_equal_the_generator_path(self, seed, dim):
+        # 10^4 sites a dimension, for two laws
+        if dim == 1:
+            sites = [(x,) for x in range(-5000, 5000)]
+        else:
+            sites = [(x, y) for x in range(-50, 50) for y in range(-50, 50)]
+        for law in self.LAWS:
+            want = [generator_value(law, seed, s) for s in sites]
+            assert [LazyBiasField(law, seed).value(s) for s in sites] == want

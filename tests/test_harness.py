@@ -442,6 +442,113 @@ class TestSandwichControlVariate:
         assert "control_width_cap" not in harness.CONFIG_KEYS
 
 
+    @pytest.mark.parametrize("q0, grid", [
+        (0.5, "10:1000:12"), (0.9, "10:1000:12"), (0.99, "10:1000:12"), (0.9, "1:10000:9"),
+        (0.99, "0.5:50:7"), (0.3, "1:10000:9"),
+    ])
+    def test_cap_is_chosen_before_any_series_is_summed(self, monkeypatch, q0, grid):
+        # the first cap the series certifies, as the loop over every cap found it;
+        # a cap whose bound exceeds 2e-12 q0 is passed over without its series
+        config = small_config(mode="sandwich", t_grid=parse_t_grid(grid), law=bernoulli_law(q0, 1.0))
+        nu = nu2(config.law)
+        first = next((cap for cap in (64, 128, 256, 512, 1024)
+                      if self._certifies(nu, config.t_grid, cap)), None)
+        summed = []
+
+        def counted(*args):
+            summed.append(args[2])
+            return exact_range_functional_curve_1d(*args)
+
+        monkeypatch.setattr("biased_voter.exact.exact_range_functional_curve_1d", counted)
+        got = harness._exact_control(config, nu)
+        assert (got and got[0]) == first
+        assert summed[-1:] == ([first] if first else [])
+        if first is not None:
+            assert np.array_equal(got[1], exact_range_functional_curve_1d(nu, config.t_grid, first))
+        if (q0, grid) == (0.99, "10:1000:12"):
+            assert summed == []     # was five series, about 0.3 s
+
+    @staticmethod
+    def _certifies(nu, t_grid, cap):
+        try:
+            exact_range_functional_curve_1d(nu, t_grid, cap)
+        except ValueError:
+            return False
+        return True
+
+
+class TestQuenchedBox:
+    """A d = 1 nn quenched run goes on exactly through a box once one rider is left."""
+
+    GRID = parse_t_grid("10:100:6")   # the short_horizon benchmark call's grid
+
+    def config(self, **overrides):
+        return small_config(**{"mode": "dual-quenched", "t_grid": self.GRID, "replicas": 100,
+                               "observable": product_indicator([(0,), (1,), (3,)]),
+                               "disorder_seed": 11, **overrides})
+
+    def test_ladder_takes_the_first_width_that_certifies(self, monkeypatch):
+        config = self.config()
+        field = LazyBiasField(config.law, 11)
+        box = harness._quenched_box(config, field)
+        assert (box.center, box.width) == (1, 64)
+        span = np.arange(0, 4)
+        half = walks.QuenchedBox.solve(field, 1, 32, 100.0)
+        assert np.isnan(half.log_value(np.full(4, 100.0), span)).any()
+        monkeypatch.setattr(harness, "BOX_WIDTH_CEILING", 32)
+        assert harness._quenched_box(config, field) is None
+
+    @pytest.mark.parametrize("overrides, width", [
+        ({}, "64"),
+        ({"dim": 2, "observable": product_indicator([(0, 0), (1, 0)])}, ""),
+        ({"kernel_name": "power", "alpha": 1.0}, ""),
+        ({"mode": "dual-annealed"}, None),
+    ], ids=["nn-1d", "nn-2d", "power", "annealed"])
+    def test_header_names_the_box(self, tmp_path, overrides, width):
+        config = self.config(**overrides)
+        if config.mode == "dual-annealed":
+            config = dataclasses.replace(config, disorder_seed=None)
+        out = tmp_path / "dual.csv"
+        columns, notes = run(config)
+        write_records_csv(out, columns, config, notes)
+        lines = out.read_text().splitlines()
+        boxes = [ln for ln in lines if ln.startswith("# quenched_box:")]
+        assert boxes == ([] if width is None else [f"# quenched_box: {width}"])
+        assert f"# config-hash: {config_hash(config)}" in lines
+        assert "quenched_box" not in harness.CONFIG_KEYS
+
+    def test_plain_estimate_past_the_ceiling_keeps_the_walk(self, monkeypatch):
+        # with no box the run is the plain walk, and the box moves no range or rider count
+        config = self.config()
+        boxed, _ = run(config)
+        monkeypatch.setattr(harness, "BOX_WIDTH_CEILING", 32)
+        plain, notes = run(config)
+        assert notes["quenched_box"] is None
+        field = LazyBiasField(config.law, 11)
+        ref = walk_curve(make_nn_kernel(1), config.t_grid, 100, config.seed,
+                         starts=harness._expansion(config), bias=field)
+        assert np.array_equal(plain["mean"], ref.weight_mean)
+        for name in ("mean_range", "mean_particles"):
+            assert np.array_equal(boxed[name], plain[name]), name
+        # t <= 25.1: past it 100 plain samples rarely hold the rare heavy paths
+        assert np.all(boxed["stderr"][:3] < plain["stderr"][:3])
+
+    @pytest.mark.parametrize("dseed", [11, 12, 13])
+    def test_one_site_run_is_exact_with_no_spread(self, dseed):
+        # the benchmark call's grid out to t = 100, in localised random fields, against
+        # the exact dual on a 256-site ring carrying the field's values on -128 .. 127
+        config = self.config(observable=site_indicator(0), t_grid=(1.0, 5.0, *self.GRID),
+                             disorder_seed=dseed)
+        columns, notes = run(config)
+        assert notes["quenched_box"] == 64
+        field = LazyBiasField(config.law, dseed)
+        tk = fold_to_torus(make_nn_kernel(1), 256)
+        beta = np.array([field.value(((x + 128) % 256 - 128,)) for x in range(256)])
+        want = [exact_dual_value([(0,)], beta, tk, t) for t in config.t_grid]
+        assert np.all(np.abs(columns["mean"] - want) <= 1e-10 * np.asarray(want))
+        assert np.all(columns["stderr"] == 0.0)
+
+
 class TestPersistence:
     def test_csv_roundtrip(self, tmp_path):
         cfg = small_config(replicas=300)
@@ -560,9 +667,13 @@ class TestCLI:
             law = ["--disorder", "bernoulli", "--q", "0.5", "--b", "1"]
             for argv in (["simulate-forward", "--L", "4", *law],
                          ["simulate-dual", "--mode", "quenched", "--sites", "0;1", *law],
-                         ["range", "--nu", "1"]):
-                code = biased_voter.cli.main([*argv, "--t-grid", "1,2", "--replicas", "20",
-                                              "--out", sys.argv[1]])
+                         ["range", "--nu", "1"],
+                         # three riders through the quenched box, solved with numpy alone
+                         ["simulate-dual", "--mode", "quenched", "--sites", "0;1;3", *law,
+                          "--t-grid", "10:100:6"]):
+                if "--t-grid" not in argv:
+                    argv = [*argv, "--t-grid", "1,2"]
+                code = biased_voter.cli.main([*argv, "--replicas", "20", "--out", sys.argv[1]])
                 assert code == 0, argv
             assert "scipy" not in sys.modules
             from biased_voter import duality_gap, exact_dual_value, exact_range_functional_curve_1d

@@ -128,6 +128,50 @@ def test_moments_merge_associative_and_order_free(parts, order):
         assert_same(left, Moments.of(pooled))
 
 
+def unscaled_moments(values):
+    """The pairwise update on unscaled sums, as ``Moments`` ran before its scale."""
+    mean = values.mean(axis=0)
+    return mean, np.sqrt(((values - mean) ** 2).sum(axis=0) / (len(values) - 1) / len(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-140, 140),
+       sizes=st.lists(st.integers(2, 40), min_size=1, max_size=4))
+def test_scaled_moments_give_the_unscaled_bits(seed, exponent, sizes):
+    # samples whose squares stay normal: the power-of-two scale changes no bit
+    rng = np.random.default_rng(seed)
+    parts = [rng.exponential(size=(n, 3)) * 10.0 ** exponent for n in sizes]
+    merged = Moments.zeros(3)
+    for part in parts:
+        merged = merged.merge(Moments.of(part))
+    pooled = np.concatenate(parts)
+    if len(parts) == 1:
+        mean, stderr = unscaled_moments(pooled)
+        assert np.array_equal(merged.mean, mean) and np.array_equal(merged.stderr, stderr)
+    np.testing.assert_allclose(merged.mean, pooled.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(merged.stderr, unscaled_moments(pooled)[1], rtol=1e-9)
+
+
+def test_tiny_samples_keep_their_stderr():
+    # squares of 1e-170 underflow to 0: unscaled sums report no spread at all
+    rng = np.random.default_rng(3)
+    values = 1e-170 * (1.0 + rng.standard_normal((1000, 3)))
+    merged = Moments.of(values[:400]).merge(Moments.of(values[400:]))
+    want = 1e-170 * unscaled_moments(values * 1e170)[1]
+    assert np.all(unscaled_moments(values)[1] == 0.0)
+    np.testing.assert_allclose(merged.stderr, want, rtol=1e-12)
+    np.testing.assert_allclose(merged.mean, values.mean(axis=0), rtol=1e-12)
+
+
+def test_a_constant_column_has_its_value_and_no_spread():
+    value = 0.1 + 0.2   # n copies of it do not sum to n times it exactly
+    values = np.full((1000, 2), value)
+    values[:, 1] = np.arange(1000)
+    merged = Moments.of(values[:300]).merge(Moments.of(values[300:]))
+    assert merged.mean[0] == value and merged.stderr[0] == 0.0
+    assert merged.stderr[1] > 0.0
+
+
 def reals(lo, hi):
     """Floats in [lo, hi], drawn also as numpy floats and as ints."""
     return (st.floats(lo, hi) | st.floats(lo, hi).map(np.float64)

@@ -1,8 +1,9 @@
 """The walk engine's one-pass reduction and coalescence sweep against the
 loops they replaced, its narrow draw and site keys, the dual range inside
 the walker range, its pair-id step and per-row grid search, its memory
-footprint, the output bytes of four batches, and observables run through
-their expansion against the exact torus oracle."""
+footprint, the output bytes of four batches, observables run through
+their expansion against the exact torus oracle, and the quenched box's
+exact continuation against the exact ring oracle and the plain estimate."""
 
 import hashlib
 import itertools
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biased_voter import walks
-from biased_voter.disorder import bernoulli_law, laplace
-from biased_voter.exact import exact_forward_values_all, sites_to_mask
+from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, laplace
+from biased_voter.exact import exact_dual_value, exact_forward_values_all, sites_to_mask
 from biased_voter.kernel import (TorusKernel, bias_values, box_keys, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
 from biased_voter.localfn import LocalFunction, hat_coeffs
@@ -512,3 +513,130 @@ def test_control_weight_is_the_weight_less_its_floor_on_one_draw():
 def test_control_needs_a_law_and_one_single_site_term(weight, starts):
     with pytest.raises(ValueError, match="control variate"):
         walks.walk_curve(NN1, [1.0], 10, 0, starts=starts, control=0.5, **weight)
+
+
+# ---------------------------------------------------------------------------
+# The quenched box: exact continuation once one rider is left
+# ---------------------------------------------------------------------------
+
+FIELD_LAW = bernoulli_law(0.5, 1.0)
+
+
+def ring_value(field, sites, t, side=64):
+    """The exact killed dual from ``sites`` on the ``side``-site ring carrying
+    ``field``'s values on -side/2 .. side/2 - 1: the walk on Z up to a wrap
+    of probability below 1e-15 by t = 10."""
+    beta = np.array([field.value(((x + side // 2) % side - side // 2,)) for x in range(side)])
+    return exact_dual_value([(x % side,) for (x,) in sites], beta, fold_to_torus(NN1, side), t)
+
+
+def test_one_site_box_weight_is_exp_minus_bt_for_a_constant_bias():
+    field = LazyBiasField(deterministic_law(0.7), 1)
+    box = walks.QuenchedBox.solve(field, 0, 64, 50.0)
+    grid = np.array([0.0, 0.5, 5.0, 50.0])
+    got = walks.walk_curve(NN1, grid, 300, 2, starts=[(0,)], bias=field, box=box)
+    assert np.all(np.abs(got.weight_mean - np.exp(-0.7 * grid)) <= 1e-10 * np.exp(-0.7 * grid))
+    assert np.all(got.weight_stderr == 0.0)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_one_site_box_weight_is_the_exact_ring_value(seed):
+    field = LazyBiasField(FIELD_LAW, seed)
+    box = walks.QuenchedBox.solve(field, 1, 32, 10.0)
+    grid = np.array([1.0, 5.0, 10.0])
+    for site in [(0,), (3,)]:
+        got = walks.walk_curve(NN1, grid, 10, 4, starts=[site], bias=field, box=box)
+        want = np.array([ring_value(field, [site], t) for t in grid])
+        assert np.all(np.abs(got.weight_mean - want) <= 1e-10 * want)
+        assert np.all(got.weight_stderr == 0.0)
+
+
+@pytest.mark.parametrize("seed, sites", [(11, [(0,), (1,)]), (12, [(0,), (3,)])])
+def test_two_site_box_weight_agrees_with_the_exact_ring_value(seed, sites):
+    field = LazyBiasField(FIELD_LAW, seed)
+    box = walks.QuenchedBox.solve(field, 1, 32, 10.0)
+    grid = np.array([2.0, 5.0, 10.0])
+    got = walks.walk_curve(NN1, grid, 10_000, 6, starts=sites, bias=field, box=box)
+    want = np.array([ring_value(field, sites, t) for t in grid])
+    assert np.all(np.abs(got.weight_mean - want) <= 4.0 * got.weight_stderr)
+    assert np.all(got.weight_stderr <= 0.03 * want)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_three_site_box_weight_agrees_with_the_plain_estimate(seed):
+    # the plain estimate at its own seed; the box keeps the draw, so range and
+    # live riders are those of the plain run at the same seed, bit for bit
+    field = LazyBiasField(FIELD_LAW, seed)
+    box = walks.QuenchedBox.solve(field, 1, 64, 25.1)
+    grid, sites = np.array([5.0, 10.0, 25.1]), [(0,), (1,), (3,)]
+    plain = walks.walk_curve(NN1, grid, 20_000, 7, starts=sites, bias=field)
+    boxed = walks.walk_curve(NN1, grid, 20_000, 8, starts=sites, bias=field, box=box)
+    z = (boxed.weight_mean - plain.weight_mean) / np.hypot(boxed.weight_stderr,
+                                                            plain.weight_stderr)
+    assert np.all(np.abs(z) <= 4.0), z
+    assert np.all(boxed.weight_stderr < plain.weight_stderr)
+    same_draw = walks.walk_curve(NN1, grid, 20_000, 7, starts=sites, bias=field, box=box)
+    assert np.array_equal(same_draw.range_mean, plain.range_mean)
+    assert np.array_equal(same_draw.particles_mean, plain.particles_mean)
+    assert same_draw.max_abs_position == plain.max_abs_position
+
+
+def test_box_goes_on_per_term_of_an_expansion():
+    # 0.5 H(., {0}) + 2 H(., {0, 3}): one exact term and one that coalesces
+    field = LazyBiasField(FIELD_LAW, 11)
+    box = walks.QuenchedBox.solve(field, 1, 32, 5.0)
+    grid = np.array([2.0, 5.0])
+    got = walks.walk_curve(NN1, grid, 10_000, 9, starts={((0,),): 0.5, ((0,), (3,)): 2.0},
+                           bias=field, box=box)
+    want = np.array([0.5 * ring_value(field, [(0,)], t) + 2.0 * ring_value(field, [(0,), (3,)], t)
+                     for t in grid])
+    assert np.all(np.abs(got.weight_mean - want) <= 4.0 * got.weight_stderr)
+
+
+def test_box_certifies_only_inside_and_while_exits_are_negligible():
+    field = LazyBiasField(FIELD_LAW, 11)
+    box = walks.QuenchedBox.solve(field, 0, 8, 0.1)
+    s = np.array([0.0, 0.1, 0.1, 0.1, 0.2, -0.1])
+    z = np.array([0, 0, 8, 9, 0, 0])
+    got = box.log_value(s, z)
+    assert got[0] == 0.0                                   # u(0, z) = 1
+    assert np.isfinite(got[1]) and got[1] < 0.0
+    assert np.isnan(got[2:]).all()                         # end site, outside, past the horizon
+    late = walks.QuenchedBox.solve(field, 0, 8, 50.0)      # exits by t = 50 are not negligible
+    assert np.isnan(late.log_value(s[1:2], z[1:2])).all()
+    wide = walks.QuenchedBox.solve(field, 0, 32, 0.1)
+    assert abs(wide.log_value(s[1:2], z[1:2])[0] - got[1]) <= 1e-10
+
+
+def test_box_values_far_below_one_keep_their_relative_accuracy():
+    # a constant bias 3: u = e^(-3 s) down to 1e-26, the walk 108 sites or more from the ends
+    box = walks.QuenchedBox.solve(LazyBiasField(deterministic_law(3.0), 2), 0, 128, 20.0)
+    s = np.array([0.5, 2.0, 10.0, 20.0])
+    for z in (0, 20):
+        got = box.log_value(s, np.full(4, z))
+        assert np.all(np.abs(got + 3.0 * s) <= 1e-12), (z, got + 3.0 * s)
+
+
+def test_box_too_large_to_hold_is_refused():
+    assert walks.QuenchedBox.solve(LazyBiasField(FIELD_LAW, 11), 0, 512, 2000.0) is None
+
+
+def test_box_sample_is_audited_to_lie_in_0_1(monkeypatch):
+    field = LazyBiasField(FIELD_LAW, 11)
+    box = walks.QuenchedBox.solve(field, 1, 16, 2.0)
+    monkeypatch.setattr(walks.QuenchedBox, "log_value",
+                        lambda self, s, z: np.full(s.shape, math.log(2.0)))
+    with pytest.raises(InvariantError, match="path weight"):
+        walks.walk_curve(NN1, [1.0, 2.0], 20, 0, starts=[(0,), (1,)], bias=field, box=box)
+
+
+@pytest.mark.parametrize("kernel, weight", [
+    (NN1, {"law": FIELD_LAW}),
+    (NN2, {"bias": SiteHashField()}),
+    (POWER, {"bias": SiteHashField()}),
+    (fold_to_torus(NN1, 8), {"bias": SiteHashField()}),
+], ids=["annealed", "nn-2d", "power", "torus"])
+def test_box_needs_a_field_and_the_nn_kernel_on_z(kernel, weight):
+    box = walks.QuenchedBox.solve(SiteHashField(), 0, 4, 1.0)
+    with pytest.raises(ValueError, match="quenched box"):
+        walks.walk_curve(kernel, [1.0], 10, 0, box=box, **weight)
