@@ -90,8 +90,8 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    columns, max_abs_position = run(config)
-    write_records_csv(args.out, columns, config, max_abs_position)
+    columns, notes = run(config)
+    write_records_csv(args.out, columns, config, notes)
     return EXIT_OK
 
 

@@ -4,9 +4,9 @@ Three exact computations back the Monte Carlo machinery:
 
 * the full flip-rate generator of the forward dynamics on tori with at most
   12 sites, exponentiated by uniformization;
-* the coalescing dual chain on subsets of such a torus, killed at the rate
-  given by the total bias carried by the occupied sites; from one start set
-  A, on the sets of at most |A| sites of a torus of any size;
+* the coalescing dual chain on the sets of at most k sites of a torus of any
+  size, killed at the rate given by the total bias carried by the occupied
+  sites: every subset, or k = |A| from a start set A; at most 4096 states;
 * the distinct-sites functional E^0 exp(-nu |R_t|) of the one-dimensional
   nearest-neighbor walk, in closed form.
 
@@ -18,7 +18,6 @@ outside an interval, which a sine series gives exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -82,39 +81,67 @@ def build_forward_generator(bias, tk: TorusKernel) -> sparse.csr_matrix:
     return mat
 
 
-def build_dual_matrix(bias, tk: TorusKernel) -> sparse.csr_matrix:
-    """Coalescing-dual generator minus the diagonal kill rates.
+def build_dual_matrix(bias, tk: TorusKernel, size: int | None = None) -> sparse.csr_matrix:
+    """Coalescing-dual generator minus the diagonal kill rates, on the sets of <= ``size`` sites.
 
-    States are subsets of the torus (bit masks). Each occupied site jumps at
-    total rate 1 through the folded kernel; landing on an occupied site
-    merges the two particles. The diagonal carries both the jump-out rate
-    and the total bias of the occupied sites, so rows sum to -V(state).
+    Each occupied site jumps at total rate 1 through the folded kernel;
+    landing on an occupied site merges the two particles. The diagonal carries
+    both the jump-out rate and the total bias of the occupied sites, so rows
+    sum to -V(state). A dual from k sites stays on the sets of at most k sites:
+    the states, in increasing bit-mask order (by default every subset, row i
+    the set of mask i), at most 2 ** MAX_EXACT_SITES of them.
+
+    A state is its sites by slot, highest first, -1 past its end; its row is
+    its rank (``_set_rank``). Dropping x raises the rank terms of the sites
+    below x; adding y to that smaller state adds y's term and lowers the terms
+    below y. Prefix sums over the slots rank every move at once, none sorted.
     """
     n = tk.n_sites
-    if n > MAX_EXACT_SITES:
-        raise ValueError(f"exact dual limited to {MAX_EXACT_SITES} sites, got {n}")
+    k = n if size is None else size
+    count = sum(math.comb(n, j) for j in range(k + 1))
+    if count > 1 << MAX_EXACT_SITES:
+        raise ValueError(f"exact dual limited to {1 << MAX_EXACT_SITES} states, "
+                         f"the sets of at most {k} of {n} sites number {count}")
     beta = bias_array(bias, tk)
     partners, weights = tk.partner_table
-    move_total = weights.sum()
-    states = np.arange(1 << n, dtype=np.int64)
-    data, rows, cols = [], [], []
-    for x in range(n):
-        bit_x = (states >> x) & 1
-        occupied = states[bit_x == 1]
-        for j in range(partners.shape[1]):
-            y = partners[x, j]
-            without_x = occupied & ~(1 << x)
-            target = without_x | (1 << y)  # equals without_x when y occupied
-            rows.append(occupied)
-            cols.append(target)
-            data.append(np.full(occupied.shape[0], weights[j]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    mat = sparse.coo_matrix((data, (rows, cols)), shape=(1 << n, 1 << n)).tocsr()
-    bits = ((states[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    diag = -bits.sum(axis=1) * move_total - bits @ beta
-    return (mat + sparse.diags(diag)).tocsr()
+    # binom[c, x] = C(x, c); table[c, x]: the sets of <= c sites among 0..x-1; -1 reads 0
+    binom = np.array([[math.comb(x, c) for x in range(n)] + [0] for c in range(k + 2)])
+    table = binom.cumsum(axis=0)
+    # sets[i, r]: the site of state r with i sites above it, unranked greedily; term[i, r]: its
+    # share of r; rise[i], fall[i]: the rises C(s, k - i + 1) and falls C(s, k - i) above slot i
+    sets, term = np.empty((2, k, count), dtype=np.intp)
+    rise, fall = np.zeros((2, k + 1, count), dtype=np.intp)
+    rest = np.arange(count)
+    for i in range(k):
+        site = np.searchsorted(table[k - i, :n], rest, side="right") - 1
+        sets[i], term[i] = site, table[k - i].take(site)
+        rest -= term[i]
+        np.add(rise[i], binom[k + 1 - i].take(site), out=rise[i + 1])
+        np.add(fall[i], binom[k - i].take(site), out=fall[i + 1])
+    # moves by state, then slot (x decreasing), then partner; m: the state less x
+    state, slot = np.nonzero(sets.T >= 0)
+    flat = slot * count + state
+    x = sets.take(flat)
+    m = state - (term - rise[k] + rise[1:]).take(flat)
+    held = np.zeros((count, n + 1), dtype=np.int8)   # [r, s]: the sites of state r at s or above
+    np.put(held, state * (n + 1) + x, 1)
+    np.cumsum(held[:, ::-1], axis=1, out=held[:, ::-1])
+    y = partners.take(x, axis=0)
+    at = (state * (n + 1))[:, None] + y
+    above = held.take(at + 1).astype(np.intp)
+    merged = held.take(at) > above
+    q = above - (y < x[:, None])   # the sites above y in state m
+    target = np.where(merged, m[:, None], (m - fall[k].take(m))[:, None]
+                      + fall.take(q * count + m[:, None]) + table.take((k - q) * (n + 1) + y))
+    sizes = np.bincount(state, minlength=count)
+    diag = -(sizes * weights.sum()) - np.append(beta, 0.0).take(sets[::-1]).sum(axis=0)
+    ends = np.cumsum(sizes * len(weights))   # a CSR row: the state's moves, then its diagonal
+    mat = sparse.csr_matrix((np.insert(np.tile(weights, len(state)), ends, diag),
+                             np.insert(target.ravel(), ends, np.arange(count)),
+                             np.append(0, ends + np.arange(1, count + 1))),
+                            shape=(count, count))
+    mat.sum_duplicates()
+    return mat
 
 
 def semigroup_apply(generator, g, t: float) -> np.ndarray:
@@ -157,80 +184,22 @@ def semigroup_apply(generator, g, t: float) -> np.ndarray:
     return acc
 
 
-def sites_to_mask(sites, tk: TorusKernel) -> int:
-    """Bit mask of a torus site set (see ``kernel.site_array``), bit i the flat index i."""
-    return sum(1 << i for i in tk.flat_index(site_array(tk, sites)).tolist())
-
-
 def exact_dual_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
     """E^A[exp(-integral of the kill rate)] for every subset A, as a vector."""
     mat = build_dual_matrix(bias, tk)
-    ones = np.ones(mat.shape[0])
-    return semigroup_apply(mat, ones, t)
+    return semigroup_apply(mat, np.ones(mat.shape[0]), t)
 
 
-def _dual_matrix_from(mask: int, bias, tk: TorusKernel) -> tuple[sparse.csr_matrix, int]:
-    """``build_dual_matrix`` on the sets of at most |A| sites, A the set of ``mask``; A's row.
+def _set_rank(sites) -> int:
+    """The row of a set of k flat sites in ``build_dual_matrix(..., size=k)``.
 
-    The coalescing dual from A never holds more than |A| particles, so these
-    sets are closed under its moves. The states are their bit masks in
-    increasing order, at most 2 ** MAX_EXACT_SITES of them. A state is held
-    as its sites in increasing order, the empty slots padded with n, and its
-    row is its rank (``_set_rank``), so every move of every state is ranked
-    at once.
+    A set T precedes S = {s_0 > s_1 > ...} in bit-mask order when the largest
+    site where they differ, s_i, is in S; T then agrees with S above s_i and
+    has table[k - i, s_i] = sum_{c <= k - i} C(s_i, c) choices below it.
     """
-    n, size = tk.n_sites, mask.bit_count()
-    count = sum(math.comb(n, j) for j in range(size + 1))
-    if count > 1 << MAX_EXACT_SITES:
-        raise ValueError(f"exact dual limited to {1 << MAX_EXACT_SITES} states, "
-                         f"a set of {size} sites on {n} sites has {count}")
-    # table[x, r]: the sets of at most r sites among sites 0..x-1, for x < n and
-    # r <= size; 0 in the padding's row n and in the columns past size
-    table = np.zeros((n + 1, 2 * size + 1), dtype=np.int64)
-    table[:n, :size + 1] = np.cumsum(
-        [[math.comb(x, j) for j in range(size + 1)] for x in range(n)], axis=1)
-    dtype = np.min_scalar_type(n)
-    sets = np.full((count, size), n, dtype=dtype)
-    first = 1   # the empty set first
-    for j in range(1, size + 1):
-        combos = np.array(list(itertools.combinations(range(n), j)), dtype=dtype)
-        sets[first:first + len(combos), :j] = combos
-        first += len(combos)
-    states = np.empty_like(sets)
-    states[_set_rank(sets, table)] = sets
-
-    beta = bias_array(bias, tk)
-    partners, weights = tk.partner_table
-    state, slot = np.nonzero(states < n)
-    x = states[state, slot]
-    state, slot = np.repeat(state, partners.shape[1]), np.repeat(slot, partners.shape[1])
-    y = partners[x].ravel().astype(dtype)
-    moved = states[state]
-    merged = (moved == y[:, None]).any(axis=1)   # y occupied; partner tables hold no y == x
-    moved[np.arange(len(state)), slot] = np.where(merged, n, y)
-    moved.sort(axis=1)
-    mat = sparse.coo_matrix((np.tile(weights, len(x)), (state, _set_rank(moved, table))),
-                            shape=(count, count)).tocsr()
-    diag = (-np.count_nonzero(states < n, axis=1) * weights.sum()
-            - np.append(beta, 0.0)[states].sum(axis=1))
-    start = np.array([[i for i in range(n) if mask >> i & 1]], dtype=dtype)
-    return (mat + sparse.diags(diag)).tocsr(), int(_set_rank(start, table)[0])
-
-
-def _set_rank(sets: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rank of each set among the sets of at most r sites, in increasing bit-mask order.
-
-    ``sets`` is (N, r), each row its sites increasing, then padded with n;
-    ``table`` is ``_dual_matrix_from``'s. A set T comes before
-    S = {s_1 < ... < s_j} when the largest site where they differ, s_i, is
-    in S; such T agree with S above s_i and hold at most r - (j - i) sites
-    below it, so the rank is the sum over i of table[s_i, r - j + i]. A
-    padding slot reads 0 from the table's row n.
-    """
-    n, r = table.shape[0] - 1, sets.shape[1]
-    j = np.count_nonzero(sets < n, axis=1)
-    index = sets.astype(np.intp) * table.shape[1] + ((r - j)[:, None] + np.arange(1, r + 1))
-    return table.ravel()[index].sum(axis=1)
+    k = len(sites)
+    return sum(math.comb(s, c) for i, s in enumerate(sorted(sites, reverse=True))
+               for c in range(k - i + 1))
 
 
 def exact_dual_value(A, bias, tk: TorusKernel, t: float) -> float:
@@ -239,8 +208,9 @@ def exact_dual_value(A, bias, tk: TorusKernel, t: float) -> float:
     The dual runs over the sets of at most |A| sites only, on a torus of any
     size; more than 2 ** MAX_EXACT_SITES such sets raise ``ValueError``.
     """
-    mat, row = _dual_matrix_from(sites_to_mask(A, tk), bias, tk)
-    return float(semigroup_apply(mat, np.ones(mat.shape[0]), t)[row])
+    sites = tk.flat_index(site_array(tk, A)).tolist()
+    mat = build_dual_matrix(bias, tk, len(sites))
+    return float(semigroup_apply(mat, np.ones(mat.shape[0]), t)[_set_rank(sites)])
 
 
 def product_indicator_vector(n_sites: int, subset_mask: int) -> np.ndarray:

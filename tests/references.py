@@ -2,6 +2,9 @@
 
 ``lemma2_verify`` checks the product-weight inequalities behind the lower
 bound on explicit instances; criterion 9 and ``test_localfn`` run it.
+``dual_matrix_reference`` builds the killed dual over every subset by bit
+operations on the masks, the judge of ``exact.build_dual_matrix``'s ranks;
+``sites_to_mask`` reads a site set as such a mask.
 """
 
 from __future__ import annotations
@@ -9,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
+from biased_voter.kernel import TorusKernel, bias_array, site_array
 from biased_voter.localfn import _normalize_site, _subset_sums
 
 
@@ -73,3 +78,35 @@ def lemma2_verify(x: dict, y_singletons: dict, tol: float = 1e-9) -> Lemma2Repor
         mid += xv[1 << i] * yv[i] * prod
     ineq1_ok = (lhs >= mid - tol * scale) and (mid >= -tol * scale)
     return Lemma2Report(ineq1_ok=ineq1_ok, ineq2_ok=ineq2_ok)
+
+
+def sites_to_mask(sites, tk: TorusKernel) -> int:
+    """Bit mask of a torus site set (see ``kernel.site_array``), bit i the flat index i."""
+    return sum(1 << i for i in tk.flat_index(site_array(tk, sites)).tolist())
+
+
+def dual_matrix_reference(bias, tk: TorusKernel) -> sparse.csr_matrix:
+    """The killed coalescing dual over every subset of a torus, row i the set of bit mask i.
+
+    Each (site, move) pair is one pass of bit operations over the masks that
+    hold the site. A row lists its moves by decreasing site, then move, then
+    its diagonal, as ``exact.build_dual_matrix`` does, so the entries that a
+    particle reaches by merging through several moves sum in the same order.
+    """
+    n = tk.n_sites
+    beta = bias_array(bias, tk)
+    partners, weights = tk.partner_table
+    states = np.arange(1 << n, dtype=np.int64)
+    data, rows, cols = [], [], []
+    for x in reversed(range(n)):
+        occupied = states[(states >> x) & 1 == 1]
+        for j in range(partners.shape[1]):
+            rows.append(occupied)
+            cols.append(occupied & ~(1 << x) | (1 << partners[x, j]))  # merges when occupied
+            data.append(np.full(occupied.shape[0], weights[j]))
+    bits = ((states[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    rows.append(states)
+    cols.append(states)
+    data.append(-bits.sum(axis=1) * weights.sum() - bits @ beta)
+    return sparse.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(1 << n, 1 << n)).tocsr()

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, poisson
 
-from biased_voter.exact import (_dual_matrix_from, _mean_range_1d, build_dual_matrix,
+from biased_voter.exact import (_mean_range_1d, _set_rank, build_dual_matrix,
                                 build_forward_generator, duality_gap,
                                 exact_dual_value, exact_dual_values_all,
                                 exact_forward_values_all,
                                 exact_range_functional_curve_1d,
-                                product_indicator_vector, semigroup_apply,
-                                sites_to_mask)
+                                product_indicator_vector, semigroup_apply)
 from biased_voter.kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from biased_voter.rangestats import (dv_constant, effective_exponent, lambda_nn,
                                      mc_range_functional)
 from biased_voter.walks import walk_curve
+from references import dual_matrix_reference, sites_to_mask
 
 NN1 = make_nn_kernel(1)
 
@@ -191,27 +191,39 @@ class TestDualFromASet:
                 assert abs(value - full[sites_to_mask(sites, tk)]) < 1e-12, (sites, t)
 
     @pytest.mark.parametrize("kernel, side", [
-        (NN1, 2), (NN1, 3), (NN1, 12), (make_nn_kernel(2), 3), (make_power_kernel(1.0, 4), 4),
-        (make_power_kernel(0.7, 9), 11),
-    ], ids=["nn1-2", "nn1-3", "nn1-12", "nn2-3", "power-1-4", "power-0.7-11"])
+        (NN1, 2), (NN1, 3), (NN1, 4), (NN1, 12), (make_nn_kernel(2), 2), (make_nn_kernel(2), 3),
+        (make_nn_kernel(3), 2), (make_power_kernel(1.0, 4), 4), (make_power_kernel(0.7, 9), 11),
+    ], ids=["nn1-2", "nn1-3", "nn1-4", "nn1-12", "nn2-2", "nn2-3", "nn3-2", "power-1-4",
+            "power-0.7-11"])
     def test_matrix_is_the_all_subsets_matrix_restricted(self, kernel, side):
-        # entry for entry: biases in eighths keep every sum exact
+        # entry for entry against the bit-mask reference: biases in eighths keep every sum exact
         tk = fold_to_torus(kernel, side)
         n = tk.n_sites
         beta = np.random.default_rng(3).integers(0, 17, n) / 8.0
-        full = build_dual_matrix(beta, tk)
+        full = dual_matrix_reference(beta, tk)
+        assert (build_dual_matrix(beta, tk) != full).nnz == 0
         for mask in sorted({0, 1, 3, 5, 0b1011, (1 << n) - 1} & set(range(1 << n))):
-            mat, row = _dual_matrix_from(mask, beta, tk)
-            states = [m for m in range(1 << n) if m.bit_count() <= mask.bit_count()]
-            assert states[row] == mask
+            sites = [i for i in range(n) if mask >> i & 1]
+            mat = build_dual_matrix(beta, tk, len(sites))
+            states = [m for m in range(1 << n) if m.bit_count() <= len(sites)]
+            assert states[_set_rank(sites)] == mask
             assert mat.shape == (len(states), len(states))
             assert (mat != full[states][:, states]).nnz == 0, mask
+        # uniform biases: the reference's pattern, each entry to 1e-14 relative (the two
+        # diagonals sum the biases in different orders)
+        for seed in range(3):
+            beta = np.random.default_rng(seed).uniform(0.0, 2.0, n)
+            mat, ref = build_dual_matrix(beta, tk), dual_matrix_reference(beta, tk)
+            assert np.array_equal(mat.indptr, ref.indptr)
+            assert np.array_equal(mat.indices, ref.indices)
+            assert np.all(np.abs(mat.data - ref.data) <= 1e-14 * np.abs(ref.data))
 
     def test_states_beyond_sixty_three_sites(self):
         # a 64-site torus: masks pass int64, ranks do not; a row sums to minus its kill rate
         tk = fold_to_torus(make_nn_kernel(2), 8)
         beta = np.arange(64) / 8.0
-        mat, row = _dual_matrix_from(sites_to_mask([(0, 0), (7, 7)], tk), beta, tk)
+        mat = build_dual_matrix(beta, tk, 2)
+        row = _set_rank(tk.flat_index(np.array([[0, 0], [7, 7]])).tolist())
         kill = -np.asarray(mat.sum(axis=1)).ravel()
         assert mat.shape == (2081, 2081)
         assert kill[row] == beta[0] + beta[63]
@@ -221,8 +233,7 @@ class TestDualFromASet:
 
     def test_state_count(self):
         tk = fold_to_torus(make_nn_kernel(2), 4)
-        mat, _ = _dual_matrix_from(sites_to_mask([(0, 0), (1, 1)], tk), np.ones(16), tk)
-        assert mat.shape == (137, 137)
+        assert build_dual_matrix(np.ones(16), tk, 2).shape == (137, 137)
         big = fold_to_torus(make_nn_kernel(2), 8)
         with pytest.raises(ValueError, match="43745"):
             exact_dual_value([(0, 0), (1, 1), (2, 2)], np.ones(64), big, 1.0)

@@ -16,11 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from biased_voter import walks
 from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, laplace
-from biased_voter.exact import exact_dual_value, exact_forward_values_all, sites_to_mask
+from biased_voter.exact import exact_dual_value, exact_forward_values_all
 from biased_voter.kernel import (TorusKernel, bias_values, box_keys, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
 from biased_voter.localfn import LocalFunction, hat_coeffs
 from biased_voter.stats import InvariantError
+from references import sites_to_mask
 
 NN1 = make_nn_kernel(1)
 NN2 = make_nn_kernel(2)
