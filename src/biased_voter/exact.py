@@ -219,6 +219,14 @@ def product_indicator_vector(n_sites: int, subset_mask: int) -> np.ndarray:
     return ((states & subset_mask) == subset_mask).astype(np.float64)
 
 
+def _forward_values_all(adjoint, n_sites: int, t: float) -> np.ndarray:
+    """Every product-indicator expectation at t, from the adjoint generator."""
+    start = np.zeros(1 << n_sites)
+    start[-1] = 1.0
+    law = semigroup_apply(adjoint, start, t)
+    return _subset_sums(law[::-1], n_sites)[::-1]
+
+
 def exact_forward_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
     """E[H(eta_t, A)] from the all-ones start for every subset A, as a vector.
 
@@ -226,18 +234,23 @@ def exact_forward_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
     eta_t; superset sums of that law give every product-indicator
     expectation at once.
     """
-    n = tk.n_sites
-    gen = build_forward_generator(bias, tk)
-    start = np.zeros(1 << n)
-    start[-1] = 1.0
-    law = semigroup_apply(gen.T.tocsr(), start, t)
-    return _subset_sums(law[::-1], n)[::-1]
+    return _forward_values_all(build_forward_generator(bias, tk).T.tocsr(), tk.n_sites, t)
 
 
-def duality_gap(bias, tk: TorusKernel, t: float) -> float:
-    """Max over nonempty A of |forward - killed dual| at time t."""
-    diff = exact_forward_values_all(bias, tk, t) - exact_dual_values_all(bias, tk, t)
-    return float(np.max(np.abs(diff[1:])))
+def duality_gap(bias, tk: TorusKernel, t):
+    """Max over nonempty A of |forward - killed dual| at time t.
+
+    ``t`` is one time or a sequence of times; the gap comes back as a float,
+    or as an array with one gap per time. The forward generator's transpose
+    and the killed dual are built once for all the times.
+    """
+    adjoint = build_forward_generator(bias, tk).T.tocsr()
+    dual = build_dual_matrix(bias, tk)
+    ones = np.ones(dual.shape[0])
+    gaps = np.array([np.max(np.abs(_forward_values_all(adjoint, tk.n_sites, s)[1:]
+                                   - semigroup_apply(dual, ones, s)[1:]))
+                     for s in np.atleast_1d(t)])
+    return gaps if np.ndim(t) else float(gaps[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Every site carries a rate-1 resampling clock (copy the opinion of a partner
 drawn from the folded kernel) and a rate-beta(x) reset clock (opinion set to
 0). The superposition of all clocks is a Poisson stream whose rate does not
-depend on the configuration, so events can be drawn directly in time order
-and one stream can drive several coupled copies. This realizes the exact
-flip rates: a 1-site flips at rate beta(x) plus the kernel mass on 0-valued
+depend on the configuration, so events can be drawn ahead of the state and
+one stream can drive several coupled copies. This realizes the exact flip
+rates: a 1-site flips at rate beta(x) plus the kernel mass on 0-valued
 partners, a 0-site at the kernel mass on 1-valued partners.
 
 Because the stream ignores the configuration, R replicas advance together
-as one (R, n_sites) opinion array: each step draws and applies the next
-event of every replica whose clock has not passed the target time, as one
-gather and one scatter. Sites are in the row-major order of ``TorusKernel``.
+as one (R, n_sites) opinion array. Only the order of a replica's events in
+(s, t] acts on its state at t, not their times, so advancing to t draws one
+Poisson event count per replica, then the events themselves in blocks of
+(step, replica) slots, decoded by whole-array operations; each step then
+applies one event of every replica as one gather and one scatter. Sites are
+in the row-major order of ``TorusKernel``.
 """
 
 from __future__ import annotations
@@ -28,17 +31,19 @@ from .stats import InvariantError, Moments, check_t_grid, check_time, map_batche
 __all__ = ["ForwardSimulation", "forward_relaxation"]
 
 CHUNK = 2048        # replicas per seed stream; fixed, so results ignore threads
+BLOCK = 1 << 13      # (step, replica) slots drawn and decoded at once; bounds memory
 
 
-class _Step(NamedTuple):
-    """The events of one step, one per replica whose clock was due."""
+class _Block(NamedTuple):
+    """Decoded events of consecutive steps: one (steps, R) array per field.
 
-    row: np.ndarray       # the replicas that were due
-    time: np.ndarray
-    site: np.ndarray
-    source: np.ndarray    # flat cell copied; the own cell for a kill or no-op
-    kill: np.ndarray
-    changed: np.ndarray   # whether the event changed the first opinion array
+    A slot past its replica's event count is padding, decoded as a no-op.
+    """
+
+    cell: np.ndarray      # flat cell acted on
+    source: np.ndarray    # flat cell copied; the cell itself for a kill or no-op
+    keep: np.ndarray      # uint8, 0 for a kill: the new opinion is the source's times keep
+    live: np.ndarray      # whether the slot holds an event rather than padding
 
 
 class _EventStream:
@@ -52,9 +57,15 @@ class _EventStream:
     holds it; otherwise nothing happens. Each kill then has rate beta_r(x) and
     each resample the weight of its move, at O(1) cost per event.
 
+    Advancing from ``time`` to t draws each replica's event count, Poisson
+    with mean total_rate * (t - time); its events then come in blocks
+    (``_Block``) of at most ``BLOCK`` slots, steps by replicas, and each
+    step applies one slot of every replica.
+
     ``layers`` are flat (R * n_sites) uint8 arrays, updated in place; all of
-    them see the same events, which is the monotone coupling. ``beta`` is one
-    field for every replica, shape (n_sites,), or one row per replica, shape
+    them see the same events, which is the monotone coupling. ``ones`` holds
+    each layer's count of 1-sites per replica. ``beta`` is one field for
+    every replica, shape (n_sites,), or one row per replica, shape
     (R, n_sites).
     """
 
@@ -75,46 +86,61 @@ class _EventStream:
         self.total_rate = n * self.scale
         self.n_sites = n
         replicas = layers[0].shape[0] // n
+        self.base = np.arange(replicas) * n     # flat index of each replica's site 0
         self.layers = layers
         self.ones = [a.reshape(replicas, n).sum(axis=1, dtype=np.int64) for a in layers]
         self.rng = rng
-        self.clock = rng.exponential(1.0 / self.total_rate, replicas)
+        self.time = 0.0
 
-    def step(self, t: float) -> _Step | None:
-        """Apply the next event of every replica whose clock is at most t."""
-        rows = (self.clock <= t).nonzero()[0]
-        k = rows.size
-        if k == 0:
-            return None
-        u = self.rng.random((2, k))
-        site = (u[0] * self.n_sites).astype(np.intp)
-        v = u[1] * self.scale
-        cell = rows * self.n_sites + site
-        kill = v < self.beta[cell if self.per_replica else site]
-        source = cell + self.offsets[site * self.width + self.edges.searchsorted(v, side="right")]
-        news, flips = [], []
-        for layer, ones in zip(self.layers, self.ones):
-            old = layer[cell]
-            new = layer[source]
-            new[kill] = 0
-            flip = new != old
-            before = ones[rows]
-            # the all-zeros configuration is a trap for these dynamics
-            if (flip & (before == 0)).any():
-                raise InvariantError("absorbing state was left")
-            layer[cell] = new
-            ones[rows] = before + new - old
-            news.append(new)
-            flips.append(flip)
-        for low, high in zip(news, news[1:]):
-            if (low > high).any():
-                raise InvariantError("monotone coupling violated the sitewise order")
-        time = self.clock[rows]
-        self.clock[rows] = time + self.rng.exponential(1.0 / self.total_rate, k)
-        return _Step(rows, time, site, source, kill, flips[0])
+    def _blocks(self, t: float):
+        """Draw the events of every replica in (time, t] and decode them, block by block."""
+        counts = self.rng.poisson(self.total_rate * (t - self.time), self.base.size)
+        self.time = t
+        steps = int(counts.max(initial=0))
+        size = max(1, BLOCK // max(1, self.base.size))
+        for first in range(0, steps, size):
+            live = np.arange(first, min(first + size, steps))[:, None] < counts
+            # in place where it can be, so a block holds few temporaries
+            site = (self.rng.random(live.shape) * self.n_sites).astype(np.intp)
+            cell = site + self.base
+            v = self.rng.random(live.shape)
+            v *= self.scale
+            v[~live] = np.inf       # past the last edge: the no-op zone
+            kill = v < self.beta[cell if self.per_replica else site]
+            site *= self.width      # now the row of site's brackets in offsets
+            site += self.edges.searchsorted(v, side="right")
+            source = self.offsets[site]
+            source += cell
+            yield _Block(cell, source, (~kill).view(np.uint8), live)
+
+    def steps(self, t: float):
+        """Apply the events in (time, t] in order, one step of every replica at a time.
+
+        Yields (block, step, change) after each step, ``change`` the first
+        layer's new opinion minus its old one, per replica, as int8.
+        """
+        for block in self._blocks(t):
+            for step in range(len(block.cell)):
+                cell, source, keep = block.cell[step], block.source[step], block.keep[step]
+                news, changes = [], []
+                for layer, ones in zip(self.layers, self.ones):
+                    new = layer[source]
+                    new &= keep
+                    change = np.subtract(new, layer[cell], dtype=np.int8)
+                    # the all-zeros configuration is a trap for these dynamics
+                    if np.count_nonzero(change[ones == 0]):
+                        raise InvariantError("absorbing state was left")
+                    layer[cell] = new
+                    ones += change
+                    news.append(new)
+                    changes.append(change)
+                for low, high in zip(news, news[1:]):
+                    if (low > high).any():
+                        raise InvariantError("monotone coupling violated the sitewise order")
+                yield block, step, changes[0]
 
     def advance(self, t: float):
-        while self.step(t) is not None:
+        for _ in self.steps(t):
             pass
 
 
@@ -127,7 +153,9 @@ class ForwardSimulation:
     every event. ``bias`` is one field for every replica or one row per
     replica, shape (R, n_sites). ``layers`` holds the opinions, shape
     (layers, R, n_sites), updated in place; advancing to increasing times
-    continues the same trajectories.
+    continues the same trajectories. Each advance draws its own events, so
+    the hops taken change the draws (advancing to 1 then 3 and straight to
+    3 give different trajectories) but not their law.
     """
 
     def __init__(self, start, bias, tk: TorusKernel, rng: np.random.Generator):

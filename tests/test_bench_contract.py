@@ -5,9 +5,10 @@
 of those names breaks the benchmark without a failure in ``tests/``. This
 resolves every traced per-layer metric of ``BENCHMARK.json`` through the
 tracer and imports the workloads, and runs every workload call with the
-``--seed`` and ``--out`` flags the benchmark's worker adds, each in a fresh
-interpreter (installing the tracer rebinds the package's functions) that
-writes no bytecode under ``bench/``.
+``--seed`` and ``--out`` flags the benchmark's worker adds, once as is and
+once under the installed tracer, whose hooks read engine attributes; each
+runs in a fresh interpreter (installing the tracer rebinds the package's
+functions) that writes no bytecode under ``bench/``.
 """
 
 import subprocess
@@ -33,6 +34,9 @@ import workloads
 CALLS = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
+if {traced!r}:
+    import tracer
+    tracer.Tracer().install()
 from biased_voter import cli
 import workloads
 failed = []
@@ -59,4 +63,13 @@ def test_benchmark_names_resolve():
 
 def test_every_benchmark_call_exits_0(tmp_path):
     # each call as the benchmark's worker runs it: its argv plus --seed and --out
-    _run(CALLS.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"), out=str(tmp_path)))
+    _run(CALLS.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"), out=str(tmp_path),
+                      traced=False))
+
+
+def test_every_benchmark_call_exits_0_under_the_tracer(tmp_path):
+    # the tracer's hooks read engine attributes at call boundaries (the
+    # forward stream's total_rate, a simulation's time); one that is gone
+    # fails the call here rather than a traced benchmark run
+    _run(CALLS.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"), out=str(tmp_path),
+                      traced=True))

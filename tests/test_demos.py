@@ -18,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 STDOUT_SHA256 = {
     "01_kernels_and_disorder.py": "45f19908fecf0e1cb1278e1001920aa7adf3a3f69b6d3e573979dda181dd95ed",
-    "02_duality_check.py": "6677f58912ad21006b01da9925627578cfba474a9a07899c86954f22e699d5e5",
+    "02_duality_check.py": "9911bc7d8df45e2c0b26319fee98fa37644b6837ff8497ae90a24fd69f8b5238",
     "03_range_functional.py": "47a14d88dd6faa261303a36dec986097b76fff79837e7a08f73ad64292655a33",
 }
 

@@ -1,10 +1,14 @@
 import hashlib
 import math
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from biased_voter.disorder import _draw_values, bernoulli_law
+from biased_voter.exact import (build_forward_generator, exact_forward_values_all,
+                                semigroup_apply)
 from biased_voter.forward import ForwardSimulation, _EventStream, forward_relaxation
 from biased_voter.kernel import TorusKernel, fold_to_torus, make_kernel, make_nn_kernel
 from biased_voter.localfn import LocalFunction, product_indicator, site_indicator
@@ -85,9 +89,33 @@ class TestCoupling:
         assert np.all(low <= high)
 
 
+class _Step(NamedTuple):
+    """The events of one applied step, one per replica with an event in it."""
+
+    row: np.ndarray
+    site: np.ndarray
+    source: np.ndarray    # flat cell copied; the own cell for a kill or no-op
+    kill: np.ndarray
+    changed: np.ndarray   # whether the event changed the first opinion array
+
+
+def applied_steps(stream: _EventStream, t: float):
+    """One record per applied step of ``stream.steps(t)``.
+
+    A padded slot, past its replica's event count, is not an event and is
+    left out of the record.
+    """
+    n = stream.n_sites
+    for block, step, change in stream.steps(t):
+        row = block.live[step].nonzero()[0]
+        cell = block.cell[step, row]
+        yield _Step(row, cell - row * n, block.source[step, row], block.keep[step, row] == 0,
+                    change[row] != 0)
+
+
 class TestEventStreamStep:
     def test_kill_resample_and_noop_decoding(self):
-        # a ring of 5 with distinct biases: every due row's event is a kill
+        # a ring of 5 with distinct biases: every event of a step is a kill
         # (cell set to 0), a resample (copy of a kernel partner) or a no-op
         side, replicas = 5, 40
         tk = fold_to_torus(NN1, side)
@@ -96,10 +124,10 @@ class TestEventStreamStep:
         rng = rng_for(8)
         layer = (rng.random(replicas * side) < 0.8).astype(np.uint8)
         stream = _EventStream([layer], beta, tk, rng)
-        last = np.full(replicas, -np.inf)
+        events = np.zeros(replicas, dtype=np.int64)
         seen = set()
         before = layer.copy()
-        while (step := stream.step(3.0)) is not None:
+        for step in applied_steps(stream, 3.0):
             cell = step.row * side + step.site
             resample = ~step.kill & (step.source != cell)
             noop = ~step.kill & (step.source == cell)
@@ -109,16 +137,17 @@ class TestEventStreamStep:
             assert np.all((partners[step.site[resample]] == offset[:, None]).any(axis=1))
             assert np.array_equal(layer[cell[resample]], before[step.source[resample]])
             assert np.array_equal(layer[cell[noop]], before[cell[noop]])
+            assert np.array_equal(step.changed, layer[cell] != before[cell])
             untouched = np.ones(layer.size, dtype=bool)
             untouched[cell] = False
             assert np.array_equal(layer[untouched], before[untouched])
-            assert np.all(step.time > last[step.row])
-            last[step.row] = step.time
+            assert np.unique(step.row).size == step.row.size
+            events[step.row] += 1
             seen |= {kind for kind, mask in (("kill", step.kill), ("resample", resample),
                                              ("noop", noop)) if mask.any()}
             before = layer.copy()
         assert seen == {"kill", "resample", "noop"}
-        assert np.all(last > 0)
+        assert np.all(events > 0)
 
 
 def first_flip_sites(start, bias, tk: TorusKernel, rng: np.random.Generator,
@@ -126,22 +155,24 @@ def first_flip_sites(start, bias, tk: TorusKernel, rng: np.random.Generator,
     """Flat index of the first site whose opinion changes, per row, for rate audits.
 
     ``start`` is an (R, n_sites) 0/1 array and ``bias`` as for
-    ``ForwardSimulation``. A row reads -1 when nothing flips by ``t_max``,
-    and at once when no event can change it: no 1-site has positive bias and
-    no partner pair disagrees.
+    ``ForwardSimulation``. The stream advances in hops of one time unit and
+    each row records its first changed event; a row reads -1 when nothing flips
+    by ``t_max``, and at once when no event can change it: no 1-site has
+    positive bias and no partner pair disagrees.
     """
     sim = ForwardSimulation(start, bias, tk, rng)
     stream, ones = sim.stream, sim.layers[0].astype(bool)
     beta = stream.beta.reshape(-1, tk.n_sites)
-    live = (((beta > 0) & ones).any(axis=1)
-            | (ones[:, tk.partner_table[0]] != ones[:, :, None]).any(axis=(1, 2)))
+    waiting = (((beta > 0) & ones).any(axis=1)
+               | (ones[:, tk.partner_table[0]] != ones[:, :, None]).any(axis=(1, 2)))
     sites = np.full(len(ones), -1)
-    # a parked row leaves the stream: nan <= t is false even for t = inf
-    stream.clock[~live] = np.nan
-    while (step := stream.step(t_max)) is not None:
-        rows = step.row[step.changed]
-        sites[rows] = step.site[step.changed]
-        stream.clock[rows] = np.nan
+    t = 0.0
+    while waiting.any() and t < t_max:
+        t = min(t + 1.0, t_max)
+        for step in applied_steps(stream, t):
+            first = waiting[step.row] & step.changed
+            sites[step.row[first]] = step.site[first]
+            waiting[step.row[first]] = False
     return sites
 
 
@@ -256,7 +287,7 @@ class TestForwardRelaxation:
         mean, stderr = forward_relaxation(f, np.linspace(0.0, 1.5, 16), tk,
                                           [0.5, 1.0, 2.0], 2500, seed=31)
         assert hashlib.sha256(mean.tobytes() + stderr.tobytes()).hexdigest() == \
-            "edaae09151f265caf3f268fe235b55288be4fdcd660ebe74650619aca9266bfd"
+            "b1ac1617589d7a0fc18464db1161df39e1b45b9e7f322cf947ad84d5ba464377"
 
     def test_annealed_two_sites_match_the_walk_dual_on_the_torus(self):
         # E[eta_t(0,0) eta_t(1,0)] is the annealed weight of the coalescing
@@ -287,12 +318,72 @@ class TestDeterminism:
         b = evolve(np.ones((3, 6)), np.full(6, 0.8), tk, 4.0, rng_for(10))
         assert np.array_equal(a, b)
 
-    def test_snapshots_match_single_run(self):
-        # advancing in two hops equals advancing once with the same stream;
-        # with several rows the draws interleave by hop, so one row here
+    def test_same_seed_and_hops_give_identical_layers(self):
         tk = fold_to_torus(NN1, 6)
-        sim = ForwardSimulation(np.ones((1, 6)), np.full(6, 0.8), tk, rng_for(11))
-        sim.advance_to(1.0)
-        sim.advance_to(3.0)
-        direct = evolve(np.ones((1, 6)), np.full(6, 0.8), tk, 3.0, rng_for(11))
-        assert np.array_equal(sim.layers, direct)
+        runs = []
+        for _ in range(2):
+            sim = ForwardSimulation(np.ones((50, 6)), np.full(6, 0.8), tk, rng_for(11))
+            sim.advance_to(1.0)
+            sim.advance_to(3.0)
+            runs.append(sim.layers)
+        assert np.array_equal(*runs)
+
+    @pytest.mark.parametrize("hops", [(1.0, 3.0), (3.0,)], ids=["two_hops", "one_hop"])
+    def test_hops_match_the_exact_law(self, hops):
+        # every product-indicator expectation at t = 3, from the all-ones start;
+        # the draws differ by hop, the law of the layers at t does not
+        tk = fold_to_torus(NN1, 6)
+        beta = np.full(6, 0.8)
+        rows = 20_000
+        sim = ForwardSimulation(np.ones((rows, 6)), beta, tk, rng_for(11))
+        for t in hops:
+            sim.advance_to(t)
+        masks = sim.layers[0] @ (1 << np.arange(6))
+        subsets = np.arange(1, 1 << 6)
+        got = ((masks[:, None] & subsets) == subsets).mean(axis=0)
+        exact = exact_forward_values_all(beta, tk, 3.0)[subsets]
+        stderr = np.sqrt(exact * (1 - exact) / rows)
+        assert np.all(np.abs(got - exact) < 4 * stderr)
+
+
+class TestLayerLaws:
+    def test_two_layer_stream_matches_the_exact_generator(self):
+        # each layer of a coupled pair is, on its own, the forward dynamics:
+        # its law at t = 2 over the 64 configurations of the 6-site ring is
+        # the exact semigroup's from its start
+        tk = fold_to_torus(NN1, 6)
+        beta = np.array([0.2, 1.1, 0.0, 0.7, 1.6, 0.4])
+        starts = [np.array([1, 0, 1, 0, 0, 1]), np.ones(6, dtype=int)]
+        rows, t = 20_000, 2.0
+        sim = ForwardSimulation([np.tile(s, (rows, 1)) for s in starts], beta, tk,
+                                rng_for(13))
+        sim.advance_to(t)
+        adjoint = build_forward_generator(beta, tk).T.tocsr()
+        bits = 1 << np.arange(6)
+        for start, layer in zip(starts, sim.layers):
+            point = np.zeros(1 << 6)
+            point[start @ bits] = 1.0
+            exact = semigroup_apply(adjoint, point, t)
+            got = np.bincount(layer @ bits, minlength=1 << 6) / rows
+            stderr = np.sqrt(exact * (1 - exact) / rows)
+            assert np.all(np.abs(got - exact) <= 4 * stderr)
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_t_max(self):
+        # events are drawn in blocks of at most BLOCK slots, so a run to
+        # t = 200 (about 12800 events a replica) peaks as one to t = 20 does
+        tk = fold_to_torus(NN1, 32)
+        law = bernoulli_law(0.5, 1.0)
+        # a warm-up run first, so one-time allocations (cached kernel tables)
+        # do not fall in the first traced run
+        forward_relaxation(site_indicator(0), law, tk, [1.0], 4, seed=14)
+        peaks = []
+        for t in (20.0, 200.0):
+            tracemalloc.start()
+            try:
+                forward_relaxation(site_indicator(0), law, tk, [t], 512, seed=14)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
