@@ -302,16 +302,21 @@ def site_array(kernel, sites) -> np.ndarray:
     return arr
 
 
-def box_keys(pos: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def box_keys(pos: np.ndarray, count: int, box=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major key of every position in the bounding box; its corner and spans.
 
     ``pos`` holds the (rows, m, d) walk positions of ``count`` replicas, the
-    site keys of the walk engine. Keys are int32 when count times the box's
-    key count is below 2 ** 31, so that a row offset of the reduction fits
-    too; int64 otherwise.
+    site keys of the walk engine; a ``box``, a (corner, spans) pair, is
+    widened to hold them, so that it stays the box of every site seen. Keys
+    are int32 when count times the box's key count is below 2 ** 31, so
+    that a row offset of the reduction fits too; int64 otherwise.
     """
     mins = pos.min(axis=(0, 1))
-    spans = pos.max(axis=(0, 1)).astype(np.int64) - mins + 1
+    maxs = pos.max(axis=(0, 1)).astype(np.int64)
+    if box is not None:
+        mins = np.minimum(mins, box[0])
+        maxs = np.maximum(maxs, box[0] + box[1] - 1)
+    spans = maxs - mins + 1
     key_space = count * math.prod(int(s) for s in spans)
     if key_space >= 1 << 62:
         raise RuntimeError("site key space overflow; reduce batch size")

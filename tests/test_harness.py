@@ -20,7 +20,7 @@ from biased_voter.harness import (ConfigError, ExperimentConfig, config_hash,
                                   parse_sites, parse_t_grid, read_curve_csv,
                                   run, sandwich_report, write_records_csv,
                                   write_sandwich_csv)
-from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, nu2
+from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, laplace, nu2
 from biased_voter.dual import dual_curve
 from biased_voter.localfn import (LocalFunction, hat_coeffs, parse_localfn_text,
                                   product_indicator, site_indicator)
@@ -299,14 +299,29 @@ class TestRunPipelines:
 
     def test_and_observable_reduces_once_per_batch(self, monkeypatch):
         # the AND expansion is the one term {0, 1}: no other walk is reduced
-        reduce, walkers = walks._reduce, []
+        reduction, walkers = walks._Reduction, []
 
-        def counted(kernel, t_grid, draw, k, *args):
+        def counted(kernel, t_grid, count, k, *args):
             walkers.append(k)
-            return reduce(kernel, t_grid, draw, k, *args)
-        monkeypatch.setattr(walks, "_reduce", counted)
+            return reduction(kernel, t_grid, count, k, *args)
+        monkeypatch.setattr(walks, "_Reduction", counted)
         run(small_config(observable=LocalFunction([(0,), (1,)], [0, 0, 0, 1]), replicas=3000))
         assert walkers == [2, 2, 2]   # 1024 replicas of two walkers per batch
+
+    def test_multi_window_csv_is_byte_identical_across_workers(self, tmp_path):
+        # criterion 10 past one window: a 2048-replica batch to t = 600 runs in
+        # three windows, the 52-replica tail batch in one
+        config = small_config(t_grid=tuple(np.geomspace(5.0, 600.0, 6)), replicas=2100,
+                              seed=1010)
+        assert len(walks._window_ends(600.0, walks.BATCH_SIZE)) == 3
+        outputs = []
+        for threads in (1, 2):
+            config = dataclasses.replace(config, threads=threads)
+            path = tmp_path / f"t{threads}.csv"
+            columns, notes = run(config)
+            write_records_csv(path, columns, config, notes)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_range_mode(self):
         cfg = ExperimentConfig(mode="range", t_grid=(1.0, 5.0, 20.0),
@@ -858,6 +873,18 @@ def inflated(law, u):
 """
 
 
+# a Laplace transform above 1 only at local times past 3: with windows of 2
+# time units, the weights leave (0, 1] at t = 10, four windows past the first
+LATE_INFLATED_LAPLACE = """
+import sys
+import numpy as np
+from biased_voter import cli, walks
+def inflated(law, u):
+    return np.where(u > 3.0, 1.5, 1.0)
+"""
+LATE_DUAL_ARGS = [*DUAL_ARGS[:-4], "--t-grid", "1,10", "--replicas", "20"]
+
+
 class TestInvariantExitCode:
     def test_forward_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         patch = {}
@@ -892,6 +919,40 @@ class TestInvariantExitCode:
         code = cli_main([*DUAL_ARGS, "--out", str(tmp_path / "d.csv")])
         assert code == EXIT_INVARIANT
         assert "path weight left (0, 1]" in capsys.readouterr().err
+
+    def test_walk_floor_violation_past_the_first_window_exits_3(self, tmp_path, monkeypatch):
+        # windows of 2 time units; only local times past 3, first met at t = 10,
+        # fall below the floor, so the t = 1 window alone passes the check
+        law = bernoulli_law(0.5, 1.0)
+        monkeypatch.setattr(walks, "WINDOW_JUMPS", 100)   # 50 walker rows
+        monkeypatch.setattr(walks, "laplace",
+                            lambda law_, u: np.where(u > 3.0, 0.1, laplace(law, u)))
+        code = cli_main(["sandwich", "--disorder", "bernoulli", "--q", "0.5",
+                         "--b", "1", "--observable", "site 0", "--t-grid", "1,10",
+                         "--replicas", "50", "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_INVARIANT
+
+    def test_walk_weight_violation_past_the_first_window_exits_3(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        patch = {}
+        exec(LATE_INFLATED_LAPLACE, patch)
+        monkeypatch.setattr(walks, "WINDOW_JUMPS", 80)   # 40 walker rows: windows of 2
+        monkeypatch.setattr(walks, "laplace", patch["inflated"])
+        code = cli_main([*LATE_DUAL_ARGS, "--out", str(tmp_path / "d.csv")])
+        assert code == EXIT_INVARIANT
+        assert "path weight left (0, 1]" in capsys.readouterr().err
+
+    def test_walk_weight_violation_past_the_first_window_exits_3_under_optimize(self, tmp_path):
+        src = str(Path(biased_voter.__file__).resolve().parent.parent)
+        script = (LATE_INFLATED_LAPLACE + "walks.WINDOW_JUMPS = 80\nwalks.laplace = inflated\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, *LATE_DUAL_ARGS,
+             "--out", str(tmp_path / "d.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_INVARIANT, proc.stderr
+        assert "path weight left (0, 1]" in proc.stderr
 
     def test_walk_weight_violation_exits_3_under_optimize(self, tmp_path):
         src = str(Path(biased_voter.__file__).resolve().parent.parent)

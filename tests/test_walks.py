@@ -2,8 +2,10 @@
 loops they replaced, its narrow draw and site keys, the dual range inside
 the walker range, its pair-id step and per-row grid search, its memory
 footprint, the output bytes of four batches, observables run through
-their expansion against the exact torus oracle, and the quenched box's
-exact continuation against the exact ring oracle and the plain estimate."""
+their expansion against the exact torus oracle, the quenched box's exact
+continuation against the exact ring oracle and the plain estimate, and a
+batch reduced in time windows against the same draw in one piece and
+against exact values past many windows."""
 
 import hashlib
 import itertools
@@ -16,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from biased_voter import walks
 from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, laplace
-from biased_voter.exact import exact_dual_value, exact_forward_values_all
+from biased_voter.exact import (exact_dual_value, exact_forward_values_all,
+                                exact_range_functional_curve_1d)
 from biased_voter.kernel import (TorusKernel, bias_values, box_keys, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
 from biased_voter.localfn import LocalFunction, hat_coeffs
@@ -28,6 +31,18 @@ NN2 = make_nn_kernel(2)
 POWER = make_power_kernel(0.8, 30)
 TORUS5 = fold_to_torus(POWER, 5)   # displacements of +-5, +-10, ... fold to no-op jumps
 SANDWICH_GRID = np.geomspace(10.0, 1000.0, 12)
+
+
+def whole_draw(kernel, starts, t_max, count, rng):
+    """One window's draw of ``count`` replicas of walkers at ``starts`` up to t_max."""
+    return walks._draw(kernel, np.tile(starts, (count, 1)), 0.0, t_max, rng)
+
+
+def death_times(cum_t, skey, k, t_max):
+    """The engine's coalescence sweep over one draw, every rider alive at its start."""
+    death = np.full(cum_t.shape[0], np.inf)
+    walks._coalesce(cum_t, skey, k, t_max, np.ones((cum_t.shape[0] // k, k), dtype=bool), death)
+    return death
 
 
 def reference_death_times(cum_t, skey, k, t_max):
@@ -62,7 +77,7 @@ def reference_batch(kernel, t_grid, starts, count, rng, law=None, bias=None):
     """The reduction as one full pass over every held interval per grid time."""
     k = len(starts)
     t_max = float(t_grid[-1])
-    pos, cum_t = walks._draw(kernel, starts, t_max, count, rng)
+    pos, cum_t = whole_draw(kernel, starts, t_max, count, rng)
     rows = pos.shape[0]
     skey, mins, spans = box_keys(pos, count)
     max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
@@ -109,11 +124,11 @@ def coupled_dual_walker_ranges(starts, kernel, t, replicas, rng):
     The dual visited set is then a subset of the walkers' visited set on
     every path, which is checked replica by replica.
     """
-    pos, cum_t = walks._draw(kernel, walks._start_array(kernel, starts), t, replicas, rng)
+    pos, cum_t = whole_draw(kernel, walks._start_array(kernel, starts), t, replicas, rng)
     arrivals = np.concatenate([np.zeros((len(pos), 1)), cum_t], axis=1)
     k = len(pos) // replicas
     skey, _, spans = box_keys(pos, replicas)
-    death = walks._death_times(cum_t, skey, k, t)
+    death = death_times(cum_t, skey, k, t)
     n_keys = math.prod(int(s) for s in spans)
     keys = skey + (np.arange(len(pos)) // k * n_keys)[:, None]   # replica-major (replica, site)
     seen = arrivals <= t
@@ -152,7 +167,7 @@ def batch_cases(draw):
     if draw(st.booleans()):
         grid.append(0.0)
     if draw(st.booleans()):   # a grid time equal to a drawn jump time
-        _, cum_t = walks._draw(kernel, starts, t_max, count, rng_for(seed))
+        _, cum_t = whole_draw(kernel, starts, t_max, count, rng_for(seed))
         jumps = cum_t[cum_t < t_max]
         if jumps.size:
             grid.append(float(jumps[draw(st.integers(0, jumps.size - 1))]))
@@ -284,10 +299,10 @@ def sweep_cases(draw):
                4, 1, 300.0))   # riders live on across many chunks
 def test_death_times_match_per_jump_sweep(case):
     kernel, starts, count, seed, t_max = case
-    pos, cum_t = walks._draw(kernel, starts, t_max, count, rng_for(seed))
+    pos, cum_t = whole_draw(kernel, starts, t_max, count, rng_for(seed))
     skey = box_keys(pos, count)[0]
     k = len(starts)
-    assert np.array_equal(walks._death_times(cum_t, skey, k, t_max),
+    assert np.array_equal(death_times(cum_t, skey, k, t_max),
                           reference_death_times(cum_t, skey, k, t_max))
 
 
@@ -304,16 +319,20 @@ def test_pair_ids_equal_unique(key_space, size, seed):
         np.testing.assert_array_equal(g, w)
 
 
-def test_wide_boxes_take_the_sorted_pair_ids():
-    """A 2-d t = 1000 batch and a power-kernel batch have more keys in their
-    box than intervals, so their pair ids come from the sort."""
+def test_wide_boxes_take_the_sorted_pair_ids(monkeypatch):
+    """The windows of a 2-d batch and of a power-kernel batch to t = 1000
+    span more pair keys than they hold intervals, so their pair ids come
+    from the sort."""
+    sorted_ids, pair_ids = [], walks._pair_ids
+
+    def spy(keys, key_space):
+        sorted_ids.append(key_space > keys.size)
+        return pair_ids(keys, key_space)
+    monkeypatch.setattr(walks, "_pair_ids", spy)
     for kernel in (NN2, make_power_kernel(0.8, 100)):
-        starts = walks._start_array(kernel, None)
-        count = walks.BATCH_SIZE
-        pos, cum_t = walks._draw(kernel, starts, 1000.0, count, rng_for(5))
-        _, _, spans = box_keys(pos, count)
-        # held intervals are at most one per drawn position
-        assert count * math.prod(int(s) for s in spans) > pos.shape[0] * pos.shape[1]
+        sorted_ids.clear()
+        walks.walk_curve(kernel, [1000.0], walks.BATCH_SIZE, 5)
+        assert len(sorted_ids) == 4 and all(sorted_ids), sorted_ids
 
 
 def searchsorted_draw(kernel, starts, t_max, count, rng):
@@ -339,7 +358,7 @@ def searchsorted_draw(kernel, starts, t_max, count, rng):
                          ids=["nn1", "nn2", "nn3", "nn2-torus5"])
 def test_equal_weights_draw_each_displacement_at_rate_one_over_n(kernel):
     disp, _ = kernel.sampling_arrays()
-    pos, cum_t = walks._draw(kernel, walks._start_array(kernel, None), 50.0, 400, rng_for(6))
+    pos, cum_t = whole_draw(kernel, walks._start_array(kernel, None), 50.0, 400, rng_for(6))
     assert pos.dtype == np.int32
     steps = np.diff(pos, axis=1).reshape(-1, kernel.dim)
     if isinstance(kernel, TorusKernel):
@@ -354,7 +373,7 @@ def test_equal_weights_draw_each_displacement_at_rate_one_over_n(kernel):
 @pytest.mark.parametrize("kernel", [POWER, TORUS5], ids=["power", "torus5"])
 def test_unequal_weights_draw_the_searchsorted_positions(kernel):
     starts = walks._start_array(kernel, [(0,), (3,), (-1,)])
-    pos, cum_t = walks._draw(kernel, starts, 40.0, 50, rng_for(7))
+    pos, cum_t = whole_draw(kernel, starts, 40.0, 50, rng_for(7))
     want_pos, want_t = searchsorted_draw(kernel, starts, 40.0, 50, rng_for(7))
     np.testing.assert_array_equal(cum_t, want_t)
     np.testing.assert_array_equal(pos, want_pos)
@@ -366,8 +385,8 @@ def test_start_near_int32_limit_takes_int64_positions():
     # origin's shifted
     far = walks._start_array(NN1, [(2 ** 31 - 8,)])
     near = walks._start_array(NN1, None)
-    pos, cum_t = walks._draw(NN1, far, 30.0, 4, rng_for(8))
-    origin, origin_t = walks._draw(NN1, near, 30.0, 4, rng_for(8))
+    pos, cum_t = whole_draw(NN1, far, 30.0, 4, rng_for(8))
+    origin, origin_t = whole_draw(NN1, near, 30.0, 4, rng_for(8))
     assert pos.dtype == np.int64 and origin.dtype == np.int32
     np.testing.assert_array_equal(cum_t, origin_t)
     np.testing.assert_array_equal(pos, origin.astype(np.int64) + (2 ** 31 - 8))
@@ -396,17 +415,25 @@ def test_site_keys_are_row_major_in_the_narrowest_dtype(lo, span, count, dtype):
         skey, np.ravel_multi_index(tuple(np.moveaxis(pos - mins, -1, 0)), spans))
 
 
+def first_window_shape(starts, count, t_max):
+    """(rows, m) of the first window's draw of a ``count``-replica nn batch to t_max."""
+    end = walks._window_ends(t_max, count * len(starts))[0]
+    return whole_draw(NN1, starts, end, count, rng_for(3))[1].shape
+
+
 def test_draw_peak_memory():
-    """The traced peak of drawing a 2048-walker nn batch to t = 1000 stays below
-    2.0 x (rows x m x 8 bytes): 4.0 x with float uniforms searched into int64
-    indices and gathered, 2.0 x with uint8 indices and int32 positions, where the
-    exponential clock and its cumsum set the peak, and 1.63 x with the clock
-    summed in place."""
+    """The traced peak of drawing one window of a 2048-walker nn batch stays
+    below 2.0 x (rows x m x 8 bytes): 4.0 x with float uniforms searched into
+    int64 indices and gathered, 2.0 x with uint8 indices and int32 positions,
+    where the exponential clock and its cumsum set the peak, and 1.63 x with
+    the clock summed in place."""
     starts = walks._start_array(NN1, None)
-    rows, m = walks._draw(NN1, starts, SANDWICH_GRID[-1], walks.BATCH_SIZE, rng_for(3))[1].shape
+    rows, m = first_window_shape(starts, walks.BATCH_SIZE, SANDWICH_GRID[-1])
+    assert m < 500   # a window, not the horizon to t = 1000
     tracemalloc.start()
     try:
-        walks._draw(NN1, starts, SANDWICH_GRID[-1], walks.BATCH_SIZE, rng_for(3))
+        whole_draw(NN1, starts, walks._window_ends(SANDWICH_GRID[-1], rows)[0],
+                   walks.BATCH_SIZE, rng_for(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -415,17 +442,18 @@ def test_draw_peak_memory():
 
 def test_annealed_batch_peak_memory():
     """The traced peak of a 2048-walker annealed batch to t = 1000 stays below
-    5.5 x (rows x m x 8 bytes), m the drawn jumps per walker: 11.2 x with the
-    per-grid-time loop, 5.5 x with the one-pass reduction for one walker per
-    replica, and 4.1 x for k = 3 and k = 8 with the chunked coalescence sweep;
-    4.8 x and 3.6 x with int32 positions and keys and the holds computed in
-    place among the deposits; 3.18 x, 2.76 x and 2.89 x for k = 1, 3 and 8 with
-    one search per row, one table key per deposit and the clock summed in place."""
+    5.5 x (rows x m x 8 bytes), m the jumps drawn per walker in one window:
+    11.2 x with the per-grid-time loop, 5.5 x with the one-pass reduction for
+    one walker per replica, and 4.1 x for k = 3 and k = 8 with the chunked
+    coalescence sweep; 4.8 x and 3.6 x with int32 positions and keys and the
+    holds computed in place among the deposits; 3.18 x, 2.76 x and 2.89 x for
+    k = 1, 3 and 8 with one search per row, one table key per deposit and the
+    clock summed in place, all with the whole horizon drawn as one window."""
     law = bernoulli_law(0.5, 1.0)
     for k in (1, 3, 8):
         starts = walks._start_array(NN1, [(2 * i,) for i in range(k)])
         count = walks.BATCH_SIZE // k
-        rows, m = walks._draw(NN1, starts, SANDWICH_GRID[-1], count, rng_for(3))[1].shape
+        rows, m = first_window_shape(starts, count, SANDWICH_GRID[-1])
         tracemalloc.start()
         try:
             walks._simulate_batch(NN1, SANDWICH_GRID, starts, count, rng_for(3), law, None,
@@ -433,7 +461,7 @@ def test_annealed_batch_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * rows * m * 8, k
+        assert peak < 5.5 * rows * m * 8, (k, peak / (rows * m * 8))
 
 
 TORUS4 = fold_to_torus(NN1, 4)
@@ -641,3 +669,125 @@ def test_box_needs_a_field_and_the_nn_kernel_on_z(kernel, weight):
     box = walks.QuenchedBox.solve(SiteHashField(), 0, 4, 1.0)
     with pytest.raises(ValueError, match="quenched box"):
         walks.walk_curve(kernel, [1.0], 10, 0, box=box, **weight)
+
+
+# ---------------------------------------------------------------------------
+# Windows: a batch drawn and reduced one time window at a time
+# ---------------------------------------------------------------------------
+
+def cut_draw(pos, cum_t, ends):
+    """One window's draw as the windows ending at ``ends``: each its rows'
+    jumps from its start on, after the position there, padded with jumps at
+    inf; the last window keeps every drawn position."""
+    rows, m = cum_t.shape
+    r = np.arange(rows)[:, None]
+    begin = np.zeros(rows, dtype=np.intp)
+    windows = []
+    for end in ends:
+        stop = np.count_nonzero(cum_t < end, axis=1)
+        width = m - begin.min() if end == ends[-1] else int((stop - begin).max()) + 1
+        cols = begin[:, None] + np.arange(width + 1)
+        times = np.where(cols[:, :-1] < m, cum_t[r, np.minimum(cols[:, :-1], m - 1)], np.inf)
+        windows.append((pos[r, np.minimum(cols, m)], times, end))
+        begin = stop
+    return windows
+
+
+def reduce_windows(kernel, t_grid, k, count, weight, windows):
+    """One reduction fed ``windows`` of (positions, jump times, end): its
+    result and the largest coordinate magnitude."""
+    reduction = walks._Reduction(kernel, t_grid, count, k, *weight)
+    box = None
+    for pos, cum_t, end in windows:
+        skey, *box = box_keys(pos, count, box)
+        reduction.add([cum_t, skey], *box, end)
+    mins, spans = box
+    return (*reduction.result(), int(np.abs(np.concatenate([mins, mins + spans - 1])).max()))
+
+
+QUENCHED_FIELD = LazyBiasField(bernoulli_law(0.5, 1.0), 11)
+
+
+@pytest.mark.parametrize("kernel, t_grid, starts, count, weight, ends", [
+    (NN1, SANDWICH_GRID, None, 256, "law", [100.0, 300.0, 320.0, 700.0, 1000.0]),
+    (NN1, [0.0, 2.0, 5.0, 10.0, 25.1], [(0,), (1,), (3,)], 300, "box", [2.0, 3.0, 7.5, 25.1]),
+    (POWER, np.geomspace(1.0, 100.0, 6), [(0,), (2,)], 64, "law", [7.0, 40.0, 100.0]),
+    (TORUS_NN2, [0.25, 2.0, 20.0], [(0, 0), (1, 0)], 64, "array", [1.0, 2.0, 9.0, 20.0]),
+    (NN2, [1.0, 10.0, 30.0], [(0, 0), (1, 1)], 64, "field", [5.0, 12.0, 30.0]),
+], ids=["nn-annealed-sandwich-grid", "k3-quenched-box", "power-annealed", "torus-quenched",
+        "nn2-quenched"])
+def test_windows_reduce_as_one(kernel, t_grid, starts, count, weight, ends):
+    """One draw cut at window boundaries, some of them on grid times or with
+    no grid time inside, reduces as it does in one window: the same range
+    counts, live riders and largest coordinate, and log weights within 1e-12
+    relative (a hold split at a boundary is summed in two parts)."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    starts = walks._start_array(kernel, starts)
+    k = len(starts)
+    law = bernoulli_law(0.5, 1.0) if weight == "law" else None
+    bias = {"array": rng_for(14).uniform(0.0, 2.0, TORUS_NN2.n_sites), "field": SiteHashField(),
+            "box": QUENCHED_FIELD}.get(weight)
+    box = walks.QuenchedBox.solve(QUENCHED_FIELD, 1, 64, t_grid[-1]) if weight == "box" else None
+    pos, cum_t = whole_draw(kernel, starts, t_grid[-1], count, rng_for(21))
+    one = reduce_windows(kernel, t_grid, k, count, (law, bias, box), [(pos, cum_t, t_grid[-1])])
+    several = reduce_windows(kernel, t_grid, k, count, (law, bias, box),
+                             cut_draw(pos, cum_t, ends))
+    np.testing.assert_array_equal(several[0], one[0])
+    if k > 1:
+        np.testing.assert_array_equal(several[1], one[1])
+    else:
+        assert several[1] is None and one[1] is None
+    assert np.all(np.abs(several[2] - one[2]) <= 1e-12 * np.abs(one[2]))
+    assert several[3] == one[3]
+    if box is not None:   # the box went on in some replicas, past the first window too
+        assert np.isfinite(one[2]).all() and (one[1][:, -1] == 1).any()
+
+
+@pytest.mark.parametrize("starts", [None, [(0,), (1,), (3,)]], ids=["2048x1", "682x3"])
+def test_walk_curve_peak_does_not_grow_with_t_max(starts):
+    """The traced peak of a 12-time annealed nn walk to t = 1e4 stays within
+    10% of that to t = 1e3, once the batch's carried (replica, site) pairs,
+    16 bytes each (a key and a local time), are set aside: 2048 walkers hold
+    about 103k pairs by t = 1e3 and 327k by t = 1e4, 3.6 MB, so the flat 10%
+    holds for 682 x 3 walkers, whose riders coalesce, and not for 2048 x 1.
+    Drawn and reduced in one piece, the batches peaked at 62 MB (2048 x 1)
+    and 53 MB (682 x 3) at t = 1e3, and near nine times that at t = 1e4;
+    in windows, at 21 MB at both horizons, 25 MB for 2048 x 1 at t = 1e4."""
+    law, replicas = bernoulli_law(0.5, 1.0), walks.BATCH_SIZE // (1 if starts is None else 3)
+
+    def traced(t_max):
+        tracemalloc.start()
+        try:
+            stats = walks.walk_curve(NN1, np.geomspace(10.0, t_max, 12), replicas, 5, law=law,
+                                     starts=starts)
+            return tracemalloc.get_traced_memory()[1], stats.range_mean[-1] * replicas
+        finally:
+            tracemalloc.stop()
+    traced(1e3)   # warm-up
+    (low, low_pairs), (high, high_pairs) = traced(1e3), traced(1e4)
+    allowance = 0.0 if starts is not None else 16.0 * (high_pairs - low_pairs)
+    assert high <= 1.1 * low + allowance, (low / 1e6, high / 1e6, allowance / 1e6)
+
+
+def test_range_curve_past_many_windows_matches_exact():
+    # 2048 walkers to t = 4000: sixteen windows
+    nu, grid = 0.1, np.geomspace(10.0, 4000.0, 8)
+    assert len(walks._window_ends(grid[-1], walks.BATCH_SIZE)) == 16
+    stats = walks.walk_curve(NN1, grid, walks.BATCH_SIZE, 0, exponents=(nu,))
+    exact = exact_range_functional_curve_1d(nu, grid, 600)
+    assert np.all(np.abs(stats.exp_means[nu] - exact) <= 4.0 * stats.exp_stderrs[nu])
+
+
+def test_boxed_quenched_batch_in_windows_agrees_with_one_window(monkeypatch):
+    # one full batch of the three-site quenched run on field 11 to t = 1000:
+    # four windows, against the same run drawn as one
+    grid, sites, replicas = np.geomspace(10.0, 1000.0, 6), [(0,), (1,), (3,)], 682
+    box = walks.QuenchedBox.solve(QUENCHED_FIELD, 1, 128, grid[-1])
+    assert len(walks._window_ends(grid[-1], 3 * replicas)) == 4
+    windows = walks.walk_curve(NN1, grid, replicas, 31, starts=sites, bias=QUENCHED_FIELD,
+                               box=box)
+    monkeypatch.setattr(walks, "WINDOW_JUMPS", 1 << 22)
+    one = walks.walk_curve(NN1, grid, replicas, 31, starts=sites, bias=QUENCHED_FIELD, box=box)
+    z = (windows.weight_mean - one.weight_mean) / np.hypot(windows.weight_stderr,
+                                                           one.weight_stderr)
+    assert np.all(np.abs(z) <= 4.0), z
