@@ -22,11 +22,12 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln, ive, pdtrc, xlogy
+from scipy.special import ive, pdtrc
 
 from .kernel import TorusKernel, bias_array, site_array
 from .localfn import _subset_sums
 from .stats import InvariantError, check_nu, check_t_grid, check_time
+from .walks import _poisson_weights, _uniformize
 
 __all__ = [
     "MAX_EXACT_SITES",
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 MAX_EXACT_SITES = 12
-SEMIGROUP_TOL = 1e-12   # bound on the uniformization truncation error
 
 
 def build_forward_generator(bias, tk: TorusKernel) -> sparse.csr_matrix:
@@ -144,48 +144,37 @@ def build_dual_matrix(bias, tk: TorusKernel, size: int | None = None) -> sparse.
     return mat
 
 
-def semigroup_apply(generator, g, t: float) -> np.ndarray:
-    """Apply exp(t * M) to a vector by uniformization.
+def semigroup_apply(generator, g, t) -> np.ndarray:
+    """exp(s M) g by uniformization: a vector at one time s = t, or one row
+    per time of a sequence t, each time passing ``stats.check_time``.
 
     M must have nonnegative off-diagonal entries and nonpositive row sums
-    (a generator, possibly killed). With rate L = max |diag|, the matrix
-    P = I + M/L is substochastic, so ||P^k g||_inf <= ||g||_inf and the
-    neglected Poisson tail mass bounds the truncation error by
-    tail * ||g||_inf < SEMIGROUP_TOL.
-
-    The transpose of a generator also qualifies: P^T contracts in l1 rather
-    than sup norm, and for a point mass ||g||_1 = ||g||_inf = 1, so the same
-    stopping rule bounds the l1 error of the evolved law.
+    (a generator, possibly killed). With rate L = max |diag|, P = I + M/L is
+    substochastic, so ||P^n g||_inf <= ||g||_inf, and the Poisson(L s) tail
+    past the terms ``walks._uniformize`` takes for the largest s, at most
+    eps, bounds the truncation error at every time by eps ||g||_inf. Each
+    power is added to every time's sum as it comes; none is kept. The
+    transpose of a generator also qualifies: P^T contracts in l1, and a
+    point mass has ||g||_1 = ||g||_inf = 1.
     """
-    t = check_time(t)
-    g = np.asarray(g, dtype=np.float64).copy()
-    diag = generator.diagonal()
-    lam = float(np.max(-diag)) if diag.size else 0.0
-    if t == 0.0 or lam <= 0.0:
-        return g
-    p = (sparse.identity(generator.shape[0], format="csr")
-         + generator.multiply(1.0 / lam))
-    mu = lam * t
-    n_max = int(mu + 12.0 * np.sqrt(mu + 1.0) + 60.0)
-    ks = np.arange(n_max + 1)
-    pmf = np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)   # Poisson(mu) weights
-    gnorm = float(np.max(np.abs(g))) or 1.0
-    acc = pmf[0] * g
-    v = g
-    covered = pmf[0]
-    for k in range(1, n_max + 1):
-        v = p @ v
-        acc += pmf[k] * v
-        covered += pmf[k]
-        if (1.0 - covered) * gnorm < SEMIGROUP_TOL:
-            break
-    else:
-        raise RuntimeError("uniformization truncation did not reach tolerance")
-    return acc
+    times = np.array([check_time(s) for s in np.atleast_1d(t)])
+    g = np.asarray(g, dtype=np.float64)
+    rate = float(np.max(-generator.diagonal(), initial=0.0))
+    # rate 0 leaves M = 0: P = I, and every weight but the first is 0. A
+    # csr_matrix's * is its matrix product, without the scalar check of @
+    p = sparse.csr_matrix(sparse.identity(generator.shape[0])
+                          + generator.multiply(1.0 / rate if rate > 0.0 else 0.0))
+    log_factorials, powers = _uniformize(p.__mul__, g, rate * float(times.max(initial=0.0)))
+    weights = _poisson_weights(rate * times, log_factorials)
+    out = np.zeros((times.size, g.size))
+    for weight, power in zip(weights.T[:, :, None], powers):   # weight: one row per time
+        out += weight * power
+    return out if np.ndim(t) else out[0]
 
 
-def exact_dual_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
-    """E^A[exp(-integral of the kill rate)] for every subset A, as a vector."""
+def exact_dual_values_all(bias, tk: TorusKernel, t) -> np.ndarray:
+    """E^A[exp(-integral of the kill rate)] for every subset A, as a vector,
+    or one row per time for a grid ``t``."""
     mat = build_dual_matrix(bias, tk)
     return semigroup_apply(mat, np.ones(mat.shape[0]), t)
 
@@ -202,15 +191,17 @@ def _set_rank(sites) -> int:
                for c in range(k - i + 1))
 
 
-def exact_dual_value(A, bias, tk: TorusKernel, t: float) -> float:
-    """Exact killed-dual expectation started from the subset A.
+def exact_dual_value(A, bias, tk: TorusKernel, t):
+    """Exact killed-dual expectation started from the subset A, a float, or
+    one value per time for a grid ``t``.
 
     The dual runs over the sets of at most |A| sites only, on a torus of any
     size; more than 2 ** MAX_EXACT_SITES such sets raise ``ValueError``.
     """
     sites = tk.flat_index(site_array(tk, A)).tolist()
     mat = build_dual_matrix(bias, tk, len(sites))
-    return float(semigroup_apply(mat, np.ones(mat.shape[0]), t)[_set_rank(sites)])
+    values = semigroup_apply(mat, np.ones(mat.shape[0]), t)[..., _set_rank(sites)]
+    return values if np.ndim(t) else float(values)
 
 
 def product_indicator_vector(n_sites: int, subset_mask: int) -> np.ndarray:
@@ -219,22 +210,18 @@ def product_indicator_vector(n_sites: int, subset_mask: int) -> np.ndarray:
     return ((states & subset_mask) == subset_mask).astype(np.float64)
 
 
-def _forward_values_all(adjoint, n_sites: int, t: float) -> np.ndarray:
-    """Every product-indicator expectation at t, from the adjoint generator."""
-    start = np.zeros(1 << n_sites)
-    start[-1] = 1.0
-    law = semigroup_apply(adjoint, start, t)
-    return _subset_sums(law[::-1], n_sites)[::-1]
-
-
-def exact_forward_values_all(bias, tk: TorusKernel, t: float) -> np.ndarray:
-    """E[H(eta_t, A)] from the all-ones start for every subset A, as a vector.
+def exact_forward_values_all(bias, tk: TorusKernel, t) -> np.ndarray:
+    """E[H(eta_t, A)] from the all-ones start for every subset A, as a vector,
+    or one row per time for a grid ``t``.
 
     One adjoint uniformization evolves the all-ones point mass to the law of
     eta_t; superset sums of that law give every product-indicator
     expectation at once.
     """
-    return _forward_values_all(build_forward_generator(bias, tk).T.tocsr(), tk.n_sites, t)
+    start = np.zeros(1 << tk.n_sites)
+    start[-1] = 1.0
+    law = semigroup_apply(build_forward_generator(bias, tk).T.tocsr(), start, t)
+    return _subset_sums(law[..., ::-1], tk.n_sites)[..., ::-1]
 
 
 def duality_gap(bias, tk: TorusKernel, t):
@@ -242,15 +229,12 @@ def duality_gap(bias, tk: TorusKernel, t):
 
     ``t`` is one time or a sequence of times; the gap comes back as a float,
     or as an array with one gap per time. The forward generator's transpose
-    and the killed dual are built once for all the times.
+    and the killed dual are built once, and each runs in one pass over all
+    the times.
     """
-    adjoint = build_forward_generator(bias, tk).T.tocsr()
-    dual = build_dual_matrix(bias, tk)
-    ones = np.ones(dual.shape[0])
-    gaps = np.array([np.max(np.abs(_forward_values_all(adjoint, tk.n_sites, s)[1:]
-                                   - semigroup_apply(dual, ones, s)[1:]))
-                     for s in np.atleast_1d(t)])
-    return gaps if np.ndim(t) else float(gaps[0])
+    gaps = np.max(np.abs(exact_forward_values_all(bias, tk, t)[..., 1:]
+                         - exact_dual_values_all(bias, tk, t)[..., 1:]), axis=-1)
+    return gaps if np.ndim(t) else float(gaps)
 
 
 # ---------------------------------------------------------------------------

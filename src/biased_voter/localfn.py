@@ -40,11 +40,12 @@ def _subset_sums(values: np.ndarray, nbits: int, inverse: bool = False) -> np.nd
     With ``inverse`` it is the Mobius inversion, the signed sum
     sum_B (-1)^{|A - B|} values[B]. Bit i of a mask is axis nbits-1-i of
     the (2,)*nbits cube, so each bit is one vectorized half-cube update.
+    Leading axes, if any, are transformed each on its own.
     """
     out = values.copy()
-    cube = out.reshape((2,) * nbits)
+    cube = out.reshape(values.shape[:-1] + (2,) * nbits)
     for i in range(nbits):
-        halves = np.moveaxis(cube, nbits - 1 - i, 0)
+        halves = np.moveaxis(cube, -1 - i, 0)
         if inverse:
             halves[1] -= halves[0]
         else:

@@ -41,8 +41,9 @@ horizon fits in one window is drawn in one piece.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,17 @@ _EPS = np.finfo(float).eps
 def _poisson_tail(mu: float, m: int) -> float:
     """Chernoff's bound e^-mu (e mu / m)^m on P(N >= m), N ~ Poisson(mu), m > mu."""
     return math.exp(m - mu - m * math.log(m / mu)) if mu > 0.0 else 0.0
+
+
+def _uniformize(step, v, mu: float) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """log n! for n < terms, the fewest Poisson(mu) terms whose tail bound
+    ``_poisson_tail(mu, terms - 1)`` is at most eps, and an iterator over the
+    powers P^n v, n < terms, of a nonnegative ``step`` v -> Pv."""
+    terms = math.floor(mu) + 2
+    while _poisson_tail(mu, terms - 1) > _EPS:
+        terms += 1
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(terms)])
+    return log_factorials, itertools.accumulate(range(1, terms), lambda p, _: step(p), initial=v)
 
 
 @dataclass(frozen=True)
@@ -102,24 +114,24 @@ class QuenchedBox:
         beta = bias_values(bias, [(x,) for x in range(center - width, center + width + 1)])
         rate = 1.0 + float(beta.max())
         mu = rate * horizon
-        terms = math.floor(mu) + 2   # the fewest whose tail bound is below eps
-        while _poisson_tail(mu, terms - 1) > _EPS:
-            terms += 1
         n = beta.size
+        stay, jump = np.zeros((n + 2, 2)), 0.5 / rate   # P's entries, a zero row at each end
+        stay[1:-1] = (1.0 - (1.0 + beta) / rate)[:, None]
+
+        def step(last):
+            out = stay * last
+            out[1:-1] += (last[:-2] + last[2:]) * jump
+            return out
+
+        start = np.zeros((n + 2, 2))   # 1 and b
+        start[1:-1, 0] = 1.0
+        start[[1, -2], 1] = 0.5
+        log_factorials, powers = _uniformize(step, start, mu)
+        terms = log_factorials.size
         if terms * n > BOX_ENTRIES:
             return None
-        stay, jump = (1.0 - (1.0 + beta) / rate)[:, None], 0.5 / rate   # P's entries
-        # P^n 1 and P^n b, between a zero row at each end
-        table = np.zeros((terms, n + 2, 2))
-        table[0, 1:-1, 0] = 1.0
-        table[0, [1, -2], 1] = 0.5
-        for k in range(1, terms):
-            last, out = table[k - 1], table[k, 1:-1]
-            np.add(last[:-2], last[2:], out=out)
-            out *= jump
-            out += stay * last[1:-1]
-        table = table[:, 1:-1]
-        log_factorials = np.array([math.lgamma(k + 1.0) for k in range(terms)])
+        # P^n 1 and P^n b
+        table = np.fromiter(powers, np.dtype((np.float64, start.shape)), terms)[:, 1:-1]
         tail = _poisson_tail(mu, terms - 1)
         # P(N > k) = sum of the weights past k, plus the mass past the table
         weights = _poisson_weights(mu, log_factorials)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,38 @@ class TestSemigroup:
         gen = build_forward_generator(np.ones(3), fold_to_torus(NN1, 3))
         g = np.arange(8.0)
         assert np.array_equal(semigroup_apply(gen, g, 0.0), g)
+        assert np.array_equal(semigroup_apply(gen, g, (0.0, 2.0, 0.0))[[0, 2]], [g, g])
+
+    def test_grid_pass_equals_one_pass_per_time(self):
+        # the grid's pass takes the term count of its largest time; the terms
+        # past a smaller time's own count are below the rounding of its sum
+        tk = fold_to_torus(NN1, 8)
+        beta = np.random.default_rng(8).uniform(0.0, 2.0, 8)
+        grid = (0.0, 0.1, 1.0, 10.0, 30.0)
+        for values in (exact_dual_values_all, exact_forward_values_all):
+            together = values(beta, tk, grid)
+            alone = np.array([values(beta, tk, t) for t in grid])
+            assert together.shape == alone.shape == (5, 256)
+            assert np.all(np.abs(together - alone) <= 1e-15 * np.abs(alone)), values
+        assert np.array_equal(exact_dual_value([(0,), (3,)], beta, tk, grid),
+                              [exact_dual_value([(0,), (3,)], beta, tk, t) for t in grid])
+        gaps = duality_gap(beta, tk, grid)
+        assert gaps.shape == (5,) and np.all(gaps < 1e-10)
+
+    def test_peak_memory_does_not_grow_with_t(self):
+        # the powers are summed as they come: a (terms x states) table would
+        # hold about 2500 x 4096 entries at t = 100, ten times its size at t = 10
+        dual = build_dual_matrix(np.ones(12), fold_to_torus(NN1, 12))
+        ones = np.ones(dual.shape[0])
+        peaks = []
+        for t in (10.0, 100.0):
+            tracemalloc.start()
+            try:
+                semigroup_apply(dual, ones, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_two_site_half_life(self):
         # from (1,0): P(still mixed) = exp(-2t), absorbed half up, half down

@@ -1,14 +1,15 @@
 """Every engine and exact oracle judges its time grid by one rule, ``stats.check_t_grid``:
 nonempty, finite, strictly increasing and nonnegative, or a ``ConfigError`` naming t_grid.
 A single time, one a simulation advances to or a semigroup runs for, obeys
-``stats.check_time``: finite and not before the current time."""
+``stats.check_time``: finite and not before the current time; so does each
+time of a grid a semigroup runs over."""
 
 import math
 
 import numpy as np
 import pytest
 
-from biased_voter import (bernoulli_law, dual_curve, exact_range_functional_curve_1d,
+from biased_voter import (bernoulli_law, dual_curve, exact, exact_range_functional_curve_1d,
                           fold_to_torus, forward_relaxation, make_nn_kernel, site_indicator)
 from biased_voter.dual import DualSimulation
 from biased_voter.exact import build_dual_matrix, semigroup_apply
@@ -76,7 +77,12 @@ def test_bad_single_time_is_rejected_before_the_state_moves(make, t):
         sim.advance_to(0.5)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
-def test_bad_semigroup_time_is_a_value_error(t):
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, [1.0, math.nan, math.inf, -1.0]],
+                         ids=["nan", "inf", "negative", "in-a-grid"])
+def test_bad_semigroup_time_is_a_value_error(t, monkeypatch):
+    def uniformize(*args):
+        raise AssertionError("a bad time must be rejected before the uniformization starts")
+
+    monkeypatch.setattr(exact, "_uniformize", uniformize)
     with pytest.raises(ValueError, match="finite|backwards"):
         _semigroup(t)

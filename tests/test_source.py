@@ -7,7 +7,9 @@ oracles import it at module level; everything else imports it where it
 computes with it. Row-major orders of sites, of a torus or of a walk's
 bounding box, are computed in one module, ``kernel.py``, both ways
 (``ravel_multi_index`` and ``unravel_index``), and a kernel is built from
-its name by one rule, ``kernel.make_kernel``.
+its name by one rule, ``kernel.make_kernel``. Every exact semigroup runs
+through one uniformization, whose Poisson tail bound and weights are
+defined in ``walks.py`` only.
 """
 
 import ast
@@ -61,3 +63,21 @@ def test_only_kernel_builds_kernels():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders]
     assert not found, f"kernel builders called outside kernel.py: {found}"
+
+
+def test_only_walks_defines_the_poisson_weights():
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in modules}
+    defined = [f"{path.relative_to(SRC)}:{node.lineno}" for path, tree in trees.items()
+               if path.name != "walks.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in {"_poisson_tail", "_poisson_weights"}]
+    assert not defined, f"Poisson tail or weights defined outside walks.py: {defined}"
+    imported = [f"{path.relative_to(SRC)}:{node.lineno}" for path, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(alias.name.split(".")[-1] in {"gammaln", "xlogy"}
+                        for alias in node.names)]
+    assert not imported, f"gammaln or xlogy imported: {imported}"
