@@ -58,23 +58,16 @@ def build_forward_generator(bias, tk: TorusKernel) -> sparse.csr_matrix:
     beta = bias_array(bias, tk)
     partners, weights = tk.partner_table
     states = np.arange(1 << n, dtype=np.int64)
-    data, rows, cols = [], [], []
-    for x in range(n):
-        bit_x = (states >> x) & 1
-        rate = beta[x] * bit_x.astype(float)
-        for j in range(partners.shape[1]):
-            y = partners[x, j]
-            bit_y = (states >> y) & 1
-            rate = rate + weights[j] * (bit_x ^ bit_y)
-        rows.append(states)
-        cols.append(states ^ (1 << x))
-        data.append(rate)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    mat = sparse.coo_matrix((data, (rows, cols)), shape=(1 << n, 1 << n)).tocsr()
-    diag = -np.asarray(mat.sum(axis=1)).ravel()
-    mat = (mat + sparse.diags(diag)).tocsr()
+    sites = np.arange(n)[:, None]
+    bits = (states >> sites) & 1   # bits[x, s] = s(x)
+    rate = beta[:, None] * bits
+    for j in range(partners.shape[1]):
+        rate = rate + weights[j] * (bits ^ bits[partners[:, j]])
+    # a CSR row: the state's n flips, then its diagonal
+    data = np.vstack([rate, -rate.sum(axis=0)]).T.ravel()
+    cols = np.vstack([states ^ (1 << sites), states]).T.ravel()
+    mat = sparse.csr_matrix((data, cols, np.arange(0, data.size + 1, n + 1)),
+                            shape=(1 << n, 1 << n))
     row_sums = np.abs(np.asarray(mat.sum(axis=1)).ravel())
     if row_sums.max() > 1e-12 * max(1.0, np.abs(mat.data).max()):
         raise InvariantError("forward generator rows must sum to zero")

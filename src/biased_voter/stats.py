@@ -145,12 +145,6 @@ class Moments:
         return np.ldexp(self.scaled_m2, 2 * self.exponent)
 
     @property
-    def variance(self) -> np.ndarray:
-        if self.n < 2:
-            return np.full_like(self.scaled_mean, np.nan)
-        return np.ldexp(self.scaled_m2 / (self.n - 1), 2 * self.exponent)
-
-    @property
     def stderr(self) -> np.ndarray:
         if self.n < 2:
             return np.full_like(self.scaled_mean, np.nan)

@@ -315,11 +315,13 @@ def _coalesce(cum_t: np.ndarray, skey: np.ndarray, k: int, end: float,
     rows, m = cum_t.shape
     count = rows // k
     times = cum_t.reshape(count, k * m)
-    due = np.count_nonzero(times <= end, axis=1)   # jumps of each replica by the end
+    active = np.flatnonzero(alive.sum(axis=1) > 1)
+    due = np.zeros(count, dtype=np.intp)   # jumps of each replica by the end
+    due[active] = np.count_nonzero(times[active] <= end, axis=1)
+    active = active[due[active] > 0]
     flat_keys, width = skey.ravel(), skey.shape[1]
     jumps = np.zeros((count, k), dtype=np.int64)     # jumps of each walker so far
     first, second = np.triu_indices(k, 1)
-    active = np.flatnonzero((due > 0) & (alive.sum(axis=1) > 1))
     # the time order of the jumps of each replica the sweep starts with, at its row of order
     order = np.argsort(times[active], axis=1)
     order_row = np.zeros(count, dtype=np.intp)
@@ -456,20 +458,23 @@ class _Reduction:
     window of jumps at a time.
 
     Between windows it carries per rider whether it is alive and its death
-    time (k > 1); per (replica, site) pair, in sorted key order, its key, its
-    local time so far and, for a field, its bias; per replica the sum of its
-    pairs' log weight terms at the last window's end, and its count of pairs
-    first in the range at each grid index; for a ``box``, per replica tau
-    (the death of the last-but-one rider, 0 for one walker), z (the
-    survivor's site then) and L_tau (the log weight of every rider up to
-    tau). A pair's key is replica * (box sites) + its row-major key in the
-    box of every site seen so far; keys sort as (replica, site) do, so a box
-    that grows re-keys the pairs without reordering them. ``bias`` is a
-    field, or on a torus the checked per-site array; live riders are None
-    for a single walker. An annealed weight of a law with mass at zero is
-    checked to be at least mass_at_zero ** |R_t|, and every weight to be at
-    most 1. With a ``box``, a quenched weight at a grid time past tau is
-    L_tau + log u(t - tau, z) wherever the box certifies u there.
+    time, for every k: one walker's rider never dies, and its window takes
+    the same path as k riders'; per (replica, site) pair, in sorted key
+    order, its key, its local time so far and, for a field, its bias; per
+    replica the sum of its pairs' log weight terms at the last window's end,
+    and its count of pairs first in the range at each grid index; for a
+    ``box``, per replica tau (the death of the last-but-one rider, 0 for one
+    walker), z (the survivor's site then) and L_tau (the log weight of every
+    rider up to tau). A pair's key is replica * (box sites) + its key in the
+    box of every site seen so far (``kernel.box_keys``); keys sort as
+    (replica, site) do, so a box that grows re-keys the pairs, through
+    ``kernel.box_sites`` and ``box_keys``, without reordering them, and a
+    window's new pairs go in at their sorted places. ``bias`` is a field, or
+    on a torus the checked per-site array; ``result()`` reports live riders
+    as None for a single walker. An annealed weight of a law with mass at
+    zero is checked to be at least mass_at_zero ** |R_t|, and every weight
+    to be at most 1. With a ``box``, a quenched weight at a grid time past
+    tau is L_tau + log u(t - tau, z) wherever the box certifies u there.
     """
 
     def __init__(self, kernel, t_grid: np.ndarray, count: int, k: int,
@@ -486,9 +491,8 @@ class _Reduction:
             self.beta = np.empty(0)
             self.sums = np.zeros(count)
             self.logw = np.empty((count, t_grid.size))
-        if k > 1:
-            self.alive = np.ones((count, k), dtype=bool)
-            self.death = np.full(count * k, np.inf)
+        self.alive = np.ones((count, k), dtype=bool)
+        self.death = np.full(count * k, np.inf)
         if box is not None:
             self.tau = np.full(count, np.inf)
             self.z = np.zeros(count, dtype=np.int64)
@@ -534,15 +538,13 @@ class _Reduction:
         n_keys = math.prod(int(s) for s in spans)
 
         a = _jumps_before(cum_t, grid)
-        if k > 1:   # cut every rider at its death, one of its own walker's jump times
-            live = self.alive.ravel().copy()
-            _coalesce(cum_t, skey, k, end, self.alive, self.death)
-            n_held = 1 + _jumps_before(cum_t, np.minimum(self.death, end)[:, None])[:, 0]
-            n_held *= live   # a rider dead before the window holds nothing
-        else:
-            n_held = a[:, -1] + 1
+        # cut every rider at its death, one of its own walker's jump times
+        live = self.alive.ravel().copy()
+        _coalesce(cum_t, skey, k, end, self.alive, self.death)
+        n_held = 1 + _jumps_before(cum_t, np.minimum(self.death, end)[:, None])[:, 0]
+        n_held *= live   # a rider dead before the window holds nothing
         if self.box is not None:   # tau and z of the replicas whose tau falls in the window
-            deaths = self.death.reshape(count, k) if k > 1 else np.full((count, 1), np.inf)
+            deaths = self.death.reshape(count, k)
             alive = np.isinf(deaths)
             tau = np.where(alive.sum(axis=1) == 1, np.where(alive, 0.0, deaths).max(axis=1),
                            np.inf)
@@ -586,7 +588,7 @@ class _Reduction:
         del first
         if not self.weighted:
             if not last:
-                self._insert(at[fresh], uniq[fresh])
+                self.keys = np.insert(self.keys, at[fresh], uniq[fresh])
             return
 
         lt = np.zeros(n_pairs)
@@ -673,8 +675,11 @@ class _Reduction:
                     self.sums = sums
         if not last:
             self.lt[at[carried]] = lt[carried]
-            self._insert(at[fresh], uniq[fresh], lt[fresh],
-                         None if beta is None else beta[fresh])
+            at = at[fresh]
+            self.keys = np.insert(self.keys, at, uniq[fresh])
+            self.lt = np.insert(self.lt, at, lt[fresh])
+            if beta is not None:
+                self.beta = np.insert(self.beta, at, beta[fresh])
 
     def _terms(self, lt: np.ndarray, beta: np.ndarray | None) -> np.ndarray:
         """Each pair's log weight term at local time ``lt``."""
@@ -695,38 +700,17 @@ class _Reduction:
 
     def _rekey(self, mins: np.ndarray, spans: np.ndarray) -> None:
         """Re-key the carried pairs into the box (mins, spans), which holds the last one."""
-        if self.mins is not None and not (np.array_equal(mins, self.mins)
-                                          and np.array_equal(spans, self.spans)):
-            old = [int(s) for s in self.spans]
-            keys, rest = np.divmod(self.keys, math.prod(old))   # replica, then the site's key
-            for axis in range(len(old)):   # row-major: key = key * span + coordinate - corner
-                if axis < len(old) - 1:
-                    digit, rest = np.divmod(rest, math.prod(old[axis + 1:]))
-                else:
-                    digit = rest
-                keys *= int(spans[axis])
-                digit += int(self.mins[axis]) - int(mins[axis])
-                keys += digit
-            self.keys = keys
+        if self.keys.size and not (np.array_equal(mins, self.mins)
+                                   and np.array_equal(spans, self.spans)):
+            replica, keys = np.divmod(self.keys, math.prod(int(s) for s in self.spans))
+            sites = box_sites(keys, self.mins, self.spans)
+            del keys
+            keys = box_keys(sites[None], self.count, (mins, spans))[0][0]
+            del sites
+            replica *= math.prod(int(s) for s in spans)
+            replica += keys
+            self.keys = replica
         self.mins, self.spans = mins, spans
-
-    def _insert(self, at: np.ndarray, keys: np.ndarray, lt=None, beta=None) -> None:
-        """Insert new pairs, at their sorted places ``at`` among the carried ones."""
-        kept = np.ones(self.keys.size + keys.size, dtype=bool)
-        slots = at + np.arange(keys.size)
-        kept[slots] = False
-
-        def spliced(carried, values):
-            out = np.empty(kept.size, dtype=carried.dtype)
-            out[kept] = carried
-            out[slots] = values
-            return out
-
-        self.keys = spliced(self.keys, keys)
-        if lt is not None:
-            self.lt = spliced(self.lt, lt)
-        if beta is not None:
-            self.beta = spliced(self.beta, beta)
 
     def result(self):
         """(range counts, live riders, log weights) per replica and grid time,

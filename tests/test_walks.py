@@ -5,7 +5,8 @@ footprint, the output bytes of four batches, observables run through
 their expansion against the exact torus oracle, the quenched box's exact
 continuation against the exact ring oracle and the plain estimate, and a
 batch reduced in time windows against the same draw in one piece and
-against exact values past many windows."""
+against exact values past many windows, with the re-key of its carried
+pairs into a grown box and a sweep that a lone live rider leaves as it is."""
 
 import hashlib
 import itertools
@@ -20,7 +21,7 @@ from biased_voter import walks
 from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, laplace
 from biased_voter.exact import (exact_dual_value, exact_forward_values_all,
                                 exact_range_functional_curve_1d)
-from biased_voter.kernel import (TorusKernel, bias_values, box_keys, fold_to_torus,
+from biased_voter.kernel import (TorusKernel, bias_values, box_keys, box_sites, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
 from biased_voter.localfn import LocalFunction, hat_coeffs
 from biased_voter.stats import InvariantError
@@ -28,6 +29,7 @@ from references import sites_to_mask
 
 NN1 = make_nn_kernel(1)
 NN2 = make_nn_kernel(2)
+NN3 = make_nn_kernel(3)
 POWER = make_power_kernel(0.8, 30)
 TORUS5 = fold_to_torus(POWER, 5)   # displacements of +-5, +-10, ... fold to no-op jumps
 SANDWICH_GRID = np.geomspace(10.0, 1000.0, 12)
@@ -304,6 +306,53 @@ def test_death_times_match_per_jump_sweep(case):
     k = len(starts)
     assert np.array_equal(death_times(cum_t, skey, k, t_max),
                           reference_death_times(cum_t, skey, k, t_max))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sweep_with_one_live_rider_per_replica_changes_nothing(k):
+    """Every one-walker window passes through the sweep; with at most one
+    live rider in each replica it kills none and leaves every death as it was."""
+    count, end = 32, 50.0
+    pos, cum_t = whole_draw(NN1, walks._start_array(NN1, [(0,), (1,), (3,)][:k]), end, count,
+                            rng_for(4))
+    skey = box_keys(pos, count)[0]
+    alive = np.zeros((count, k), dtype=bool)
+    alive[np.arange(count), np.arange(count) % k] = np.arange(count) % 5 > 0   # some hold none
+    death = np.where(alive.ravel(), np.inf, np.arange(count * k) / 7.0)
+    alive_before, death_before = alive.copy(), death.copy()
+    walks._coalesce(cum_t, skey, k, end, alive, death)
+    np.testing.assert_array_equal(alive, alive_before)
+    np.testing.assert_array_equal(death, death_before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), count=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       share=st.floats(0.0, 1.0))
+@example(d=2, count=3, seed=0, share=0.0)   # an empty carry
+@example(d=3, count=4, seed=1, share=1.0)   # every pair of the box carried
+def test_rekey_into_a_grown_box_keeps_order_and_pairs(d, count, seed, share):
+    """Carried pair keys re-keyed into a box grown on every side stay
+    sorted and decode to the same (replica, site) pairs."""
+    rng = np.random.default_rng(seed)
+    mins, spans = rng.integers(-4, 5, size=d), rng.integers(1, 5, size=d)
+    grown_mins = mins - rng.integers(0, 3, size=d)
+    grown_spans = spans + (mins - grown_mins) + rng.integers(0, 3, size=d)
+    n_sites = math.prod(int(s) for s in spans)
+    keys = np.flatnonzero(rng.random(count * n_sites) < share).astype(np.int64)
+    reduction = walks._Reduction(make_nn_kernel(d), np.array([1.0]), count, 1, None, None)
+    reduction.keys, reduction.mins, reduction.spans = keys, mins, spans
+    reduction._rekey(grown_mins, grown_spans)
+    got = reduction.keys
+    assert got.dtype == np.int64 and got.size == keys.size
+    assert np.all(np.diff(got) > 0)
+    np.testing.assert_array_equal(reduction.mins, grown_mins)
+    np.testing.assert_array_equal(reduction.spans, grown_spans)
+
+    def decoded(pair_keys, corner, box):
+        replica, site = np.divmod(pair_keys, math.prod(int(s) for s in box))
+        return replica, box_sites(site, corner, box)
+    for g, w in zip(decoded(got, grown_mins, grown_spans), decoded(keys, mins, spans)):
+        np.testing.assert_array_equal(g, w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -724,8 +773,10 @@ QUENCHED_FIELD = LazyBiasField(bernoulli_law(0.5, 1.0), 11)
     (POWER, np.geomspace(1.0, 100.0, 6), [(0,), (2,)], 64, "law", [7.0, 40.0, 100.0]),
     (TORUS_NN2, [0.25, 2.0, 20.0], [(0, 0), (1, 0)], 64, "array", [1.0, 2.0, 9.0, 20.0]),
     (NN2, [1.0, 10.0, 30.0], [(0, 0), (1, 1)], 64, "field", [5.0, 12.0, 30.0]),
+    (NN3, [1.0, 10.0, 30.0], [(0, 0, 0), (1, 0, 0), (0, 1, 1)], 32, "field",
+     [3.0, 10.0, 17.0, 30.0]),
 ], ids=["nn-annealed-sandwich-grid", "k3-quenched-box", "power-annealed", "torus-quenched",
-        "nn2-quenched"])
+        "nn2-quenched", "nn3-quenched"])
 def test_windows_reduce_as_one(kernel, t_grid, starts, count, weight, ends):
     """One draw cut at window boundaries, some of them on grid times or with
     no grid time inside, reduces as it does in one window: the same range
