@@ -11,7 +11,7 @@ with g = d/(d+alpha).
 from .disorder import BiasField, bernoulli_law, deterministic_law, laplace, nu1, nu2
 from .dual import dual_curve
 from .forward import forward_relaxation
-from .kernel import char_fn, fold_to_torus, make_nn_kernel, make_power_kernel, verify_assumption
+from .kernel import fold_to_torus, make_nn_kernel, make_power_kernel
 from .localfn import site_indicator
 from .rangestats import dv_constant, effective_exponent, lambda_nn, mc_range_functional
 

@@ -141,10 +141,6 @@ class Moments:
         return np.ldexp(self.scaled_mean, self.exponent)
 
     @property
-    def m2(self) -> np.ndarray:
-        return np.ldexp(self.scaled_m2, 2 * self.exponent)
-
-    @property
     def stderr(self) -> np.ndarray:
         if self.n < 2:
             return np.full_like(self.scaled_mean, np.nan)

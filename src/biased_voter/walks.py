@@ -27,16 +27,13 @@ weight up to tau: E[W_t | F_tau] by the strong Markov property, so the
 estimate stays unbiased and each replica is still one sample.
 
 Replicas are processed in batches of BATCH_SIZE // k with per-batch seed
-streams, so results are bitwise independent of the worker count. A batch
-is drawn and reduced one time window at a time, so that its peak memory is
-a window's and its carried pairs', which grow only as the range does: the
-windows end at the multiples of
-WINDOW_JUMPS / (the batch's walker rows) before its last grid time, and at
-that time, so each holds about WINDOW_JUMPS jumps. Every walker's clock
-starts afresh at a window's start, which is exact as the clock is
-memoryless. Between windows a batch carries each walker's site, each
-rider's life and, per (replica, site) pair, its local time; a batch whose
-horizon fits in one window is drawn in one piece.
+streams, so results are bitwise independent of the worker count. Replicas
+share nothing, so a batch is cut into chunks of whole replicas, each drawn
+from time 0 to the last grid time in one piece and reduced on its own, and
+the chunks' per-replica results are concatenated. A chunk expects at most
+CHUNK_JUMPS jumps unless it is one replica, so a batch's peak memory does
+not grow with t_max up to t_max = CHUNK_JUMPS / k; a batch that expects no
+more is one chunk.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .stats import InvariantError, Moments, check_t_grid, map_batches
 __all__ = ["QuenchedBox", "WalkCurveStats", "walk_curve"]
 
 BATCH_SIZE = 2048   # walkers per batch: BATCH_SIZE // k replicas of k walkers
-WINDOW_JUMPS = 1 << 19   # expected jumps of a batch's time window: its length is this over its rows
+CHUNK_JUMPS = 1 << 19   # most expected jumps of a chunk of a batch's replicas, unless it is one
 BOX_TOL = 1e-10     # a box's value is used where its error bound is at most this share of it
 BOX_ENTRIES = 1 << 21   # most (box site, Poisson term) entries a box holds: 16 MB
 _FLOOR_TOL = 1e-9
@@ -239,51 +236,49 @@ def _expansion(kernel, starts) -> tuple[np.ndarray, list[tuple[tuple[int, ...], 
             [(tuple(sorted(index[tuple(s)] for s in sub)), c) for sub, c in subsets])
 
 
-def _window_ends(t_max: float, rows: int) -> list[float]:
-    """Where a batch of ``rows`` walker rows cuts its horizon: the multiples of
-    WINDOW_JUMPS / rows below t_max, then t_max. A window so holds about
-    WINDOW_JUMPS jumps, and a batch whose horizon fits in one has one window."""
-    length = WINDOW_JUMPS / rows
-    return [i * length for i in range(1, math.ceil(t_max / length))] + [t_max]
+def _chunk_size(t_max: float, k: int, count: int) -> int:
+    """Replicas per chunk of a batch of ``count`` replicas of k walkers to
+    t_max: all of them when they expect at most CHUNK_JUMPS jumps, count k
+    t_max, else as many as expect at most that many, and at least one."""
+    if count * k * t_max <= CHUNK_JUMPS:
+        return count
+    return max(1, int(CHUNK_JUMPS / t_max) // k)
 
 
-def _draw(kernel, sites: np.ndarray, begin: float, end: float,
+def _draw(kernel, starts: np.ndarray, t_max: float, count: int,
           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (rows, m + 1, d) and jump times (rows, m) of walkers at
-    ``sites`` (rows, d) at time ``begin``; every row jumps past ``end``.
+    """Positions (rows, m + 1, d) and jump times (rows, m) of ``count``
+    replicas of walkers from ``starts`` (k, d), row r being walker r % k of
+    replica r // k; every row jumps past t_max.
 
-    Column 0 holds the sites, column c the position after the c-th jump.
-    Each walker's exponential clock starts afresh at ``begin``, which is
-    exact as the clock is memoryless. Jump times are float64, the clock
-    summed in place (its draws are those of ``rng.exponential``, whose scale
-    of 1 multiplies exactly, and ``begin`` enters as its first term).
-    Positions are int32, or int64 when m * max|displacement| + max|site|
-    could reach 2 ** 31. A kernel whose weights are all equal draws its
-    displacement indices as uniform integers; any other searches its
-    cumulative weights with uniforms.
+    Column 0 holds the starts, column c the position after the c-th jump.
+    Jump times are float64, the clock summed in place (its draws are those
+    of ``rng.exponential``, whose scale of 1 multiplies exactly). Positions
+    are int32, or int64 when m * max|displacement| + max|start| could reach
+    2 ** 31. A kernel whose weights are all equal draws its displacement
+    indices as uniform integers; any other searches its cumulative weights
+    with uniforms.
     """
     disp, cum = kernel.sampling_arrays()
-    n, rows = len(disp), len(sites)
-    span = end - begin
-    m0 = max(4, int(span + 6.0 * math.sqrt(span + 1.0) + 16.0))
+    n, rows = len(disp), count * len(starts)
+    m0 = max(4, int(t_max + 6.0 * math.sqrt(t_max + 1.0) + 16.0))
     cum_t = rng.standard_exponential((rows, m0))
-    cum_t[:, 0] += begin
     np.cumsum(cum_t, axis=1, out=cum_t)
-    while cum_t[:, -1].min() <= end:
+    while cum_t[:, -1].min() <= t_max:
         extra = np.cumsum(rng.exponential(size=(rows, 64)), axis=1)
         cum_t = np.hstack([cum_t, cum_t[:, -1:] + extra])
     m = cum_t.shape[1]
 
-    # one index per step into the displacements, gathered after the sites in
+    # one index per step into the displacements, gathered after the starts in
     # column 0; an in-place cumsum then gives the positions
     if np.all(kernel.weights == kernel.weights[0]):
         index = rng.integers(0, n, size=(rows, m), dtype=np.min_scalar_type(n - 1))
     else:
         index = np.searchsorted(cum, rng.random((rows, m)))
-    wide = m * int(np.abs(disp).max()) + int(np.abs(sites).max()) >= 1 << 31
+    wide = m * int(np.abs(disp).max()) + int(np.abs(starts).max()) >= 1 << 31
     table = disp.astype(np.int64 if wide else np.int32)
     pos = np.empty((rows, m + 1) + table.shape[1:], dtype=table.dtype)
-    pos[:, 0] = sites
+    pos[:, 0] = np.tile(starts, (count, 1))
     step = max(1, _GATHER_BLOCK // m)   # take widens a block's indices to intp
     for lo in range(0, rows, step):
         np.take(table, index[lo:lo + step], axis=0, out=pos[lo:lo + step, 1:])
@@ -294,38 +289,36 @@ def _draw(kernel, sites: np.ndarray, begin: float, end: float,
     return pos, cum_t
 
 
-def _coalesce(cum_t: np.ndarray, skey: np.ndarray, k: int, end: float,
-              alive: np.ndarray, death: np.ndarray) -> None:
-    """Kill the riders that coalesce over one window's jumps, those up to ``end``.
-
-    ``alive`` (replicas, k) and ``death`` (rows; inf while a rider lives)
-    hold each rider's state at the window's start and are updated in place;
-    a row's walker starts the window at its site key in column 0.
+def _coalesce(cum_t: np.ndarray, skey: np.ndarray, k: int, t_max: float) -> np.ndarray:
+    """Coalescence time of every rider; inf while it lives through t_max.
 
     A live rider whose walker jumps onto a site held by another live rider
     dies at that jump. So only the first meeting of each pair of riders
     matters: if both live then, the jumper dies, and the pair never meets
     again while both are alive. Each replica's jumps are taken in time
     order, in chunks of _SWEEP_CHUNK events doubling from there, over the
-    replicas that still hold two live riders and a jump by ``end``. Within a
-    chunk every walker's site after every event is one gather; a pair of
-    riders live at the chunk's start meets at the first event that puts
-    their walkers on one site, and the meetings are applied in time order.
+    replicas that still hold two live riders and a jump by t_max. Every
+    walker's row is sorted, so a replica's first n jumps lie in the first n
+    columns of its walkers' rows: a chunk ending at event n < m sorts only
+    those columns of the replicas left, and once the chunks reach m the
+    replicas left are sorted whole, once. Within a chunk every walker's
+    site after every event is one gather; a pair of riders live at the
+    chunk's start meets at the first event that puts their walkers on one
+    site, and the meetings are applied in time order.
     """
     rows, m = cum_t.shape
+    death = np.full(rows, np.inf)
+    if k == 1:   # a lone rider never dies
+        return death
     count = rows // k
-    times = cum_t.reshape(count, k * m)
-    active = np.flatnonzero(alive.sum(axis=1) > 1)
-    due = np.zeros(count, dtype=np.intp)   # jumps of each replica by the end
-    due[active] = np.count_nonzero(times[active] <= end, axis=1)
-    active = active[due[active] > 0]
+    times = cum_t.reshape(count, k, m)
+    due = np.count_nonzero(times <= t_max, axis=(1, 2))   # jumps of each replica by t_max
     flat_keys, width = skey.ravel(), skey.shape[1]
+    alive = np.ones((count, k), dtype=bool)
     jumps = np.zeros((count, k), dtype=np.int64)     # jumps of each walker so far
     first, second = np.triu_indices(k, 1)
-    # the time order of the jumps of each replica the sweep starts with, at its row of order
-    order = np.argsort(times[active], axis=1)
-    order_row = np.zeros(count, dtype=np.intp)
-    order_row[active] = np.arange(active.size)
+    active = np.flatnonzero(due > 0)
+    order, order_row, cols = None, np.zeros(count, dtype=np.intp), 0
     start, length = 0, _SWEEP_CHUNK
     while active.size:
         # a chunk's arrays, about k + 4 of (replicas, events), together hold at
@@ -333,8 +326,11 @@ def _coalesce(cum_t: np.ndarray, skey: np.ndarray, k: int, end: float,
         # reduction's peak memory
         length = min(length, max(1, rows * m // (2 * active.size * (k + 4))))
         stop = min(start + length, int(due[active].max()))
-        event = order[order_row[active], start:stop]
-        walker = event // m
+        if cols < min(stop, m):   # sort the replicas left as far as the chunk reaches
+            cols, order = min(stop, m), None   # the last sort is freed first
+            order = np.argsort(times[active, :, :cols].reshape(active.size, k * cols), axis=1)
+            order_row[active] = np.arange(active.size)
+        walker, column = np.divmod(order[order_row[active], start:stop], cols)
         in_time = np.arange(start, stop) < due[active, None]
         sites = []
         for v in range(k):
@@ -364,11 +360,12 @@ def _coalesce(cum_t: np.ndarray, skey: np.ndarray, k: int, end: float,
             replica, at = active[hit], at[hit]
             jumper = walker[hit, at]
             alive[replica, jumper] = False
-            death[replica * k + jumper] = times[replica, event[hit, at]]
+            death[replica * k + jumper] = times[replica, jumper, column[hit, at]]
 
         start = stop
         length *= 2
         active = active[(alive[active].sum(axis=1) > 1) & (due[active] > start)]
+    return death
 
 
 def _pair_ids(keys: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,37 +395,34 @@ def _simulate_batch(kernel, t_grid: np.ndarray, starts: np.ndarray, count: int,
     ``subsets`` maps tuples of walker indices, whose riders coalesce among
     themselves only, to whether their path weight is wanted; a wanted
     quenched weight goes on through ``box`` once one rider is left. Returns
-    each subset's ``_Reduction.result()`` and the largest coordinate
-    magnitude. The batch is drawn and reduced one window of ``_window_ends``
-    at a time, each window from the sites where the last one left its
-    walkers; the whole start set goes last and is handed the window's draw
-    itself, so that its reduction frees it as it goes.
+    ``_reduce``'s output per subset and the largest coordinate magnitude.
+    The batch is drawn and reduced one chunk of ``_chunk_size`` replicas at
+    a time, each to the last grid time, and the chunks' per-replica results
+    are concatenated; the whole start set goes last and is handed the
+    chunk's draw itself, so that its reduction frees it as it goes.
     """
     k, whole = len(starts), tuple(range(len(starts)))
-    reductions = {walkers: _Reduction(kernel, t_grid, count, len(walkers),
-                                      *((law, bias, box) if weighted else (None, None, None)))
-                  for walkers, weighted in sorted(subsets.items(),
-                                                  key=lambda item: item[0] == whole)}
-    sites = np.tile(starts, (count, 1))
-    bounds = None
-    ends = _window_ends(float(t_grid[-1]), len(sites))
-    for begin, end in zip([0.0] + ends, ends):
-        pos, cum_t = _draw(kernel, sites, begin, end, rng)
-        if end < ends[-1]:
-            sites = pos[np.arange(len(pos)), _jumps_before(cum_t, np.array([end]))[:, 0]]
-        skey, *bounds = box_keys(pos, count, bounds)
+    t_max = float(t_grid[-1])
+    size = _chunk_size(t_max, k, count)
+    parts = {walkers: [] for walkers in subsets}
+    max_abs = 0
+    for lo in range(0, count, size):
+        n = min(size, count - lo)
+        pos, cum_t = _draw(kernel, starts, t_max, n, rng)
+        skey, mins, spans = box_keys(pos, n)
         del pos
-        for walkers, reduction in reductions.items():
+        max_abs = max(max_abs, abs(int(mins.min())), abs(int((mins + spans - 1).max())))
+        for walkers, weighted in sorted(subsets.items(), key=lambda item: item[0] == whole):
             if walkers == whole:
-                draw = [cum_t, skey]
+                draw = [cum_t, skey, mins, spans]
                 del cum_t, skey
             else:
-                rows = (np.arange(count)[:, None] * k + walkers).ravel()
-                draw = [cum_t[rows], skey[rows]]
-            reduction.add(draw, *bounds, end)
-    mins, spans = bounds
-    max_abs = int(max(abs(int(mins.min())), abs(int((mins + spans - 1).max()))))
-    return {walkers: reduction.result() for walkers, reduction in reductions.items()}, max_abs
+                rows = (np.arange(n)[:, None] * k + walkers).ravel()
+                draw = [cum_t[rows], skey[rows], mins, spans]
+            parts[walkers].append(_reduce(kernel, t_grid, draw, len(walkers),
+                                          *((law, bias, box) if weighted else (None, None, None))))
+    return {walkers: tuple(None if out[0] is None else np.concatenate(out) for out in zip(*chunks))
+            for walkers, chunks in parts.items()}, max_abs
 
 
 def _jumps_before(cum_t: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -452,294 +446,165 @@ def _jumps_before(cum_t: np.ndarray, times: np.ndarray) -> np.ndarray:
     return at
 
 
-class _Reduction:
-    """Per-replica range counts, live riders and log path weights at every
-    grid time of one subset of a batch's walkers, k per replica, fed one
-    window of jumps at a time.
+def _reduce(kernel, t_grid: np.ndarray, draw: list, k: int, law: DisorderLaw | None, bias,
+            box: QuenchedBox | None = None):
+    """Per-replica range counts, live riders and log path weights at every grid time.
 
-    Between windows it carries per rider whether it is alive and its death
-    time, for every k: one walker's rider never dies, and its window takes
-    the same path as k riders'; per (replica, site) pair, in sorted key
-    order, its key, its local time so far and, for a field, its bias; per
-    replica the sum of its pairs' log weight terms at the last window's end,
-    and its count of pairs first in the range at each grid index; for a
-    ``box``, per replica tau (the death of the last-but-one rider, 0 for one
-    walker), z (the survivor's site then) and L_tau (the log weight of every
-    rider up to tau). A pair's key is replica * (box sites) + its key in the
-    box of every site seen so far (``kernel.box_keys``); keys sort as
-    (replica, site) do, so a box that grows re-keys the pairs, through
-    ``kernel.box_sites`` and ``box_keys``, without reordering them, and a
-    window's new pairs go in at their sorted places. ``bias`` is a field, or
-    on a torus the checked per-site array; ``result()`` reports live riders
-    as None for a single walker. An annealed weight of a law with mass at
-    zero is checked to be at least mass_at_zero ** |R_t|, and every weight
-    to be at most 1. With a ``box``, a quenched weight at a grid time past
-    tau is L_tau + log u(t - tau, z) wherever the box certifies u there.
+    ``draw`` is [jump times, site keys, box corner, box spans] of k walkers
+    per replica, row r being walker r % k of replica r // k, its keys those
+    of ``kernel.box_keys``; it is emptied, so the arrays are freed as the
+    reduction goes. ``bias`` is a field, or on a torus the checked per-site
+    array; live riders are None for a single walker and the weights None
+    without a law or a field. An annealed weight of a law with mass at zero
+    is checked to be at least mass_at_zero ** |R_t|, and every weight to be
+    at most 1. With a ``box``, a quenched weight at a grid time past tau,
+    the death of the last-but-one rider (0 for one walker), is
+    L_tau + log u(t - tau, z) wherever the box certifies u there, z the
+    survivor's site at tau and L_tau the log weight of every rider up to tau.
+
+    Interval c of a walker row is its stay at position c, from the c-th
+    jump (time 0 for the start) to the next one. One search per row finds
+    a[r, j], row r's jumps before grid time t_j, so that interval a[r, j]
+    runs across t_j, and intervals 0..a[r, j] arrive before it. Each held
+    interval is reduced once: a (replica, site) pair is in the range from
+    the first grid index past any of its arrivals (starts count at index
+    0), and its local time gets each interval's hold up to that index there,
+    plus one increment per grid time an interval runs across; a cumulative
+    sum over grid indices then gives l_t at every grid time.
     """
+    cum_t, skey, mins, spans = draw
+    draw.clear()
+    n_grid, t_max = t_grid.size, float(t_grid[-1])
+    rows, m = cum_t.shape
+    count = rows // k
 
-    def __init__(self, kernel, t_grid: np.ndarray, count: int, k: int,
-                 law: DisorderLaw | None, bias, box: QuenchedBox | None = None):
-        self.kernel, self.t_grid, self.count, self.k = kernel, t_grid, count, k
-        self.law, self.bias, self.box = law, bias, box
-        self.begin = 0.0
-        self.mins = self.spans = None
-        self.keys = np.empty(0, dtype=np.int64)
-        self.arrivals = np.zeros(count * t_grid.size, dtype=np.int64)
-        self.weighted = law is not None or bias is not None
-        if self.weighted:
-            self.lt = np.empty(0)
-            self.beta = np.empty(0)
-            self.sums = np.zeros(count)
-            self.logw = np.empty((count, t_grid.size))
-        self.alive = np.ones((count, k), dtype=bool)
-        self.death = np.full(count * k, np.inf)
-        if box is not None:
-            self.tau = np.full(count, np.inf)
-            self.z = np.zeros(count, dtype=np.int64)
-            self.log_tau = np.zeros(count)
+    a = _jumps_before(cum_t, t_grid)
+    # cut every rider at its death, one of its own walker's jump times
+    death = _coalesce(cum_t, skey, k, t_max)
+    n_held = 1 + _jumps_before(cum_t, np.minimum(death, t_max)[:, None])[:, 0]
+    if box is not None:
+        alive = np.isinf(death).reshape(count, k)
+        tau = np.where(alive.sum(axis=1) == 1,
+                       np.where(alive, 0.0, death.reshape(count, k)).max(axis=1), np.inf)
+        survivor = np.arange(count) * k + alive.argmax(axis=1)
+        jumped = _jumps_before(cum_t[survivor], np.minimum(tau, t_max)[:, None])[:, 0]
+        z = skey[survivor, jumped] + mins[0]
+    # held intervals are a prefix of every row: those that arrive before t_max
+    # and, for k > 1, before the rider's death
+    held = np.arange(m) < n_held[:, None]
+    # pair keys, replica * width + key - (the replica's least key), span only
+    # the sites each replica's walks reach, so that the pair ids' table is as
+    # narrow as the widest replica whatever the box
+    least = skey.min(axis=1).reshape(count, k).min(axis=1)
+    width = int((skey.max(axis=1).reshape(count, k).max(axis=1) - least).max()) + 1
+    skey += np.repeat(np.arange(count, dtype=skey.dtype) * width - least, k)[:, None]
+    uniq, inverse = _pair_ids(skey[:, :m][held], count * width)
+    del skey
+    n_pairs = uniq.size
+    replica = np.floor_divide(uniq, width, dtype=np.intp)
+    # first grid index past each held interval's arrival: a[r, j] + 1 of the
+    # row's intervals arrive before t_j, so j is first for the difference
+    first_held = np.repeat(
+        np.tile(np.arange(n_grid, dtype=np.min_scalar_type(n_grid)), rows),
+        np.diff(np.minimum(a + 1, n_held[:, None]), axis=1, prepend=0).ravel())
+    first = np.full(n_pairs, n_grid - 1, dtype=first_held.dtype)
+    if n_grid > 1:
+        np.minimum.at(first, inverse, first_held)
+    range_counts = np.bincount(replica * n_grid + first, minlength=count * n_grid)
+    range_counts = range_counts.reshape(count, n_grid).cumsum(axis=1)
+    del first
+    particles = None
+    if k > 1:
+        particles = (death[:, None] > t_grid).reshape(count, k, n_grid).sum(axis=1)
+    if law is None and bias is None:
+        return range_counts, particles, None
 
-    def add(self, draw: list, mins: np.ndarray, spans: np.ndarray, end: float) -> None:
-        """Reduce the window from the last one's end to ``end``.
-
-        ``draw`` is [jump times, site keys] of the window, row r being
-        walker r % k of replica r // k, its keys in the box (mins, spans); it
-        is emptied, so the arrays are freed as the reduction goes. The
-        window's last jump of every row falls past ``end``; the window
-        ending at the last grid time is the last one.
-
-        The window's grid is the grid times from its start on and before
-        its end, and then its end: the last grid time, or one more time at
-        which the window's pairs are carried, not reported. Interval c of a
-        walker row is its stay at position c, from the c-th jump (the
-        window's start for c = 0) to the next one. One search per row finds
-        a[r, j], row r's jumps before grid time t_j, so that interval a[r, j]
-        runs across t_j, and intervals 0..a[r, j] arrive before it. Each held
-        interval is reduced once: a (replica, site) pair is in the range
-        from the first grid index past any of its arrivals (a window's
-        intervals 0 count at its first index), and its local time gets each
-        interval's hold up to that index there, plus one increment per grid
-        time an interval runs across; a cumulative sum over grid indices,
-        from the pair's carried local time, then gives l_t at every grid
-        time. Only the window's own pairs are summed: a replica's weight is
-        its carried sum, less its window pairs' carried terms, plus their
-        terms at the grid time.
-        """
-        cum_t, skey = draw
-        draw.clear()
-        t_grid, count, k, begin = self.t_grid, self.count, self.k, self.begin
-        self.begin = end
-        last = end == t_grid[-1]
-        lo = int(np.searchsorted(t_grid, begin))
-        hi = t_grid.size if last else int(np.searchsorted(t_grid, end))
-        grid = t_grid[lo:] if last else np.append(t_grid[lo:hi], end)
-        n_loc = grid.size
-        rows, m = cum_t.shape
-        self._rekey(mins, spans)
-        n_keys = math.prod(int(s) for s in spans)
-
-        a = _jumps_before(cum_t, grid)
-        # cut every rider at its death, one of its own walker's jump times
-        live = self.alive.ravel().copy()
-        _coalesce(cum_t, skey, k, end, self.alive, self.death)
-        n_held = 1 + _jumps_before(cum_t, np.minimum(self.death, end)[:, None])[:, 0]
-        n_held *= live   # a rider dead before the window holds nothing
-        if self.box is not None:   # tau and z of the replicas whose tau falls in the window
-            deaths = self.death.reshape(count, k)
-            alive = np.isinf(deaths)
-            tau = np.where(alive.sum(axis=1) == 1, np.where(alive, 0.0, deaths).max(axis=1),
-                           np.inf)
-            new = np.flatnonzero(np.isinf(self.tau) & np.isfinite(tau))
-            survivor = new * k + alive[new].argmax(axis=1)
-            jumped = _jumps_before(cum_t[survivor], tau[new][:, None])[:, 0]
-            self.z[new] = skey[survivor, jumped] + mins[0]
-            self.tau[new] = tau[new]
-        # held intervals are a prefix of every row: those that arrive before the
-        # end and, for k > 1, before the rider's death
-        held = np.arange(m) < n_held[:, None]
-        # the window's pair keys, replica * width + key - (the replica's least
-        # key), span only the sites its walks reach in the window, so that the
-        # pair ids' bitmap is as narrow as a window whatever the horizon
-        holds = n_held > 0   # rows of riders dead before the window hold no key
-        least = np.where(holds, skey.min(axis=1), np.iinfo(skey.dtype).max)
-        least = least.reshape(count, k).min(axis=1)
-        most = np.where(holds, skey.max(axis=1), 0).reshape(count, k).max(axis=1)
-        width = int((most - least).max()) + 1
-        skey += np.repeat(np.arange(count, dtype=skey.dtype) * width - least, k)[:, None]
-        uniq, inverse = _pair_ids(skey[:, :m][held], count * width)
-        del skey
-        uniq = uniq.astype(np.int64)
-        replica = uniq // width
-        uniq += replica * (n_keys - width) + least[replica]
-        n_pairs = uniq.size
-        at = np.searchsorted(self.keys, uniq)
-        carried = (self.keys.take(at, mode="clip") == uniq if self.keys.size
-                   else np.zeros(n_pairs, dtype=bool))
-        # first grid index past each held interval's arrival: a[r, j] + 1 of the
-        # row's intervals arrive before t_j, so j is first for the difference
-        first_held = np.repeat(
-            np.tile(np.arange(n_loc, dtype=np.min_scalar_type(t_grid.size)), rows),
-            np.diff(np.minimum(a + 1, n_held[:, None]), axis=1, prepend=0).ravel())
-        first = np.full(n_pairs, n_loc - 1, dtype=first_held.dtype)
-        if n_loc > 1:
-            np.minimum.at(first, inverse, first_held)
-        fresh = ~carried   # a carried pair is in the range before the window already
-        self.arrivals += np.bincount(replica[fresh] * t_grid.size + lo + first[fresh],
-                                     minlength=self.arrivals.size)
-        del first
-        if not self.weighted:
-            if not last:
-                self.keys = np.insert(self.keys, at[fresh], uniq[fresh])
-            return
-
-        lt = np.zeros(n_pairs)
-        lt[carried] = self.lt[at[carried]]
-        if self.bias is not None:
-            beta = np.empty(n_pairs)
-            beta[carried] = self.beta[at[carried]]
-            beta[fresh] = self._bias_of(uniq[fresh], mins, spans)
-        else:
-            beta = None
-        base = None
-        if self.keys.size:   # the replicas' carried sums less their window pairs' carried terms
-            old = self._terms(lt[carried], None if beta is None else beta[carried])
-            base = self.sums - np.bincount(replica[carried], weights=old, minlength=count)
-
-        # hold of every held interval up to its first grid time, deposited there,
-        # then one increment per grid time t_j, j < G - 1, an interval runs across:
-        # its hold from t_j up to t_(j + 1). Flattened, each held interval arrives
-        # when the one before it ends, or at the window's start at the start of a
-        # row, so a hold is a difference of consecutive held jump times, except
-        # where an interval runs across a grid time and ends there instead
-        n_held_all = first_held.size
-        row_start = np.cumsum(n_held) - n_held
-        starts = row_start[holds]
-        crossing = a < n_held[:, None]          # held intervals that run across a grid time
-        cross_at = (row_start[:, None] + a)[crossing]
-        kept = crossing[:, :-1]
-        across_at = (row_start[:, None] + a[:, :-1])[kept]
-        to_index = np.broadcast_to(np.arange(1, n_loc), kept.shape)[kept]
-        nexts = cum_t[held]
-        del cum_t, held
-        deposit = np.empty(n_held_all + across_at.size)
-        hold = deposit[:n_held_all]
-        np.subtract(nexts[1:], nexts[:-1], out=hold[1:])
-        hold[starts] = nexts[starts] - begin
-        arrival = np.where(a[crossing] == 0, begin, nexts[cross_at - 1])
-        hold[cross_at] = np.minimum(nexts[cross_at], grid[first_held[cross_at]]) - arrival
-        deposit[n_held_all:] = np.minimum(nexts[across_at], grid[to_index]) - grid[to_index - 1]
-        if self.box is not None:   # every held interval's stay up to its replica's tau
-            since = np.concatenate(([begin], nexts[:-1]))
-            since[starts] = begin
-            cut = np.repeat(np.repeat(np.minimum(self.tau, end), k), n_held)
-            stay = np.maximum(np.minimum(nexts, cut) - since, 0.0)
-            self.log_tau -= np.bincount(np.repeat(np.arange(rows) // k, n_held),
-                                        weights=beta[inverse] * stay, minlength=count)
-            del since, cut, stay
-        del nexts, hold, arrival
-        # each deposit's entry of the (grid index, pair) table
-        deposit_key = np.empty(deposit.size, dtype=np.intp)
-        head = deposit_key[:n_held_all]
-        np.multiply(first_held, n_pairs, out=head, dtype=np.intp)
-        head += inverse
-        deposit_key[n_held_all:] = to_index * n_pairs + inverse[across_at]
-        del first_held, inverse, head
-
-        # l_t table over (grid index, pair), a block of grid indices at a time so
-        # that a block holds no more entries than there are held intervals; a
-        # row at a grid time gives the log weights there, the end's row the
-        # carried sums and local times
-        reported = hi - lo
-        block = max(1, deposit.size // n_pairs)
-        for b0 in range(0, n_loc, block):
-            b1 = min(n_loc, b0 + block)
-            if block >= n_loc:   # the only block: the deposits go with its table
-                index, weights = deposit_key, deposit
-                del deposit_key, deposit
-            else:
-                sel = (deposit_key >= b0 * n_pairs) & (deposit_key < b1 * n_pairs)
-                index, weights = deposit_key[sel] - b0 * n_pairs, deposit[sel]
-            table = np.bincount(index, weights=weights, minlength=(b1 - b0) * n_pairs)
-            del index, weights
-            table = table.reshape(b1 - b0, n_pairs)
-            table[0] += lt
-            np.cumsum(table, axis=0, out=table)
-            lt = table[-1].copy()
-            terms = self._terms(table, beta)
-            for j in range(b0, b1):
-                sums = np.bincount(replica, weights=terms[j - b0], minlength=count)
-                if base is not None:
-                    sums += base
-                if j < reported:
-                    self.logw[:, lo + j] = sums
-                else:
-                    self.sums = sums
-        if not last:
-            self.lt[at[carried]] = lt[carried]
-            at = at[fresh]
-            self.keys = np.insert(self.keys, at, uniq[fresh])
-            self.lt = np.insert(self.lt, at, lt[fresh])
-            if beta is not None:
-                self.beta = np.insert(self.beta, at, beta[fresh])
-
-    def _terms(self, lt: np.ndarray, beta: np.ndarray | None) -> np.ndarray:
-        """Each pair's log weight term at local time ``lt``."""
-        if self.law is not None:
-            terms = laplace(self.law, lt)
-            return np.log(terms, out=terms)
-        return -beta * lt
-
-    def _bias_of(self, keys: np.ndarray, mins, spans) -> np.ndarray:
-        """The field at the sites of pair ``keys``, read once per distinct site."""
-        sites, site_of = np.unique(keys % math.prod(int(s) for s in spans), return_inverse=True)
+    if bias is not None:   # the field once per distinct site
+        sites, site_of = np.unique(uniq - replica * width + least[replica], return_inverse=True)
         coords = box_sites(sites, mins, spans)
-        if isinstance(self.kernel, TorusKernel):
-            beta = self.bias[self.kernel.flat_index(coords)]
+        if isinstance(kernel, TorusKernel):
+            beta = bias[kernel.flat_index(coords)]
         else:
-            beta = bias_values(self.bias, map(tuple, coords.tolist()))
-        return beta[site_of.ravel()]
+            beta = bias_values(bias, map(tuple, coords.tolist()))
+        beta = beta[site_of.ravel()]
 
-    def _rekey(self, mins: np.ndarray, spans: np.ndarray) -> None:
-        """Re-key the carried pairs into the box (mins, spans), which holds the last one."""
-        if self.keys.size and not (np.array_equal(mins, self.mins)
-                                   and np.array_equal(spans, self.spans)):
-            replica, keys = np.divmod(self.keys, math.prod(int(s) for s in self.spans))
-            sites = box_sites(keys, self.mins, self.spans)
-            del keys
-            keys = box_keys(sites[None], self.count, (mins, spans))[0][0]
-            del sites
-            replica *= math.prod(int(s) for s in spans)
-            replica += keys
-            self.keys = replica
-        self.mins, self.spans = mins, spans
+    # hold of every held interval up to its first grid time, deposited there,
+    # then one increment per grid time t_j, j < G - 1, an interval runs across:
+    # its hold from t_j up to t_(j + 1). Flattened, each held interval arrives
+    # when the one before it ends, or at time 0 at the start of a row, so a
+    # hold is a difference of consecutive held jump times, except where an
+    # interval runs across a grid time and ends there instead
+    n_held_all = first_held.size
+    row_start = np.cumsum(n_held) - n_held
+    crossing = a < n_held[:, None]          # held intervals that run across a grid time
+    cross_at = (row_start[:, None] + a)[crossing]
+    kept = crossing[:, :-1]
+    across_at = (row_start[:, None] + a[:, :-1])[kept]
+    to_index = np.broadcast_to(np.arange(1, n_grid), kept.shape)[kept]
+    nexts = cum_t[held]
+    del cum_t, held
+    deposit = np.empty(n_held_all + across_at.size)
+    hold = deposit[:n_held_all]
+    np.subtract(nexts[1:], nexts[:-1], out=hold[1:])
+    hold[row_start] = nexts[row_start]
+    arrival = np.where(a[crossing] == 0, 0.0, nexts[cross_at - 1])
+    hold[cross_at] = np.minimum(nexts[cross_at], t_grid[first_held[cross_at]]) - arrival
+    deposit[n_held_all:] = np.minimum(nexts[across_at], t_grid[to_index]) - t_grid[to_index - 1]
+    if box is not None:   # every held interval's stay up to its replica's tau
+        since = np.concatenate(([0.0], nexts[:-1]))
+        since[row_start] = 0.0
+        cut = np.repeat(np.repeat(tau, k), n_held)
+        stay = np.maximum(np.minimum(nexts, cut) - since, 0.0)
+        log_tau = -np.bincount(np.repeat(np.arange(rows) // k, n_held),
+                               weights=beta[inverse] * stay, minlength=count)
+        del since, cut, stay
+    del nexts, hold, arrival
+    # each deposit's entry of the (grid index, pair) table
+    deposit_key = np.empty(deposit.size, dtype=np.intp)
+    head = deposit_key[:n_held_all]
+    np.multiply(first_held, n_pairs, out=head, dtype=np.intp)
+    head += inverse
+    deposit_key[n_held_all:] = to_index * n_pairs + inverse[across_at]
+    del first_held, inverse, head
 
-    def result(self):
-        """(range counts, live riders, log weights) per replica and grid time,
-        the weights audited; live riders are None for one walker and the
-        weights None without a law or a field."""
-        t_grid, count, k = self.t_grid, self.count, self.k
-        n_grid = t_grid.size
-        range_counts = self.arrivals.reshape(count, n_grid).cumsum(axis=1)
-        particles = None
-        if k > 1:
-            particles = (self.death[:, None] > t_grid).reshape(count, k, n_grid).sum(axis=1)
-        if not self.weighted:
-            return range_counts, particles, None
-        logw = self.logw
-        if self.box is not None:
-            tau = self.tau
-            late = np.flatnonzero(t_grid > tau[:, None])
-            log_u = self.box.log_value((t_grid - tau[:, None]).ravel()[late],
-                                       self.z[late // n_grid])
-            exact = ~np.isnan(log_u)
-            logw.ravel()[late[exact]] = self.log_tau[late[exact] // n_grid] + log_u[exact]
-        law = self.law
-        if law is not None and law.mass_at_zero > 0.0:
-            # laplace(law, l) >= mass_at_zero at every visited site
-            if not np.all(logw >= math.log(law.mass_at_zero) * range_counts - _FLOOR_TOL):
-                raise InvariantError("annealed path weight fell below the mass-at-zero floor")
-        if not np.all(logw <= 1e-12):
-            raise InvariantError("path weight left (0, 1]")
-        return range_counts, particles, logw
+    # l_t table over (grid index, pair), a block of grid indices at a time so
+    # that a block holds no more entries than there are held intervals
+    logw = np.empty((count, n_grid))
+    lt = np.zeros(n_pairs)
+    block = max(1, deposit.size // n_pairs)
+    for lo in range(0, n_grid, block):
+        hi = min(n_grid, lo + block)
+        if block >= n_grid:   # the only block: the deposits go with its table
+            index, weights = deposit_key, deposit
+            del deposit_key, deposit
+        else:
+            sel = (deposit_key >= lo * n_pairs) & (deposit_key < hi * n_pairs)
+            index, weights = deposit_key[sel] - lo * n_pairs, deposit[sel]
+        table = np.bincount(index, weights=weights, minlength=(hi - lo) * n_pairs)
+        del index, weights
+        table = table.reshape(hi - lo, n_pairs)
+        table[0] += lt
+        np.cumsum(table, axis=0, out=table)
+        lt = table[-1].copy()
+        if law is not None:
+            terms = laplace(law, table)
+            np.log(terms, out=terms)
+        else:
+            terms = -beta * table
+        for j in range(lo, hi):
+            logw[:, j] = np.bincount(replica, weights=terms[j - lo], minlength=count)
+    if box is not None:
+        late = np.flatnonzero(t_grid > tau[:, None])
+        log_u = box.log_value((t_grid - tau[:, None]).ravel()[late], z[late // n_grid])
+        exact = ~np.isnan(log_u)
+        logw.ravel()[late[exact]] = log_tau[late[exact] // n_grid] + log_u[exact]
+    if law is not None and law.mass_at_zero > 0.0:
+        # laplace(law, l) >= mass_at_zero at every visited site
+        if not np.all(logw >= math.log(law.mass_at_zero) * range_counts - _FLOOR_TOL):
+            raise InvariantError("annealed path weight fell below the mass-at-zero floor")
+    if not np.all(logw <= 1e-12):
+        raise InvariantError("path weight left (0, 1]")
+    return range_counts, particles, logw
 
 
 def _batch_moments(args):

@@ -4,7 +4,9 @@
 bound on explicit instances; criterion 9 and ``test_localfn`` run it.
 ``dual_matrix_reference`` builds the killed dual over every subset by bit
 operations on the masks, the judge of ``exact.build_dual_matrix``'s ranks;
-``sites_to_mask`` reads a site set as such a mask.
+``sites_to_mask`` reads a site set as such a mask. ``verify_assumption``
+checks a kernel's small-k expansion of its characteristic function
+``char_fn`` against the constants the kernel computes from its weights.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from biased_voter.kernel import TorusKernel, bias_array, site_array
+from biased_voter.kernel import Kernel, TorusKernel, bias_array, site_array
 from biased_voter.localfn import _normalize_site, _subset_sums
 
 
@@ -78,6 +80,55 @@ def lemma2_verify(x: dict, y_singletons: dict, tol: float = 1e-9) -> Lemma2Repor
         mid += xv[1 << i] * yv[i] * prod
     ineq1_ok = (lhs >= mid - tol * scale) and (mid >= -tol * scale)
     return Lemma2Report(ineq1_ok=ineq1_ok, ineq2_ok=ineq2_ok)
+
+
+_APERIODIC_TOL = 1e-9   # margin of the strict inequality p_hat(k) < 1 off the lattice 2*pi*Z^d
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Result of the small-k stability check for a kernel."""
+
+    max_residual: float
+    aperiodic_ok: bool
+
+
+def char_fn(kernel: Kernel, k) -> float:
+    """Characteristic function p_hat(k) = sum_x p(x) cos(<k, x>).
+
+    Real-valued by symmetry, equal to 1 at k = 0 and bounded in [-1, 1].
+    """
+    k = np.asarray(k, dtype=np.float64).reshape(kernel.dim)
+    return float(np.dot(kernel.weights, np.cos(kernel.displacements @ k)))
+
+
+def verify_assumption(kernel: Kernel, kgrid) -> AssumptionReport:
+    """Check the small-k expansion p_hat(k) = 1 - D(k) + o(|k|^alpha).
+
+    D(k) is k^T D k for alpha = 2 and c |k|^alpha below, with the kernel's
+    ``dmatrix`` D and ``tail_constant`` c. ``max_residual`` is
+    max_k |p_hat(k) - 1 + D(k)| / |k|^alpha over the grid.
+    ``aperiodic_ok`` requires p_hat(k) < 1 - ``_APERIODIC_TOL`` at every grid
+    point that is not congruent to 0 mod 2*pi.
+    """
+    max_res = 0.0
+    aperiodic = True
+    for k in kgrid:
+        k = np.asarray(k, dtype=np.float64).reshape(kernel.dim)
+        norm = np.linalg.norm(k)
+        phat = char_fn(kernel, k)
+        if norm > 0:
+            if kernel.alpha == 2.0:
+                d_k = float(k @ kernel.dmatrix @ k)
+            else:
+                d_k = float(kernel.tail_constant * norm ** kernel.alpha)
+            res = abs(phat - 1.0 + d_k) / norm ** kernel.alpha
+            max_res = max(max_res, res)
+        frac = k / (2 * np.pi) - np.round(k / (2 * np.pi))
+        on_lattice = np.all(np.abs(frac) < 1e-12)
+        if not on_lattice and phat >= 1.0 - _APERIODIC_TOL:
+            aperiodic = False
+    return AssumptionReport(max_residual=max_res, aperiodic_ok=aperiodic)
 
 
 def sites_to_mask(sites, tk: TorusKernel) -> int:

@@ -299,21 +299,22 @@ class TestRunPipelines:
 
     def test_and_observable_reduces_once_per_batch(self, monkeypatch):
         # the AND expansion is the one term {0, 1}: no other walk is reduced
-        reduction, walkers = walks._Reduction, []
+        reduce, walkers = walks._reduce, []
 
-        def counted(kernel, t_grid, count, k, *args):
+        def counted(kernel, t_grid, draw, k, *args):
             walkers.append(k)
-            return reduction(kernel, t_grid, count, k, *args)
-        monkeypatch.setattr(walks, "_Reduction", counted)
+            return reduce(kernel, t_grid, draw, k, *args)
+        monkeypatch.setattr(walks, "_reduce", counted)
         run(small_config(observable=LocalFunction([(0,), (1,)], [0, 0, 0, 1]), replicas=3000))
         assert walkers == [2, 2, 2]   # 1024 replicas of two walkers per batch
 
-    def test_multi_window_csv_is_byte_identical_across_workers(self, tmp_path):
-        # criterion 10 past one window: a 2048-replica batch to t = 600 runs in
-        # three windows, the 52-replica tail batch in one
+    def test_multi_chunk_csv_is_byte_identical_across_workers(self, tmp_path):
+        # criterion 10 past one chunk: a 2048-replica batch to t = 600 runs in
+        # three chunks, the 52-replica tail batch in one
         config = small_config(t_grid=tuple(np.geomspace(5.0, 600.0, 6)), replicas=2100,
                               seed=1010)
-        assert len(walks._window_ends(600.0, walks.BATCH_SIZE)) == 3
+        assert walks._chunk_size(600.0, 1, walks.BATCH_SIZE) == 873   # 873 + 873 + 302
+        assert walks._chunk_size(600.0, 1, 52) == 52
         outputs = []
         for threads in (1, 2):
             config = dataclasses.replace(config, threads=threads)
@@ -873,8 +874,8 @@ def inflated(law, u):
 """
 
 
-# a Laplace transform above 1 only at local times past 3: with windows of 2
-# time units, the weights leave (0, 1] at t = 10, four windows past the first
+# a Laplace transform above 1 only at local times past 3: the weights leave
+# (0, 1] at t = 10, and not at t = 1
 LATE_INFLATED_LAPLACE = """
 import sys
 import numpy as np
@@ -921,10 +922,10 @@ class TestInvariantExitCode:
         assert "path weight left (0, 1]" in capsys.readouterr().err
 
     def test_walk_floor_violation_past_the_first_window_exits_3(self, tmp_path, monkeypatch):
-        # windows of 2 time units; only local times past 3, first met at t = 10,
-        # fall below the floor, so the t = 1 window alone passes the check
+        # chunks of 10 replicas, each checked on its own; only local times past
+        # 3, first met at t = 10, fall below the floor, so t = 1 alone passes
         law = bernoulli_law(0.5, 1.0)
-        monkeypatch.setattr(walks, "WINDOW_JUMPS", 100)   # 50 walker rows
+        monkeypatch.setattr(walks, "CHUNK_JUMPS", 100)   # 100 jumps: 10 walkers to t = 10
         monkeypatch.setattr(walks, "laplace",
                             lambda law_, u: np.where(u > 3.0, 0.1, laplace(law, u)))
         code = cli_main(["sandwich", "--disorder", "bernoulli", "--q", "0.5",
@@ -936,7 +937,7 @@ class TestInvariantExitCode:
                                                                   capsys):
         patch = {}
         exec(LATE_INFLATED_LAPLACE, patch)
-        monkeypatch.setattr(walks, "WINDOW_JUMPS", 80)   # 40 walker rows: windows of 2
+        monkeypatch.setattr(walks, "CHUNK_JUMPS", 80)   # chunks of 4 replicas of two walkers
         monkeypatch.setattr(walks, "laplace", patch["inflated"])
         code = cli_main([*LATE_DUAL_ARGS, "--out", str(tmp_path / "d.csv")])
         assert code == EXIT_INVARIANT
@@ -944,7 +945,7 @@ class TestInvariantExitCode:
 
     def test_walk_weight_violation_past_the_first_window_exits_3_under_optimize(self, tmp_path):
         src = str(Path(biased_voter.__file__).resolve().parent.parent)
-        script = (LATE_INFLATED_LAPLACE + "walks.WINDOW_JUMPS = 80\nwalks.laplace = inflated\n"
+        script = (LATE_INFLATED_LAPLACE + "walks.CHUNK_JUMPS = 80\nwalks.laplace = inflated\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script, *LATE_DUAL_ARGS,

@@ -5,8 +5,8 @@ from biased_voter.disorder import BiasField
 from biased_voter.dual import dual_curve
 from biased_voter.exact import build_dual_matrix, build_forward_generator
 from biased_voter.forward import ForwardSimulation
-from biased_voter.kernel import (Kernel, bias_array, char_fn, fold_to_torus,
-                                 make_nn_kernel, make_power_kernel, verify_assumption)
+from biased_voter.kernel import Kernel, bias_array, fold_to_torus, make_nn_kernel, make_power_kernel
+from references import char_fn, verify_assumption
 
 
 def weight_of(kernel, disp):

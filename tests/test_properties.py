@@ -112,7 +112,9 @@ def moments(batch):
 def assert_same(a, b):
     assert a.n == b.n
     np.testing.assert_allclose(a.mean, b.mean, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(a.m2, b.m2, rtol=1e-9, atol=1e-6)
+    # the sums of squared deviations, unscaled
+    np.testing.assert_allclose(np.ldexp(a.scaled_m2, 2 * a.exponent),
+                               np.ldexp(b.scaled_m2, 2 * b.exponent), rtol=1e-9, atol=1e-6)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,11 +7,10 @@ oracles import it at module level; everything else imports it where it
 computes with it. Row-major orders of sites, of a torus or of a walk's
 bounding box, are computed in one module, ``kernel.py``, both ways
 (``ravel_multi_index`` and ``unravel_index``): the walk reduction too
-decodes and re-encodes its carried pairs' site keys through ``kernel``'s
-box codec. A kernel is built from its name by one rule,
-``kernel.make_kernel``. Every exact semigroup runs through one
-uniformization, whose Poisson tail bound and weights are defined in
-``walks.py`` only.
+decodes its pairs' site keys through ``kernel``'s box codec. A kernel is
+built from its name by one rule, ``kernel.make_kernel``. Every exact
+semigroup runs through one uniformization, whose Poisson tail bound and
+weights are defined in ``walks.py`` only.
 """
 
 import ast

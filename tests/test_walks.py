@@ -4,9 +4,8 @@ the walker range, its pair-id step and per-row grid search, its memory
 footprint, the output bytes of four batches, observables run through
 their expansion against the exact torus oracle, the quenched box's exact
 continuation against the exact ring oracle and the plain estimate, and a
-batch reduced in time windows against the same draw in one piece and
-against exact values past many windows, with the re-key of its carried
-pairs into a grown box and a sweep that a lone live rider leaves as it is."""
+batch reduced in chunks of replicas against the same draw reduced whole
+and against exact values past many chunks."""
 
 import hashlib
 import itertools
@@ -21,7 +20,7 @@ from biased_voter import walks
 from biased_voter.disorder import LazyBiasField, bernoulli_law, deterministic_law, laplace
 from biased_voter.exact import (exact_dual_value, exact_forward_values_all,
                                 exact_range_functional_curve_1d)
-from biased_voter.kernel import (TorusKernel, bias_values, box_keys, box_sites, fold_to_torus,
+from biased_voter.kernel import (TorusKernel, bias_values, box_keys, fold_to_torus,
                                  make_nn_kernel, make_power_kernel)
 from biased_voter.localfn import LocalFunction, hat_coeffs
 from biased_voter.stats import InvariantError
@@ -36,15 +35,13 @@ SANDWICH_GRID = np.geomspace(10.0, 1000.0, 12)
 
 
 def whole_draw(kernel, starts, t_max, count, rng):
-    """One window's draw of ``count`` replicas of walkers at ``starts`` up to t_max."""
-    return walks._draw(kernel, np.tile(starts, (count, 1)), 0.0, t_max, rng)
+    """One chunk's draw of ``count`` replicas of walkers at ``starts`` up to t_max."""
+    return walks._draw(kernel, starts, t_max, count, rng)
 
 
 def death_times(cum_t, skey, k, t_max):
-    """The engine's coalescence sweep over one draw, every rider alive at its start."""
-    death = np.full(cum_t.shape[0], np.inf)
-    walks._coalesce(cum_t, skey, k, t_max, np.ones((cum_t.shape[0] // k, k), dtype=bool), death)
-    return death
+    """The engine's coalescence sweep over one draw."""
+    return walks._coalesce(cum_t, skey, k, t_max)
 
 
 def reference_death_times(cum_t, skey, k, t_max):
@@ -308,53 +305,6 @@ def test_death_times_match_per_jump_sweep(case):
                           reference_death_times(cum_t, skey, k, t_max))
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_sweep_with_one_live_rider_per_replica_changes_nothing(k):
-    """Every one-walker window passes through the sweep; with at most one
-    live rider in each replica it kills none and leaves every death as it was."""
-    count, end = 32, 50.0
-    pos, cum_t = whole_draw(NN1, walks._start_array(NN1, [(0,), (1,), (3,)][:k]), end, count,
-                            rng_for(4))
-    skey = box_keys(pos, count)[0]
-    alive = np.zeros((count, k), dtype=bool)
-    alive[np.arange(count), np.arange(count) % k] = np.arange(count) % 5 > 0   # some hold none
-    death = np.where(alive.ravel(), np.inf, np.arange(count * k) / 7.0)
-    alive_before, death_before = alive.copy(), death.copy()
-    walks._coalesce(cum_t, skey, k, end, alive, death)
-    np.testing.assert_array_equal(alive, alive_before)
-    np.testing.assert_array_equal(death, death_before)
-
-
-@settings(max_examples=80, deadline=None)
-@given(d=st.integers(1, 3), count=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
-       share=st.floats(0.0, 1.0))
-@example(d=2, count=3, seed=0, share=0.0)   # an empty carry
-@example(d=3, count=4, seed=1, share=1.0)   # every pair of the box carried
-def test_rekey_into_a_grown_box_keeps_order_and_pairs(d, count, seed, share):
-    """Carried pair keys re-keyed into a box grown on every side stay
-    sorted and decode to the same (replica, site) pairs."""
-    rng = np.random.default_rng(seed)
-    mins, spans = rng.integers(-4, 5, size=d), rng.integers(1, 5, size=d)
-    grown_mins = mins - rng.integers(0, 3, size=d)
-    grown_spans = spans + (mins - grown_mins) + rng.integers(0, 3, size=d)
-    n_sites = math.prod(int(s) for s in spans)
-    keys = np.flatnonzero(rng.random(count * n_sites) < share).astype(np.int64)
-    reduction = walks._Reduction(make_nn_kernel(d), np.array([1.0]), count, 1, None, None)
-    reduction.keys, reduction.mins, reduction.spans = keys, mins, spans
-    reduction._rekey(grown_mins, grown_spans)
-    got = reduction.keys
-    assert got.dtype == np.int64 and got.size == keys.size
-    assert np.all(np.diff(got) > 0)
-    np.testing.assert_array_equal(reduction.mins, grown_mins)
-    np.testing.assert_array_equal(reduction.spans, grown_spans)
-
-    def decoded(pair_keys, corner, box):
-        replica, site = np.divmod(pair_keys, math.prod(int(s) for s in box))
-        return replica, box_sites(site, corner, box)
-    for g, w in zip(decoded(got, grown_mins, grown_spans), decoded(keys, mins, spans)):
-        np.testing.assert_array_equal(g, w)
-
-
 @settings(max_examples=80, deadline=None)
 @given(key_space=st.integers(1, 400), size=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
 @example(key_space=50, size=400, seed=0)    # the bitmap
@@ -369,7 +319,7 @@ def test_pair_ids_equal_unique(key_space, size, seed):
 
 
 def test_wide_boxes_take_the_sorted_pair_ids(monkeypatch):
-    """The windows of a 2-d batch and of a power-kernel batch to t = 1000
+    """The chunks of a 2-d batch and of a power-kernel batch to t = 1000
     span more pair keys than they hold intervals, so their pair ids come
     from the sort."""
     sorted_ids, pair_ids = [], walks._pair_ids
@@ -464,25 +414,25 @@ def test_site_keys_are_row_major_in_the_narrowest_dtype(lo, span, count, dtype):
         skey, np.ravel_multi_index(tuple(np.moveaxis(pos - mins, -1, 0)), spans))
 
 
-def first_window_shape(starts, count, t_max):
-    """(rows, m) of the first window's draw of a ``count``-replica nn batch to t_max."""
-    end = walks._window_ends(t_max, count * len(starts))[0]
-    return whole_draw(NN1, starts, end, count, rng_for(3))[1].shape
+def first_chunk_shape(starts, count, t_max):
+    """(rows, m) of the first chunk's draw of a ``count``-replica nn batch to t_max."""
+    size = walks._chunk_size(t_max, len(starts), count)
+    return whole_draw(NN1, starts, t_max, size, rng_for(3))[1].shape
 
 
 def test_draw_peak_memory():
-    """The traced peak of drawing one window of a 2048-walker nn batch stays
-    below 2.0 x (rows x m x 8 bytes): 4.0 x with float uniforms searched into
-    int64 indices and gathered, 2.0 x with uint8 indices and int32 positions,
-    where the exponential clock and its cumsum set the peak, and 1.63 x with
-    the clock summed in place."""
+    """The traced peak of drawing the first chunk of a 2048-walker nn batch
+    to t = 1000 (524 walkers) stays below 2.0 x (rows x m x 8 bytes): 4.0 x
+    with float uniforms searched into int64 indices and gathered, 2.0 x with
+    uint8 indices and int32 positions, where the exponential clock and its
+    cumsum set the peak, and 1.63 x with the clock summed in place, all for
+    the whole batch; 1.78 x for the chunk."""
     starts = walks._start_array(NN1, None)
-    rows, m = first_window_shape(starts, walks.BATCH_SIZE, SANDWICH_GRID[-1])
-    assert m < 500   # a window, not the horizon to t = 1000
+    rows, m = first_chunk_shape(starts, walks.BATCH_SIZE, SANDWICH_GRID[-1])
+    assert rows < walks.BATCH_SIZE   # a chunk, not the whole batch
     tracemalloc.start()
     try:
-        whole_draw(NN1, starts, walks._window_ends(SANDWICH_GRID[-1], rows)[0],
-                   walks.BATCH_SIZE, rng_for(3))
+        whole_draw(NN1, starts, SANDWICH_GRID[-1], rows, rng_for(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -491,18 +441,20 @@ def test_draw_peak_memory():
 
 def test_annealed_batch_peak_memory():
     """The traced peak of a 2048-walker annealed batch to t = 1000 stays below
-    5.5 x (rows x m x 8 bytes), m the jumps drawn per walker in one window:
+    5.5 x (rows x m x 8 bytes), rows and m those of the batch's first chunk:
     11.2 x with the per-grid-time loop, 5.5 x with the one-pass reduction for
     one walker per replica, and 4.1 x for k = 3 and k = 8 with the chunked
     coalescence sweep; 4.8 x and 3.6 x with int32 positions and keys and the
     holds computed in place among the deposits; 3.18 x, 2.76 x and 2.89 x for
     k = 1, 3 and 8 with one search per row, one table key per deposit and the
-    clock summed in place, all with the whole horizon drawn as one window."""
+    clock summed in place, all with the whole batch drawn in one piece; and
+    3.5 x, 2.4 x and 3.0 x in chunks of about 520 walker rows, whose results
+    the batch holds beside the next chunk."""
     law = bernoulli_law(0.5, 1.0)
     for k in (1, 3, 8):
         starts = walks._start_array(NN1, [(2 * i,) for i in range(k)])
         count = walks.BATCH_SIZE // k
-        rows, m = first_window_shape(starts, count, SANDWICH_GRID[-1])
+        rows, m = first_chunk_shape(starts, count, SANDWICH_GRID[-1])
         tracemalloc.start()
         try:
             walks._simulate_batch(NN1, SANDWICH_GRID, starts, count, rng_for(3), law, None,
@@ -731,57 +683,40 @@ def test_box_needs_a_field_and_the_nn_kernel_on_z(kernel, weight):
 
 
 # ---------------------------------------------------------------------------
-# Windows: a batch drawn and reduced one time window at a time
+# Chunks: a batch drawn and reduced a chunk of whole replicas at a time
 # ---------------------------------------------------------------------------
 
-def cut_draw(pos, cum_t, ends):
-    """One window's draw as the windows ending at ``ends``: each its rows'
-    jumps from its start on, after the position there, padded with jumps at
-    inf; the last window keeps every drawn position."""
-    rows, m = cum_t.shape
-    r = np.arange(rows)[:, None]
-    begin = np.zeros(rows, dtype=np.intp)
-    windows = []
-    for end in ends:
-        stop = np.count_nonzero(cum_t < end, axis=1)
-        width = m - begin.min() if end == ends[-1] else int((stop - begin).max()) + 1
-        cols = begin[:, None] + np.arange(width + 1)
-        times = np.where(cols[:, :-1] < m, cum_t[r, np.minimum(cols[:, :-1], m - 1)], np.inf)
-        windows.append((pos[r, np.minimum(cols, m)], times, end))
-        begin = stop
-    return windows
-
-
-def reduce_windows(kernel, t_grid, k, count, weight, windows):
-    """One reduction fed ``windows`` of (positions, jump times, end): its
-    result and the largest coordinate magnitude."""
-    reduction = walks._Reduction(kernel, t_grid, count, k, *weight)
-    box = None
-    for pos, cum_t, end in windows:
-        skey, *box = box_keys(pos, count, box)
-        reduction.add([cum_t, skey], *box, end)
-    mins, spans = box
-    return (*reduction.result(), int(np.abs(np.concatenate([mins, mins + spans - 1])).max()))
+def reduce_chunks(kernel, t_grid, k, weight, pos, cum_t, sizes):
+    """One draw reduced as chunks of ``sizes`` replicas, each keyed in its own
+    box: the chunks' results concatenated and the largest coordinate magnitude."""
+    outs, max_abs, lo = [], 0, 0
+    for n in sizes:
+        rows = slice(lo * k, (lo + n) * k)
+        skey, mins, spans = box_keys(pos[rows], n)
+        max_abs = max(max_abs, int(np.abs(np.concatenate([mins, mins + spans - 1])).max()))
+        outs.append(walks._reduce(kernel, t_grid, [cum_t[rows], skey, mins, spans], k, *weight))
+        lo += n
+    return (*(None if out[0] is None else np.concatenate(out) for out in zip(*outs)), max_abs)
 
 
 QUENCHED_FIELD = LazyBiasField(bernoulli_law(0.5, 1.0), 11)
 
 
-@pytest.mark.parametrize("kernel, t_grid, starts, count, weight, ends", [
-    (NN1, SANDWICH_GRID, None, 256, "law", [100.0, 300.0, 320.0, 700.0, 1000.0]),
-    (NN1, [0.0, 2.0, 5.0, 10.0, 25.1], [(0,), (1,), (3,)], 300, "box", [2.0, 3.0, 7.5, 25.1]),
-    (POWER, np.geomspace(1.0, 100.0, 6), [(0,), (2,)], 64, "law", [7.0, 40.0, 100.0]),
-    (TORUS_NN2, [0.25, 2.0, 20.0], [(0, 0), (1, 0)], 64, "array", [1.0, 2.0, 9.0, 20.0]),
-    (NN2, [1.0, 10.0, 30.0], [(0, 0), (1, 1)], 64, "field", [5.0, 12.0, 30.0]),
-    (NN3, [1.0, 10.0, 30.0], [(0, 0, 0), (1, 0, 0), (0, 1, 1)], 32, "field",
-     [3.0, 10.0, 17.0, 30.0]),
+@pytest.mark.parametrize("kernel, t_grid, starts, count, weight, sizes", [
+    (NN1, SANDWICH_GRID, None, 256, "law", [100, 1, 155]),
+    (NN1, [0.0, 2.0, 5.0, 10.0, 25.1], [(0,), (1,), (3,)], 300, "box", [7, 93, 200]),
+    (POWER, np.geomspace(1.0, 100.0, 6), [(0,), (2,)], 64, "law", [32, 32]),
+    (TORUS_NN2, [0.25, 2.0, 20.0], [(0, 0), (1, 0)], 64, "array", [1, 63]),
+    (NN2, [1.0, 10.0, 30.0], [(0, 0), (1, 1)], 64, "field", [20, 20, 24]),
+    (NN3, [1.0, 10.0, 30.0], [(0, 0, 0), (1, 0, 0), (0, 1, 1)], 32, "field", [5, 27]),
 ], ids=["nn-annealed-sandwich-grid", "k3-quenched-box", "power-annealed", "torus-quenched",
         "nn2-quenched", "nn3-quenched"])
-def test_windows_reduce_as_one(kernel, t_grid, starts, count, weight, ends):
-    """One draw cut at window boundaries, some of them on grid times or with
-    no grid time inside, reduces as it does in one window: the same range
-    counts, live riders and largest coordinate, and log weights within 1e-12
-    relative (a hold split at a boundary is summed in two parts)."""
+def test_chunks_reduce_as_one(kernel, t_grid, starts, count, weight, sizes):
+    """One draw cut by replica into chunks, some of one replica, each keyed
+    in its own box, reduces bit for bit as it does whole: the same range
+    counts, live riders, log weights and largest coordinate. A replica's
+    pairs keep their order in any box that holds them, so its sums are
+    taken in the same order."""
     t_grid = np.asarray(t_grid, dtype=float)
     starts = walks._start_array(kernel, starts)
     k = len(starts)
@@ -790,65 +725,68 @@ def test_windows_reduce_as_one(kernel, t_grid, starts, count, weight, ends):
             "box": QUENCHED_FIELD}.get(weight)
     box = walks.QuenchedBox.solve(QUENCHED_FIELD, 1, 64, t_grid[-1]) if weight == "box" else None
     pos, cum_t = whole_draw(kernel, starts, t_grid[-1], count, rng_for(21))
-    one = reduce_windows(kernel, t_grid, k, count, (law, bias, box), [(pos, cum_t, t_grid[-1])])
-    several = reduce_windows(kernel, t_grid, k, count, (law, bias, box),
-                             cut_draw(pos, cum_t, ends))
+    one = reduce_chunks(kernel, t_grid, k, (law, bias, box), pos, cum_t, [count])
+    several = reduce_chunks(kernel, t_grid, k, (law, bias, box), pos, cum_t, sizes)
     np.testing.assert_array_equal(several[0], one[0])
     if k > 1:
         np.testing.assert_array_equal(several[1], one[1])
     else:
         assert several[1] is None and one[1] is None
-    assert np.all(np.abs(several[2] - one[2]) <= 1e-12 * np.abs(one[2]))
+    np.testing.assert_array_equal(several[2], one[2])
     assert several[3] == one[3]
-    if box is not None:   # the box went on in some replicas, past the first window too
+    if box is not None:   # the box went on in some replicas
         assert np.isfinite(one[2]).all() and (one[1][:, -1] == 1).any()
 
 
 @pytest.mark.parametrize("starts", [None, [(0,), (1,), (3,)]], ids=["2048x1", "682x3"])
 def test_walk_curve_peak_does_not_grow_with_t_max(starts):
     """The traced peak of a 12-time annealed nn walk to t = 1e4 stays within
-    10% of that to t = 1e3, once the batch's carried (replica, site) pairs,
-    16 bytes each (a key and a local time), are set aside: 2048 walkers hold
-    about 103k pairs by t = 1e3 and 327k by t = 1e4, 3.6 MB, so the flat 10%
-    holds for 682 x 3 walkers, whose riders coalesce, and not for 2048 x 1.
-    Drawn and reduced in one piece, the batches peaked at 62 MB (2048 x 1)
-    and 53 MB (682 x 3) at t = 1e3, and near nine times that at t = 1e4;
-    in windows, at 21 MB at both horizons, 25 MB for 2048 x 1 at t = 1e4."""
+    10% of that to t = 1e3. Drawn and reduced in one piece, the batches
+    peaked at 62 MB (2048 x 1) and 53 MB (682 x 3) at t = 1e3, and near nine
+    times that at t = 1e4; in time windows carrying their (replica, site)
+    pairs, at 21.5 -> 25.5 MB and 21.4 MB at both; in chunks of whole
+    replicas, at 17.6 -> 16.1 MB and 11.7 -> 10.5 MB, a chunk at t = 1e4
+    being a tenth as many replicas drawn ten times as far."""
     law, replicas = bernoulli_law(0.5, 1.0), walks.BATCH_SIZE // (1 if starts is None else 3)
 
     def traced(t_max):
         tracemalloc.start()
         try:
-            stats = walks.walk_curve(NN1, np.geomspace(10.0, t_max, 12), replicas, 5, law=law,
-                                     starts=starts)
-            return tracemalloc.get_traced_memory()[1], stats.range_mean[-1] * replicas
+            walks.walk_curve(NN1, np.geomspace(10.0, t_max, 12), replicas, 5, law=law,
+                             starts=starts)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     traced(1e3)   # warm-up
-    (low, low_pairs), (high, high_pairs) = traced(1e3), traced(1e4)
-    allowance = 0.0 if starts is not None else 16.0 * (high_pairs - low_pairs)
-    assert high <= 1.1 * low + allowance, (low / 1e6, high / 1e6, allowance / 1e6)
+    low, high = traced(1e3), traced(1e4)
+    assert high <= 1.1 * low, (low / 1e6, high / 1e6)
 
 
-def test_range_curve_past_many_windows_matches_exact():
-    # 2048 walkers to t = 4000: sixteen windows
+def chunks_of_batch(t_max, k):
+    """How many chunks a full batch of k-walker replicas to t_max is cut into."""
+    count = walks.BATCH_SIZE // k
+    return math.ceil(count / walks._chunk_size(t_max, k, count))
+
+
+def test_range_curve_past_many_chunks_matches_exact():
+    # 2048 walkers to t = 4000: sixteen chunks
     nu, grid = 0.1, np.geomspace(10.0, 4000.0, 8)
-    assert len(walks._window_ends(grid[-1], walks.BATCH_SIZE)) == 16
+    assert chunks_of_batch(grid[-1], 1) == 16
     stats = walks.walk_curve(NN1, grid, walks.BATCH_SIZE, 0, exponents=(nu,))
     exact = exact_range_functional_curve_1d(nu, grid, 600)
     assert np.all(np.abs(stats.exp_means[nu] - exact) <= 4.0 * stats.exp_stderrs[nu])
 
 
-def test_boxed_quenched_batch_in_windows_agrees_with_one_window(monkeypatch):
+def test_boxed_quenched_batch_in_chunks_agrees_with_one_chunk(monkeypatch):
     # one full batch of the three-site quenched run on field 11 to t = 1000:
-    # four windows, against the same run drawn as one
+    # four chunks, against the same run drawn as one
     grid, sites, replicas = np.geomspace(10.0, 1000.0, 6), [(0,), (1,), (3,)], 682
     box = walks.QuenchedBox.solve(QUENCHED_FIELD, 1, 128, grid[-1])
-    assert len(walks._window_ends(grid[-1], 3 * replicas)) == 4
-    windows = walks.walk_curve(NN1, grid, replicas, 31, starts=sites, bias=QUENCHED_FIELD,
-                               box=box)
-    monkeypatch.setattr(walks, "WINDOW_JUMPS", 1 << 22)
+    assert chunks_of_batch(grid[-1], 3) == 4
+    chunks = walks.walk_curve(NN1, grid, replicas, 31, starts=sites, bias=QUENCHED_FIELD,
+                              box=box)
+    monkeypatch.setattr(walks, "CHUNK_JUMPS", 1 << 22)
     one = walks.walk_curve(NN1, grid, replicas, 31, starts=sites, bias=QUENCHED_FIELD, box=box)
-    z = (windows.weight_mean - one.weight_mean) / np.hypot(windows.weight_stderr,
-                                                           one.weight_stderr)
+    z = (chunks.weight_mean - one.weight_mean) / np.hypot(chunks.weight_stderr,
+                                                          one.weight_stderr)
     assert np.all(np.abs(z) <= 4.0), z
