@@ -32,7 +32,7 @@ from .harness import (_POWER_KEYS, CONFIG_KEYS, MODES, ConfigError, ExperimentCo
 from .kernel import KERNELS, make_kernel
 from .localfn import is_monotone, lemma1_check, parse_localfn_text, sigma_and_support, gap
 from .rangestats import local_exponent_column
-from .stats import InvariantError, check_seed
+from .stats import InvariantError, check_seed, keep_freed_pages
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -255,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_pages()   # the application, not the library, sets its allocator policy
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import itertools
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import biased_voter
-from biased_voter import cli, forward, harness, walks
+from biased_voter import cli, forward, harness, stats, walks
 from biased_voter.cli import EXIT_INVARIANT, main as cli_main
 from biased_voter.exact import exact_dual_value, exact_range_functional_curve_1d
 from biased_voter.kernel import fold_to_torus, make_nn_kernel
@@ -25,7 +26,7 @@ from biased_voter.dual import dual_curve
 from biased_voter.localfn import (LocalFunction, hat_coeffs, parse_localfn_text,
                                   product_indicator, site_indicator)
 from biased_voter.rangestats import dirichlet_eigenvalue, dv_constant, lambda_nn
-from biased_voter.stats import InvariantError, map_batches
+from biased_voter.stats import InvariantError, keep_freed_pages, map_batches
 from biased_voter.walks import walk_curve
 
 BERNOULLI_CONFIG = """
@@ -642,12 +643,13 @@ class TestPersistence:
 
     @pytest.mark.parametrize("jobs", [[-1], [-1, 2]], ids=["one-job", "two-jobs"])
     def test_no_more_workers_than_jobs(self, monkeypatch, jobs):
-        # the spy runs the jobs in this process, so no worker ever starts
+        # the spy runs the jobs in this process, so no worker ever starts;
+        # every worker gets the allocator policy, whatever the start method
         started = []
 
         class SpyPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            def __init__(self, max_workers, initializer=None):
+                started.append((max_workers, initializer))
 
             def __enter__(self):
                 return self
@@ -660,7 +662,18 @@ class TestPersistence:
 
         monkeypatch.setattr(futures, "ProcessPoolExecutor", SpyPool)
         assert map_batches(abs, jobs, threads=4) == [abs(j) for j in jobs]
-        assert started == [len(jobs)]
+        assert started == [(len(jobs), keep_freed_pages)]
+
+    def test_keep_freed_pages_without_mallopt_is_a_no_op(self, monkeypatch):
+        looked_up = []
+
+        class NoMallopt:
+            def __init__(self, name):
+                looked_up.append(name)
+
+        monkeypatch.setattr(stats.ctypes, "CDLL", NoMallopt)
+        assert keep_freed_pages.__wrapped__() is None
+        assert looked_up == [None]
 
 
 class TestCLI:
@@ -706,6 +719,29 @@ class TestCLI:
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                        reason="libc has no mallopt")
+    def test_warm_range_calls_do_not_fault_their_pages_in_again(self, tmp_path):
+        # a fresh interpreter: the policy is set by the first cli.main call.
+        # Without it glibc trims each freed chunk and every call faults about 10k pages
+        script = """if True:
+            import resource, sys
+            from biased_voter import cli
+            argv = ["range", "--nu", "1.0", "--t-grid", "10:1000:4", "--replicas", "2048",
+                    "--seed", "3", "--out", sys.argv[1]]
+            for _ in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert cli.main(argv) == 0
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        src = str(Path(biased_voter.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 3 and max(faults[1:]) < 1000, faults
 
     def test_simulate_dual_and_fit(self, tmp_path, capsys):
         out = tmp_path / "dual.csv"
